@@ -65,23 +65,42 @@ def _entry_key(e):
             tuple(e["beta"]), e["k"], e["l"])
 
 
+def _is_int(x):
+    """A JSON integer.  JSON booleans load as ``bool``, a subclass of ``int``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite_number(path, x):
+    if _is_int(x) or isinstance(x, float):
+        try:
+            value = float(x)
+        except OverflowError:
+            value = float("inf")
+        if np.isfinite(value):
+            return value
+    raise SpecError(path, "must be a finite number")
+
+
 def _check_entry(path, e, n, order, field_names=("k", "l")):
+    if not isinstance(e, dict):
+        raise SpecError(path, "must be an object")
     for key in ("alpha", "beta", "re", "im", *field_names):
         if key not in e:
             raise SpecError(path, f"missing field {key!r}")
     for key in ("alpha", "beta"):
         vec = e[key]
-        if len(vec) != n or any((not isinstance(x, int)) or x < 0 for x in vec):
+        if not isinstance(vec, list) or len(vec) != n \
+                or any(not _is_int(x) or x < 0 for x in vec):
             raise SpecError(f"{path}.{key}",
                             f"must be {n} non-negative integers")
     if sum(e["alpha"]) + sum(e["beta"]) > order:
         raise SpecError(path, f"total degree exceeds order {order}")
     for key in field_names:
-        if not 1 <= e[key] <= n:
-            raise SpecError(f"{path}.{key}", f"index out of range 1..{n}")
+        if not _is_int(e[key]) or not 1 <= e[key] <= n:
+            raise SpecError(f"{path}.{key}", f"must be an integer index in 1..{n}")
     return {"alpha": list(e["alpha"]), "beta": list(e["beta"]),
-            "k": e["k"], "l": e["l"], "re": float(e["re"]),
-            "im": float(e["im"])}
+            "k": e["k"], "l": e["l"], "re": _finite_number(f"{path}.re", e["re"]),
+            "im": _finite_number(f"{path}.im", e["im"])}
 
 
 def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
@@ -94,10 +113,13 @@ def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
         if key not in doc:
             raise SpecError("$", f"missing top-level field {key!r}")
     n, order = doc["n"], doc["order"]
-    if not isinstance(n, int) or not 1 <= n <= 4:
+    if not _is_int(n) or not 1 <= n <= 4:
         raise SpecError("$.n", "dimension must be an integer in 1..4")
-    if not isinstance(order, int) or not 2 <= order <= 6:
+    if not _is_int(order) or not 2 <= order <= 6:
         raise SpecError("$.order", "truncation order must be an integer in 2..6")
+    seed = doc.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise SpecError("$.seed", "must be a non-negative integer")
     sblock = doc["structure"]
     kind = sblock.get("kind")
     if kind not in STRUCTURE_KINDS:
@@ -119,7 +141,7 @@ def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
         metric_entries.append(_check_entry(f"$.metric.entries[{i}]", e, n, order))
     ms = ManifoldSpec(n=n, order=order, kind=kind, structure_entries=entries,
                       metric_entries=metric_entries,
-                      seed=int(doc.get("seed", 0)), name=name)
+                      seed=seed, name=name)
     build_structure(ms)   # validation includes the J^2 residual check
     return ms
 

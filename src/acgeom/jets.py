@@ -1,13 +1,39 @@
-"""Sparse graded arithmetic of truncated power series in conjugate-pair variables.
+"""Graded arithmetic of truncated power series in conjugate-pair variables.
 
 A jet is a polynomial in (z_1..z_n, zbar_1..zbar_n) truncated at a fixed total
 degree.  Coefficients are ``complex`` by default; an exact rational-complex
 mode (:class:`QC`) is available for oracle computations that must be checked
 with zero discrepancy.
+
+A jet stores its nonzero coefficients in the dict ``terms``, keyed by
+``(alpha, beta)`` and kept in graded order (total degree, then alpha, then
+beta).  Float arithmetic on large jets runs on a second view of the same
+data: a coefficient vector over the graded monomial index of (n, order),
+built once per (n, order) and cached for the life of the process.  The index
+lists every monomial of degree <= order in graded order and every product
+pair (I, J) of total degree <= order, sorted by the slot K of I + J, so one
+product is a gather, a multiply and one ``np.add.reduceat``.  A jet computes
+its vector on first use and keeps it, since jets are immutable.
+
+Which path runs:
+
+- ``Jet.__mul__``: the dense kernel when both jets are float and the product
+  of their term counts exceeds the index's ``dense_min_pairs``
+  (``_DENSE_MUL_MIN_PAIRS`` plus a share of the product table's size);
+  otherwise the dict convolution over the stored terms.  Exact jets always
+  take the dict path.
+- ``Jet.compose``: float jets build the substituted monomials on dense
+  vectors, each one from a monomial of one degree less, and sum them in one
+  matrix-vector product; exact jets use dict products.
+- ``JetMatrix.__matmul__``: per output entry, the dense kernel summed over the
+  inner index when the entry's pair count exceeds ``dense_min_pairs`` (float
+  only); otherwise a sum of ``Jet`` products.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,9 +43,14 @@ import numpy as np
 # sits below every test tolerance in the suite.
 PRUNE_EPS = 1e-14
 
-# Above this many coefficient pairs, multiplication switches to the vectorised
-# numpy convolution path.
-_MUL_NUMPY_CUTOFF = 400
+# A float product runs on the dense kernel when its operands' term counts
+# multiply to more than this plus one per 250 pairs of the (n, order) product
+# table, and on the dict convolution otherwise.  The dict path costs about
+# 5 us per pair; a dense product costs a fixed ~40 us plus ~20 ns per table
+# pair.  Measured crossovers (fresh low-degree operands, 2-vCPU Xeon VM):
+# 9-16 pairs for n <= 3, 16-25 at (n, N) = (4, 4), 64-144 at (4, 5) and
+# about 300 at (4, 6).
+_DENSE_MUL_MIN_PAIRS = 12
 
 
 class JetError(ValueError):
@@ -139,6 +170,111 @@ def _grade_key(key):
     return (_degree(key), key[0], key[1])
 
 
+def _bad_key_message(key, n, order):
+    try:
+        alpha, beta = key
+        if len(alpha) != n or len(beta) != n:
+            return f"multi-index length mismatch for n={n}: {key}"
+        if _degree(key) > order:
+            return f"term {key} exceeds truncation order {order}"
+    except (TypeError, ValueError):
+        pass
+    return f"term key {key!r} is not a pair of {n} non-negative integer exponents"
+
+
+def _exponent_vectors(length, max_degree):
+    """Every non-negative integer vector of this length and sum <= max_degree."""
+    if length == 0:
+        yield ()
+        return
+    for e in range(max_degree + 1):
+        for rest in _exponent_vectors(length - 1, max_degree - e):
+            yield (e,) + rest
+
+
+class _Index:
+    """Graded monomial index of one (n, order), with its product table.
+
+    ``monos`` lists every ``(alpha, beta)`` of total degree <= order in
+    ``_grade_key`` order and ``pos`` maps each back to its slot.  The product
+    table ``_pairs`` is (left, right, starts): every slot pair (left[p],
+    right[p]) whose monomials multiply to degree <= order, sorted by the slot
+    of the product, and where each output slot's pairs begin.  Slot 0 is the
+    constant monomial, so every output slot has at least one pair.
+    ``factors`` and ``conj_perm`` serve ``Jet.compose``.  The tables are
+    built on first use, since most indices only ever sort the terms of small
+    jets.
+    """
+
+    def __init__(self, n, order):
+        self.n, self.order = n, order
+        self.monos = sorted(((v[:n], v[n:]) for v in _exponent_vectors(2 * n, order)),
+                            key=_grade_key)
+        self.pos = {m: i for i, m in enumerate(self.monos)}
+        self.size = len(self.monos)
+        # the product table holds every monomial of degree <= order in 4n variables
+        self.dense_min_pairs = _DENSE_MUL_MIN_PAIRS + math.comb(4 * n + order, order) // 250
+
+    @functools.cached_property
+    def _codes(self):
+        """(exponents, radix powers, codes, slots sorted by code)."""
+        exps = np.array([a + b for a, b in self.monos],
+                        dtype=np.int64).reshape(self.size, 2 * self.n)
+        # Exponents never exceed the order, so these codes add without carries.
+        radix = (self.order + 1) ** np.arange(2 * self.n, dtype=np.int64)
+        codes = exps @ radix
+        return exps, radix, codes, np.argsort(codes)
+
+    def _slot_of_code(self, code):
+        _, _, codes, by_code = self._codes
+        return by_code[np.searchsorted(codes, code, sorter=by_code)]
+
+    @functools.cached_property
+    def _pairs(self):
+        exps, _, codes, _ = self._codes
+        order = self.order
+        ends = np.searchsorted(exps.sum(axis=1), np.arange(order + 1), side="right")
+        left, right = [], []
+        for d in range(order + 1):
+            rows = np.arange(ends[d - 1] if d else 0, ends[d])
+            cols = np.arange(ends[order - d])
+            left.append(np.repeat(rows, len(cols)))
+            right.append(np.tile(cols, len(rows)))
+        left, right = np.concatenate(left), np.concatenate(right)
+        out = self._slot_of_code(codes[left] + codes[right])
+        perm = np.argsort(out, kind="stable")
+        return left[perm], right[perm], np.flatnonzero(np.diff(out[perm], prepend=-1))
+
+    @functools.cached_property
+    def factors(self):
+        """(parent, var): the monomial of slot s > 0 is that of slot parent[s]
+        times variable var[s], numbered z_1..z_n, zbar_1..zbar_n."""
+        exps, radix, codes, _ = self._codes
+        var = np.argmax(exps > 0, axis=1)
+        parent = self._slot_of_code(codes - radix[var])
+        return parent.tolist(), var.tolist()
+
+    @functools.cached_property
+    def conj_perm(self):
+        """Slot of (beta, alpha) for the monomial (alpha, beta) of each slot."""
+        return np.array([self.pos[(b, a)] for a, b in self.monos])
+
+    def mul(self, a, b):
+        """Truncated product of two coefficient vectors."""
+        left, right, starts = self._pairs
+        return np.add.reduceat(a[left] * b[right], starts)
+
+    def mul_sum(self, a, b):
+        """Sum over rows of the truncated products of two stacks of vectors."""
+        left, right, starts = self._pairs
+        return np.add.reduceat((a[:, left] * b[:, right]).sum(axis=0), starts)
+
+
+@functools.lru_cache(maxsize=None)
+def _index(n, order):
+    return _Index(n, order)
+
+
 class Jet:
     """Truncated power series; immutable value type.
 
@@ -158,24 +294,22 @@ class Jet:
         self.exact = exact
         self.effective_order = order if effective_order is None else min(effective_order, order)
         self._pack = None
-        clean = {}
-        if terms:
-            for key in sorted(terms, key=_grade_key):
-                c = terms[key]
-                if self._negligible(c):
-                    continue
-                alpha, beta = key
-                if len(alpha) != n or len(beta) != n:
-                    raise JetError(f"multi-index length mismatch for n={n}: {key}")
-                if _degree(key) > order:
-                    raise JetError(f"term {key} exceeds truncation order {order}")
-                clean[(tuple(alpha), tuple(beta))] = c if exact else complex(c)
-        self.terms = clean
-
-    def _negligible(self, c):
-        if self.exact:
-            return not c
-        return abs(c) < PRUNE_EPS
+        if not terms:
+            self.terms = {}
+            return
+        idx = _index(n, order)
+        pos = idx.pos
+        kept = []
+        for key, c in terms.items():
+            if (not c) if exact else abs(c) < PRUNE_EPS:
+                continue
+            slot = pos.get(key)
+            if slot is None:
+                raise JetError(_bad_key_message(key, n, order))
+            kept.append((slot, c if exact else complex(c)))
+        kept.sort()
+        monos = idx.monos
+        self.terms = {monos[slot]: c for slot, c in kept}
 
     # -- constructors -------------------------------------------------------
 
@@ -257,11 +391,16 @@ class Jet:
         return {k: c for k, c in self.terms.items() if _degree(k) == d}
 
     def max_abs(self, max_degree=None):
+        """Largest coefficient modulus; NaN if any coefficient is NaN."""
         m = 0.0
         for k, c in self.terms.items():
             if max_degree is not None and _degree(k) > max_degree:
                 continue
-            m = max(m, abs(c))
+            a = abs(c)
+            if a > m:
+                m = a
+            elif a != a:
+                return math.nan
         return m
 
     def is_zero(self, tol=0.0, max_degree=None):
@@ -298,8 +437,12 @@ class Jet:
         if not isinstance(other, Jet):
             return self._scale(other)
         self._check_binary(other)
-        if (not self.exact and len(self.terms) * len(other.terms) > _MUL_NUMPY_CUTOFF):
-            return self._mul_numpy(other)
+        pairs = len(self.terms) * len(other.terms)
+        if not self.exact and pairs > _DENSE_MUL_MIN_PAIRS:
+            idx = _index(self.n, self.order)
+            if pairs > idx.dense_min_pairs:
+                return Jet._from_dense(idx, idx.mul(self._dense(), other._dense()),
+                                       min(self.effective_order, other.effective_order))
         terms = {}
         zero = QC(0) if self.exact else 0j
         for (a1, b1), c1 in self.terms.items():
@@ -327,41 +470,36 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def _packed(self):
+    def _dense(self):
+        """Coefficient vector over the graded index of (n, order); cached."""
         if self._pack is None:
-            t = len(self.terms)
-            alphas = np.zeros((t, self.n), dtype=np.int64)
-            betas = np.zeros((t, self.n), dtype=np.int64)
-            coeffs = np.zeros(t, dtype=complex)
-            for i, ((a, b), c) in enumerate(self.terms.items()):
-                alphas[i] = a
-                betas[i] = b
-                coeffs[i] = c
-            self._pack = (alphas, betas, coeffs)
+            idx = _index(self.n, self.order)
+            vec = np.zeros(idx.size, dtype=complex)
+            if self.terms:
+                vec[[idx.pos[k] for k in self.terms]] = list(self.terms.values())
+            vec.flags.writeable = False
+            self._pack = vec
         return self._pack
 
-    def _mul_numpy(self, other):
-        a1, b1, c1 = self._packed()
-        a2, b2, c2 = other._packed()
-        ea = (a1[:, None, :] + a2[None, :, :]).reshape(-1, self.n)
-        eb = (b1[:, None, :] + b2[None, :, :]).reshape(-1, self.n)
-        cc = (c1[:, None] * c2[None, :]).ravel()
-        keep = (ea.sum(axis=1) + eb.sum(axis=1)) <= self.order
-        ea, eb, cc = ea[keep], eb[keep], cc[keep]
-        radix = self.order + 1
-        powers = radix ** np.arange(2 * self.n, dtype=np.int64)
-        keys = np.concatenate([ea, eb], axis=1) @ powers
-        uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=complex)
-        np.add.at(acc, inv, cc)
-        terms = {}
-        for i, j in enumerate(first):
-            c = acc[i]
-            if abs(c) >= PRUNE_EPS:
-                terms[(tuple(int(x) for x in ea[j]), tuple(int(x) for x in eb[j]))] = c
-        return Jet(self.n, self.order, terms,
-                   effective_order=min(self.effective_order, other.effective_order),
-                   exact=False)
+    @classmethod
+    def _from_dense(cls, idx, vec, effective_order):
+        """Float jet from a coefficient vector over ``idx``.
+
+        Applies the same pruning as ``__init__``: coefficients below
+        PRUNE_EPS are dropped and non-finite ones kept.  The slots come in
+        graded order already, so the terms need no sort.
+        """
+        keep = ~(np.abs(vec) < PRUNE_EPS)
+        slots = np.flatnonzero(keep)
+        jet = cls.__new__(cls)
+        jet.n, jet.order, jet.exact = idx.n, idx.order, False
+        jet.effective_order = min(effective_order, idx.order)
+        monos = idx.monos
+        jet.terms = dict(zip([monos[i] for i in slots.tolist()], vec[slots].tolist()))
+        vec = np.where(keep, vec, 0)
+        vec.flags.writeable = False
+        jet._pack = vec
+        return jet
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -446,9 +584,11 @@ class Jet:
                 raise JetError(
                     f"substitution for z_{k} has a nonzero constant term; "
                     "pass allow_affine=True to opt in")
-        conj_subs = [s.conj() for s in subs]
         eff = min([self.effective_order] + [s.effective_order for s in subs])
-        out = Jet.zero(subs[0].n, self.order, exact=self.exact)
+        if not self.exact:
+            return self._compose_dense(subs, eff)
+        conj_subs = [s.conj() for s in subs]
+        out = Jet.zero(subs[0].n, self.order, exact=True)
         pow_cache = {}
 
         def power(base_jet, tag, e):
@@ -469,10 +609,41 @@ class Jet:
                     if p is not None:
                         term = p if term is None else term * p
             if term is None:
-                out = out + Jet.constant(subs[0].n, self.order, c, exact=self.exact)
+                out = out + Jet.constant(subs[0].n, self.order, c, exact=True)
             else:
                 out = out + term * c
-        return Jet(out.n, out.order, out.terms, effective_order=eff, exact=self.exact)
+        return Jet(out.n, out.order, out.terms, effective_order=eff, exact=True)
+
+    def _compose_dense(self, subs, eff):
+        """Float ``compose`` on coefficient vectors.
+
+        The images of z_1..z_n are ``subs`` and those of zbar_1..zbar_n their
+        conjugates.  Each monomial of ``self`` is the image of a monomial one
+        degree lower times one of these, so the table of images is filled
+        from its parents.
+        """
+        out_idx = _index(subs[0].n, self.order)
+        if not self.terms:
+            return Jet._from_dense(out_idx, np.zeros(out_idx.size, dtype=complex), eff)
+        idx = _index(self.n, self.order)
+        parents, variables = idx.factors
+        vecs = [s._dense() for s in subs]
+        vecs += [v[out_idx.conj_perm].conj() for v in vecs]
+        unit = np.zeros(out_idx.size, dtype=complex)
+        unit[0] = 1.0
+        table = {0: unit}
+
+        def image(slot):
+            got = table.get(slot)
+            if got is None:
+                parent, base = parents[slot], vecs[variables[slot]]
+                got = base if parent == 0 else out_idx.mul(image(parent), base)
+                table[slot] = got
+            return got
+
+        images = np.array([image(idx.pos[key]) for key in self.terms])
+        coeffs = np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
+        return Jet._from_dense(out_idx, coeffs @ images, eff)
 
     # -- serialization ------------------------------------------------------
 
@@ -601,7 +772,16 @@ class JetMatrix:
                         dtype=complex)
 
     def max_abs(self, max_degree=None):
-        return max(e.max_abs(max_degree) for row in self.entries for e in row)
+        """Largest entry ``max_abs``; NaN if any entry holds NaN."""
+        m = 0.0
+        for row in self.entries:
+            for e in row:
+                a = e.max_abs(max_degree)
+                if a > m:
+                    m = a
+                elif a != a:
+                    return math.nan
+        return m
 
     # -- algebra ------------------------------------------------------------
 
@@ -627,14 +807,28 @@ class JetMatrix:
         if self.cols != other.rows:
             raise JetError(f"matmul shape mismatch {self.rows}x{self.cols} @ "
                            f"{other.rows}x{other.cols}")
+        idx = None if self.exact else _index(self.n, self.order)
+        columns = list(zip(*other.entries))
         out = []
-        for i in range(self.rows):
+        for row_in in self.entries:
             row = []
-            for j in range(other.cols):
+            for col in columns:
+                eff = self.order
+                live = []
+                for a, b in zip(row_in, col):
+                    eff = min(eff, a.effective_order, b.effective_order)
+                    if a.terms and b.terms:
+                        live.append((a, b))
+                if idx is not None and sum(len(a.terms) * len(b.terms) for a, b in live) \
+                        > idx.dense_min_pairs:
+                    vec = idx.mul_sum(np.array([a._dense() for a, _ in live]),
+                                      np.array([b._dense() for _, b in live]))
+                    row.append(Jet._from_dense(idx, vec, eff))
+                    continue
                 acc = Jet.zero(self.n, self.order, exact=self.exact)
-                for s in range(self.cols):
-                    acc = acc + self.entries[i][s] * other.entries[s][j]
-                row.append(acc)
+                for a, b in live:
+                    acc = acc + a * b
+                row.append(acc.trusted(eff) if acc.effective_order != eff else acc)
             out.append(row)
         return JetMatrix(out)
 
@@ -659,8 +853,7 @@ class JetMatrix:
             m0_inv_mat = JetMatrix.from_constant(np.linalg.inv(m0), self.n, self.order)
         # M = M0 (I + M0^-1 (M - M0));  (I + X)^-1 = sum (-X)^k, X nilpotent mod order.
         const = JetMatrix.from_constant(self.constant(), self.n, self.order,
-                                        exact=self.exact) if self.exact else \
-            JetMatrix.from_constant(self.constant(), self.n, self.order)
+                                        exact=self.exact)
         x = m0_inv_mat @ (self - const)
         acc = JetMatrix.identity(size, self.n, self.order, exact=self.exact)
         power = JetMatrix.identity(size, self.n, self.order, exact=self.exact)

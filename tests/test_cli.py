@@ -50,6 +50,30 @@ class TestParsing:
         with pytest.raises(SpecError):
             parse_manifold_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("where, field, value, path", [
+        ((), "n", True, "$.n"),
+        ((), "order", True, "$.order"),
+        ((), "seed", False, "$.seed"),
+        (("structure", 0), "k", True, "$.structure.entries[0].k"),
+        (("structure", 0), "l", True, "$.structure.entries[0].l"),
+        (("structure", 0), "alpha", [False, True], "$.structure.entries[0].alpha"),
+        (("structure", 0), "beta", [True, False], "$.structure.entries[0].beta"),
+        (("structure", 0), "re", float("nan"), "$.structure.entries[0].re"),
+        (("structure", 0), "im", float("inf"), "$.structure.entries[0].im"),
+        (("structure", 0), "re", "0.3", "$.structure.entries[0].re"),
+        (("metric", 0), "im", None, "$.metric.entries[0].im"),
+    ], ids=["n-bool", "order-bool", "seed-bool", "k-bool", "l-bool", "alpha-bool",
+            "beta-bool", "re-nan", "im-inf", "re-string", "metric-im-null"])
+    def test_bad_value_rejected_with_path(self, where, field, value, path):
+        doc = json.loads(fix_b_text())
+        doc["metric"]["entries"] = [{"alpha": [0, 0], "beta": [0, 0], "k": 1, "l": 2,
+                                     "re": 0.1, "im": 0.0}]
+        target = doc[where[0]]["entries"][where[1]] if where else doc
+        target[field] = value
+        with pytest.raises(SpecError) as err:
+            parse_manifold_spec(json.dumps(doc))
+        assert err.value.path == path
+
     def test_bad_kind_rejected(self):
         doc = json.loads(fix_b_text())
         doc["structure"]["kind"] = "other"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from acgeom.jets import (Jet, JetError, JetMatrix, QC, SingularMatrixError,
-                         block2x2, series_inverse)
+                         _index, block2x2, series_inverse)
 
 from conftest import random_jet, random_point
 
@@ -49,14 +51,65 @@ class TestMul:
             z(2, 3, 0) + z(3, 3, 0)
 
     def test_numpy_and_dict_paths_agree(self, rng):
-        f = random_jet(rng, 3, 5, nterms=40)
-        g = random_jet(rng, 3, 5, nterms=40)
-        dense = f._mul_numpy(g)
-        sparse = Jet(3, 5, {})
-        # force the dict path via small chunks
-        for key, c in f.terms.items():
-            sparse = sparse + Jet.monomial(3, 5, key[0], key[1], c) * g
-        assert (dense - sparse).max_abs() < 1e-12
+        # oracle: term-by-term convolution written out here, on both sides of
+        # the dense-kernel threshold and at a padded order N+1
+        for order in (5, 6):
+            threshold = _index(3, order).dense_min_pairs
+            for nterms in (3, 40):
+                f = random_jet(rng, 3, 5, nterms=nterms).padded(order)
+                g = random_jet(rng, 3, 5, nterms=nterms).padded(order)
+                assert (len(f.terms) * len(g.terms) > threshold) == (nterms == 40)
+                want = naive_product(f, g)
+                got = f * g
+                assert set(got.terms) <= set(want)
+                assert max(abs(got.coeff(*k) - c) for k, c in want.items()) < 1e-12
+                # dyadic data: every sum is exact, so the terms agree exactly
+                fd = random_jet(rng, 3, 5, nterms=nterms, dyadic=True).padded(order)
+                gd = random_jet(rng, 3, 5, nterms=nterms, dyadic=True).padded(order)
+                assert (fd * gd).terms == {k: c for k, c in naive_product(fd, gd).items() if c}
+
+    def test_kernel_result_hashes_like_constructed_jet(self, rng):
+        f = random_jet(rng, 2, 4, nterms=30)
+        g = random_jet(rng, 2, 4, nterms=30)
+        got = f * g
+        shuffled = dict(reversed(list(got.terms.items())))
+        rebuilt = Jet(2, 4, shuffled)
+        assert got == rebuilt
+        assert hash(got) == hash(rebuilt)
+        assert list(got.terms) == list(rebuilt.terms)
+
+    @pytest.mark.parametrize("nterms", [2, 30])
+    def test_nan_survives_product(self, rng, nterms):
+        # nterms=2 stays on the dict path, nterms=30 runs the dense kernel
+        f = Jet.constant(2, 4, complex("nan")) + random_jet(rng, 2, 4, nterms=nterms - 1)
+        g = random_jet(rng, 2, 4, nterms=30) + 10.0
+        h = f * g
+        assert np.isnan(h.max_abs())
+        assert not h.is_zero(tol=1.0)
+
+
+def naive_product(f, g):
+    """Convolution of two jets' terms, truncated at f.order."""
+    out = {}
+    for (a1, b1), c1 in f.terms.items():
+        for (a2, b2), c2 in g.terms.items():
+            key = (tuple(x + y for x, y in zip(a1, a2)),
+                   tuple(x + y for x, y in zip(b1, b2)))
+            if sum(key[0]) + sum(key[1]) <= f.order:
+                out[key] = out.get(key, 0j) + c1 * c2
+    return out
+
+
+class TestMaxAbs:
+    def test_nan_coefficient_is_not_zero(self):
+        f = Jet(2, 3, {((1, 0), (0, 0)): 2.0, ((0, 0), (0, 1)): complex("nan")})
+        assert np.isnan(f.max_abs())
+        assert not f.is_zero()
+
+    def test_nan_propagates_through_matrix(self):
+        m = JetMatrix.identity(2, 2, 3)
+        m.entries[1][1] = Jet.constant(2, 3, complex("nan"))
+        assert np.isnan(m.max_abs())
 
 
 class TestConj:
@@ -142,6 +195,32 @@ class TestCompose:
             f.compose(shifted)
         g = f.compose(shifted, allow_affine=True)
         assert g.constant_term == 0.5
+
+    def test_dense_compose_matches_exact(self, rng):
+        # oracle: exact-mode compose (dict products) on dyadic data, where the
+        # float sums are exact too
+        n, order = 2, 4
+
+        def dyadic_jet(nterms, max_degree, min_degree=0):
+            terms = {}
+            for m in _index(n, order).monos:
+                d = sum(m[0]) + sum(m[1])
+                if min_degree <= d <= max_degree and len(terms) < nterms:
+                    terms[m] = complex(int(rng.integers(-8, 9)) / 8,
+                                       int(rng.integers(-8, 9)) / 8)
+            return terms
+
+        def both(terms):
+            exact = {k: QC(Fraction(c.real), Fraction(c.imag)) for k, c in terms.items()}
+            return Jet(n, order, terms), Jet(n, order, exact, exact=True)
+
+        f, fe = both(dyadic_jet(70, order))
+        z_key = [(tuple(int(i == k) for i in range(n)), (0,) * n) for k in range(n)]
+        phi, phie = zip(*[both({**dyadic_jet(6, 3, min_degree=2), z_key[k]: 1.0})
+                          for k in range(n)])
+        got, want = f.compose(phi), fe.compose(phie)
+        assert got.terms == {k: complex(c) for k, c in want.terms.items()}
+        assert got.effective_order == want.effective_order
 
     def test_functoriality(self, rng):
         n, order = 2, 4
