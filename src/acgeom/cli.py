@@ -446,25 +446,39 @@ def _cmd_asymptotics(ms, opts):
     return rows
 
 
-def _parse_vector(text, n):
-    parts = text.split(",")
-    if len(parts) != 2 * n:
-        raise SpecError("$", f"need {2 * n} comma-separated floats "
+def _parse_floats(text, flag):
+    try:
+        vals = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise SpecError(flag, "must be comma-separated numbers") from None
+    if not all(np.isfinite(vals)):
+        raise SpecError(flag, "components must be finite")
+    return vals
+
+
+def _parse_vector(text, n, flag):
+    vals = _parse_floats(text, flag)
+    if len(vals) != 2 * n:
+        raise SpecError(flag, f"need {2 * n} comma-separated floats "
                         f"(re,im per component)")
-    vals = [float(p) for p in parts]
     return np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(n)])
 
 
 def _cmd_geodesic(ms, opts, payload):
+    if not _is_int(opts.steps) or opts.steps < 1:
+        raise SpecError("--steps", "must be a positive integer")
+    scales = (1.0, 0.5, 0.25, 0.125)
+    if opts.scales:
+        scales = tuple(_parse_floats(opts.scales, "--scales"))
+        if not all(s > 0 for s in scales):
+            raise SpecError("--scales", "scales must be positive")
+    z = _parse_vector(opts.z, ms.n, "--z") if opts.z else np.zeros(ms.n, complex)
+    v = _parse_vector(opts.v, ms.n, "--v") if opts.v else \
+        np.full(ms.n, 0.04 / max(ms.n, 1), dtype=complex)
     s = build_structure(ms)
     calc = FrameCalculus(s)
     hd = build_metric(ms)
     lab = geodesic.GeodesicLab(calc, hd)
-    z = _parse_vector(opts.z, ms.n) if opts.z else np.zeros(ms.n, complex)
-    v = _parse_vector(opts.v, ms.n) if opts.v else \
-        np.full(ms.n, 0.04 / max(ms.n, 1), dtype=complex)
-    scales = tuple(float(x) for x in opts.scales.split(",")) if opts.scales \
-        else (1.0, 0.5, 0.25, 0.125)
     probe = geodesic.error_scaling_probe(lab, z, v, scales=scales,
                                          steps=opts.steps)
     rows = []
@@ -475,7 +489,9 @@ def _cmd_geodesic(ms, opts, payload):
         extra = f"slope={r['slope_partial']:.3f}" if "slope_partial" in r else ""
         rows.append(_row(f"scale {r['scale']:g}", None, None,
                          value=f"e={r['error']:.3e} {extra}".strip()))
-    if probe["exact"]:
+    if not probe["finite"]:
+        rows.append(_row("non-finite endpoint error", 1.0, 0.0))
+    elif probe["exact"]:
         rows.append(_row("error at integrator noise floor (exact)", 0.0, 0.0))
     else:
         slope = probe["slope"]

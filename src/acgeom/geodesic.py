@@ -5,6 +5,13 @@ expansion assembled from closed-form coefficient families, and a classical
 fourth-order Runge-Kutta integration of the full jet connection, which
 serves as the independent oracle.  A scaling probe fits the error exponent
 between the two.
+
+The oracle integrates the whole scale ladder of the probe as one batch: RK4
+runs on an (S, 2n) array of states (gamma, gamma-dot), and each step-doubling
+round re-runs only the scales whose endpoint has not yet settled.  The
+connection is evaluated from tables precomputed once per germ
+(``PackedConnection``), the same ones for the acceleration and for the
+reality check of its conjugate block.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .forms import FrameCalculus
 from .jets import JetError
 
 
-class TrustRadiusExit(RuntimeError):
+class TrustRadiusExit(JetError):
     """Trajectory left the region where the jet data is trusted."""
 
     def __init__(self, time, radius):
@@ -30,43 +37,71 @@ class TrustRadiusExit(RuntimeError):
 
 
 class PackedConnection:
-    """Coordinate connection matrix flattened for fast pointwise evaluation."""
+    """Coordinate connection matrix flattened for fast pointwise evaluation.
+
+    Every monomial of every entry A_z[a][i, j] is one term.  The tables are
+    built once: per term, the flat positions of its factors in a power table
+    of u = (gamma, gdot, conj gamma, conj gdot) (the exponents over the 2n
+    variables, then the velocity components a and j at power one), and a
+    dense row-scatter matrix carrying the minus sign.  The action
+    -(A_z(v) v) on a batch of states is then one power table, one gather,
+    one product over the factors and one matmul.
+    """
 
     def __init__(self, calc: FrameCalculus, conn: ConnectionForms):
         a_z = connection_matrix_coordinate(calc, conn)
-        self.n = calc.n
-        rows, cols, comps, alphas, betas, coeffs = [], [], [], [], [], []
+        n = self.n = calc.n
+        terms = []
         for a, mat in enumerate(a_z):
-            for i in range(2 * self.n):
-                for j in range(2 * self.n):
+            for i in range(2 * n):
+                for j in range(2 * n):
                     for (alpha, beta), c in mat[i, j].terms.items():
-                        rows.append(i)
-                        cols.append(j)
-                        comps.append(a)
-                        alphas.append(alpha)
-                        betas.append(beta)
-                        coeffs.append(c)
-        self.rows = np.array(rows, dtype=np.intp)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.comps = np.array(comps, dtype=np.intp)
-        self.alphas = np.array(alphas, dtype=np.int64).reshape(-1, self.n)
-        self.betas = np.array(betas, dtype=np.int64).reshape(-1, self.n)
-        self.coeffs = np.array(coeffs, dtype=complex)
+                        terms.append((i, j, a, alpha + beta, c))
+        terms.sort(key=lambda t: t[0])          # stable: first block first
+        rows = np.array([t[0] for t in terms], dtype=np.intp)
+        exps = np.array([t[3] for t in terms], dtype=np.intp).reshape(-1, 2 * n)
+        self.degrees = np.arange(max(exps.max(initial=0), 1) + 1)
+        # position in u of each variable (z, zbar) and each velocity component
+        var_pos = np.concatenate([np.arange(n), 2 * n + np.arange(n)])
+        vel_pos = var_pos + n
+        comps = np.array([t[2] for t in terms], dtype=np.intp)
+        cols = np.array([t[1] for t in terms], dtype=np.intp)
+        width = len(self.degrees)
+        gather = np.concatenate([var_pos * width + exps,
+                                 (vel_pos[comps] * width + 1)[:, None],
+                                 (vel_pos[cols] * width + 1)[:, None]], axis=1).T
+        coeffs = np.array([t[4] for t in terms], dtype=complex)
+        scatter = np.zeros((len(terms), 2 * n), dtype=complex)
+        scatter[np.arange(len(terms)), rows] = -1.0
+        first = int(np.count_nonzero(rows < n))
+        self.tables = {
+            n: (coeffs[:first], np.ascontiguousarray(gather[:, :first]),
+                np.ascontiguousarray(scatter[:first, :n])),
+            2 * n: (coeffs, np.ascontiguousarray(gather), scatter),
+        }
+
+    def action(self, gamma, gdot, nrows=None):
+        """-(A_z(v) v) at z = gamma, v = (gdot, conj gdot): the first block
+        for ``nrows`` = n, all 2n rows by default; gamma and gdot are (n,)
+        or (S, n)."""
+        n = self.n
+        coeffs, gather, scatter = self.tables[nrows or 2 * n]
+        x = np.concatenate([gamma, gdot], axis=-1)
+        u = np.concatenate([x, x.conj()], axis=-1)
+        powers = (u[..., None] ** self.degrees).reshape(u.shape[:-1] + (-1,))
+        f = np.take(powers, gather, axis=-1)     # (..., 2n + 2, terms)
+        z_mono, zbar_mono = f[..., 0, :], f[..., n, :]
+        for k in range(1, n):
+            z_mono = z_mono * f[..., k, :]
+            zbar_mono = zbar_mono * f[..., n + k, :]
+        vals = coeffs * (z_mono * zbar_mono) * f[..., 2 * n, :] \
+            * f[..., 2 * n + 1, :]
+        return vals @ scatter
 
     def acceleration(self, gamma, gdot):
         """Second derivative of the curve: -(A_z(gdot) gdot) on the first
         block; the conjugate block is determined by reality."""
-        n = self.n
-        v = np.concatenate([gdot, np.conj(gdot)])
-        if len(self.coeffs) == 0:
-            return np.zeros(n, dtype=complex)
-        zb = np.conj(gamma)
-        mono = np.prod(gamma[None, :] ** self.alphas, axis=1) \
-            * np.prod(zb[None, :] ** self.betas, axis=1)
-        vals = self.coeffs * mono * v[self.comps]
-        mat = np.zeros((2 * n, 2 * n), dtype=complex)
-        np.add.at(mat, (self.rows, self.cols), vals)
-        return -(mat @ v)[:n]
+        return self.action(gamma, gdot, self.n)
 
 
 @dataclass
@@ -83,38 +118,68 @@ class GeodesicResult:
 
 def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
                        trust_radius=0.2, return_velocity=False):
-    """Classical RK4 on (gamma, gamma-dot) over [0, 1]."""
-    gamma = np.asarray(z, dtype=complex).copy()
-    gdot = np.asarray(v, dtype=complex).copy()
+    """Classical RK4 on (gamma, gamma-dot) over [0, 1].
+
+    ``z`` and ``v`` are one state (n,) or a batch (S, n) integrated together;
+    the trust-radius check covers every state of the batch."""
+    n = packed.n
+    y = np.concatenate([np.asarray(z, dtype=complex),
+                        np.asarray(v, dtype=complex)], axis=-1)
+
+    def rate(y):
+        """(gamma-dot, gamma-ddot) of the state y = (gamma, gamma-dot)."""
+        gdot = y[..., n:]
+        return np.concatenate([gdot, packed.acceleration(y[..., :n], gdot)],
+                              axis=-1)
+
     h = 1.0 / steps
     for step in range(steps):
-        if np.abs(gamma).max() > trust_radius:
+        if np.abs(y[..., :n]).max(initial=0.0) > trust_radius:
             raise TrustRadiusExit(step * h, trust_radius)
-        k1g, k1v = gdot, packed.acceleration(gamma, gdot)
-        k2g = gdot + 0.5 * h * k1v
-        k2v = packed.acceleration(gamma + 0.5 * h * k1g, k2g)
-        k3g = gdot + 0.5 * h * k2v
-        k3v = packed.acceleration(gamma + 0.5 * h * k2g, k3g)
-        k4g = gdot + h * k3v
-        k4v = packed.acceleration(gamma + h * k3g, k4g)
-        gamma = gamma + (h / 6) * (k1g + 2 * k2g + 2 * k3g + k4g)
-        gdot = gdot + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        k1 = rate(y)
+        k2 = rate(y + 0.5 * h * k1)
+        k3 = rate(y + 0.5 * h * k2)
+        k4 = rate(y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     if return_velocity:
-        return gamma, gdot
-    return gamma
+        return y[..., :n], y[..., n:]
+    return y[..., :n]
 
 
 def integrate_geodesic_checked(packed: PackedConnection, z, v, steps=256,
                                trust_radius=0.2, tol=1e-12, max_doublings=4):
-    """Integrate, doubling the step count until the endpoint is stable."""
-    end = integrate_geodesic(packed, z, v, steps, trust_radius)
+    """Integrate, doubling the step count until the endpoint is stable.
+
+    Each state of a batch (S, n) stops doubling on its own once two
+    successive endpoints agree within ``tol``; only the states still
+    unsettled are integrated again.  A state whose endpoint is not finite
+    can never settle and stops at once.  Returns ``(endpoints, steps,
+    converged)``: the last endpoint of each state, the step count it came
+    from and whether it settled, shaped like the input (scalars for one
+    state).
+    """
+    z = np.asarray(z, dtype=complex)
+    single = z.ndim == 1
+    zs = np.atleast_2d(z)
+    vs = np.atleast_2d(np.asarray(v, dtype=complex))
+    end = integrate_geodesic(packed, zs, vs, steps, trust_radius)
+    counts = np.full(len(zs), steps)
+    converged = np.zeros(len(zs), dtype=bool)
+    active = np.flatnonzero(np.isfinite(end).all(axis=1))
     for _ in range(max_doublings):
+        if not active.size:
+            break
         steps *= 2
-        refined = integrate_geodesic(packed, z, v, steps, trust_radius)
-        if np.abs(refined - end).max() < tol:
-            return refined
-        end = refined
-    return end
+        refined = integrate_geodesic(packed, zs[active], vs[active], steps,
+                                     trust_radius)
+        drift = np.abs(refined - end[active]).max(axis=1)
+        end[active] = refined
+        counts[active] = steps
+        converged[active] = drift < tol
+        active = active[np.isfinite(drift) & ~(drift < tol)]
+    if single:
+        return end[0], int(counts[0]), bool(converged[0])
+    return end, counts, converged
 
 
 def exp_asymptotic(coeffs: AsymptoticCoefficients, z, v):
@@ -172,7 +237,8 @@ class GeodesicLab:
     def result(self, z, v, steps=256) -> GeodesicResult:
         z = np.asarray(z, dtype=complex)
         v = np.asarray(v, dtype=complex)
-        numeric = integrate_geodesic_checked(self.packed, z, v, steps=steps)
+        numeric, _, _ = integrate_geodesic_checked(self.packed, z, v,
+                                                   steps=steps)
         asym = exp_asymptotic(self.coeffs, z, v)
         return GeodesicResult(z, v, asym, numeric)
 
@@ -184,15 +250,28 @@ def error_scaling_probe(lab: GeodesicLab, z, v, scales=(1.0, 0.5, 0.25, 0.125),
                         steps=256):
     """Fit the error exponent of |exp_asym - ode| under joint scaling.
 
-    Returns rows per scale and the fitted log-log slope; scales whose error
-    sits at the integrator noise floor are excluded from the fit, and a
-    fully flat ladder is reported as exact.
+    The whole ladder is integrated as one batch.  Returns rows per scale
+    (with the RK4 step count each endpoint came from and whether its
+    step doubling converged) and the fitted log-log slope; scales whose
+    error sits at the integrator noise floor are excluded from the fit, and
+    a fully flat ladder is reported as exact.  A non-finite error anywhere
+    on the ladder is a failure (``finite`` False, no slope, not exact).
     """
+    z = np.asarray(z, complex)
+    v = np.asarray(v, complex)
+    zs = np.array([z * s for s in scales])
+    vs = np.array([v * s for s in scales])
+    numeric, counts, converged = integrate_geodesic_checked(
+        lab.packed, zs, vs, steps=steps)
     rows = []
-    for s in scales:
-        res = lab.result(np.asarray(z, complex) * s, np.asarray(v, complex) * s,
-                         steps=steps)
-        rows.append({"scale": s, "error": res.error})
+    for s, zi, vi, end, k, ok in zip(scales, zs, vs, numeric, counts,
+                                     converged):
+        error = GeodesicResult(zi, vi, exp_asymptotic(lab.coeffs, zi, vi),
+                               end).error
+        rows.append({"scale": s, "error": error, "steps": int(k),
+                     "converged": bool(ok)})
+    if not all(np.isfinite(r["error"]) for r in rows):
+        return {"rows": rows, "slope": None, "exact": False, "finite": False}
     for i in range(1, len(rows)):
         e0, e1 = rows[i - 1]["error"], rows[i]["error"]
         s0, s1 = rows[i - 1]["scale"], rows[i]["scale"]
@@ -201,11 +280,12 @@ def error_scaling_probe(lab: GeodesicLab, z, v, scales=(1.0, 0.5, 0.25, 0.125),
     usable = [(np.log(r["scale"]), np.log(r["error"])) for r in rows
               if r["error"] > NOISE_FLOOR]
     if len(usable) < 2:
-        return {"rows": rows, "slope": None, "exact": True}
+        return {"rows": rows, "slope": None, "exact": True, "finite": True}
     xs = np.array([u[0] for u in usable])
     ys = np.array([u[1] for u in usable])
     slope = np.polyfit(xs, ys, 1)[0]
-    return {"rows": rows, "slope": float(slope), "exact": False}
+    return {"rows": rows, "slope": float(slope), "exact": False,
+            "finite": True}
 
 
 def integrator_convergence_ratio(lab: GeodesicLab, z, v, coarse=4,
@@ -225,16 +305,5 @@ def conjugate_block_residual(packed: PackedConnection, z, v):
     """Reality of the connection action: the conjugate block of the assembled
     acceleration must mirror the first block."""
     n = packed.n
-    vfull = np.concatenate([np.asarray(v, complex),
-                            np.conj(np.asarray(v, complex))])
-    gamma = np.asarray(z, complex)
-    zb = np.conj(gamma)
-    if len(packed.coeffs) == 0:
-        return 0.0
-    mono = np.prod(gamma[None, :] ** packed.alphas, axis=1) \
-        * np.prod(zb[None, :] ** packed.betas, axis=1)
-    vals = packed.coeffs * mono * vfull[packed.comps]
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    np.add.at(mat, (packed.rows, packed.cols), vals)
-    full = -(mat @ vfull)
+    full = packed.action(z, v)
     return float(np.abs(full[n:] - np.conj(full[:n])).max())

@@ -1,12 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from acgeom.chern import HermitianData, antisymmetrize_metric_linear
 from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_b2, fix_j0
 from acgeom.forms import FrameCalculus
+from acgeom.cli import Options, parse_manifold_spec, run_command
 from acgeom.geodesic import (GeodesicLab, TrustRadiusExit, error_scaling_probe,
                              exp_asymptotic, integrate_geodesic,
+                             integrate_geodesic_checked,
                              integrator_convergence_ratio)
+from acgeom.jets import JetError
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,87 @@ class TestExpAsymptotic:
         assert conjugate_block_residual(lab_b.packed, z, v) < 1e-15
 
 
+LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625)
+Z_OFF = np.array([0.05 + 0.02j, -0.03j])
+V_OFF = np.array([0.12, 0.1j])
+
+
+def per_scale_checked(packed, z, v, steps, tol=1e-12, max_doublings=4):
+    """The step-doubling loop run one state at a time."""
+    end = integrate_geodesic(packed, z, v, steps)
+    for _ in range(max_doublings):
+        steps *= 2
+        refined = integrate_geodesic(packed, z, v, steps)
+        if np.abs(refined - end).max() < tol:
+            return refined, steps
+        end = refined
+    return end, steps
+
+
+class TestBatchedOracle:
+    def test_batch_equals_single_runs(self, lab_b):
+        zs = np.array([Z_OFF * s for s in LADDER])
+        vs = np.array([V_OFF * s for s in LADDER])
+        ends, vels = integrate_geodesic(lab_b.packed, zs, vs, steps=64,
+                                        return_velocity=True)
+        assert ends.shape == vels.shape == (len(LADDER), 2)
+        for zi, vi, end, vel in zip(zs, vs, ends, vels):
+            one, one_vel = integrate_geodesic(lab_b.packed, zi, vi, steps=64,
+                                              return_velocity=True)
+            assert np.abs(end - one).max() < 1e-15
+            assert np.abs(vel - one_vel).max() < 1e-15
+
+    def test_acceleration_matches_pointwise_jets(self, lab_b):
+        from acgeom.chern import connection_matrix_coordinate
+        a_z = connection_matrix_coordinate(lab_b.calc, lab_b.conn)
+        rng = np.random.default_rng(5)
+        zs = 0.05 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+        vs = 0.1 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+        got = lab_b.packed.acceleration(zs, vs)
+        assert got.shape == (6, 2)
+        for z, v, acc in zip(zs, vs, got):
+            vf = np.concatenate([v, np.conj(v)])
+            want = -sum(a_z[a].eval(z) @ vf * vf[a] for a in range(4))
+            assert np.abs(want[2:] - np.conj(want[:2])).max() < 1e-15
+            assert np.abs(acc - want[:2]).max() < 1e-15
+            assert np.abs(lab_b.packed.acceleration(z, v) - acc).max() < 1e-15
+
+    def test_flat_acceleration_is_zero(self, lab_flat):
+        acc = lab_flat.packed.acceleration(np.zeros((3, 2), complex),
+                                           np.ones((3, 2), complex))
+        assert acc.shape == (3, 2) and not acc.any()
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_probe_step_counts_match_per_scale_loop(self, lab_b, steps):
+        out = error_scaling_probe(lab_b, Z_OFF, V_OFF, scales=LADDER,
+                                  steps=steps)
+        for row in out["rows"]:
+            s = row["scale"]
+            end, k = per_scale_checked(lab_b.packed, Z_OFF * s, V_OFF * s,
+                                       steps)
+            asym = exp_asymptotic(lab_b.coeffs, Z_OFF * s, V_OFF * s)
+            assert row["steps"] == k
+            assert row["converged"] is True
+            assert abs(row["error"] - np.abs(asym - end).max()) < 1e-15
+        # the ladder needs a different number of doublings per scale here
+        assert len({row["steps"] for row in out["rows"]}) > 1
+
+    def test_unconverged_rows_reported(self, lab_b):
+        ends, steps, converged = integrate_geodesic_checked(
+            lab_b.packed, [Z_OFF, Z_OFF / 16], [V_OFF, V_OFF / 16], steps=1,
+            max_doublings=1)
+        assert list(steps) == [2, 2]
+        assert list(converged) == [False, True]
+
+    def test_nan_is_a_failure_not_exact(self, lab_b):
+        out = error_scaling_probe(lab_b, [0.0, 0.0], [np.nan, 0.0], steps=64)
+        assert out["finite"] is False
+        assert out["exact"] is False and out["slope"] is None
+        # a non-finite endpoint never settles, so it is not doubled
+        assert all(r["steps"] == 64 and not r["converged"]
+                   for r in out["rows"])
+
+
 class TestIntegrator:
     def test_reversibility(self, lab_b):
         z = np.array([0.02 + 0.01j, -0.01 + 0.02j])
@@ -94,6 +180,12 @@ class TestIntegrator:
     def test_trust_radius_guard(self, lab_b):
         with pytest.raises(TrustRadiusExit):
             integrate_geodesic(lab_b.packed, [0.19, 0.0], [0.5, 0.0], steps=64)
+        assert issubclass(TrustRadiusExit, JetError)
+
+    def test_trust_radius_guard_batched(self, lab_b):
+        with pytest.raises(TrustRadiusExit):
+            integrate_geodesic(lab_b.packed, [[0.0, 0.0], [0.19, 0.0]],
+                               [[0.01, 0.0], [0.5, 0.0]], steps=64)
 
     def test_endpoint_drift_below_machine_scale(self, lab_b):
         # endpoint is stable under step doubling at 1e-12 (Richardson check)
@@ -101,8 +193,10 @@ class TestIntegrator:
         z = np.array([0.02 + 0.01j, -0.015j])
         v = np.array([0.03, 0.02 + 0.01j])
         a = integrate_geodesic(lab_b.packed, z, v, steps=256)
-        b = integrate_geodesic_checked(lab_b.packed, z, v, steps=256)
+        b, steps, converged = integrate_geodesic_checked(lab_b.packed, z, v,
+                                                         steps=256)
         assert np.abs(a - b).max() < 1e-12
+        assert converged and steps == 512
 
 
 class TestErrorScaling:
@@ -191,3 +285,37 @@ class TestQuadraticConsistency:
             gdd -= a_vals[a] @ vf * vf[a]
         quad = exp_asymptotic(lab.coeffs, z, v) - z - v
         assert np.abs(quad - 0.5 * gdd[:2]).max() < 1e-11
+
+
+MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
+
+
+class TestGeodesicCommandInputs:
+    @pytest.fixture(scope="class")
+    def spec(self):
+        with open(os.path.join(MANIFESTS, "fix_b.json"), encoding="utf-8") as fh:
+            return parse_manifold_spec(fh.read(), name="fix_b.json")
+
+    def fail_row(self, spec, **opts):
+        report, payload = run_command("geodesic", spec, Options(**opts))
+        assert not report.passed
+        assert len(report.rows) == 1 and payload == {}
+        return report.rows[0].check
+
+    @pytest.mark.parametrize("text", ["nan,0,0,0", "0,inf,0,0"])
+    def test_non_finite_vector(self, spec, text):
+        assert self.fail_row(spec, v=text).startswith("error: --v: ")
+        assert self.fail_row(spec, z=text).startswith("error: --z: ")
+
+    def test_trust_radius_exit_is_a_fail_row(self, spec):
+        check = self.fail_row(spec, v="1,0,1,0")
+        assert check.startswith("error: geodesic left |z| <= 0.2")
+
+    @pytest.mark.parametrize("steps", [0, -4])
+    def test_non_positive_steps(self, spec, steps):
+        assert self.fail_row(spec, steps=steps).startswith("error: --steps: ")
+
+    @pytest.mark.parametrize("scales", ["1,0", "1,-0.5", "1,nan", "1,x"])
+    def test_bad_scales(self, spec, scales):
+        check = self.fail_row(spec, scales=scales)
+        assert check.startswith("error: --scales: ")
