@@ -15,9 +15,9 @@ import numpy as np
 
 from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
                     exterior_derivative, to_coordinate_form)
-from .jets import Jet, JetError, JetMatrix, SingularMatrixError
+from .jets import Jet, JetError, JetMatrix, SingularMatrixError, series_inverse
 from .normal import normalize_to_order, pattern_violation
-from .structure import (AlmostComplexStructure, VectorField,
+from .structure import (AlmostComplexStructure, VectorField, _jacobian,
                         transform_structure)
 
 
@@ -227,20 +227,15 @@ class MatrixForm:
             out.append(row)
         return MatrixForm(out)
 
+    def transpose(self):
+        return MatrixForm(list(zip(*self.entries)))
+
     def left_mul_jets(self, jm: JetMatrix):
-        out = []
-        for i in range(jm.rows):
-            row = []
-            for j in range(self.cols):
-                acc = None
-                for s in range(self.rows):
-                    term = self.entries[s][j] * jm[i, s]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return MatrixForm(out)
+        """jm @ self, computed as (self^T @ jm^T)^T."""
+        return self.transpose().right_mul_jets(jm.T).transpose()
 
     def right_mul_jets(self, jm: JetMatrix):
+        """self @ jm; each entry sums form * jet over the inner index in order."""
         out = []
         for i in range(self.rows):
             row = []
@@ -254,8 +249,7 @@ class MatrixForm:
         return MatrixForm(out)
 
     def conj_transpose(self):
-        return MatrixForm([[self.entries[j][i].conj() for j in range(self.rows)]
-                           for i in range(self.cols)])
+        return self.transpose().map(lambda e: e.conj())
 
     def apply(self, kind):
         return self.map(lambda e: apply_operator(kind, e))
@@ -655,6 +649,14 @@ class ChernLeviCivita:
         self._domega = metric_exterior_derivative(calc, hd)
         self._fields = [calc.frame.zeta(k) for k in range(n)] + \
             [calc.frame.zeta_bar(k) for k in range(n)]
+        self._tables = {}
+
+    def _memo(self, key, compute):
+        """Value of ``compute()`` under ``key``, computed once per object."""
+        val = self._tables.get(key)
+        if val is None:
+            val = self._tables[key] = compute()
+        return val
 
     def domega_value(self, x, y, z) -> Jet:
         return self._domega.evaluate([x, y, z])
@@ -677,22 +679,29 @@ class ChernLeviCivita:
         rhs01 = [self.domega_value(x, y, self._fields[m]) for m in range(self.n)]
         return self._solve_omega_pairing(rhs10, rhs01)
 
+    def frame_gamma(self, i, j) -> VectorField:
+        """gamma(f_i, f_j) on frame fields f = (zeta_0.., zetabar_0..), memoized."""
+        f = self._fields
+        return self._memo(("gamma", i, j), lambda: self.gamma(f[i], f[j]))
+
     def gamma_20_plus_02(self, a, b) -> VectorField:
         """[gamma^{2,0} + gamma^{0,2}](e_a, e_b) on real frame fields."""
-        f = self._fields
-        return self.gamma(f[a], f[b]) + self.gamma(f[self.n + a], f[self.n + b])
+        n = self.n
+        return self.frame_gamma(a, b) + self.frame_gamma(n + a, n + b)
 
     def gamma_11_j(self, a, b) -> VectorField:
         """J gamma^{1,1}(e_a, J e_b) on real frame fields."""
-        f = self._fields
-        mixed = -1j * self.gamma(f[a], f[self.n + b]) \
-            + 1j * self.gamma(f[self.n + a], f[b])
+        n = self.n
+        mixed = -1j * self.frame_gamma(a, n + b) \
+            + 1j * self.frame_gamma(n + a, b)
         return self.calc.structure.apply(mixed)
 
     def delta(self, a, b) -> VectorField:
         """delta(e_a, e_b) = (1/2)[gamma^{2,0}+gamma^{0,2} + J gamma^{1,1}(., J.)]."""
-        total = self.gamma_20_plus_02(a, b) + self.gamma_11_j(a, b)
-        return VectorField([0.5 * c for c in total.components])
+        def compute():
+            total = self.gamma_20_plus_02(a, b) + self.gamma_11_j(a, b)
+            return VectorField([0.5 * c for c in total.components])
+        return self._memo(("delta", a, b), compute)
 
     def tau_omega(self, k, l) -> VectorField:
         """tau(zetabar_k, zetabar_l): omega(tau, zetabar_m) = omega(zetabar_k,
@@ -709,8 +718,10 @@ class ChernLeviCivita:
         return self._solve_omega_pairing(rhs10, zero)
 
     def n_omega(self, a, b) -> VectorField:
-        t = self.tau_omega(a, b)
-        return t + t.conj()
+        def compute():
+            t = self.tau_omega(a, b)
+            return t + t.conj()
+        return self._memo(("n_omega", a, b), compute)
 
     def gamma02_max(self):
         """Largest (1,0)-output of gamma on conjugate frame pairs: vanishes
@@ -720,7 +731,7 @@ class ChernLeviCivita:
             for b in range(self.n):
                 if a == b:
                     continue
-                g = self.gamma(self._fields[self.n + a], self._fields[self.n + b])
+                g = self.frame_gamma(self.n + a, self.n + b)
                 comps = self.calc.frame.to_frame_components(g)
                 for k in range(self.n):
                     worst = max(worst, comps[k].max_abs(comps[k].effective_order))
@@ -1099,7 +1110,6 @@ def metric_coordinate_residual(calc, hd):
 def transform_metric(calc_old: FrameCalculus, hd: HermitianData, phi,
                      calc_new: FrameCalculus) -> HermitianData:
     """Metric coefficients in the new chart/frame after Z = phi(z)."""
-    from .jets import series_inverse
     n = calc_old.n
     order = calc_new.order
     w = max(order, max(p.order for p in phi)) + 1
@@ -1111,7 +1121,6 @@ def transform_metric(calc_old: FrameCalculus, hd: HermitianData, phi,
     for (a, b), jet in omega_c.coeffs.items():
         wmat.entries[a][b] = jet.with_order(w)
         wmat.entries[b][a] = -jet.with_order(w)
-    from .structure import _jacobian
     dpsi = _jacobian(psi, w)
     w_comp = wmat.compose(psi)
     w_new = dpsi.T @ w_comp @ dpsi

@@ -233,7 +233,8 @@ def emit_report(report: Report, fmt="text") -> str:
     if fmt == "json":
         return json.dumps(report.to_document(), sort_keys=True, indent=2) + "\n"
     lines = [f"# {report.command} on {report.fixture}"]
-    header = f"{'check':<44} {'residual':>12} {'tolerance':>12} {'value':>14} {'status':>7}"
+    width = max([44] + [len(r.check) for r in report.rows])
+    header = f"{'check':<{width}} {'residual':>12} {'tolerance':>12} {'value':>14} {'status':>7}"
     lines.append(header)
     lines.append("-" * len(header))
     for r in report.rows:
@@ -241,7 +242,7 @@ def emit_report(report: Report, fmt="text") -> str:
         tol = "-" if r.tolerance is None else f"{r.tolerance:.1e}"
         val = "-" if r.value is None else str(r.value)
         status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.check:<44} {res:>12} {tol:>12} {val:>14} {status:>7}")
+        lines.append(f"{r.check:<{width}} {res:>12} {tol:>12} {val:>14} {status:>7}")
     lines.append(f"[{'PASS' if report.passed else 'FAIL'}] "
                  f"{len(report.rows)} checks in {report.wall_time:.2f}s")
     return "\n".join(lines) + "\n"

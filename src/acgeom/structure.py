@@ -173,6 +173,9 @@ class Frame:
     Columns 0..n-1 of ``G`` carry the components of zeta_k on the coordinate
     fields; columns n..2n-1 carry conj(zeta_k).  Rows of ``Ginv`` carry the
     dual covectors on (dz, dzbar).
+
+    The 2n frame fields are built once; ``zeta``/``zeta_bar`` return those
+    same objects, and their frame components are paired once, on first use.
     """
 
     def __init__(self, g: JetMatrix, ginv: JetMatrix):
@@ -180,6 +183,11 @@ class Frame:
         self.Ginv = ginv
         self.n = g.rows // 2
         self.order = g.order
+        dim = 2 * self.n
+        self._fields = tuple(VectorField([g[i, a] for i in range(dim)])
+                             for a in range(dim))
+        self._field_slot = {id(f): a for a, f in enumerate(self._fields)}
+        self._field_comps = [None] * dim
 
     @classmethod
     def standard(cls, n, order):
@@ -187,10 +195,10 @@ class Frame:
         return cls(ident, ident)
 
     def zeta(self, k) -> VectorField:
-        return VectorField([self.G[i, k] for i in range(2 * self.n)])
+        return self._fields[k]
 
     def zeta_bar(self, k) -> VectorField:
-        return VectorField([self.G[i, self.n + k] for i in range(2 * self.n)])
+        return self._fields[self.n + k]
 
     def real_frame_field(self, k) -> VectorField:
         """zeta_k + conj(zeta_k), a real tangent field."""
@@ -204,7 +212,15 @@ class Frame:
         return acc
 
     def to_frame_components(self, x: VectorField):
-        return [self.dual_pair(k, x) for k in range(2 * self.n)]
+        """The 2n pairings of x with the dual frame, as a tuple."""
+        a = self._field_slot.get(id(x))
+        if a is None:
+            return tuple(self.dual_pair(k, x) for k in range(2 * self.n))
+        comps = self._field_comps[a]
+        if comps is None:
+            comps = self._field_comps[a] = tuple(
+                self.dual_pair(k, x) for k in range(2 * self.n))
+        return comps
 
     def from_frame_components(self, comps) -> VectorField:
         out = []
@@ -218,12 +234,12 @@ class Frame:
     def project10(self, x: VectorField) -> VectorField:
         comps = self.to_frame_components(x)
         zero = Jet.zero(self.n, self.order)
-        return self.from_frame_components(comps[: self.n] + [zero] * self.n)
+        return self.from_frame_components(comps[: self.n] + (zero,) * self.n)
 
     def project01(self, x: VectorField) -> VectorField:
         comps = self.to_frame_components(x)
         zero = Jet.zero(self.n, self.order)
-        return self.from_frame_components([zero] * self.n + comps[self.n:])
+        return self.from_frame_components((zero,) * self.n + comps[self.n:])
 
     def scaled(self, factors):
         """Frame with zeta_k replaced by factors[k] * zeta_k (factors[k](0) != 0)."""

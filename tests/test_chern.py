@@ -19,6 +19,8 @@ from acgeom.forms import FrameCalculus, apply_operator
 from acgeom.jets import Jet, JetError, JetMatrix
 from acgeom.structure import VectorField, torsion_tensor
 
+from conftest import random_jet
+
 
 @pytest.fixture(scope="module")
 def calc_j0():
@@ -248,9 +250,6 @@ class TestLeviCivita:
             assert np.abs(dg - dg_jet).max() < 1e-7
 
     def test_torsion_free(self, calc_b, rng):
-        import sys
-        sys.path.insert(0, "tests")
-        from conftest import random_jet
         hd = HermitianData.identity(2, 4)
         lc = LeviCivita(calc_b, hd)
         for _ in range(2):
@@ -346,6 +345,130 @@ class TestChernLeviCivita:
         dec_tor = ChernLeviCivita(calc_b, HermitianData.identity(2, 4))
         assert dec_tor.n_omega_max() > 1e-3
         assert torsion_tensor(calc_b.structure).max_abs() > 1e-3
+
+
+def _trusted_values(field, point):
+    return np.array([c.truncated(max(c.effective_order, 0)).eval(point)
+                     for c in field.components])
+
+
+def _same_field(got, want):
+    return (got.components == want.components
+            and [c.effective_order for c in got.components]
+            == [c.effective_order for c in want.components])
+
+
+class TestChernLeviCivitaTables:
+    """The memoized gamma/delta/N_omega tables against values rebuilt from
+    gamma(x, y) on fresh copies of the frame fields."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, calc_b):
+        hd = make_nonclosed_metric()
+        dec = ChernLeviCivita(calc_b, hd)
+        fr = calc_b.frame
+        n = calc_b.n
+        frame_fields = [fr.zeta(k) for k in range(n)] + [fr.zeta_bar(k) for k in range(n)]
+        fresh = [VectorField(list(f.components)) for f in frame_fields]
+        ref = ChernLeviCivita(calc_b, hd)
+        gam = {(i, j): ref.gamma(fresh[i], fresh[j])
+               for i in range(2 * n) for j in range(2 * n)}
+
+        def delta(a, b):
+            g2002 = gam[a, b] + gam[n + a, n + b]
+            mixed = -1j * gam[a, n + b] + 1j * gam[n + a, b]
+            total = g2002 + calc_b.structure.apply(mixed)
+            return VectorField([0.5 * c for c in total.components])
+
+        def n_omega(a, b):
+            t = ref.tau_omega(a, b)
+            return t + t.conj()
+
+        return dec, gam, delta, n_omega
+
+    def test_gamma_delta_n_omega(self, calc_b, setup):
+        dec, gam, delta, n_omega = setup
+        n = calc_b.n
+        for (i, j), want in gam.items():
+            assert _same_field(dec.frame_gamma(i, j), want)
+        for a in range(n):
+            for b in range(n):
+                assert _same_field(dec.delta(a, b), delta(a, b))
+                assert _same_field(dec.n_omega(a, b), n_omega(a, b))
+        assert dec.delta_max() > 1e-3 and dec.n_omega_max() > 1e-3
+
+    def test_residuals(self, calc_b, setup):
+        dec, gam, delta, n_omega = setup
+        n, fr, points = calc_b.n, calc_b.frame, sample_points(calc_b.n)
+        gamma02 = 0.0
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    comps = fr.to_frame_components(gam[n + a, n + b])
+                    for k in range(n):
+                        gamma02 = max(gamma02, comps[k].max_abs(comps[k].effective_order))
+        decomp = torsion = 0.0
+        for a in range(n):
+            for b in range(n):
+                xi, eta = fr.real_frame_field(a), fr.real_frame_field(b)
+                d_xy = chern_derivative(calc_b, dec.conn, xi, eta)
+                resid = d_xy - dec.lc.derivative(xi, eta) - delta(a, b) + n_omega(a, b)
+                tors = d_xy - chern_derivative(calc_b, dec.conn, eta, xi) - xi.bracket(eta)
+                rhs = gam[a, b] + gam[n + a, n + b] - n_omega(a, b) + n_omega(b, a)
+                for p in points:
+                    decomp = max(decomp, np.abs(_trusted_values(resid, p)).max())
+                    torsion = max(torsion, np.abs(_trusted_values(tors - rhs, p)).max())
+        assert dec.gamma02_max() == gamma02
+        assert dec.decomposition_residual() == decomp
+        assert dec.torsion_formula_residual() == torsion
+
+    def test_gamma_computed_once_per_frame_pair(self, calc_b):
+        dec = ChernLeviCivita(calc_b, make_nonclosed_metric())
+        calls = []
+        gamma = dec.gamma
+
+        def counting(x, y):
+            calls.append((x, y))
+            return gamma(x, y)
+        dec.gamma = counting
+        dec.delta_max()
+        dec.n_omega_max()
+        dec.gamma02_max()
+        dec.decomposition_residual()
+        dec.torsion_formula_residual()
+        assert len(calls) == (2 * calc_b.n) ** 2
+
+
+class TestMatrixFormJetProducts:
+    def test_left_and_right_match_plain_loops(self, calc_b, rng):
+        conn = chern_connection(calc_b, make_nonclosed_metric())
+        form = conn.aprime
+        jm = JetMatrix([[random_jet(rng, 2, 4, nterms=4) for _ in range(2)]
+                        for _ in range(2)])
+
+        def same(got, want):
+            return all(g.coeffs == w.coeffs and (g.p, g.q) == (w.p, w.q)
+                       for gr, wr in zip(got.entries, want.entries)
+                       for g, w in zip(gr, wr))
+
+        def product(rows, cols, inner, term):
+            out = []
+            for i in range(rows):
+                row = []
+                for j in range(cols):
+                    acc = None
+                    for s in range(inner):
+                        acc = term(i, j, s) if acc is None else acc + term(i, j, s)
+                    row.append(acc)
+                out.append(row)
+            return out
+
+        left = product(jm.rows, form.cols, form.rows,
+                       lambda i, j, s: form.entries[s][j] * jm[i, s])
+        right = product(form.rows, jm.cols, form.cols,
+                        lambda i, j, s: form.entries[i][s] * jm[s, j])
+        assert same(form.left_mul_jets(jm), type(form)(left))
+        assert same(form.right_mul_jets(jm), type(form)(right))
 
 
 class TestSpecialFrame:

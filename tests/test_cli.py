@@ -100,6 +100,27 @@ class TestReports:
         text = emit_report(rep, "text")
         assert text.count("PASS") == 2  # row + summary
 
+    def test_long_check_name_keeps_columns_aligned(self):
+        long_name = "a check name that is clearly longer than forty-four characters"
+        assert len(long_name) > 44
+        rows = [ReportRow("short", 1e-14, 1e-10),
+                ReportRow(long_name, 2e-13, 1e-10, value=3)]
+        rep = Report("validate", "f", rows)
+        lines = emit_report(rep, "text").splitlines()
+        header, rule, short_line, long_line = lines[1:5]
+        assert len(rule) == len(header)
+        assert len(short_line) == len(header) == len(long_line)
+        assert long_line.startswith(long_name + " ")
+        # right-aligned columns end at the same position on every line
+        assert header.index("residual") + len("residual") == \
+            long_line.index("2.000e-13") + len("2.000e-13")
+        assert json.loads(emit_report(rep, "json")) == rep.to_document()
+
+    def test_short_check_names_keep_minimum_width(self):
+        rep = Report("validate", "f", [ReportRow("c", 0.0, 1e-10)])
+        header = emit_report(rep, "text").splitlines()[1]
+        assert header.startswith("check" + " " * 39 + " ")
+
     def test_json_round_trip(self):
         ms = parse_manifold_spec(fix_b_text(), name="fix_b")
         report, _ = run_command("validate", ms, Options())

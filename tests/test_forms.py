@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from acgeom import forms as forms_module
 from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_j0, random_deformation
-from acgeom.forms import (FrameCalculus, PQForm, apply_operator,
-                          canonical_p0_connection, exterior_derivative_check,
-                          fundamental_identities_check, to_coordinate_form)
+from acgeom.forms import (FUNDAMENTAL_IDENTITIES, CoordForm, FrameCalculus, PQForm,
+                          _determinant, apply_operator, canonical_p0_connection,
+                          exterior_derivative_check, fundamental_identities_check,
+                          to_coordinate_form)
 from acgeom.jets import Jet, JetError
-from acgeom.structure import torsion_tensor
+from acgeom.structure import VectorField, torsion_tensor
 
 from conftest import random_jet
 
@@ -148,6 +150,49 @@ class TestExteriorDerivative:
         assert exterior_derivative_check(u) < 1e-10
 
 
+def _compose_ops(u, calc, *kinds):
+    out = u
+    for kind in reversed(kinds):
+        out = apply_operator(kind, out, calc)
+    return out
+
+
+def _identities_from_scratch(calc, test_forms):
+    """The seven identity residuals with both operators of every composition
+    applied afresh."""
+    names = FUNDAMENTAL_IDENTITIES
+    residuals = {name: 0.0 for name in names}
+    orders = {name: calc.order for name in names}
+
+    def record(name, lhs, rhs):
+        diff = lhs - rhs
+        eff = min(lhs.effective_order, rhs.effective_order)
+        residuals[name] = max(residuals[name], diff.max_abs(eff))
+        orders[name] = min(orders[name], eff)
+
+    for u in test_forms:
+        record(names[0], _compose_ops(u, calc, "del", "del"),
+               _compose_ops(u, calc, "delbar", "theta")
+               + _compose_ops(u, calc, "theta", "delbar"))
+        record(names[1], _compose_ops(u, calc, "delbar", "delbar"),
+               _compose_ops(u, calc, "del", "thetabar")
+               + _compose_ops(u, calc, "thetabar", "del"))
+        record(names[2], _compose_ops(u, calc, "del", "delbar")
+               + _compose_ops(u, calc, "delbar", "del"),
+               -(_compose_ops(u, calc, "theta", "thetabar")
+                 + _compose_ops(u, calc, "thetabar", "theta")))
+        record(names[3], _compose_ops(u, calc, "del", "theta"),
+               -_compose_ops(u, calc, "theta", "del"))
+        record(names[4], _compose_ops(u, calc, "delbar", "thetabar"),
+               -_compose_ops(u, calc, "thetabar", "delbar"))
+        t2 = _compose_ops(u, calc, "theta", "theta")
+        record(names[5], t2, PQForm(calc, t2.p, t2.q, {}))
+        tb2 = _compose_ops(u, calc, "thetabar", "thetabar")
+        record(names[6], tb2, PQForm(calc, tb2.p, tb2.q, {}))
+    return [{"identity": name, "max_residual": residuals[name],
+             "order_checked": orders[name]} for name in names]
+
+
 class TestFundamentalIdentities:
     def test_flat_exactly_zero(self, calc_j0, rng):
         forms = []
@@ -166,6 +211,35 @@ class TestFundamentalIdentities:
         rows = fundamental_identities_check(calc_b, forms)
         for row in rows:
             assert row["max_residual"] < 1e-10, row
+
+    def test_shared_images_match_composing_from_scratch(self, calc_b, rng,
+                                                         monkeypatch):
+        forms = [base * random_jet(rng, 2, 4, nterms=3)
+                 for base in calc_b.monomial_forms(2)]
+        calls = []
+
+        def recording(kind, u, calc=None):
+            out = apply_operator(kind, u, calc)
+            calls.append((kind, u, out))
+            return out
+        monkeypatch.setattr(forms_module, "apply_operator", recording)
+        rows = fundamental_identities_check(calc_b, forms)
+        monkeypatch.undo()
+        assert rows == _identities_from_scratch(calc_b, forms)
+        # the residuals are exactly 0 here, so compare every composition too
+        assert len(calls) == len(forms) * (4 + 16)
+        image_of = {id(out): (kind, u) for kind, u, out in calls
+                    if any(u is f for f in forms)}
+        pairs = set()
+        for kind, u, out in calls:
+            if id(u) in image_of:
+                inner, f = image_of[id(u)]
+                want = _compose_ops(f, calc_b, kind, inner)
+                pairs.add((id(f), kind, inner))
+            else:
+                want = apply_operator(kind, u, calc_b)
+            assert (out.p, out.q, out.coeffs) == (want.p, want.q, want.coeffs)
+        assert len(pairs) == len(forms) * 16
 
     def test_theta_zero_iff_torsion_zero(self, calc_j0, calc_b, rng):
         # integrable: theta annihilates every test form
@@ -196,3 +270,22 @@ class TestCoordinateConversion:
         v2 = cf.evaluate(fields)
         eff = min(v1.effective_order, v2.effective_order)
         assert (v1 - v2).max_abs(eff) < 1e-11
+
+
+class TestDeterminant:
+    def test_constant_matrices_match_numpy(self, rng):
+        for size in (1, 2, 3):
+            m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            rows = [[Jet.constant(2, 3, m[i, j]) for j in range(size)]
+                    for i in range(size)]
+            det = _determinant(rows, 2, 3)
+            assert abs(det.constant_term - np.linalg.det(m)) < 1e-12
+            assert det.max_abs(3) == abs(det.constant_term)
+
+    def test_repeated_field_vanishes(self, rng):
+        x = VectorField([random_jet(rng, 2, 3, nterms=3, dyadic=True) for _ in range(4)])
+        y = VectorField([random_jet(rng, 2, 3, nterms=3, dyadic=True) for _ in range(4)])
+        form = CoordForm(2, 3, 2, {(0, 3): Jet.one(2, 3)})
+        assert form.evaluate([x, x]).max_abs() == 0
+        want = x.components[0] * y.components[3] - y.components[0] * x.components[3]
+        assert form.evaluate([x, y]) == want

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from acgeom.jets import Jet, _index, series_inverse
+from acgeom.jets import Jet, JetMatrix, _index, series_inverse
 
 N_VARS, ORDER = 2, 3
 MONOS = _index(N_VARS, ORDER).monos
@@ -100,4 +100,50 @@ def test_series_inverse_composes_to_identity(size):
         for k in range(N_VARS):
             ident = Jet.variable(N_VARS, ORDER, k)
             assert (phi[k].compose(psi) - ident).max_abs() < 1e-12
+    check()
+
+
+def jet_matrices(size):
+    """2 x 2 jet matrices with an invertible constant term.
+
+    On the dict side the constant term is 2 I and each entry carries one
+    monomial of degree >= 2, so every entry of M^-1 M multiplies a few terms;
+    on the dense side the constant has off-diagonal entries and each entry a
+    dense tail."""
+    dense = size is DENSE
+    tail_monos = [m for m in MONOS if sum(m[0]) + sum(m[1]) >= (1 if dense else 2)]
+    lo, hi = (THRESHOLD + 1, len(tail_monos)) if dense else (1, 1)
+    tail = st.dictionaries(st.sampled_from(tail_monos), dyadic, min_size=lo, max_size=hi)
+    const = dyadic if dense else st.just(0)
+    zero = ((0,) * N_VARS, (0,) * N_VARS)
+
+    def build(parts):
+        (t00, t01, t10, t11), (c01, c10) = parts
+        consts = ((2, c01), (c10, 2))
+        tails = ((t00, t01), (t10, t11))
+        return JetMatrix([[Jet(N_VARS, ORDER, {**tails[i][j], zero: consts[i][j]})
+                           for j in range(2)] for i in range(2)])
+    return st.tuples(st.tuples(*[tail] * 4), st.tuples(const, const)).map(build)
+
+
+def _entry_pairs(a, b):
+    """Per-entry counts of term pairs in the product a @ b."""
+    return [sum(len(x.terms) * len(y.terms) for x, y in zip(row, col))
+            for row in a.entries for col in zip(*b.entries)]
+
+
+@pytest.mark.parametrize("size", [SPARSE, DENSE], ids=["dict", "dense"])
+def test_matrix_inverse_is_two_sided(size):
+    @PROPERTY
+    @given(jet_matrices(size))
+    def check(m):
+        inv = m.inverse()
+        ident = JetMatrix.identity(2, N_VARS, ORDER)
+        for a, b in ((inv, m), (m, inv)):
+            pairs = _entry_pairs(a, b)
+            if size is DENSE:
+                assert min(pairs) > THRESHOLD
+            else:
+                assert max(pairs) <= THRESHOLD
+            assert (a @ b - ident).max_abs() < 1e-12
     check()

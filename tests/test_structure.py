@@ -64,6 +64,29 @@ class TestFrame:
                 cross = fr.dual_pair(k, fr.zeta_bar(l))
                 assert cross.max_abs() < 1e-12
 
+    def test_frame_field_components_computed_once(self):
+        fr = frame_and_dual(random_deformation(3, n=2))
+        n = fr.n
+        fields = [fr.zeta(k) for k in range(n)] + [fr.zeta_bar(k) for k in range(n)]
+        for a, x in enumerate(fields):
+            assert x is (fr.zeta(a) if a < n else fr.zeta_bar(a - n))
+            comps = fr.to_frame_components(x)
+            fresh = [fr.dual_pair(k, x) for k in range(2 * n)]
+            assert len(comps) == len(fresh)
+            for got, want in zip(comps, fresh):
+                assert got == want
+                assert got.effective_order == want.effective_order
+            with pytest.raises(TypeError):
+                comps[0] = Jet.zero(2, fr.order)
+            mutated = list(comps)
+            mutated[0] = Jet.zero(2, fr.order)
+            again = fr.to_frame_components(x)
+            assert list(again) == fresh
+            # a copy of a frame field is not a frame field: it is paired afresh
+            copy = VectorField(list(x.components))
+            assert fr.to_frame_components(copy) is not again
+            assert list(fr.to_frame_components(copy)) == fresh
+
     def test_fix_b_dual_matches_expansion(self):
         # zeta*_1 = dz_1 - (i/2) conj(jet_2 B)_{1,t} dzbar_t + O(3)
         s = fix_b()
