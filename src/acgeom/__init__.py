@@ -10,7 +10,7 @@ from .jets import Jet, JetError, JetMatrix, QC, SingularMatrixError
 from .structure import (AlmostComplexStructure, Frame, VectorField,
                         adapt_linear, bracket_coefficients, frame_and_dual,
                         nijenhuis_check, structure_from_deformation,
-                        torsion_tensor, transform_structure, validate_structure)
+                        torsion_tensor, transform_structure)
 from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
                     canonical_p0_connection, exterior_derivative,
                     exterior_derivative_check, fundamental_identities_check)
@@ -33,7 +33,6 @@ __all__ = [
     "AlmostComplexStructure", "Frame", "VectorField", "adapt_linear",
     "bracket_coefficients", "frame_and_dual", "nijenhuis_check",
     "structure_from_deformation", "torsion_tensor", "transform_structure",
-    "validate_structure",
     "FrameCalculus", "MixedForm", "PQForm", "apply_operator",
     "canonical_p0_connection", "exterior_derivative",
     "exterior_derivative_check", "fundamental_identities_check",

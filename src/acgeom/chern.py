@@ -15,7 +15,8 @@ import numpy as np
 
 from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
                     exterior_derivative, to_coordinate_form)
-from .jets import Jet, JetError, JetMatrix, SingularMatrixError, series_inverse
+from .jets import (Jet, JetError, JetMatrix, SingularMatrixError, multi_index,
+                   series_inverse)
 from .normal import normalize_to_order, pattern_violation
 from .structure import (AlmostComplexStructure, VectorField, _jacobian,
                         transform_structure)
@@ -74,9 +75,6 @@ class HermitianData:
         h = JetMatrix.identity(n, n, order)
         zero = (0,) * n
 
-        def delta(i):
-            return tuple(1 if j == i else 0 for j in range(n))
-
         def add(l, m, alpha, beta, c):
             if c:
                 h.entries[l][m] = h.entries[l][m] + Jet.monomial(
@@ -87,8 +85,8 @@ class HermitianData:
             for p in range(n):
                 for l in range(n):
                     for m in range(n):
-                        add(l, m, delta(p), zero, lin[p, l, m])
-                        add(l, m, zero, delta(p), np.conj(lin[p, m, l]))
+                        add(l, m, multi_index(n, p), zero, lin[p, l, m])
+                        add(l, m, zero, multi_index(n, p), np.conj(lin[p, m, l]))
         if quad_zz is not None:
             quad_zz = np.asarray(quad_zz, dtype=complex)
             quad_zz = 0.5 * (quad_zz + quad_zz.transpose(1, 0, 2, 3))
@@ -96,7 +94,7 @@ class HermitianData:
                 for q in range(n):
                     for l in range(n):
                         for m in range(n):
-                            alpha = tuple(a + b for a, b in zip(delta(p), delta(q)))
+                            alpha = multi_index(n, p, q)
                             add(l, m, alpha, zero, quad_zz[p, q, l, m])
                             add(l, m, zero, alpha, np.conj(quad_zz[p, q, m, l]))
         if quad_mixed is not None:
@@ -107,56 +105,12 @@ class HermitianData:
                 for q in range(n):
                     for l in range(n):
                         for m in range(n):
-                            add(l, m, delta(p), delta(q), herm[p, q, l, m])
+                            add(l, m, multi_index(n, p), multi_index(n, q),
+                                herm[p, q, l, m])
         return cls(h)
 
     def is_orthonormal_at_origin(self, tol=1e-12):
         return np.abs(np.asarray(self.H.constant()) - np.eye(self.n)).max() <= tol
-
-    # -- graded coefficient families ----------------------------------------
-
-    def linear_family(self):
-        """lin[p, l, m] = coefficient of z_p in h_{l,m}."""
-        n = self.n
-        out = np.zeros((n, n, n), dtype=complex)
-        for l in range(n):
-            for m in range(n):
-                for p in range(n):
-                    key = tuple(1 if i == p else 0 for i in range(n))
-                    out[p, l, m] = self.H[l, m].coeff(key, (0,) * n)
-        return out
-
-    def quad_zz_family(self):
-        """sym[p, h, l, m]: symmetric z_p z_h coefficients of h_{l,m}."""
-        n = self.n
-        out = np.zeros((n, n, n, n), dtype=complex)
-        zero = (0,) * n
-        for l in range(n):
-            for m in range(n):
-                for p in range(n):
-                    for h in range(p, n):
-                        alpha = tuple((1 if i == p else 0) + (1 if i == h else 0)
-                                      for i in range(n))
-                        c = self.H[l, m].coeff(alpha, zero)
-                        if p == h:
-                            out[p, p, l, m] = c
-                        else:
-                            out[p, h, l, m] = c / 2
-                            out[h, p, l, m] = c / 2
-        return out
-
-    def quad_mixed_family(self):
-        """mix[p, h, l, m] = coefficient of z_p zbar_h in h_{l,m}."""
-        n = self.n
-        out = np.zeros((n, n, n, n), dtype=complex)
-        for l in range(n):
-            for m in range(n):
-                for p in range(n):
-                    for h in range(n):
-                        alpha = tuple(1 if i == p else 0 for i in range(n))
-                        beta = tuple(1 if i == h else 0 for i in range(n))
-                        out[p, h, l, m] = self.H[l, m].coeff(alpha, beta)
-        return out
 
 
 def metric_form(calc: FrameCalculus, hd: HermitianData) -> PQForm:
@@ -421,9 +375,9 @@ def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
             raise JetError("origin formula needs normal coordinates of order >= 2")
         if not hd.is_orthonormal_at_origin(tol=1e-10):
             raise JetError("origin formula needs an orthonormal frame at 0")
-    lin = hd.linear_family()
-    mix = hd.quad_mixed_family()
-    b1 = _linear_b_family(s)
+    lin = hd.H.family(1, 0)
+    mix = hd.H.family(1, 1)
+    b1 = s.B.family(1, 0)
     out = np.zeros((n, n, n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
@@ -439,37 +393,6 @@ def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
                             * np.conj(b1[k][r, m])
                     out[j, k, m, l] = val
     return out
-
-
-def _linear_b_family(s: AlmostComplexStructure):
-    """B^p matrices: coefficient of z_p in B."""
-    n = s.n
-    zero = (0,) * n
-    fam = []
-    for p in range(n):
-        key = tuple(1 if i == p else 0 for i in range(n))
-        fam.append(np.array([[s.B[k, l].coeff(key, zero) for l in range(n)]
-                             for k in range(n)], dtype=complex))
-    return fam
-
-
-def _quad_b_families(s: AlmostComplexStructure):
-    """(sym zz family, mixed z zbar family) of B, J3-normalized."""
-    n = s.n
-    zero = (0,) * n
-    zz = np.zeros((n, n, n, n), dtype=complex)
-    mixed = np.zeros((n, n, n, n), dtype=complex)
-    for r in range(n):
-        dr = tuple(1 if i == r else 0 for i in range(n))
-        for t in range(n):
-            dt = tuple(1 if i == t else 0 for i in range(n))
-            both = tuple(a + b for a, b in zip(dr, dt))
-            for k in range(n):
-                for l in range(n):
-                    c = s.B[k, l].coeff(both, zero)
-                    zz[r, t, k, l] = c if r == t else c / 2
-                    mixed[r, t, k, l] = s.B[k, l].coeff(dr, dt)
-    return zz, mixed
 
 
 def pointwise_hermitian_residual(calc, hd, blocks: CurvatureBlocks,
@@ -843,18 +766,15 @@ def special_frame(calc: FrameCalculus, hd: HermitianData) -> SpecialFrameResult:
                 cp = conn.aprime[k, l].coefficient((p,), ()).constant_term
                 if cp:
                     g0.entries[k][l] = g0.entries[k][l] - Jet.monomial(
-                        n, order, tuple(1 if i == p else 0 for i in range(n)),
-                        (0,) * n, cp)
+                        n, order, multi_index(n, p), (0,) * n, cp)
                 cr = conn.asecond[k, l].coefficient((), (p,)).constant_term
                 if cr:
                     g0.entries[k][l] = g0.entries[k][l] - Jet.monomial(
-                        n, order, (0,) * n,
-                        tuple(1 if i == p else 0 for i in range(n)), cr)
+                        n, order, (0,) * n, multi_index(n, p), cr)
     conn1 = _transform_connection(calc, conn, g0)
     h1 = _transform_metric_matrix(hd, g0)
     # stage 2: subtract H^{j,k} z_j z_k and (del A'')^{j,kbar}(0) z_j zbar_k
-    h1d = HermitianData(h1, check=False)
-    quad = h1d.quad_zz_family()
+    quad = h1.family(2, 0)
     del_a2 = conn1.asecond.apply("del")
     g2 = JetMatrix.identity(n, n, order)
     for l in range(n):
@@ -864,15 +784,12 @@ def special_frame(calc: FrameCalculus, hd: HermitianData) -> SpecialFrameResult:
                 for k in range(n):
                     czz = quad[j, k, l, m]
                     if czz:
-                        alpha = tuple((1 if i == j else 0) + (1 if i == k else 0)
-                                      for i in range(n))
-                        corr = corr + Jet.monomial(n, order, alpha, (0,) * n, czz)
+                        corr = corr + Jet.monomial(n, order, multi_index(n, j, k),
+                                                   (0,) * n, czz)
                     cmx = del_a2[m, l].coefficient((j,), (k,)).constant_term
                     if cmx:
                         corr = corr + Jet.monomial(
-                            n, order,
-                            tuple(1 if i == j else 0 for i in range(n)),
-                            tuple(1 if i == k else 0 for i in range(n)), cmx)
+                            n, order, multi_index(n, j), multi_index(n, k), cmx)
             g2.entries[m][l] = g2.entries[m][l] - corr
     g_total = g0 @ g2
     conn2 = _transform_connection(calc, conn, g_total)
@@ -981,7 +898,7 @@ class AsymptoticCoefficients:
     s_z_zbar: np.ndarray     # S^{p,hbar}
     s_hat: np.ndarray        # Shat^{p,h}
     h_lin: np.ndarray        # H^p_{l,m}
-    b_lin: list              # B^p matrices
+    b_lin: np.ndarray        # B^p matrices
     b_zz: np.ndarray
     b_mixed: np.ndarray
     c_origin: np.ndarray
@@ -997,10 +914,11 @@ def connection_asymptotics(calc: FrameCalculus, hd: HermitianData,
     if not hd.is_orthonormal_at_origin(tol=1e-10):
         raise JetError("asymptotic families need an orthonormal frame at 0")
     n = calc.n
-    lin = hd.linear_family()
-    quad_zz = hd.quad_zz_family()
-    b1 = _linear_b_family(s)
-    b_zz, b_mixed = _quad_b_families(s)
+    lin = hd.H.family(1, 0)
+    quad_zz = hd.H.family(2, 0)
+    b1 = s.B.family(1, 0)
+    b_zz = s.B.family(2, 0)
+    b_mixed = s.B.family(1, 1)
     c0 = curvature_origin_formula(hd, s)
     s_zbar_z = np.zeros((n, n, n, n), dtype=complex)
     s_zbar_zbar = np.zeros((n, n, n, n), dtype=complex)
@@ -1039,27 +957,21 @@ def asymptotics_vs_full_connection(calc, hd, coeffs=None):
     conn = chern_connection(calc, hd)
     a_z = connection_matrix_coordinate(calc, conn)
     n = calc.n
-    zero = (0,) * n
-    worst = 0.0
-    for k in range(n):
-        for l in range(n):
-            for p in range(n):
-                e_dz = a_z[p][k, l]       # dz_p component of E_{k,l}
-                e_dzb = a_z[n + p][k, l]  # dzbar_p component
-                worst = max(worst, abs(e_dz.constant_term
-                                       - coeffs.h_lin[p, l, k]))
-                worst = max(worst, abs(e_dzb.constant_term))
-                for h in range(n):
-                    dh = tuple(1 if i == h else 0 for i in range(n))
-                    worst = max(worst, abs(e_dz.coeff(dh, zero)
-                                           - coeffs.s_z_z[p, h, k, l]))
-                    worst = max(worst, abs(e_dz.coeff(zero, dh)
-                                           - coeffs.s_z_zbar[p, h, k, l]))
-                    worst = max(worst, abs(e_dzb.coeff(dh, zero)
-                                           - coeffs.s_zbar_z[p, h, k, l]))
-                    worst = max(worst, abs(e_dzb.coeff(zero, dh)
-                                           - coeffs.s_zbar_zbar[p, h, k, l]))
-    return worst
+
+    def block(first, deg_z, deg_zbar):
+        """[p, <slots>, k, l]: the (k, l) < n block of the given family of the
+        coordinate covector first + p (dz_p for first = 0, dzbar_p for n)."""
+        return np.array([a_z[first + p].family(deg_z, deg_zbar)[..., :n, :n]
+                         for p in range(n)])
+
+    diffs = [block(0, 0, 0) - coeffs.h_lin.transpose(0, 2, 1),
+             block(n, 0, 0),
+             block(0, 1, 0) - coeffs.s_z_z,
+             block(0, 0, 1) - coeffs.s_z_zbar,
+             block(n, 1, 0) - coeffs.s_zbar_z,
+             block(n, 0, 1) - coeffs.s_zbar_zbar]
+    # np.max, unlike max(), propagates NaN
+    return float(np.max([np.abs(d).max() for d in diffs]))
 
 
 def metric_coordinate_residual(calc, hd):
@@ -1071,9 +983,8 @@ def metric_coordinate_residual(calc, hd):
     s = calc.structure
     n, order = calc.n, calc.order
     omega_c = to_coordinate_form(metric_form(calc, hd))
-    b1 = _linear_b_family(s)
+    b1 = s.B.family(1, 0)
     worst = 0.0
-    zero = (0,) * n
     # (1,1)-slots: key (l, n+m)
     for l in range(n):
         for m in range(n):
@@ -1086,9 +997,7 @@ def metric_coordinate_residual(calc, hd):
                         b1[j][r, l] * np.conj(b1[k][r, m]) for r in range(n))
                     if corr:
                         want = want + Jet.monomial(
-                            n, order,
-                            tuple(1 if i == j else 0 for i in range(n)),
-                            tuple(1 if i == k else 0 for i in range(n)), corr)
+                            n, order, multi_index(n, j), multi_index(n, k), corr)
             worst = max(worst, (got - want).max_abs(2))
     # (2,0)-slots: -(1/4) (h . jet2 B) antisymmetrized; the matrix factor h
     # reduces to the identity in the orthonormal-to-second-order frame, which
@@ -1170,10 +1079,8 @@ def _apply_quadratic_change(calc, hd, sym_part, n_order):
             for l in range(n):
                 c = 0.5 * sym_part[p, l, m]
                 if c:
-                    alpha = tuple((1 if i == p else 0) + (1 if i == l else 0)
-                                  for i in range(n))
-                    phi[m] = phi[m] + Jet.monomial(n, target, alpha, zero, c)
-    b1_before = _linear_b_family(s)
+                    phi[m] = phi[m] + Jet.monomial(n, target, multi_index(n, p, l),
+                                                   zero, c)
     s1 = transform_structure(s, phi)
     calc1 = FrameCalculus(s1)
     hd1 = transform_metric(calc, hd, phi, calc1)
@@ -1182,9 +1089,8 @@ def _apply_quadratic_change(calc, hd, sym_part, n_order):
     calc2 = FrameCalculus(s2)
     hd2 = transform_metric(calc1, hd1, res.phi, calc2)
     full_phi = [p.compose([q.with_order(p.order) for q in phi]) for p in res.phi]
-    b1_after = _linear_b_family(s2)
-    b1_dev = max(np.abs(a - b).max() for a, b in zip(b1_after, b1_before))
-    lin = HermitianData(hd2.H, check=False).linear_family()
+    b1_dev = np.abs(s2.B.family(1, 0) - s.B.family(1, 0)).max()
+    lin = hd2.H.family(1, 0)
     return QuadraticChangeResult(s2, hd2, full_phi, np.abs(lin).max(), b1_dev)
 
 
@@ -1198,7 +1104,7 @@ def symplectic_normalize(calc: FrameCalculus, hd: HermitianData, n_order=None,
     violation is reported as a non-closed metric.
     """
     n_order = calc.order if n_order is None else n_order
-    lin = hd.linear_family()
+    lin = hd.H.family(1, 0)
     sym_err = np.abs(lin - lin.transpose(1, 0, 2)).max()
     if sym_err > tol:
         raise JetError(
@@ -1216,7 +1122,7 @@ def antisymmetrize_metric_linear(calc: FrameCalculus, hd: HermitianData,
     afterwards H^p_{l,m} = -H^l_{p,m}, the convention under which the
     second-order geodesic expansion drops its velocity-squared constant."""
     n_order = calc.order if n_order is None else n_order
-    lin = hd.linear_family()
+    lin = hd.H.family(1, 0)
     sym = 0.5 * (lin + lin.transpose(1, 0, 2))
     if np.abs(sym).max() == 0:
         ident = [Jet.variable(calc.n, n_order + 1, m) for m in range(calc.n)]

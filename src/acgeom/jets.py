@@ -33,6 +33,7 @@ Which path runs:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -159,6 +160,18 @@ def _as_qc(x):
 
 QC_I = QC(0, 1)
 QC_HALF_I = QC(0, Fraction(1, 2))
+
+
+def multi_index(n, *slots):
+    """Exponent tuple of length n counting each of ``slots``:
+    ``multi_index(3, 1) == (0, 1, 0)``, ``multi_index(3, 0, 2, 0) == (2, 0, 1)``."""
+    return tuple(slots.count(i) for i in range(n))
+
+
+def _slot_orderings(exponents):
+    """Distinct orderings of the multiset in which slot i appears exponents[i] times."""
+    return sorted(set(itertools.permutations(
+        [i for i, e in enumerate(exponents) for _ in range(e)])))
 
 
 def _degree(key):
@@ -330,10 +343,9 @@ class Jet:
     def variable(cls, n, order, k, conjugate=False, exact=False):
         if not 0 <= k < n:
             raise JetError(f"variable index {k} out of range for n={n}")
-        alpha = tuple(1 if i == k and not conjugate else 0 for i in range(n))
-        beta = tuple(1 if i == k and conjugate else 0 for i in range(n))
-        c = QC(1) if exact else 1.0
-        return cls(n, order, {(alpha, beta): c}, exact=exact)
+        unit, zero = multi_index(n, k), (0,) * n
+        key = (zero, unit) if conjugate else (unit, zero)
+        return cls(n, order, {key: QC(1) if exact else 1.0}, exact=exact)
 
     @classmethod
     def monomial(cls, n, order, alpha, beta, c, exact=False):
@@ -771,6 +783,50 @@ class JetMatrix:
         return np.array([[e.constant_term for e in row] for row in self.entries],
                         dtype=complex)
 
+    def coefficients(self):
+        """Every stored coefficient as ``{(alpha, beta): rows x cols array}``."""
+        fam = {}
+        for k, row in enumerate(self.entries):
+            for l, e in enumerate(row):
+                for key, c in e.terms.items():
+                    fam.setdefault(key, np.zeros((self.rows, self.cols), dtype=complex))
+                    fam[key][k, l] = c
+        return fam
+
+    def family(self, deg_z, deg_zbar):
+        """Coefficients of bidegree (deg_z, deg_zbar) as one float tensor.
+
+        The shape is ``(n,) * (deg_z + deg_zbar) + (rows, cols)``: the first
+        deg_z slots index z variables, the next deg_zbar slots zbar
+        variables.  The tensor is symmetric within its z slots and within its
+        zbar slots.  A monomial that r slot orderings reach puts c / r in
+        each of them, so contracting the tensor with deg_z copies of z and
+        deg_zbar copies of zbar gives that bidegree's part of each entry.
+        For example ``family(1, 0)[p]`` holds the z_p coefficients, while
+        ``family(2, 0)[p, q]`` holds the z_p z_q coefficient when p == q and
+        half of it when p != q.
+        """
+        if self.exact:
+            raise JetError("coefficient families are defined for float jets only")
+        out = np.zeros((self.n,) * (deg_z + deg_zbar) + (self.rows, self.cols),
+                       dtype=complex)
+        slots = {}
+        for k, row in enumerate(self.entries):
+            for l, e in enumerate(row):
+                for (alpha, beta), c in e.terms.items():
+                    if sum(alpha) != deg_z or sum(beta) != deg_zbar:
+                        continue
+                    got = slots.get((alpha, beta))
+                    if got is None:
+                        got = [zs + zbs for zs in _slot_orderings(alpha)
+                               for zbs in _slot_orderings(beta)]
+                        slots[(alpha, beta)] = got
+                    if len(got) > 1:
+                        c = c / len(got)
+                    for slot in got:
+                        out[slot + (k, l)] = c
+        return out
+
     def max_abs(self, max_degree=None):
         """Largest entry ``max_abs``; NaN if any entry holds NaN."""
         m = 0.0
@@ -915,7 +971,7 @@ def series_inverse(phi: Sequence[Jet], order=None):
     lin = np.zeros((2 * n, 2 * n), dtype=complex)
     for k in range(n):
         for l in range(n):
-            ek = tuple(1 if i == l else 0 for i in range(n))
+            ek = multi_index(n, l)
             zz = (0,) * n
             lin[k, l] = complex(phi[k].coeff(ek, zz))
             lin[k, n + l] = complex(phi[k].coeff(zz, ek))

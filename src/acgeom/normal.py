@@ -9,12 +9,13 @@ top-degree holomorphic changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet, JetError, JetMatrix, QC
+from .jets import Jet, JetError, JetMatrix, QC, multi_index
 from .structure import AlmostComplexStructure, transform_structure
 
 
@@ -53,7 +54,12 @@ def a_from_b_closed_form(bfam, alpha, beta, n, exact=False):
     ``bfam`` maps (alpha, beta) multi-index pairs to n x n matrices; pairs
     with a vanishing first index are treated as absent.  The result is the
     sum over ordered chains of two-sided factors conj(B)^{lam,mu} B^{rho,gam}
-    with the (-4)^{-(k-1)} weight per chain length k.
+    with the weight C_{k-1} (-4)^{-(k-1)} per chain length k, where C_m is
+    the m-th Catalan number.  That weight solves X = R - X^2 / 4, which is
+    the recursion S = (i/2)(R + S^2) for S = (i/2) X and R = conj(B) B: a
+    chain of k factors arises once per bracketing of the k-fold product.
+    C_{k-1} = 1 for k <= 2, so the weight differs from (-4)^{-(k-1)} only
+    from chains of three factors on, which first occur at degree 6.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     total = sum(alpha) + sum(beta)
@@ -96,10 +102,11 @@ def a_from_b_closed_form(bfam, alpha, beta, n, exact=False):
         chain = ordered_sum(alpha, beta, k)
         if chain is None or isinstance(chain, str):
             continue
+        catalan = math.comb(2 * (k - 1), k - 1) // k
         if exact:
-            weight = QC(Fraction(1, (-4) ** (k - 1)))
+            weight = QC(Fraction(catalan, (-4) ** (k - 1)))
         else:
-            weight = (-4.0) ** (-(k - 1))
+            weight = catalan * (-4.0) ** (-(k - 1))
         out = out + weight * chain
     return out
 
@@ -181,17 +188,9 @@ def _multi_indices(n, max_total):
 def extract_a_family(s: AlmostComplexStructure):
     """A^{alpha,beta} matrices of the structure's A-expansion (the i/2-scaled
     coefficients beyond the constant iI)."""
-    n = s.n
-    fam = {}
-    zero_key = ((0,) * n, (0,) * n)
-    for k in range(n):
-        for l in range(n):
-            for key, c in s.A[k, l].terms.items():
-                if key == zero_key:
-                    continue
-                fam.setdefault(key, np.zeros((n, n), dtype=complex))
-                fam[key][k, l] = -2j * c
-    return fam
+    zero_key = ((0,) * s.n, (0,) * s.n)
+    return {key: -2j * mat for key, mat in s.A.coefficients().items()
+            if key != zero_key}
 
 
 def pattern_violation(s: AlmostComplexStructure, max_degree=None):
@@ -221,7 +220,7 @@ class NormalCoordinateResult:
     violation: float = 0.0
 
     def b_family(self):
-        return self.structure.b_coefficients()
+        return self.structure.B.coefficients()
 
     def a_family(self):
         return extract_a_family(self.structure)
@@ -231,7 +230,7 @@ def stage_change(s: AlmostComplexStructure, m: int, target_order: int):
     """Coordinate change killing the non-normal degree-m part of B."""
     n = s.n
     phi = [Jet.variable(n, target_order, k) for k in range(n)]
-    bcoef = s.b_coefficients()
+    bcoef = s.B.coefficients()
     changed = False
     for alpha in _multi_indices(n, m + 1):
         da = sum(alpha)
@@ -241,8 +240,7 @@ def stage_change(s: AlmostComplexStructure, m: int, target_order: int):
         for beta in _multi_indices(n, m + 1 - da):
             if da + sum(beta) != m + 1:
                 continue
-            ref_key = (_sub(alpha, tuple(1 if i == big_l else 0 for i in range(n))),
-                       beta)
+            ref_key = (_sub(alpha, multi_index(n, big_l)), beta)
             mat = bcoef.get(ref_key)
             if mat is None:
                 continue
@@ -288,35 +286,22 @@ def torsion_jet_normal(s_normal: AlmostComplexStructure):
     if pattern_violation(s_normal, max_degree=2) > 1e-9:
         raise JetError("structure is not in normal form through degree 2")
     n = s_normal.n
-    bcoef = s_normal.b_coefficients()
+    b1 = s_normal.B.family(1, 0)
+    b2 = s_normal.B.family(2, 0)
+    b2bar = s_normal.B.family(1, 1)
     zero = (0,) * n
-
-    def delta(r):
-        return tuple(1 if i == r else 0 for i in range(n))
-
-    def b1(r):
-        return bcoef.get((delta(r), zero), np.zeros((n, n), dtype=complex))
-
-    def b2(r, t):
-        key = (tuple(x + y for x, y in zip(delta(r), delta(t))), zero)
-        m = bcoef.get(key, np.zeros((n, n), dtype=complex))
-        return m if r == t else m * 0.5
-
-    def b2bar(r, t):
-        return bcoef.get((delta(r), delta(t)), np.zeros((n, n), dtype=complex))
-
     out = [[[Jet.zero(n, 1) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for r in range(n):
         for k in range(n):
             for l in range(k + 1, n):
-                jet = Jet.constant(n, 1, 0.5j * b1(l)[r, k])
+                jet = Jet.constant(n, 1, 0.5j * b1[l, r, k])
                 for t in range(n):
-                    cz = 0.5j * (2 * (b2(l, t)[r, k] - b2(k, t)[r, l]))
-                    czb = 0.5j * b2bar(l, t)[r, k]
+                    cz = 0.5j * (2 * (b2[l, t, r, k] - b2[k, t, r, l]))
+                    czb = 0.5j * b2bar[l, t, r, k]
                     if cz:
-                        jet = jet + Jet.monomial(n, 1, delta(t), zero, cz)
+                        jet = jet + Jet.monomial(n, 1, multi_index(n, t), zero, cz)
                     if czb:
-                        jet = jet + Jet.monomial(n, 1, zero, delta(t), czb)
+                        jet = jet + Jet.monomial(n, 1, zero, multi_index(n, t), czb)
                 out[r][k][l] = jet
                 out[r][l][k] = -jet
     return out
@@ -354,8 +339,8 @@ def verify_holomorphic_invariance(s_normal: AlmostComplexStructure, change,
         phi[k] = phi[k] + Jet.monomial(n, target, alpha, zero, c)
     base = s_normal.truncated(n_order)
     moved = transform_structure(base, phi)
-    before = base.b_coefficients()
-    after = moved.b_coefficients()
+    before = base.B.coefficients()
+    after = moved.B.coefficients()
     worst = 0.0
     for key in set(before) | set(after):
         if sum(key[0]) + sum(key[1]) > n_order:

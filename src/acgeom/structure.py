@@ -148,23 +148,9 @@ class AlmostComplexStructure:
         return (np.abs(a0 - 1j * np.eye(self.n)).max() <= tol
                 and np.abs(b0).max() <= tol)
 
-    def b_coefficients(self):
-        """All B^{alpha,beta}_{k,l} coefficients as {(alpha, beta): n x n array}."""
-        fam = {}
-        for k in range(self.n):
-            for l in range(self.n):
-                for key, c in self.B[k, l].terms.items():
-                    fam.setdefault(key, np.zeros((self.n, self.n), dtype=complex))
-                    fam[key][k, l] = c
-        return fam
-
     def truncated(self, new_order):
         return AlmostComplexStructure(self.A.truncated(new_order),
                                       self.B.truncated(new_order))
-
-
-def validate_structure(s: AlmostComplexStructure) -> ValidationReport:
-    return s.validate()
 
 
 class Frame:

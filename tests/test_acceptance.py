@@ -13,7 +13,7 @@ from acgeom.fixtures import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0,
                              random_b_normal, random_deformation)
 from acgeom.forms import FrameCalculus, fundamental_identities_check
 from acgeom.jets import Jet, JetMatrix, QC
-from acgeom.structure import torsion_tensor, nijenhuis_check, validate_structure
+from acgeom.structure import torsion_tensor, nijenhuis_check
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -64,7 +64,7 @@ def test_criterion_2_structure_constraints():
     for s in (fix_b(), fix_b2(), fix_b3(), random_b_normal(201),
               random_b_normal(202), random_deformation(203),
               random_deformation(204, n=3)):
-        worst = max(worst, validate_structure(s).max_residual)
+        worst = max(worst, s.validate().max_residual)
     # exact-arithmetic agreement of the closed formula with the
     # degree-by-degree solver, all |alpha+beta| <= 4, n = 2
     n, order = 2, 4

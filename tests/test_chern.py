@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,8 @@ class TestHermitianData:
         mixed = np.zeros((n, n, n, n), dtype=complex)
         mixed[0, 0, 0, 0] = -1.0
         hd = HermitianData.from_families(n, 4, lin=lin, quad_mixed=mixed)
-        assert np.abs(hd.linear_family() - lin).max() < 1e-14
-        assert np.abs(hd.quad_mixed_family() - mixed).max() < 1e-14
+        assert np.abs(hd.H.family(1, 0) - lin).max() < 1e-14
+        assert np.abs(hd.H.family(1, 1) - mixed).max() < 1e-14
 
 
 class TestCanonicalConnection:
@@ -549,6 +551,16 @@ class TestAsymptotics:
             hd = HermitianData.from_families(2, 4, lin=lin)
             assert asymptotics_vs_full_connection(calc, hd) < 1e-11
 
+    @pytest.mark.parametrize("name", ["h_lin", "s_z_z", "s_z_zbar", "s_zbar_z",
+                                      "s_zbar_zbar"])
+    def test_nan_family_does_not_pass(self, calc_b, name):
+        hd = HermitianData.identity(2, 4)
+        coeffs = connection_asymptotics(calc_b, hd)
+        bad = getattr(coeffs, name).copy()
+        bad[(1,) * bad.ndim] = complex("nan")
+        coeffs = dataclasses.replace(coeffs, **{name: bad})
+        assert np.isnan(asymptotics_vs_full_connection(calc_b, hd, coeffs))
+
     def test_metric_coordinate_expansion(self, calc_b, calc_j0):
         assert metric_coordinate_residual(
             calc_b, HermitianData.identity(2, 4)) < 1e-11
@@ -587,7 +599,7 @@ class TestSymplecticNormalize:
         lin[1, 0, 1] = -0.1 + 0.04j
         hd = HermitianData.from_families(2, 4, lin=lin)
         out = antisymmetrize_metric_linear(calc_b, hd, n_order=3)
-        new_lin = out.metric.linear_family()
+        new_lin = out.metric.H.family(1, 0)
         sym = 0.5 * (new_lin + new_lin.transpose(1, 0, 2))
         assert np.abs(sym).max() < 1e-11
         assert out.b1_deviation < 1e-11

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from acgeom.cli import (ManifoldSpec, Options, Report, ReportRow, SpecError,
-                        build_metric, build_structure, emit_report, main,
-                        parse_manifold_spec, run_command,
+from acgeom.cli import (COMMANDS, ManifoldSpec, Options, Report, ReportRow,
+                        SpecError, build_metric, build_structure, emit_report,
+                        main, parse_manifold_spec, run_command,
                         serialize_manifold_spec)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
@@ -85,8 +85,103 @@ class TestParsing:
                   encoding="utf-8") as fh:
             ms = parse_manifold_spec(fh.read())
         hd = build_metric(ms)
-        lin = hd.linear_family()
+        lin = hd.H.family(1, 0)
         assert abs(lin[0, 0, 0] - 0.2) < 1e-14
+
+
+class TestOrderSix:
+    def test_fix_b_parses_at_order_6(self):
+        # the closed-form A carries Catalan chain weights, so J^2 = -I holds
+        # through degree 6 (the old (-4)^-(k-1) weight missed it by |b|^6)
+        doc = json.loads(fix_b_text())
+        doc["order"] = 6
+        ms = parse_manifold_spec(json.dumps(doc), name="fix_b6")
+        s = build_structure(ms)
+        assert s.order == 6
+        assert s.validate().max_residual < 1e-12
+        report, _ = run_command("validate", ms, Options(exact=True))
+        assert report.passed
+        assert [r.check for r in report.rows][-1] == "closed-form A vs exact solver"
+
+
+_J2 = [("J^2 square-block residual", True), ("J^2 mixed-block residual", True),
+       ("adapted at origin", True)]
+_TORSION = [("frame torsion vs bracket identity", True),
+            ("antisymmetry of coefficients", True)]
+_NORMALIZE = [("vanishing-pattern violation", True), ("output J^2 residual", True),
+              ("idempotence (second pass is identity)", True)]
+_IDENTITIES = [(name, True) for name in (
+    "del^2 = delbar theta + theta delbar",
+    "delbar^2 = del thetabar + thetabar del",
+    "del delbar + delbar del = -(theta thetabar + thetabar theta)",
+    "del theta = -theta del", "delbar thetabar = -thetabar delbar",
+    "theta^2 = 0", "thetabar^2 = 0")]
+_CURVATURE_TAIL = [("pointwise curvature expression", True),
+                   ("hermitian compatibility of the connection", True)]
+
+
+def _curvature(c_row):
+    return [("hermitian symmetry of C(0)", True),
+            ("operator curvature vs origin formula", True), (c_row, True)] \
+        + _CURVATURE_TAIL
+
+
+_DECOMPOSE = [("connection decomposition residual", True),
+              ("torsion formula residual", True), ("delta = 0 iff d omega = 0", True),
+              ("N = 0 iff torsion = 0", True)]
+_INTEGRABLE = _DECOMPOSE + [("gamma^{0,2} vanishes (integrable case)", True)]
+_ASYMPTOTICS = [("coefficient families vs full connection", True),
+                ("normal-form metric expansion", True)]
+_NEEDS_NORMAL = [("error: asymptotic families need normal coordinates of order >= 2",
+                  False)]
+_SCALES = [(f"scale {s}", True) for s in ("1", "0.5", "0.25", "0.125")]
+_SLOPE = _SCALES + [("fitted slope >= 2.8", True)]
+_MANIFESTS = ("deformation_n2.json", "fix_b.json", "fix_b2.json", "fix_j0.json",
+              "j0_symplectic.json")
+
+# (check, pass) of every row of every command on every shipped manifest, with
+# the CLI defaults.  deformation_n2 is not in normal coordinates, so its
+# curvature, asymptotics and geodesic reports FAIL.
+VERDICTS = {
+    "validate": dict.fromkeys(_MANIFESTS, _J2),
+    "torsion": {**dict.fromkeys(_MANIFESTS, _TORSION),
+                "fix_b.json": _TORSION + [("nbar[1;1,2](0)", True)]},
+    "normalize": dict.fromkeys(_MANIFESTS, _NORMALIZE),
+    "identities": dict.fromkeys(_MANIFESTS, _IDENTITIES),
+    "curvature": {
+        "deformation_n2.json": [
+            ("hermitian symmetry of C(0)", True),
+            ("origin formula inapplicable: origin formula needs normal "
+             "coordinates of order >= 2", False)] + _CURVATURE_TAIL,
+        "fix_b.json": _curvature("C[2,2;1,1](0)"),
+        "fix_b2.json": _curvature("C[1,1;1,1](0)"),
+        "fix_j0.json": _curvature("C[1,1;1,1](0)"),
+        "j0_symplectic.json": _curvature("C[1,1;1,1](0)")},
+    "decompose": {"deformation_n2.json": _DECOMPOSE, "fix_b.json": _DECOMPOSE,
+                  "fix_b2.json": _DECOMPOSE, "fix_j0.json": _INTEGRABLE,
+                  "j0_symplectic.json": _INTEGRABLE},
+    "asymptotics": {**dict.fromkeys(_MANIFESTS, _ASYMPTOTICS),
+                    "deformation_n2.json": _NEEDS_NORMAL},
+    "geodesic": {"deformation_n2.json": _NEEDS_NORMAL, "fix_b.json": _SLOPE,
+                 "fix_b2.json": _SLOPE,
+                 "fix_j0.json": _SCALES + [
+                     ("error at integrator noise floor (exact)", True)],
+                 "j0_symplectic.json": _SLOPE},
+}
+
+
+class TestVerdicts:
+    def test_every_command_on_every_manifest(self):
+        assert sorted(VERDICTS) == sorted(COMMANDS)
+        assert sorted(f for f in os.listdir(MANIFESTS) if f.endswith(".json")) \
+            == sorted(_MANIFESTS)
+        for name in _MANIFESTS:
+            with open(os.path.join(MANIFESTS, name), encoding="utf-8") as fh:
+                ms = parse_manifold_spec(fh.read(), name=name)
+            for command in COMMANDS:
+                report, _ = run_command(command, ms, Options())
+                got = [(r.check, r.passed) for r in report.rows]
+                assert got == VERDICTS[command][name], (command, name)
 
 
 class TestReports:

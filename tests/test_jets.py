@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 from acgeom.jets import (Jet, JetError, JetMatrix, QC, SingularMatrixError,
-                         _index, block2x2, series_inverse)
+                         _index, block2x2, multi_index, series_inverse)
 
 from conftest import random_jet, random_point
 
@@ -110,6 +110,74 @@ class TestMaxAbs:
         m = JetMatrix.identity(2, 2, 3)
         m.entries[1][1] = Jet.constant(2, 3, complex("nan"))
         assert np.isnan(m.max_abs())
+
+
+class TestFamily:
+    N_VARS, ORDER = 3, 4
+
+    @pytest.fixture
+    def mat(self, rng):
+        """Random 2 x 3 float matrix with every monomial of degree <= 4 in every
+        entry, so each bidegree below is populated."""
+        monos = _index(self.N_VARS, self.ORDER).monos
+        return JetMatrix([[Jet(self.N_VARS, self.ORDER,
+                               {m: complex(rng.normal(), rng.normal()) for m in monos})
+                           for _ in range(3)] for _ in range(2)])
+
+    @pytest.mark.parametrize("deg_z, deg_zbar",
+                             [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 1)])
+    def test_contraction_is_bidegree_part(self, mat, rng, deg_z, deg_zbar):
+        fam = mat.family(deg_z, deg_zbar)
+        assert fam.shape == (self.N_VARS,) * (deg_z + deg_zbar) + (2, 3)
+        point = random_point(rng, self.N_VARS, radius=0.7)
+        got = fam
+        for v in [point] * deg_z + [point.conjugate()] * deg_zbar:
+            got = np.tensordot(v, got, axes=(0, 0))
+        for k in range(2):
+            for l in range(3):
+                part = Jet(self.N_VARS, self.ORDER,
+                           {(a, b): c for (a, b), c in mat[k, l].terms.items()
+                            if sum(a) == deg_z and sum(b) == deg_zbar})
+                assert abs(got[k, l] - part.eval(point)) < 1e-14
+
+    def test_symmetric_in_z_and_in_zbar_slots(self, mat):
+        fam = mat.family(3, 1)
+        for perm in [(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
+            assert np.array_equal(fam.transpose(perm + (3, 4, 5)), fam)
+        fam = mat.family(1, 2)
+        assert np.array_equal(fam.transpose(0, 2, 1, 3, 4), fam)
+
+    def test_split_between_slot_orderings(self):
+        # c sits whole on a slot that one ordering reaches, c / r on each of r
+        f = Jet(3, 4, {((1, 1, 0), (0, 0, 0)): 4.0, ((2, 0, 0), (0, 0, 0)): 3.0,
+                       ((2, 1, 0), (0, 0, 1)): 6.0})
+        m = JetMatrix([[f]])
+        quad = m.family(2, 0)[..., 0, 0]
+        assert quad[0, 0] == 3.0 and quad[0, 1] == quad[1, 0] == 2.0
+        cubic = m.family(3, 1)[..., 0, 0]
+        for slot in [(0, 0, 1, 2), (0, 1, 0, 2), (1, 0, 0, 2)]:
+            assert cubic[slot] == 2.0
+        assert np.count_nonzero(cubic) == 3
+
+    def test_coefficients_match_terms(self, rng):
+        m = JetMatrix([[random_jet(rng, 2, 3, nterms=6) for _ in range(3)]
+                       for _ in range(2)])
+        fam = m.coefficients()
+        assert set(fam) == {key for row in m.entries for e in row for key in e.terms}
+        for key, arr in fam.items():
+            assert arr.shape == (2, 3)
+            for k in range(2):
+                for l in range(3):
+                    assert arr[k, l] == m[k, l].terms.get(key, 0)
+
+    def test_exact_family_rejected(self):
+        with pytest.raises(JetError):
+            JetMatrix.identity(2, 2, 3, exact=True).family(0, 0)
+
+    def test_multi_index(self):
+        assert multi_index(3, 1) == (0, 1, 0)
+        assert multi_index(3, 0, 2, 0) == (2, 0, 1)
+        assert multi_index(2) == (0, 0)
 
 
 class TestConj:

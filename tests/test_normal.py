@@ -8,7 +8,7 @@ from acgeom.normal import (a_from_b_closed_form, extract_a_family, lmax,
                            solve_a_degree_by_degree, structure_from_b_family,
                            torsion_jet_equivalence, torsion_jet_normal,
                            verify_holomorphic_invariance)
-from acgeom.structure import torsion_tensor, validate_structure
+from acgeom.structure import torsion_tensor
 
 
 def exact_b_family(n=2):
@@ -64,38 +64,40 @@ class TestFormA:
         from acgeom.fixtures import random_b_normal
         for seed in (1, 2):
             s = random_b_normal(seed)
-            assert validate_structure(s).max_residual < 1e-12
+            assert s.validate().max_residual < 1e-12
             a_solved = solve_a_degree_by_degree(s.B)
             assert (a_solved - s.A).max_abs() < 1e-12
 
     def test_exact_agreement_with_solver(self):
         # rational-arithmetic: closed formula == degree-by-degree solver,
-        # coefficient for coefficient, with zero discrepancy
-        n, order = 2, 4
+        # coefficient for coefficient, with zero discrepancy; order 6 is the
+        # first order with chains of three factors (Catalan weight 2)
+        n = 2
         fam = exact_b_family(n)
-        b = None
         from acgeom.jets import JetMatrix
-        b = JetMatrix.zeros(n, n, n, order, exact=True)
-        for (alpha, beta), mat in fam.items():
-            for k in range(n):
-                for l in range(n):
-                    if mat[k, l]:
-                        b.entries[k][l] = b.entries[k][l] + Jet.monomial(
-                            n, order, alpha, beta, mat[k, l], exact=True)
-        a = solve_a_degree_by_degree(b)
-        half_i = QC(0, "1/2")
-        for alpha in [(i, j) for i in range(5) for j in range(5)]:
-            if not 1 <= sum(alpha) <= 3:
-                continue
-            for beta in [(i, j) for i in range(5) for j in range(5)]:
-                if sum(beta) < 1 or sum(alpha) + sum(beta) > order:
-                    continue
-                closed = a_from_b_closed_form(fam, alpha, beta, n, exact=True)
+        for order in (4, 6):
+            b = JetMatrix.zeros(n, n, n, order, exact=True)
+            for (alpha, beta), mat in fam.items():
                 for k in range(n):
                     for l in range(n):
-                        want = half_i * closed[k, l]
-                        got = a[k, l].coeff(alpha, beta)
-                        assert got == want, (alpha, beta, k, l)
+                        if mat[k, l]:
+                            b.entries[k][l] = b.entries[k][l] + Jet.monomial(
+                                n, order, alpha, beta, mat[k, l], exact=True)
+            a = solve_a_degree_by_degree(b)
+            half_i = QC(0, "1/2")
+            indices = [(i, j) for i in range(order + 1) for j in range(order + 1)]
+            for alpha in indices:
+                if not 1 <= sum(alpha) <= order - 1:
+                    continue
+                for beta in indices:
+                    if sum(beta) < 1 or sum(alpha) + sum(beta) > order:
+                        continue
+                    closed = a_from_b_closed_form(fam, alpha, beta, n, exact=True)
+                    for k in range(n):
+                        for l in range(n):
+                            want = half_i * closed[k, l]
+                            got = a[k, l].coeff(alpha, beta)
+                            assert got == want, (order, alpha, beta, k, l)
 
 
 class TestNormalize:
@@ -112,7 +114,7 @@ class TestNormalize:
             assert pattern_violation(s) > 1e-4   # generic start is not normal
             res = normalize_to_order(s, 3)
             assert res.violation < 1e-11
-            assert validate_structure(res.structure).max_residual < 1e-11
+            assert res.structure.validate().max_residual < 1e-11
 
     def test_idempotent_on_normal_input(self):
         s = fix_b()
@@ -134,8 +136,8 @@ class TestNormalize:
                 nxt = transform_structure(cur, phi)
             else:
                 nxt = cur
-            before = cur.b_coefficients()
-            after = nxt.b_coefficients()
+            before = cur.B.coefficients()
+            after = nxt.B.coefficients()
             for key in set(before) | set(after):
                 if sum(key[0]) + sum(key[1]) < m:
                     d = np.abs(before.get(key, 0) - after.get(key, 0)).max()

@@ -7,18 +7,18 @@ from acgeom.structure import (AlmostComplexStructure, VectorField, adapt_linear,
                               bracket_coefficients, frame_and_dual,
                               nijenhuis_check, projection_via_matrix,
                               structure_from_deformation, torsion_tensor,
-                              transform_structure, validate_structure)
+                              transform_structure)
 
 from conftest import random_jet, random_point
 
 
 class TestValidate:
     def test_j0_exact(self):
-        rep = validate_structure(fix_j0())
+        rep = fix_j0().validate()
         assert rep.max_residual == 0
 
     def test_fix_b(self):
-        rep = validate_structure(fix_b())
+        rep = fix_b().validate()
         assert rep.max_residual < 1e-12
 
     def test_inconsistent_structure_flagged(self):
@@ -26,7 +26,7 @@ class TestValidate:
         b = JetMatrix.zeros(2, 2, 2, 4)
         b.entries[0][0] = Jet.variable(2, 4, 0)
         bad = AlmostComplexStructure(s.A, b)
-        rep = validate_structure(bad)
+        rep = bad.validate()
         assert rep.max_residual > 0.5
 
 
@@ -39,10 +39,10 @@ class TestDeformation:
     def test_random_structures_validate(self):
         for seed in range(3):
             s = random_deformation(seed, n=2)
-            assert validate_structure(s).max_residual < 1e-12
+            assert s.validate().max_residual < 1e-12
             assert s.is_adapted(tol=1e-12)
         s3 = random_deformation(7, n=3)
-        assert validate_structure(s3).max_residual < 1e-12
+        assert s3.validate().max_residual < 1e-12
 
 
 class TestFrame:
@@ -222,7 +222,7 @@ class TestTransform:
         phi = [Jet.variable(2, 4, 0) + 0.2 * Jet.monomial(2, 4, (0, 1), (1, 0), 1.0),
                Jet.variable(2, 4, 1)]
         t = transform_structure(s, phi)
-        assert validate_structure(t).max_residual < 1e-11
+        assert t.validate().max_residual < 1e-11
 
     def test_singular_jacobian_rejected(self):
         s = fix_j0()
@@ -262,4 +262,4 @@ class TestAdaptLinear:
     def test_constant_b_case(self):
         s = structure_from_deformation(2, 3, seed=21, magnitude=0.12, max_degree=0)
         assert s.is_adapted(tol=1e-12)
-        assert validate_structure(s).max_residual < 1e-12
+        assert s.validate().max_residual < 1e-12
