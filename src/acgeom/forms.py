@@ -67,9 +67,6 @@ class FrameCalculus:
     def zetabar_derive(self, r, f: Jet) -> Jet:
         return self._zetabars[r].derive(f)
 
-    def zero_form(self, p=0, q=0):
-        return PQForm(self, p, q, {})
-
     def function(self, f: Jet):
         return PQForm(self, 0, 0, {((), ()): f})
 
@@ -193,9 +190,6 @@ class PQForm:
                                 for cov in covs], n, order)
             total = total + c * det
         return total
-
-    def eval_at(self, fields, point):
-        return self.evaluate(fields).eval(point)
 
     def __repr__(self):
         return f"PQForm(({self.p},{self.q}), {len(self.coeffs)} terms)"

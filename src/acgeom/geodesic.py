@@ -74,6 +74,7 @@ class PackedConnection:
         scatter = np.zeros((len(terms), 2 * n), dtype=complex)
         scatter[np.arange(len(terms)), rows] = -1.0
         first = int(np.count_nonzero(rows < n))
+        self.flat = not terms
         self.tables = {
             n: (coeffs[:first], np.ascontiguousarray(gather[:, :first]),
                 np.ascontiguousarray(scatter[:first, :n])),
@@ -121,10 +122,18 @@ def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
     """Classical RK4 on (gamma, gamma-dot) over [0, 1].
 
     ``z`` and ``v`` are one state (n,) or a batch (S, n) integrated together;
-    the trust-radius check covers every state of the batch."""
+    the trust-radius check covers every state of the batch.  On a flat
+    connection the curve is z + t v exactly and no step is taken."""
     n = packed.n
-    y = np.concatenate([np.asarray(z, dtype=complex),
-                        np.asarray(v, dtype=complex)], axis=-1)
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    h = 1.0 / steps
+    if packed.flat:
+        exit_step = _first_exit(z, v, steps, trust_radius)
+        if exit_step is not None:
+            raise TrustRadiusExit(exit_step * h, trust_radius)
+        return (z + v, v.copy()) if return_velocity else z + v
+    y = np.concatenate([z, v], axis=-1)
 
     def rate(y):
         """(gamma-dot, gamma-ddot) of the state y = (gamma, gamma-dot)."""
@@ -132,7 +141,6 @@ def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
         return np.concatenate([gdot, packed.acceleration(y[..., :n], gdot)],
                               axis=-1)
 
-    h = 1.0 / steps
     for step in range(steps):
         if np.abs(y[..., :n]).max(initial=0.0) > trust_radius:
             raise TrustRadiusExit(step * h, trust_radius)
@@ -144,6 +152,28 @@ def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
     if return_velocity:
         return y[..., :n], y[..., n:]
     return y[..., :n]
+
+
+def _first_exit(z, v, steps, radius):
+    """First step k < steps at which a straight line z + t v is outside the
+    trust radius at t = k / steps, or None.  max |z + t v| over the batch is
+    convex in t, so once inside at t = 0 the steps outside form one run that
+    ends at the last step, found by bisection."""
+    def outside(k):
+        return np.abs(z + (k / steps) * v).max(initial=0.0) > radius
+
+    if outside(0):
+        return 0
+    lo, hi = 0, steps - 1
+    if not outside(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outside(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def integrate_geodesic_checked(packed: PackedConnection, z, v, steps=256,

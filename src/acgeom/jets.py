@@ -398,10 +398,6 @@ class Jet:
         z = (0,) * self.n
         return self.coeff(z, z)
 
-    def degree_slice(self, d):
-        """Coefficients of total degree exactly d, as a dict."""
-        return {k: c for k, c in self.terms.items() if _degree(k) == d}
-
     def max_abs(self, max_degree=None):
         """Largest coefficient modulus; NaN if any coefficient is NaN."""
         m = 0.0

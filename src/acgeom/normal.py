@@ -5,6 +5,12 @@ combinatorial formula reconstructing A from the B coefficient family, an
 independent degree-by-degree solver of A^2 = -I - conj(B) B used as oracle,
 the order-one torsion jet in normal coordinates, and invariance under
 top-degree holomorphic changes.
+
+The closed formula is evaluated from one table per B family
+(``ClosedFormA``): its conj(B) B factor products and its memo of ordered
+chain sums do not depend on the target coefficient, so every coefficient
+of a family reads the same table.  ``a_from_b_closed_form`` is the same
+table built for a single target.
 """
 
 from __future__ import annotations
@@ -48,67 +54,113 @@ def _mat_conj(m, exact):
     return m.conjugate()
 
 
-def a_from_b_closed_form(bfam, alpha, beta, n, exact=False):
-    """Coefficient matrix of the A-expansion from the B family.
+class ClosedFormA:
+    """Closed-form A coefficients of one B family, shared by every target.
 
     ``bfam`` maps (alpha, beta) multi-index pairs to n x n matrices; pairs
-    with a vanishing first index are treated as absent.  The result is the
-    sum over ordered chains of two-sided factors conj(B)^{lam,mu} B^{rho,gam}
-    with the weight C_{k-1} (-4)^{-(k-1)} per chain length k, where C_m is
-    the m-th Catalan number.  That weight solves X = R - X^2 / 4, which is
-    the recursion S = (i/2)(R + S^2) for S = (i/2) X and R = conj(B) B: a
-    chain of k factors arises once per bracketing of the k-fold product.
-    C_{k-1} = 1 for k <= 2, so the weight differs from (-4)^{-(k-1)} only
-    from chains of three factors on, which first occur at degree 6.
-    """
-    alpha, beta = tuple(alpha), tuple(beta)
-    total = sum(alpha) + sum(beta)
-    keys = [k for k in bfam if sum(k[0]) >= 1]
-    factors = []
-    for lam_mu in keys:
-        conj_mat = _mat_conj(np.asarray(bfam[lam_mu], dtype=object if exact else complex),
-                             exact)
-        for rho_gam in keys:
-            mat = conj_mat @ np.asarray(bfam[rho_gam],
-                                        dtype=object if exact else complex)
-            # z-exponent rho + mu, zbar-exponent lam + gam
-            ze = tuple(r + m for r, m in zip(rho_gam[0], lam_mu[1]))
-            zbe = tuple(l + g for l, g in zip(lam_mu[0], rho_gam[1]))
-            factors.append((ze, zbe, mat))
-    memo = {}
+    with a vanishing first index are treated as absent.  The coefficient of
+    z^alpha zbar^beta is the sum over ordered chains of two-sided factors
+    conj(B)^{lam,mu} B^{rho,gam} with the weight C_{k-1} (-4)^{-(k-1)} per
+    chain length k, where C_m is the m-th Catalan number.  That weight
+    solves X = R - X^2 / 4, which is the recursion S = (i/2)(R + S^2) for
+    S = (i/2) X and R = conj(B) B: a chain of k factors arises once per
+    bracketing of the k-fold product.  C_{k-1} = 1 for k <= 2, so the weight
+    differs from (-4)^{-(k-1)} only from chains of three factors on, which
+    first occur at degree 6.
 
-    def ordered_sum(a_rem, b_rem, slots):
+    The table of factors (one per ordered key pair, each with its exponent
+    pair) and the memo of ordered chain sums, keyed by the remaining
+    exponents and the number of factors still to place, are built once per
+    family and read by every target (alpha, beta) with |alpha| + |beta| <=
+    ``max_degree``.  A factor above ``max_degree`` fits no such target and
+    is left out; ``max_degree=None`` keeps every factor.  A factor's matrix
+    product is formed the first time a chain uses it.
+    """
+
+    def __init__(self, bfam, n, exact=False, max_degree=None):
+        self.n, self.exact, self.max_degree = n, exact, max_degree
+        dtype = object if exact else complex
+        keys = [k for k in bfam if sum(k[0]) >= 1]
+        self._mats = [np.asarray(bfam[k], dtype=dtype) for k in keys]
+        self._conj = [_mat_conj(m, exact) for m in self._mats]
+        degrees = [sum(k[0]) + sum(k[1]) for k in keys]
+        self._factors = []
+        for i, lam_mu in enumerate(keys):
+            for j, rho_gam in enumerate(keys):
+                degree = degrees[i] + degrees[j]
+                if max_degree is not None and degree > max_degree:
+                    continue
+                # z-exponent rho + mu, zbar-exponent lam + gam
+                ze = tuple(r + m for r, m in zip(rho_gam[0], lam_mu[1]))
+                zbe = tuple(l + g for l, g in zip(lam_mu[0], rho_gam[1]))
+                self._factors.append((degree, ze, zbe, (i, j)))
+        self._products = {}
+        self._memo = {}
+
+    def _product(self, pair):
+        """conj(B)^{keys[i]} B^{keys[j]}, multiplied out on first use."""
+        mat = self._products.get(pair)
+        if mat is None:
+            i, j = pair
+            mat = self._products[pair] = self._conj[i] @ self._mats[j]
+        return mat
+
+    def _ordered_sum(self, a_rem, b_rem, slots):
+        """Sum of the ordered chains of ``slots`` factors whose exponents add
+        up to (a_rem, b_rem); None if there is none, "unit" for slots = 0."""
         if slots == 0:
             if not any(a_rem) and not any(b_rem):
                 return "unit"
             return None
         key = (a_rem, b_rem, slots)
+        memo = self._memo
         if key in memo:
             return memo[key]
+        # every factor has degree >= 2, so the other slots - 1 factors need
+        # at least 2 (slots - 1) of the remaining degree, and the last factor
+        # all of it
+        room = sum(a_rem) + sum(b_rem) - 2 * (slots - 1)
+        last = slots == 1
         acc = None
-        for ze, zbe, mat in factors:
-            if not (_fits(ze, a_rem) and _fits(zbe, b_rem)):
+        for degree, ze, zbe, pair in self._factors:
+            if degree > room or (last and degree < room) \
+                    or not (_fits(ze, a_rem) and _fits(zbe, b_rem)):
                 continue
-            rest = ordered_sum(_sub(a_rem, ze), _sub(b_rem, zbe), slots - 1)
+            rest = self._ordered_sum(_sub(a_rem, ze), _sub(b_rem, zbe), slots - 1)
             if rest is None:
                 continue
+            mat = self._product(pair)
             contrib = mat if isinstance(rest, str) else mat @ rest
             acc = contrib if acc is None else acc + contrib
         memo[key] = acc
         return acc
 
-    out = _mat_zeros(n, exact)
-    for k in range(1, total // 2 + 1):
-        chain = ordered_sum(alpha, beta, k)
-        if chain is None or isinstance(chain, str):
-            continue
-        catalan = math.comb(2 * (k - 1), k - 1) // k
-        if exact:
-            weight = QC(Fraction(catalan, (-4) ** (k - 1)))
-        else:
-            weight = catalan * (-4.0) ** (-(k - 1))
-        out = out + weight * chain
-    return out
+    def __call__(self, alpha, beta):
+        """n x n coefficient matrix A^{alpha,beta} (the i/2-scaled part)."""
+        alpha, beta = tuple(alpha), tuple(beta)
+        total = sum(alpha) + sum(beta)
+        if self.max_degree is not None and total > self.max_degree:
+            raise JetError(f"target degree {total} exceeds the table's "
+                           f"max_degree {self.max_degree}")
+        exact = self.exact
+        out = _mat_zeros(self.n, exact)
+        for k in range(1, total // 2 + 1):
+            chain = self._ordered_sum(alpha, beta, k)
+            if chain is None:
+                continue
+            catalan = math.comb(2 * (k - 1), k - 1) // k
+            if exact:
+                weight = QC(Fraction(catalan, (-4) ** (k - 1)))
+            else:
+                weight = catalan * (-4.0) ** (-(k - 1))
+            out = out + weight * chain
+        return out
+
+
+def a_from_b_closed_form(bfam, alpha, beta, n, exact=False):
+    """Coefficient matrix A^{alpha,beta} of the A-expansion from the B family
+    (see ``ClosedFormA``); builds a table for this one target."""
+    return ClosedFormA(bfam, n, exact, max_degree=sum(alpha) + sum(beta))(alpha, beta)
 
 
 def solve_a_degree_by_degree(b: JetMatrix) -> JetMatrix:
@@ -146,14 +198,7 @@ def structure_from_b_family(bfam, n, order, exact_check=False) -> AlmostComplexS
                 if mat[k, l]:
                     b.entries[k][l] = b.entries[k][l] + Jet.monomial(
                         n, order, alpha, beta, mat[k, l])
-    a = JetMatrix.identity(n, n, order) * 1j
-    for alpha, beta, mat in iter_a_family(bfam, n, order):
-        for k in range(n):
-            for l in range(n):
-                if abs(mat[k, l]) > 0:
-                    a.entries[k][l] = a.entries[k][l] + Jet.monomial(
-                        n, order, alpha, beta, 0.5j * mat[k, l])
-    s = AlmostComplexStructure(a, b)
+    s = AlmostComplexStructure(a_from_b_family(bfam, n, order), b)
     if exact_check:
         rep = s.validate()
         if rep.max_residual > 1e-10:
@@ -162,8 +207,13 @@ def structure_from_b_family(bfam, n, order, exact_check=False) -> AlmostComplexS
     return s
 
 
-def iter_a_family(bfam, n, order):
-    """All nonzero closed-form A coefficients with |alpha|,|beta| >= 1."""
+def a_from_b_family(bfam, n, order, exact=False) -> JetMatrix:
+    """The A block iI + (i/2) sum A^{alpha,beta} z^alpha zbar^beta of the
+    closed form through degree ``order``; every coefficient (|alpha|,
+    |beta| >= 1) is read from one table of the family."""
+    table = ClosedFormA(bfam, n, exact, max_degree=order)
+    i_unit, half_i = (QC(0, 1), QC(0, Fraction(1, 2))) if exact else (1j, 0.5j)
+    terms = [[{} for _ in range(n)] for _ in range(n)]
     for alpha in _multi_indices(n, order):
         da = sum(alpha)
         if da < 1:
@@ -171,9 +221,14 @@ def iter_a_family(bfam, n, order):
         for beta in _multi_indices(n, order - da):
             if sum(beta) < 1:
                 continue
-            mat = a_from_b_closed_form(bfam, alpha, beta, n)
-            if np.abs(mat).max() > 0:
-                yield alpha, beta, mat
+            mat = table(alpha, beta)
+            for k in range(n):
+                for l in range(n):
+                    if mat[k, l]:
+                        terms[k][l][(alpha, beta)] = half_i * mat[k, l]
+    ident = JetMatrix.identity(n, n, order, exact=exact) * i_unit
+    return JetMatrix([[ident[k, l] + Jet(n, order, terms[k][l], exact=exact)
+                       for l in range(n)] for k in range(n)])
 
 
 def _multi_indices(n, max_total):

@@ -444,22 +444,6 @@ def transform_structure(s: AlmostComplexStructure, phi) -> AlmostComplexStructur
     return AlmostComplexStructure(a_new, b_new)
 
 
-def transform_vector_field(x: VectorField, phi, psi=None) -> VectorField:
-    """Components of x in the new coordinates Z = phi(z)."""
-    w = max(x.order, max(p.order for p in phi)) + 1
-    phi_w = [p.padded(w) for p in phi]
-    psi = series_inverse(phi_w) if psi is None else [p.padded(w) for p in psi]
-    dphi_of_psi = _jacobian(phi_w, w).compose(psi)
-    comps = [c.with_order(w).compose(psi) for c in x.components]
-    out = []
-    for i in range(2 * x.n):
-        acc = Jet.zero(x.n, w)
-        for j in range(2 * x.n):
-            acc = acc + dphi_of_psi[i, j] * comps[j]
-        out.append(acc.truncated(x.order))
-    return VectorField(out)
-
-
 def adapt_linear(s: AlmostComplexStructure):
     """Complex-linear change making A(0) = i I, B(0) = 0.
 

@@ -521,10 +521,22 @@ class TestAsymptotics:
     def test_fix_b_identity_metric(self, calc_b):
         hd = HermitianData.identity(2, 4)
         coeffs = connection_asymptotics(calc_b, hd)
-        # only the quarter-sum family survives with a linear-only B
+        # B = b z_2 E_11 has one linear family entry, B^2_{1,1} = b (one-based).
+        # In S^{pbar,h}_{k,l} = -(1/4) sum_j (conj B^j_{k,p} - conj B^p_{k,j})
+        # B^h_{j,l} the factor B^h_{j,l} needs h = 2, j = 1, l = 1; then
+        # conj B^1_{k,p} = 0 and conj B^p_{k,1} needs p = 2, k = 1, so the
+        # only nonzero entry is S^{2bar,2}_{1,1} = +|b|^2 / 4.
         b = FIX_B_VALUE
-        want = 0.25 * (np.conj(b) * b)
-        assert abs(coeffs.s_zbar_z[0, 1, 1, 0] + 0.25 * abs(b) ** 2) < 1e-13 or True
+        want = np.zeros((2, 2, 2, 2), dtype=complex)
+        want[1, 1, 0, 0] = 0.25 * abs(b) ** 2
+        assert np.abs(coeffs.s_zbar_z - want).max() < 1e-13
+        # the identity metric has no linear or quadratic family and B no
+        # quadratic one, so these vanish; in S^{p,hbar}_{k,l} the quarter sum
+        # -(1/4) sum_j conj B^j_{k,h} B^p_{j,l} needs j = 1 and conj B^1 = 0,
+        # which leaves -C(0)
+        for arr in (coeffs.h_lin, coeffs.s_hat, coeffs.s_z_z, coeffs.s_zbar_zbar):
+            assert np.abs(arr).max() == 0
+        assert np.abs(coeffs.s_z_zbar + coeffs.c_origin).max() == 0
         assert asymptotics_vs_full_connection(calc_b, hd) < 1e-11
 
     def test_quadratic_mixed_metric_matches_curvature(self, calc_j0):

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from acgeom import normal
+from acgeom.jets import Jet, QC
 from acgeom.cli import (COMMANDS, ManifoldSpec, Options, Report, ReportRow,
                         SpecError, build_metric, build_structure, emit_report,
                         main, parse_manifold_spec, run_command,
@@ -102,6 +104,39 @@ class TestOrderSix:
         report, _ = run_command("validate", ms, Options(exact=True))
         assert report.passed
         assert [r.check for r in report.rows][-1] == "closed-form A vs exact solver"
+
+
+class TestExactCrosscheck:
+    CHECK = "closed-form A vs exact solver"
+
+    def run_exact(self):
+        ms = parse_manifold_spec(fix_b_text(), name="fix_b")
+        report, _ = run_command("validate", ms, Options(exact=True))
+        assert report.rows[-1].check == self.CHECK
+        return report.rows[-1]
+
+    def test_solver_agrees_on_fix_b(self):
+        assert self.run_exact().passed
+
+    @pytest.mark.parametrize("k, l, key", [
+        (0, 0, ((0, 0), (0, 0))),   # the constant iI itself
+        (0, 1, ((0, 0), (0, 0))),   # an off-diagonal constant
+        (1, 0, ((1, 0), (0, 0))),   # |beta| = 0
+        (0, 1, ((0, 0), (0, 2))),   # |alpha| = 0
+        (1, 1, ((0, 1), (1, 0))),   # |alpha|, |beta| >= 1
+    ])
+    def test_stray_solver_term_fails(self, monkeypatch, k, l, key):
+        solve = normal.solve_a_degree_by_degree
+
+        def with_stray_term(b):
+            a = solve(b)
+            a.entries[k][l] = a.entries[k][l] + Jet.monomial(
+                b.n, b.order, *key, QC(0, "1/1024"), exact=True)
+            return a
+
+        monkeypatch.setattr(normal, "solve_a_degree_by_degree", with_stray_term)
+        row = self.run_exact()
+        assert not row.passed and row.residual == 1.0
 
 
 _J2 = [("J^2 square-block residual", True), ("J^2 mixed-block residual", True),

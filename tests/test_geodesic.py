@@ -44,6 +44,43 @@ class TestFlatCase:
         assert out["exact"] is True
 
 
+    def test_flat_connection_takes_no_step(self, lab_flat, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("flat connection evaluated")
+
+        monkeypatch.setattr(lab_flat.packed, "acceleration", evaluated)
+        z = np.array([0.03 + 0.01j, -0.02j])
+        v = np.array([0.05 - 0.01j, 0.04j])
+        end, vel = integrate_geodesic(lab_flat.packed, z, v, steps=64,
+                                      return_velocity=True)
+        assert np.array_equal(end, z + v) and np.array_equal(vel, v)
+        zs, vs = np.array([z, 2 * z]), np.array([v, -v])
+        assert np.array_equal(integrate_geodesic(lab_flat.packed, zs, vs), zs + vs)
+
+    @pytest.mark.parametrize("z, v", [
+        ([0.19, 0.0], [0.5, 0.0]),            # leaves early
+        ([0.25, 0.0], [-0.1, 0.0]),           # outside at t = 0
+        ([-0.15, 0.1j], [0.4, 0.0]),          # inside, then leaves late
+        ([-0.15, 0.0], [0.3, 0.0]),           # passes near 0, stays inside
+        ([0.0, 0.0], [0.201, 0.0]),           # outside only at t = 1
+        ([[0.0, 0.0], [0.19, 0.0]], [[0.01, 0.0], [0.5, 0.0]]),   # batch
+    ])
+    def test_flat_trust_radius_exit_on_step_grid(self, lab_flat, z, v):
+        # the RK4 loop checks |gamma| <= 0.2 before each step, at t = k / steps
+        # for k < steps; on a flat connection gamma(t) = z + t v
+        z, v = np.asarray(z, complex), np.asarray(v, complex)
+        steps = 64
+        outside = [k for k in range(steps)
+                   if np.abs(z + (k / steps) * v).max() > 0.2]
+        if not outside:
+            end = integrate_geodesic(lab_flat.packed, z, v, steps=steps)
+            assert np.array_equal(end, z + v)
+            return
+        with pytest.raises(TrustRadiusExit) as err:
+            integrate_geodesic(lab_flat.packed, z, v, steps=steps)
+        assert err.value.time == outside[0] * (1.0 / steps)
+
+
 class TestExpAsymptotic:
     def test_zero_vector_fixed_point(self, lab_b):
         z = np.array([0.02, -0.01 + 0.005j])

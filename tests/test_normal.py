@@ -1,13 +1,16 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_b2, fix_j0, random_deformation
-from acgeom.jets import Jet, JetError, QC
-from acgeom.normal import (a_from_b_closed_form, extract_a_family, lmax,
-                           normalize_to_order, pattern_violation,
-                           solve_a_degree_by_degree, structure_from_b_family,
-                           torsion_jet_equivalence, torsion_jet_normal,
-                           verify_holomorphic_invariance)
+from acgeom.jets import Jet, JetError, JetMatrix, QC
+from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
+                           extract_a_family, lmax, normalize_to_order,
+                           pattern_violation, solve_a_degree_by_degree,
+                           structure_from_b_family, torsion_jet_equivalence,
+                           torsion_jet_normal, verify_holomorphic_invariance)
 from acgeom.structure import torsion_tensor
 
 
@@ -29,6 +32,47 @@ def exact_b_family(n=2):
 def to_float_family(fam):
     return {k: np.array([[complex(c) for c in row] for row in mat], dtype=complex)
             for k, mat in fam.items()}
+
+
+def exponent_pairs(n, max_degree):
+    """Every (alpha, beta) with |alpha| + |beta| <= max_degree."""
+    monos = [m for m in itertools.product(range(max_degree + 1), repeat=n)
+             if sum(m) <= max_degree]
+    return [(a, b) for a in monos for b in monos if sum(a) + sum(b) <= max_degree]
+
+
+def dense_exact_family(n, max_degree, seed=0):
+    """Rational B family with a nonzero entry in every slot the normal
+    pattern allows (row k, column l < lmax(alpha)), degrees 1..max_degree;
+    values k / 1024 with k odd, 9 <= |k| <= 15."""
+    rng = np.random.default_rng(seed)
+
+    def value():
+        sign = 1 if rng.random() < 0.5 else -1
+        return Fraction(sign * (9 + 2 * int(rng.integers(0, 4))), 1024)
+
+    fam = {}
+    for alpha, beta in exponent_pairs(n, max_degree):
+        if sum(alpha) < 1 or lmax(alpha) < 1:
+            continue
+        mat = np.full((n, n), QC(0), dtype=object)
+        for k in range(n):
+            for l in range(lmax(alpha)):
+                mat[k, l] = QC(value(), value())
+        fam[(alpha, beta)] = mat
+    return fam
+
+
+def exact_b_matrix(fam, n, order):
+    return JetMatrix([[Jet(n, order, {key: mat[k, l] for key, mat in fam.items()},
+                           exact=True) for l in range(n)] for k in range(n)])
+
+
+def same_matrix(got, want, exact):
+    """== entry by entry in exact mode, bitwise in float."""
+    if exact:
+        return bool((got == want).all())
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestLmax:
@@ -72,32 +116,66 @@ class TestFormA:
         # rational-arithmetic: closed formula == degree-by-degree solver,
         # coefficient for coefficient, with zero discrepancy; order 6 is the
         # first order with chains of three factors (Catalan weight 2)
-        n = 2
-        fam = exact_b_family(n)
-        from acgeom.jets import JetMatrix
-        for order in (4, 6):
-            b = JetMatrix.zeros(n, n, n, order, exact=True)
-            for (alpha, beta), mat in fam.items():
+        cases = [(2, 4, exact_b_family(2)), (2, 6, exact_b_family(2)),
+                 (3, 3, dense_exact_family(3, 3))]
+        half_i = QC(0, "1/2")
+        for n, order, fam in cases:
+            a = solve_a_degree_by_degree(exact_b_matrix(fam, n, order))
+            for alpha, beta in exponent_pairs(n, order):
+                if sum(alpha) < 1 or sum(beta) < 1:
+                    continue
+                closed = a_from_b_closed_form(fam, alpha, beta, n, exact=True)
                 for k in range(n):
                     for l in range(n):
-                        if mat[k, l]:
-                            b.entries[k][l] = b.entries[k][l] + Jet.monomial(
-                                n, order, alpha, beta, mat[k, l], exact=True)
-            a = solve_a_degree_by_degree(b)
-            half_i = QC(0, "1/2")
-            indices = [(i, j) for i in range(order + 1) for j in range(order + 1)]
-            for alpha in indices:
-                if not 1 <= sum(alpha) <= order - 1:
-                    continue
-                for beta in indices:
-                    if sum(beta) < 1 or sum(alpha) + sum(beta) > order:
-                        continue
-                    closed = a_from_b_closed_form(fam, alpha, beta, n, exact=True)
-                    for k in range(n):
-                        for l in range(n):
-                            want = half_i * closed[k, l]
-                            got = a[k, l].coeff(alpha, beta)
-                            assert got == want, (order, alpha, beta, k, l)
+                        want = half_i * closed[k, l]
+                        got = a[k, l].coeff(alpha, beta)
+                        assert got == want, (n, order, alpha, beta, k, l)
+
+
+class TestClosedFormTable:
+    # dense families with keys up to degree 3: at order 6 chains of two and
+    # three factors (Catalan weight 2) occur, at n = 3 and order 4 chains of
+    # two
+    CELLS = [(2, 6, dense_exact_family(2, 3, seed=1)),
+             (3, 4, dense_exact_family(3, 3, seed=2))]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("n, order, fam", CELLS)
+    def test_shared_table_equals_one_target_evaluation(self, n, order, fam, exact):
+        fam = fam if exact else to_float_family(fam)
+        table = ClosedFormA(fam, n, exact, max_degree=order)
+        # read from the top degree down, so that most reads hit chain sums
+        # another target put into the memo
+        targets = [(a, b) for a, b in exponent_pairs(n, order)
+                   if sum(a) >= 1 and sum(b) >= 1][::-1]
+        for alpha, beta in targets:
+            want = a_from_b_closed_form(fam, alpha, beta, n, exact=exact)
+            assert same_matrix(table(alpha, beta), want, exact), (alpha, beta)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("n, order, fam", CELLS)
+    def test_pruned_table_equals_unpruned(self, n, order, fam, exact):
+        fam = fam if exact else to_float_family(fam)
+        pruned = ClosedFormA(fam, n, exact, max_degree=order)
+        full = ClosedFormA(fam, n, exact)
+        for alpha, beta in exponent_pairs(n, order):
+            assert same_matrix(pruned(alpha, beta), full(alpha, beta), exact), \
+                (alpha, beta)
+
+    def test_family_matches_exact_solver_at_order_six(self):
+        # chains of up to three factors, each memo entry read for every
+        # number of remaining factors
+        n, order, fam = self.CELLS[0]
+        a = solve_a_degree_by_degree(exact_b_matrix(fam, n, order))
+        want = a_from_b_family(fam, n, order, exact=True)
+        for k in range(n):
+            for l in range(n):
+                assert a[k, l] == want[k, l], (k, l)
+
+    def test_target_above_max_degree_rejected(self):
+        table = ClosedFormA(to_float_family(exact_b_family()), 2, max_degree=3)
+        with pytest.raises(JetError):
+            table((1, 1), (0, 2))
 
 
 class TestNormalize:
