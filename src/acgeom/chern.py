@@ -9,14 +9,14 @@ and the symplectic refinement of normal coordinates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
                     exterior_derivative, to_coordinate_form)
-from .jets import (Jet, JetError, JetMatrix, SingularMatrixError, multi_index,
-                   series_inverse)
+from .jets import Jet, JetError, JetMatrix, SingularMatrixError, nan_max, series_inverse
 from .normal import normalize_to_order, pattern_violation
 from .structure import (AlmostComplexStructure, VectorField, _jacobian,
                         transform_structure)
@@ -73,40 +73,23 @@ class HermitianData:
         quad_mixed is hermitian-averaged on ingestion.
         """
         h = JetMatrix.identity(n, n, order)
-        zero = (0,) * n
 
-        def add(l, m, alpha, beta, c):
-            if c:
-                h.entries[l][m] = h.entries[l][m] + Jet.monomial(
-                    n, order, alpha, beta, c)
+        def part(tensor, deg_z, deg_zbar):
+            return JetMatrix.from_family(tensor, deg_z, deg_zbar, n, order)
 
         if lin is not None:
             lin = np.asarray(lin, dtype=complex)
-            for p in range(n):
-                for l in range(n):
-                    for m in range(n):
-                        add(l, m, multi_index(n, p), zero, lin[p, l, m])
-                        add(l, m, zero, multi_index(n, p), np.conj(lin[p, m, l]))
+            h = h + part(lin, 1, 0) + part(np.conj(lin).transpose(0, 2, 1), 0, 1)
         if quad_zz is not None:
             quad_zz = np.asarray(quad_zz, dtype=complex)
             quad_zz = 0.5 * (quad_zz + quad_zz.transpose(1, 0, 2, 3))
-            for p in range(n):
-                for q in range(n):
-                    for l in range(n):
-                        for m in range(n):
-                            alpha = multi_index(n, p, q)
-                            add(l, m, alpha, zero, quad_zz[p, q, l, m])
-                            add(l, m, zero, alpha, np.conj(quad_zz[p, q, m, l]))
+            h = h + part(quad_zz, 2, 0) \
+                + part(np.conj(quad_zz).transpose(0, 1, 3, 2), 0, 2)
         if quad_mixed is not None:
             quad_mixed = np.asarray(quad_mixed, dtype=complex)
             herm = 0.5 * (quad_mixed
                           + np.conj(quad_mixed.transpose(1, 0, 3, 2)))
-            for p in range(n):
-                for q in range(n):
-                    for l in range(n):
-                        for m in range(n):
-                            add(l, m, multi_index(n, p), multi_index(n, q),
-                                herm[p, q, l, m])
+            h = h + part(herm, 1, 1)
         return cls(h)
 
     def is_orthonormal_at_origin(self, tol=1e-12):
@@ -209,7 +192,7 @@ class MatrixForm:
         return self.map(lambda e: apply_operator(kind, e))
 
     def max_abs(self, max_degree=None):
-        return max(e.max_abs(max_degree) for row in self.entries for e in row)
+        return nan_max(e.max_abs(max_degree) for row in self.entries for e in row)
 
     @property
     def effective_order(self):
@@ -306,7 +289,7 @@ def hermitian_compat_residual(calc, hd, conn: ConnectionForms):
     over frame sections and frame directions."""
     n = calc.n
     h = hd.H
-    worst = 0.0
+    residuals = []
     ap = [[[conn.aprime[s, l].coefficient((p,), ()) for p in range(n)]
            for l in range(n)] for s in range(n)]
     asec = [[[conn.asecond[s, l].coefficient((), (r,)) for r in range(n)]
@@ -320,15 +303,15 @@ def hermitian_compat_residual(calc, hd, conn: ConnectionForms):
                     rhs = rhs + ap[s][l][p] * h[s, m] \
                         + asec[s][m][p].conj() * h[l, s]
                 eff = min(lhs.effective_order, rhs.effective_order)
-                worst = max(worst, (lhs - rhs).max_abs(eff))
+                residuals.append((lhs - rhs).max_abs(eff))
                 lhs2 = calc.zetabar_derive(p, h[l, m])
                 rhs2 = Jet.zero(n, calc.order)
                 for s in range(n):
                     rhs2 = rhs2 + asec[s][l][p] * h[s, m] \
                         + ap[s][m][p].conj() * h[l, s]
                 eff2 = min(lhs2.effective_order, rhs2.effective_order)
-                worst = max(worst, (lhs2 - rhs2).max_abs(eff2))
-    return worst
+                residuals.append((lhs2 - rhs2).max_abs(eff2))
+    return nan_max(residuals)
 
 
 @dataclass
@@ -405,7 +388,7 @@ def pointwise_hermitian_residual(calc, hd, blocks: CurvatureBlocks,
     n = calc.n
     points = sample_points(n) if points is None else points
     fr = calc.frame
-    worst = 0.0
+    residuals = []
     for a in range(n):
         for b in range(n):
             xi = fr.real_frame_field(a)
@@ -423,22 +406,16 @@ def pointwise_hermitian_residual(calc, hd, blocks: CurvatureBlocks,
                 for m in range(n):
                     diff = pair[l][m] - pair[m][l].conj()
                     trusted = diff.truncated(max(diff.effective_order, 0))
-                    for p in points:
-                        worst = max(worst, abs(trusted.eval(p)))
-    return worst
+                    residuals.extend(abs(trusted.eval(p)) for p in points)
+    return nan_max(residuals)
 
 
 def hermitian_curvature_symmetry(blocks: CurvatureBlocks):
     """Max violation of conj(C^{j,k}_{m,l}) = C^{k,j}_{l,m} at the origin."""
     c = blocks.c_tensor_at_origin()
-    n = c.shape[0]
-    worst = 0.0
-    for j in range(n):
-        for k in range(n):
-            for m in range(n):
-                for l in range(n):
-                    worst = max(worst, abs(np.conj(c[j, k, m, l]) - c[k, j, l, m]))
-    return worst
+    slots = range(c.shape[0])
+    return nan_max(abs(np.conj(c[j, k, m, l]) - c[k, j, l, m])
+                   for j, k, m, l in itertools.product(slots, repeat=4))
 
 
 def pointwise_curvature_residual(calc, hd, conn, blocks):
@@ -456,12 +433,8 @@ def pointwise_curvature_residual(calc, hd, conn, blocks):
     expr = d_h.apply("delbar") - db_h.wedge(d_h) + conn.asecond.apply("del") \
         - conn.asecond.conj_transpose().apply("delbar")
     diff = expr - blocks.theta11
-    worst = 0.0
-    for m in range(n):
-        for l in range(n):
-            for _key, c in diff[m, l].coeffs.items():
-                worst = max(worst, abs(c.constant_term))
-    return worst
+    return nan_max(abs(c.constant_term) for m in range(n) for l in range(n)
+                   for c in diff[m, l].coeffs.values())
 
 
 # -- covariant derivatives ---------------------------------------------------
@@ -649,22 +622,21 @@ class ChernLeviCivita:
     def gamma02_max(self):
         """Largest (1,0)-output of gamma on conjugate frame pairs: vanishes
         exactly when the (0,2)-component is absent."""
-        worst = 0.0
+        residuals = []
         for a in range(self.n):
             for b in range(self.n):
                 if a == b:
                     continue
                 g = self.frame_gamma(self.n + a, self.n + b)
                 comps = self.calc.frame.to_frame_components(g)
-                for k in range(self.n):
-                    worst = max(worst, comps[k].max_abs(comps[k].effective_order))
-        return worst
+                residuals.extend(c.max_abs(c.effective_order) for c in comps[:self.n])
+        return nan_max(residuals)
 
     def decomposition_residual(self, points=None):
         """Max deviation of D_xi eta = LC_xi eta + delta(xi,eta) - N(xi,eta)
         over real frame pairs at the sample points."""
         points = sample_points(self.n) if points is None else points
-        worst = 0.0
+        residuals = []
         fr = self.calc.frame
         for a in range(self.n):
             for b in range(self.n):
@@ -675,9 +647,8 @@ class ChernLeviCivita:
                 dl = self.delta(a, b)
                 nw = self.n_omega(a, b)
                 resid = d - lc - dl + nw
-                for p in points:
-                    worst = max(worst, np.abs(_eval_trusted(resid, p)).max())
-        return worst
+                residuals.extend(np.abs(_eval_trusted(resid, p)).max() for p in points)
+        return nan_max(residuals)
 
     def torsion_formula_residual(self, points=None):
         """Torsion of the hermitian connection against
@@ -687,7 +658,7 @@ class ChernLeviCivita:
         symmetry of gamma^{1,1}(., J.); both fixtures with an active gamma
         pin it numerically."""
         points = sample_points(self.n) if points is None else points
-        worst = 0.0
+        residuals = []
         fr = self.calc.frame
         for a in range(self.n):
             for b in range(self.n):
@@ -699,27 +670,17 @@ class ChernLeviCivita:
                 rhs = self.gamma_20_plus_02(a, b) - self.n_omega(a, b) \
                     + self.n_omega(b, a)
                 diff = tors - rhs
-                for p in points:
-                    worst = max(worst, np.abs(_eval_trusted(diff, p)).max())
-        return worst
+                residuals.extend(np.abs(_eval_trusted(diff, p)).max() for p in points)
+        return nan_max(residuals)
 
     def delta_max(self, points=None):
         points = sample_points(self.n) if points is None else points
-        worst = 0.0
-        for a in range(self.n):
-            for b in range(self.n):
-                d = self.delta(a, b)
-                for p in points:
-                    worst = max(worst, np.abs(_eval_trusted(d, p)).max())
-        return worst
+        return nan_max(np.abs(_eval_trusted(self.delta(a, b), p)).max()
+                       for a in range(self.n) for b in range(self.n) for p in points)
 
     def n_omega_max(self):
-        worst = 0.0
-        for a in range(self.n):
-            for b in range(self.n):
-                nw = self.n_omega(a, b)
-                worst = max(worst, nw.max_abs(nw.effective_order))
-        return worst
+        pairs = [self.n_omega(a, b) for a in range(self.n) for b in range(self.n)]
+        return nan_max(nw.max_abs(nw.effective_order) for nw in pairs)
 
 
 # -- special frames -----------------------------------------------------------
@@ -759,38 +720,23 @@ def special_frame(calc: FrameCalculus, hd: HermitianData) -> SpecialFrameResult:
         raise JetError("special frame construction needs H(0) = I")
     conn = chern_connection(calc, hd)
     # stage 1: g0 = I - sum_p A^{(p)}(0) z_p - sum_r A^{(rbar)}(0) zbar_r
-    g0 = JetMatrix.identity(n, n, order)
-    for k in range(n):
-        for l in range(n):
-            for p in range(n):
-                cp = conn.aprime[k, l].coefficient((p,), ()).constant_term
-                if cp:
-                    g0.entries[k][l] = g0.entries[k][l] - Jet.monomial(
-                        n, order, multi_index(n, p), (0,) * n, cp)
-                cr = conn.asecond[k, l].coefficient((), (p,)).constant_term
-                if cr:
-                    g0.entries[k][l] = g0.entries[k][l] - Jet.monomial(
-                        n, order, (0,) * n, multi_index(n, p), cr)
+    a10 = np.array([[[conn.aprime[k, l].coefficient((p,), ()).constant_term
+                      for l in range(n)] for k in range(n)] for p in range(n)])
+    a01 = np.array([[[conn.asecond[k, l].coefficient((), (p,)).constant_term
+                      for l in range(n)] for k in range(n)] for p in range(n)])
+    g0 = JetMatrix.identity(n, n, order) - JetMatrix.from_family(a10, 1, 0, n, order) \
+        - JetMatrix.from_family(a01, 0, 1, n, order)
     conn1 = _transform_connection(calc, conn, g0)
     h1 = _transform_metric_matrix(hd, g0)
     # stage 2: subtract H^{j,k} z_j z_k and (del A'')^{j,kbar}(0) z_j zbar_k
-    quad = h1.family(2, 0)
+    # (the families are indexed [j, k, m, l] for the entry (m, l) of g2)
+    quad = h1.family(2, 0).transpose(0, 1, 3, 2)
     del_a2 = conn1.asecond.apply("del")
-    g2 = JetMatrix.identity(n, n, order)
-    for l in range(n):
-        for m in range(n):
-            corr = Jet.zero(n, order)
-            for j in range(n):
-                for k in range(n):
-                    czz = quad[j, k, l, m]
-                    if czz:
-                        corr = corr + Jet.monomial(n, order, multi_index(n, j, k),
-                                                   (0,) * n, czz)
-                    cmx = del_a2[m, l].coefficient((j,), (k,)).constant_term
-                    if cmx:
-                        corr = corr + Jet.monomial(
-                            n, order, multi_index(n, j), multi_index(n, k), cmx)
-            g2.entries[m][l] = g2.entries[m][l] - corr
+    mixed = np.array([[[[del_a2[m, l].coefficient((j,), (k,)).constant_term
+                         for l in range(n)] for m in range(n)] for k in range(n)]
+                      for j in range(n)])
+    g2 = JetMatrix.identity(n, n, order) - (JetMatrix.from_family(quad, 2, 0, n, order)
+                                            + JetMatrix.from_family(mixed, 1, 1, n, order))
     g_total = g0 @ g2
     conn2 = _transform_connection(calc, conn, g_total)
     h2 = _transform_metric_matrix(hd, g_total)
@@ -801,17 +747,9 @@ def special_frame(calc: FrameCalculus, hd: HermitianData) -> SpecialFrameResult:
         abs(del_a2_final[m, l].coefficient((j,), (k,)).constant_term)
         for m in range(n) for l in range(n) for j in range(n) for k in range(n))
     # metric pattern: no linear terms, no zz / zbzb quadratic terms
-    viol = 0.0
-    zero = (0,) * n
-    for l in range(n):
-        for m in range(n):
-            jet = h2[l, m]
-            for (alpha, beta), c in jet.terms.items():
-                d = sum(alpha) + sum(beta)
-                if d == 1:
-                    viol = max(viol, abs(c))
-                elif d == 2 and (sum(alpha) == 2 or sum(beta) == 2):
-                    viol = max(viol, abs(c))
+    viol = nan_max(abs(c) for l in range(n) for m in range(n)
+                   for (alpha, beta), c in h2[l, m].terms.items()
+                   if (sum(alpha), sum(beta)) in ((1, 0), (0, 1), (2, 0), (0, 2)))
     return SpecialFrameResult(g_total, conn2, h2, a2_origin, del_a2_origin, viol)
 
 
@@ -984,21 +922,18 @@ def metric_coordinate_residual(calc, hd):
     n, order = calc.n, calc.order
     omega_c = to_coordinate_form(metric_form(calc, hd))
     b1 = s.B.family(1, 0)
-    worst = 0.0
-    # (1,1)-slots: key (l, n+m)
+    residuals = []
+    # (1,1)-slots: key (l, n+m); corr[j, k, l, m] is the z_j zbar_k coefficient
+    corr = np.array([[[[0.5j * (-0.25) * sum(b1[j][r, l] * np.conj(b1[k][r, m])
+                                             for r in range(n))
+                        for m in range(n)] for l in range(n)] for k in range(n)]
+                     for j in range(n)])
+    want = hd.H * 0.5j + JetMatrix.from_family(corr, 1, 1, n, order)
     for l in range(n):
         for m in range(n):
             got = omega_c.coeffs.get((min(l, n + m), max(l, n + m)),
                                      Jet.zero(n, order))
-            want = hd.H[l, m] * 0.5j
-            for j in range(n):
-                for k in range(n):
-                    corr = 0.5j * (-0.25) * sum(
-                        b1[j][r, l] * np.conj(b1[k][r, m]) for r in range(n))
-                    if corr:
-                        want = want + Jet.monomial(
-                            n, order, multi_index(n, j), multi_index(n, k), corr)
-            worst = max(worst, (got - want).max_abs(2))
+            residuals.append((got - want[l, m]).max_abs(2))
     # (2,0)-slots: -(1/4) (h . jet2 B) antisymmetrized; the matrix factor h
     # reduces to the identity in the orthonormal-to-second-order frame, which
     # is where the plain jet2 B display lives
@@ -1008,10 +943,10 @@ def metric_coordinate_residual(calc, hd):
         for m in range(l + 1, n):
             got = omega_c.coeffs.get((l, m), Jet.zero(n, order))
             want = (hb[l, m] - hb[m, l]) * (-0.25)
-            worst = max(worst, (got - want).max_abs(2))
+            residuals.append((got - want).max_abs(2))
             got_bar = omega_c.coeffs.get((n + l, n + m), Jet.zero(n, order))
-            worst = max(worst, (got_bar - want.conj()).max_abs(2))
-    return worst
+            residuals.append((got_bar - want.conj()).max_abs(2))
+    return nan_max(residuals)
 
 
 # -- metric transport and symplectic refinement --------------------------------
@@ -1072,15 +1007,8 @@ def _apply_quadratic_change(calc, hd, sym_part, n_order):
     s = calc.structure
     n = s.n
     target = n_order + 1
-    phi = [Jet.variable(n, target, m) for m in range(n)]
-    zero = (0,) * n
-    for m in range(n):
-        for p in range(n):
-            for l in range(n):
-                c = 0.5 * sym_part[p, l, m]
-                if c:
-                    phi[m] = phi[m] + Jet.monomial(n, target, multi_index(n, p, l),
-                                                   zero, c)
+    quad = JetMatrix.from_family((0.5 * sym_part).reshape(n, n, 1, n), 2, 0, n, target)
+    phi = [Jet.variable(n, target, m) + quad[0, m] for m in range(n)]
     s1 = transform_structure(s, phi)
     calc1 = FrameCalculus(s1)
     hd1 = transform_metric(calc, hd, phi, calc1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import chern, geodesic, normal
 from .forms import FrameCalculus, fundamental_identities_check
-from .jets import Jet, JetError, JetMatrix, QC
+from .jets import Jet, JetError, JetMatrix, QC, nan_max, zero_coefficients
 from .structure import (AlmostComplexStructure, structure_from_deformation,
                         torsion_tensor, nijenhuis_check)
 
@@ -150,12 +151,20 @@ def serialize_manifold_spec(ms: ManifoldSpec) -> str:
     return json.dumps(ms.to_document(), sort_keys=True, indent=2) + "\n"
 
 
-def _b_family_from_entries(entries, n):
+def _family_from_entries(entries, n, exact=False):
+    """{(alpha, beta): n x n array} of the entries' values, summed in entry
+    order at their one-based (k, l).  Exact values are the rationals that the
+    entries' shortest decimal reprs spell."""
     fam = {}
     for e in entries:
         key = (tuple(e["alpha"]), tuple(e["beta"]))
-        fam.setdefault(key, np.zeros((n, n), dtype=complex))
-        fam[key][e["k"] - 1, e["l"] - 1] += complex(e["re"], e["im"])
+        if key not in fam:
+            fam[key] = zero_coefficients((n, n), exact)
+        if exact:
+            c = QC(Fraction(repr(e["re"])), Fraction(repr(e["im"])))
+        else:
+            c = complex(e["re"], e["im"])
+        fam[key][e["k"] - 1, e["l"] - 1] += c
     return fam
 
 
@@ -163,26 +172,25 @@ def build_structure(ms: ManifoldSpec) -> AlmostComplexStructure:
     if ms.kind == "J0":
         s = AlmostComplexStructure.standard(ms.n, ms.order)
     elif ms.kind == "B-normal":
-        fam = _b_family_from_entries(ms.structure_entries, ms.n)
+        fam = _family_from_entries(ms.structure_entries, ms.n)
         s = normal.structure_from_b_family(fam, ms.n, ms.order)
     else:
         s = structure_from_deformation(ms.n, ms.order, seed=ms.seed)
-    rep = s.validate()
-    if rep.max_residual > 1e-9:
+    residual = s.validate().max_residual
+    if not residual <= 1e-9:   # a NaN residual fails too
         raise SpecError("$.structure",
-                        f"J^2 residual {rep.max_residual:.2e} over threshold")
+                        f"J^2 residual {residual:.2e} over threshold")
     return s
 
 
 def build_metric(ms: ManifoldSpec) -> chern.HermitianData:
     """Identity plus the listed h_{k,l} perturbations (one-based row/column);
     the result is hermitian-symmetrized."""
-    h = JetMatrix.identity(ms.n, ms.n, ms.order)
-    for e in ms.metric_entries:
-        row, col = e["k"] - 1, e["l"] - 1
-        h.entries[row][col] = h.entries[row][col] + Jet.monomial(
-            ms.n, ms.order, tuple(e["alpha"]), tuple(e["beta"]),
-            complex(e["re"], e["im"]))
+    zero = [0] * ms.n
+    ident = [{"alpha": zero, "beta": zero, "k": k, "l": k, "re": 1.0, "im": 0.0}
+             for k in range(1, ms.n + 1)]
+    fam = _family_from_entries(ident + ms.metric_entries, ms.n)
+    h = JetMatrix.from_coefficients(fam, ms.n, ms.n, ms.n, ms.order)
     return chern.HermitianData.from_matrix(h, symmetrize=True)
 
 
@@ -271,14 +279,8 @@ def _cmd_validate(ms, opts):
 
 def _exact_a_crosscheck(ms):
     n, order = ms.n, ms.order
-    fam = {}
-    for e in ms.structure_entries:
-        key = (tuple(e["alpha"]), tuple(e["beta"]))
-        mat = fam.setdefault(key, np.full((n, n), QC(0), dtype=object))
-        c = QC(Fraction(repr(e["re"])), Fraction(repr(e["im"])))
-        mat[e["k"] - 1, e["l"] - 1] = mat[e["k"] - 1, e["l"] - 1] + c
-    b = JetMatrix([[Jet(n, order, {key: mat[k, l] for key, mat in fam.items()},
-                        exact=True) for l in range(n)] for k in range(n)])
+    fam = _family_from_entries(ms.structure_entries, n, exact=True)
+    b = JetMatrix.from_coefficients(fam, n, n, n, order, exact=True)
     # every term of the solver's A, the constant iI included, must equal the
     # closed form's; a term the closed form does not have is a mismatch
     a = normal.solve_a_degree_by_degree(b)
@@ -294,7 +296,7 @@ def _cmd_torsion(ms, opts):
         _row("frame torsion vs bracket identity", nijenhuis_check(s, tors),
              opts.tol),
     ]
-    anti = max((tors.nbar[r] + tors.nbar[r].T).max_abs() for r in range(s.n))
+    anti = nan_max((tors.nbar[r] + tors.nbar[r].T).max_abs() for r in range(s.n))
     rows.append(_row("antisymmetry of coefficients", anti, opts.tol))
     for r in range(s.n):
         for k in range(s.n):
@@ -317,7 +319,7 @@ def _cmd_normalize(ms, opts, payload):
     ]
     rerun = normal.normalize_to_order(res.structure, target)
     ident = [Jet.variable(ms.n, target + 1, k) for k in range(ms.n)]
-    drift = max((p - i).max_abs() for p, i in zip(rerun.phi, ident))
+    drift = nan_max((p - i).max_abs() for p, i in zip(rerun.phi, ident))
     rows.append(_row("idempotence (second pass is identity)", drift, opts.tol))
     payload["phi"] = [p.to_records() for p in res.phi]
     payload["phi_stages"] = [[p.to_records() for p in stage]
@@ -398,6 +400,14 @@ def _cmd_curvature(ms, opts):
     return rows
 
 
+def _iff(a, b, tol):
+    """0.0 when a and b are both within tol or both above it, else 1.0; NaN
+    when either is NaN, so that an undefined side never passes."""
+    if math.isnan(a) or math.isnan(b):
+        return math.nan
+    return 0.0 if (a <= tol) == (b <= tol) else 1.0
+
+
 def _cmd_decompose(ms, opts):
     s = build_structure(ms)
     calc = FrameCalculus(s)
@@ -413,11 +423,9 @@ def _cmd_decompose(ms, opts):
     delta = dec.delta_max()
     nmax = dec.n_omega_max()
     tmax = torsion_tensor(s).max_abs()
-    rows.append(_row("delta = 0 iff d omega = 0",
-                     0.0 if (delta <= opts.tol) == (domega <= opts.tol)
-                     else 1.0, 0.0, value=f"delta={delta:.2e}"))
-    rows.append(_row("N = 0 iff torsion = 0",
-                     0.0 if (nmax <= opts.tol) == (tmax <= opts.tol) else 1.0,
+    rows.append(_row("delta = 0 iff d omega = 0", _iff(delta, domega, opts.tol),
+                     0.0, value=f"delta={delta:.2e}"))
+    rows.append(_row("N = 0 iff torsion = 0", _iff(nmax, tmax, opts.tol),
                      0.0, value=f"N={nmax:.2e}"))
     if tmax <= opts.tol:
         rows.append(_row("gamma^{0,2} vanishes (integrable case)",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .jets import Jet, JetError
+from .jets import Jet, JetError, nan_max
 from .structure import (AlmostComplexStructure, Frame, bracket_coefficients,
                         frame_and_dual)
 
@@ -141,9 +141,7 @@ class PQForm:
         return PQForm(self.calc, self.q, self.p, coeffs)
 
     def max_abs(self, max_degree=None):
-        if not self.coeffs:
-            return 0.0
-        return max(j.max_abs(max_degree) for j in self.coeffs.values())
+        return nan_max(j.max_abs(max_degree) for j in self.coeffs.values())
 
     @property
     def effective_order(self):
@@ -388,9 +386,7 @@ class MixedForm:
         return total
 
     def max_abs(self, max_degree=None):
-        if not self.components:
-            return 0.0
-        return max(f.max_abs(max_degree) for f in self.components.values())
+        return nan_max(f.max_abs(max_degree) for f in self.components.values())
 
     @property
     def effective_order(self):
@@ -484,9 +480,7 @@ class CoordForm:
         return CoordForm(self.n, self.order, self.degree + 1, acc)
 
     def max_abs(self, max_degree=None):
-        if not self.coeffs:
-            return 0.0
-        return max(j.max_abs(max_degree) for j in self.coeffs.values())
+        return nan_max(j.max_abs(max_degree) for j in self.coeffs.values())
 
     @property
     def effective_order(self):
@@ -565,7 +559,7 @@ def fundamental_identities_check(calc: FrameCalculus, test_forms):
     def record(name, lhs, rhs):
         diff = lhs - rhs
         eff = min(lhs.effective_order, rhs.effective_order)
-        residuals[name] = max(residuals[name], diff.max_abs(eff))
+        residuals[name] = nan_max((residuals[name], diff.max_abs(eff)))
         orders[name] = min(orders[name], eff)
 
     for u in test_forms:

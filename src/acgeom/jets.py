@@ -28,6 +28,12 @@ Which path runs:
 - ``JetMatrix.__matmul__``: per output entry, the dense kernel summed over the
   inner index when the entry's pair count exceeds ``dense_min_pairs`` (float
   only); otherwise a sum of ``Jet`` products.
+
+Coefficient families of a ``JetMatrix`` go out and come back in one way each:
+``coefficients`` / ``from_coefficients`` map every monomial to a rows x cols
+array (complex, or ``QC`` when exact), and ``family`` / ``from_family`` hold
+one bidegree as a tensor over slot orderings, where a monomial reached by r
+orderings puts c / r in each and building back sums its r slots.
 """
 
 from __future__ import annotations
@@ -158,8 +164,11 @@ def _as_qc(x):
     return got
 
 
-QC_I = QC(0, 1)
-QC_HALF_I = QC(0, Fraction(1, 2))
+def zero_coefficients(shape, exact=False):
+    """Array of zero coefficients: complex, or of ``QC(0)`` when exact."""
+    if exact:
+        return np.full(shape, QC(0), dtype=object)
+    return np.zeros(shape, dtype=complex)
 
 
 def multi_index(n, *slots):
@@ -193,6 +202,19 @@ def _bad_key_message(key, n, order):
     except (TypeError, ValueError):
         pass
     return f"term key {key!r} is not a pair of {n} non-negative integer exponents"
+
+
+def nan_max(values):
+    """Largest of the non-negative ``values``; 0.0 if there are none and NaN
+    as soon as one is NaN.  The builtin ``max`` keeps a NaN only when it comes
+    first (``max(0.0, nan) == 0.0``), so residual reductions use this."""
+    worst = 0.0
+    for v in values:
+        if v > worst:
+            worst = v
+        elif v != v:
+            return math.nan
+    return worst
 
 
 def _exponent_vectors(length, max_degree):
@@ -400,16 +422,8 @@ class Jet:
 
     def max_abs(self, max_degree=None):
         """Largest coefficient modulus; NaN if any coefficient is NaN."""
-        m = 0.0
-        for k, c in self.terms.items():
-            if max_degree is not None and _degree(k) > max_degree:
-                continue
-            a = abs(c)
-            if a > m:
-                m = a
-            elif a != a:
-                return math.nan
-        return m
+        return nan_max(abs(c) for k, c in self.terms.items()
+                       if max_degree is None or _degree(k) <= max_degree)
 
     def is_zero(self, tol=0.0, max_degree=None):
         return self.max_abs(max_degree) <= tol
@@ -725,6 +739,43 @@ class JetMatrix:
         return cls([[Jet.constant(n, order, array[i, j])
                      for j in range(array.shape[1])] for i in range(array.shape[0])])
 
+    @classmethod
+    def from_coefficients(cls, fam, rows, cols, n, order, exact=False):
+        """Inverse of ``coefficients``: entry (k, l) is the jet whose
+        z^alpha zbar^beta coefficient is ``fam[(alpha, beta)][k, l]``.
+
+        ``fam`` maps each ``(alpha, beta)`` to a rows x cols array, complex or
+        (exact) of ``QC``; zero coefficients are dropped as ``Jet`` drops
+        them.  The shape is passed so that an empty family still builds.
+        """
+        return cls([[Jet(n, order, {key: mat[k, l] for key, mat in fam.items()},
+                         exact=exact) for l in range(cols)] for k in range(rows)])
+
+    @classmethod
+    def from_family(cls, tensor, deg_z, deg_zbar, n, order):
+        """Inverse of ``family``: the float matrix of bidegree (deg_z, deg_zbar)
+        whose tensor of coefficients is ``tensor``.
+
+        ``tensor`` has the shape ``(n,) * (deg_z + deg_zbar) + (rows, cols)``.
+        The coefficient of a monomial is the sum of the tensor over every slot
+        ordering that reaches it, added in ``_slot_orderings`` order, so a
+        tensor symmetric in its z slots and in its zbar slots, as ``family``
+        returns, comes back to the coefficients it was split from.
+        """
+        tensor = np.asarray(tensor, dtype=complex)
+        rows, cols = tensor.shape[-2:]
+        fam = {}
+        for exps in _exponent_vectors(n, deg_z):
+            if sum(exps) != deg_z:
+                continue
+            for bexps in _exponent_vectors(n, deg_zbar):
+                if sum(bexps) != deg_zbar:
+                    continue
+                fam[(exps, bexps)] = sum(tensor[zs + zbs]
+                                         for zs in _slot_orderings(exps)
+                                         for zbs in _slot_orderings(bexps))
+        return cls.from_coefficients(fam, rows, cols, n, order)
+
     # -- structure ----------------------------------------------------------
 
     def __getitem__(self, idx):
@@ -780,13 +831,16 @@ class JetMatrix:
                         dtype=complex)
 
     def coefficients(self):
-        """Every stored coefficient as ``{(alpha, beta): rows x cols array}``."""
+        """Every stored coefficient as ``{(alpha, beta): rows x cols array}``:
+        complex arrays, or object arrays of ``QC`` for an exact matrix."""
         fam = {}
         for k, row in enumerate(self.entries):
             for l, e in enumerate(row):
                 for key, c in e.terms.items():
-                    fam.setdefault(key, np.zeros((self.rows, self.cols), dtype=complex))
-                    fam[key][k, l] = c
+                    mat = fam.get(key)
+                    if mat is None:
+                        mat = fam[key] = zero_coefficients((self.rows, self.cols), self.exact)
+                    mat[k, l] = c
         return fam
 
     def family(self, deg_z, deg_zbar):
@@ -800,7 +854,7 @@ class JetMatrix:
         deg_zbar copies of zbar gives that bidegree's part of each entry.
         For example ``family(1, 0)[p]`` holds the z_p coefficients, while
         ``family(2, 0)[p, q]`` holds the z_p z_q coefficient when p == q and
-        half of it when p != q.
+        half of it when p != q.  ``from_family`` builds the matrix back.
         """
         if self.exact:
             raise JetError("coefficient families are defined for float jets only")
@@ -825,15 +879,7 @@ class JetMatrix:
 
     def max_abs(self, max_degree=None):
         """Largest entry ``max_abs``; NaN if any entry holds NaN."""
-        m = 0.0
-        for row in self.entries:
-            for e in row:
-                a = e.max_abs(max_degree)
-                if a > m:
-                    m = a
-                elif a != a:
-                    return math.nan
-        return m
+        return nan_max(e.max_abs(max_degree) for row in self.entries for e in row)
 
     # -- algebra ------------------------------------------------------------
 

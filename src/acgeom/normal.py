@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet, JetError, JetMatrix, QC, multi_index
+from .jets import (Jet, JetError, JetMatrix, QC, _exponent_vectors, multi_index,
+                   nan_max, zero_coefficients)
 from .structure import AlmostComplexStructure, transform_structure
 
 
@@ -40,12 +41,6 @@ def _sub(a, b):
 
 def _fits(part, whole):
     return all(x <= y for x, y in zip(part, whole))
-
-
-def _mat_zeros(n, exact):
-    if exact:
-        return np.full((n, n), QC(0), dtype=object)
-    return np.zeros((n, n), dtype=complex)
 
 
 def _mat_conj(m, exact):
@@ -143,7 +138,7 @@ class ClosedFormA:
             raise JetError(f"target degree {total} exceeds the table's "
                            f"max_degree {self.max_degree}")
         exact = self.exact
-        out = _mat_zeros(self.n, exact)
+        out = zero_coefficients((self.n, self.n), exact)
         for k in range(1, total // 2 + 1):
             chain = self._ordered_sum(alpha, beta, k)
             if chain is None:
@@ -186,22 +181,18 @@ def structure_from_b_family(bfam, n, order, exact_check=False) -> AlmostComplexS
     A is reconstructed with the closed formula; the result satisfies both
     block constraints of J^2 = -I up to truncation.
     """
-    b = JetMatrix.zeros(n, n, n, order)
-    for (alpha, beta), mat in bfam.items():
+    for alpha, beta in bfam:
         if sum(alpha) + sum(beta) > order:
             raise JetError("B family entry exceeds truncation order")
         if sum(alpha) < 1:
             raise JetError("B family entries need |alpha| >= 1")
-        mat = np.asarray(mat, dtype=complex)
-        for k in range(n):
-            for l in range(n):
-                if mat[k, l]:
-                    b.entries[k][l] = b.entries[k][l] + Jet.monomial(
-                        n, order, alpha, beta, mat[k, l])
+    b = JetMatrix.from_coefficients(
+        {key: np.asarray(mat, dtype=complex) for key, mat in bfam.items()},
+        n, n, n, order)
     s = AlmostComplexStructure(a_from_b_family(bfam, n, order), b)
     if exact_check:
         rep = s.validate()
-        if rep.max_residual > 1e-10:
+        if not rep.max_residual <= 1e-10:   # a NaN residual fails too
             raise JetError(f"reconstructed structure violates J^2 = -I "
                            f"({rep.max_residual:.2e})")
     return s
@@ -213,31 +204,23 @@ def a_from_b_family(bfam, n, order, exact=False) -> JetMatrix:
     |beta| >= 1) is read from one table of the family."""
     table = ClosedFormA(bfam, n, exact, max_degree=order)
     i_unit, half_i = (QC(0, 1), QC(0, Fraction(1, 2))) if exact else (1j, 0.5j)
-    terms = [[{} for _ in range(n)] for _ in range(n)]
-    for alpha in _multi_indices(n, order):
+    ident = zero_coefficients((n, n), exact)
+    for k in range(n):
+        ident[k, k] = i_unit
+    fam = {((0,) * n, (0,) * n): ident}
+    for alpha in _exponent_vectors(n, order):
         da = sum(alpha)
         if da < 1:
             continue
-        for beta in _multi_indices(n, order - da):
+        for beta in _exponent_vectors(n, order - da):
             if sum(beta) < 1:
                 continue
             mat = table(alpha, beta)
-            for k in range(n):
-                for l in range(n):
-                    if mat[k, l]:
-                        terms[k][l][(alpha, beta)] = half_i * mat[k, l]
-    ident = JetMatrix.identity(n, n, order, exact=exact) * i_unit
-    return JetMatrix([[ident[k, l] + Jet(n, order, terms[k][l], exact=exact)
-                       for l in range(n)] for k in range(n)])
-
-
-def _multi_indices(n, max_total):
-    if n == 0:
-        yield ()
-        return
-    for head in range(max_total + 1):
-        for tail in _multi_indices(n - 1, max_total - head):
-            yield (head,) + tail
+            # scaled one nonzero scalar at a time, as numpy may fuse an array
+            # product and exact products cost four Fraction products each
+            fam[(alpha, beta)] = np.array([[half_i * c if c else c for c in row]
+                                           for row in mat], dtype=mat.dtype)
+    return JetMatrix.from_coefficients(fam, n, n, n, order, exact=exact)
 
 
 def extract_a_family(s: AlmostComplexStructure):
@@ -254,17 +237,11 @@ def pattern_violation(s: AlmostComplexStructure, max_degree=None):
     The pattern: B^{alpha,beta}_{k,l} = 0 whenever l >= lmax(alpha), which in
     particular kills every coefficient with alpha = 0.
     """
-    worst = 0.0
     eff = s.B.effective_order
     cap = eff if max_degree is None else min(max_degree, eff)
-    for k in range(s.n):
-        for l in range(s.n):
-            for (alpha, beta), c in s.B[k, l].terms.items():
-                if sum(alpha) + sum(beta) > cap:
-                    continue
-                if l >= lmax(alpha):
-                    worst = max(worst, abs(c))
-    return worst
+    return nan_max(abs(c) for k in range(s.n) for l in range(s.n)
+                   for (alpha, beta), c in s.B[k, l].terms.items()
+                   if sum(alpha) + sum(beta) <= cap and l >= lmax(alpha))
 
 
 @dataclass
@@ -284,15 +261,14 @@ class NormalCoordinateResult:
 def stage_change(s: AlmostComplexStructure, m: int, target_order: int):
     """Coordinate change killing the non-normal degree-m part of B."""
     n = s.n
-    phi = [Jet.variable(n, target_order, k) for k in range(n)]
     bcoef = s.B.coefficients()
-    changed = False
-    for alpha in _multi_indices(n, m + 1):
+    fam = {}
+    for alpha in _exponent_vectors(n, m + 1):
         da = sum(alpha)
         if da < 1:
             continue
         big_l = lmax(alpha)
-        for beta in _multi_indices(n, m + 1 - da):
+        for beta in _exponent_vectors(n, m + 1 - da):
             if da + sum(beta) != m + 1:
                 continue
             ref_key = (_sub(alpha, multi_index(n, big_l)), beta)
@@ -301,12 +277,18 @@ def stage_change(s: AlmostComplexStructure, m: int, target_order: int):
                 continue
             for k in range(n):
                 c = mat[k, big_l]
-                if not c:
-                    continue
-                changed = True
-                coeff = -0.5j * np.conj(c) / alpha[big_l]
-                phi[k] = phi[k] + Jet.monomial(n, target_order, beta, alpha, coeff)
-    return phi, changed
+                if c:
+                    fam.setdefault((beta, alpha), np.zeros((1, n), dtype=complex))[0, k] = \
+                        -0.5j * np.conj(c) / alpha[big_l]
+    return _identity_plus(fam, n, target_order), bool(fam)
+
+
+def _identity_plus(fam, n, order):
+    """The coordinate change z_k + sum over ``fam`` of fam[key][0, k] z^alpha
+    zbar^beta, as n jets; ``fam`` maps keys of degree >= 2 to 1 x n arrays."""
+    zero = (0,) * n
+    ident = {(multi_index(n, k), zero): np.eye(1, n, k) for k in range(n)}
+    return JetMatrix.from_coefficients({**ident, **fam}, 1, n, n, order).entries[0]
 
 
 def normalize_to_order(s: AlmostComplexStructure, n_order=None) -> NormalCoordinateResult:
@@ -345,20 +327,22 @@ def torsion_jet_normal(s_normal: AlmostComplexStructure):
     b2 = s_normal.B.family(2, 0)
     b2bar = s_normal.B.family(1, 1)
     zero = (0,) * n
-    out = [[[Jet.zero(n, 1) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+    def antisymmetric(upper):
+        """The k < l part of upper[..., k, l], negated into the l < k slots."""
+        upper = np.triu(upper, 1)
+        return upper - np.swapaxes(upper, -1, -2)
+
+    out = []
     for r in range(n):
-        for k in range(n):
-            for l in range(k + 1, n):
-                jet = Jet.constant(n, 1, 0.5j * b1[l, r, k])
-                for t in range(n):
-                    cz = 0.5j * (2 * (b2[l, t, r, k] - b2[k, t, r, l]))
-                    czb = 0.5j * b2bar[l, t, r, k]
-                    if cz:
-                        jet = jet + Jet.monomial(n, 1, multi_index(n, t), zero, cz)
-                    if czb:
-                        jet = jet + Jet.monomial(n, 1, zero, multi_index(n, t), czb)
-                out[r][k][l] = jet
-                out[r][l][k] = -jet
+        quad = b2[:, :, r, :].transpose(1, 2, 0)          # [t, k, l] = b2[l, t, r, k]
+        fam = {(zero, zero): antisymmetric(0.5j * b1[:, r, :].T)}
+        cz = 0.5j * (2 * (quad - quad.transpose(0, 2, 1)))
+        czb = antisymmetric(0.5j * b2bar[:, :, r, :].transpose(1, 2, 0))
+        for t in range(n):
+            fam[(multi_index(n, t), zero)] = cz[t]
+            fam[(zero, multi_index(n, t))] = czb[t]
+        out.append(JetMatrix.from_coefficients(fam, n, n, n, 1).entries)
     return out
 
 
@@ -386,23 +370,21 @@ def verify_holomorphic_invariance(s_normal: AlmostComplexStructure, change,
     n = s_normal.n
     n_order = s_normal.order if n_order is None else n_order
     target = n_order + 1
-    phi = [Jet.variable(n, target, k) for k in range(n)]
     zero = (0,) * n
+    fam = {}
     for (k, alpha), c in change.items():
         if sum(alpha) != n_order + 1:
             raise JetError("holomorphic change must be homogeneous of degree N+1")
-        phi[k] = phi[k] + Jet.monomial(n, target, alpha, zero, c)
+        fam.setdefault((tuple(alpha), zero), np.zeros((1, n), dtype=complex))[0, k] += c
+    phi = _identity_plus(fam, n, target)
     base = s_normal.truncated(n_order)
     moved = transform_structure(base, phi)
     before = base.B.coefficients()
     after = moved.B.coefficients()
-    worst = 0.0
-    for key in set(before) | set(after):
-        if sum(key[0]) + sum(key[1]) > n_order:
-            continue
-        mb = before.get(key, np.zeros((n, n)))
-        ma = after.get(key, np.zeros((n, n)))
-        worst = max(worst, np.abs(ma - mb).max())
+    none = np.zeros((n, n))
+    worst = nan_max(np.abs(after.get(key, none) - before.get(key, none)).max()
+                    for key in set(before) | set(after)
+                    if sum(key[0]) + sum(key[1]) <= n_order)
     return {"deviation": worst,
             "pattern_violation": pattern_violation(moved),
             "structure": moved}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import (Jet, JetError, JetMatrix, SingularMatrixError, block2x2,
-                   series_inverse)
+                   nan_max, series_inverse)
 
 
 class VectorField:
@@ -62,8 +62,8 @@ class VectorField:
         return VectorField(comps[self.n:] + comps[: self.n])
 
     def is_real(self, tol=1e-12):
-        return max((a - b).max_abs()
-                   for a, b in zip(self.components, self.conj().components)) <= tol
+        return nan_max((a - b).max_abs()
+                       for a, b in zip(self.components, self.conj().components)) <= tol
 
     def derive(self, f: Jet) -> Jet:
         """Directional derivative of a jet function along this field."""
@@ -84,7 +84,7 @@ class VectorField:
         return np.array([c.eval(point) for c in self.components])
 
     def max_abs(self, max_degree=None):
-        return max(c.max_abs(max_degree) for c in self.components)
+        return nan_max(c.max_abs(max_degree) for c in self.components)
 
     @property
     def effective_order(self):
@@ -99,7 +99,7 @@ class ValidationReport:
 
     @property
     def max_residual(self):
-        return max(self.residual_square, self.residual_mixed)
+        return nan_max((self.residual_square, self.residual_mixed))
 
 
 class AlmostComplexStructure:
@@ -287,8 +287,8 @@ class BracketCoefficients:
                    for fam in tab for k in range(self.n) for l in range(self.n))
 
     def max_abs(self):
-        return max(fam.max_abs() for tab in (self.M, self.N, self.U, self.V)
-                   for fam in tab)
+        return nan_max(fam.max_abs() for tab in (self.M, self.N, self.U, self.V)
+                       for fam in tab)
 
 
 def bracket_coefficients(s: AlmostComplexStructure, frame: Frame | None = None):
@@ -328,7 +328,7 @@ class TorsionTensor:
         self.n = len(nbar)
 
     def max_abs(self, max_degree=None):
-        return max(m.max_abs(max_degree) for m in self.nbar)
+        return nan_max(m.max_abs(max_degree) for m in self.nbar)
 
     def coefficient(self, r, k, l) -> Jet:
         return self.nbar[r][k, l]
@@ -393,7 +393,7 @@ def nijenhuis_check(s: AlmostComplexStructure, tors: TorsionTensor | None = None
     """
     tors = torsion_tensor(s) if tors is None else tors
     n, order = s.n, s.order
-    worst = 0.0
+    residuals = []
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
             xi = VectorField.coordinate(n, order, a)
@@ -402,8 +402,8 @@ def nijenhuis_check(s: AlmostComplexStructure, tors: TorsionTensor | None = None
             via_brackets = nijenhuis_bracket_formula(s, xi, eta)
             diff = via_tensor - via_brackets
             eff = min(via_tensor.effective_order, via_brackets.effective_order)
-            worst = max(worst, diff.max_abs(eff))
-    return worst
+            residuals.append(diff.max_abs(eff))
+    return nan_max(residuals)
 
 
 def _jacobian(phi, order):
@@ -480,7 +480,7 @@ def structure_from_deformation(n, order, seed=0, magnitude=0.08, entries=6,
     """Seeded test generator: J = (I+P) J0 (I+P)^{-1} with P a small real
     perturbation, then a linear adaptation at the origin."""
     rng = np.random.default_rng(seed)
-    p = JetMatrix.zeros(2 * n, 2 * n, n, order)
+    fam = {}
     for _ in range(entries):
         i = int(rng.integers(0, 2 * n))
         j = int(rng.integers(0, 2 * n))
@@ -489,8 +489,9 @@ def structure_from_deformation(n, order, seed=0, magnitude=0.08, entries=6,
         for _ in range(d):
             exps[int(rng.integers(0, 2 * n))] += 1
         c = magnitude * complex(rng.normal(), rng.normal())
-        p.entries[i][j] = p.entries[i][j] + Jet.monomial(
-            n, order, tuple(exps[:n]), tuple(exps[n:]), c)
+        key = (tuple(exps[:n]), tuple(exps[n:]))
+        fam.setdefault(key, np.zeros((2 * n, 2 * n), dtype=complex))[i, j] += c
+    p = JetMatrix.from_coefficients(fam, 2 * n, 2 * n, n, order)
     # conjugate-symmetrize for reality of J
     swapped = JetMatrix([[p[(i + n) % (2 * n), (j + n) % (2 * n)].conj()
                           for j in range(2 * n)] for i in range(2 * n)])

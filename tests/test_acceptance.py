@@ -12,7 +12,7 @@ from acgeom.cli import Options, emit_report, main, parse_manifold_spec, run_comm
 from acgeom.fixtures import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0,
                              random_b_normal, random_deformation)
 from acgeom.forms import FrameCalculus, fundamental_identities_check
-from acgeom.jets import Jet, JetMatrix, QC
+from acgeom.jets import Jet, JetMatrix, QC, _exponent_vectors
 from acgeom.structure import torsion_tensor, nijenhuis_check
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
@@ -75,20 +75,14 @@ def test_criterion_2_structure_constraints():
         ((0, 1), (0, 2)): [[QC("2/9"), QC(0)], [QC(0), QC(0)]],
     }
     fam = {k: np.array(v, dtype=object) for k, v in fam.items()}
-    b = JetMatrix.zeros(n, n, n, order, exact=True)
-    for (alpha, beta), mat in fam.items():
-        for k in range(n):
-            for l in range(n):
-                if mat[k, l]:
-                    b.entries[k][l] = b.entries[k][l] + Jet.monomial(
-                        n, order, alpha, beta, mat[k, l], exact=True)
+    b = JetMatrix.from_coefficients(fam, n, n, n, order, exact=True)
     a = normal.solve_a_degree_by_degree(b)
     half_i = QC(0, "1/2")
     mismatches = 0
-    for alpha in normal._multi_indices(n, order):
+    for alpha in _exponent_vectors(n, order):
         if sum(alpha) < 1:
             continue
-        for beta in normal._multi_indices(n, order - sum(alpha)):
+        for beta in _exponent_vectors(n, order - sum(alpha)):
             if sum(beta) < 1:
                 continue
             closed = normal.a_from_b_closed_form(fam, alpha, beta, n, exact=True)

@@ -1,14 +1,17 @@
 """Property tests of the jet ring on both sides of the dense-kernel threshold.
 
 Coefficients are small dyadic rationals, so every float sum and product in
-these checks is exact and the ring laws can be compared with ``==``.
+these checks is exact and the ring laws can be compared with ``==``.  The
+coefficient-family round trips also run on exact jets, with thirds.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from acgeom.jets import Jet, JetMatrix, _index, series_inverse
+from acgeom.jets import QC, Jet, JetMatrix, _index, series_inverse
 
 N_VARS, ORDER = 2, 3
 MONOS = _index(N_VARS, ORDER).monos
@@ -147,3 +150,64 @@ def test_matrix_inverse_is_two_sided(size):
                 assert max(pairs) <= THRESHOLD
             assert (a @ b - ident).max_abs() < 1e-12
     check()
+
+
+# Exact coefficients with denominator 3, which a float cannot hold.
+thirds = st.builds(lambda re, im: QC(Fraction(re, 3), Fraction(im, 3)),
+                   st.integers(-8, 8), st.integers(-8, 8)).filter(bool)
+
+
+def grids(size, exact=False):
+    """2 x 3 jet matrices whose entries draw their term counts from ``size``."""
+    lo, hi = size
+    entry = st.dictionaries(st.sampled_from(MONOS), thirds if exact else dyadic,
+                            min_size=lo, max_size=hi).map(
+        lambda t: Jet(N_VARS, ORDER, t, exact=exact))
+    return st.lists(st.lists(entry, min_size=3, max_size=3),
+                    min_size=2, max_size=2).map(JetMatrix)
+
+
+def _same(a, b):
+    return a.rows == b.rows and a.cols == b.cols and all(
+        x == y for r1, r2 in zip(a.entries, b.entries) for x, y in zip(r1, r2))
+
+
+@pytest.mark.parametrize("size, exact", [(SPARSE, False), (DENSE, False), (SPARSE, True)],
+                         ids=["dict", "dense", "exact"])
+def test_from_coefficients_inverts_coefficients(size, exact):
+    @PROPERTY
+    @given(grids(size, exact))
+    def check(m):
+        fam = m.coefficients()
+        if exact:
+            assert all(isinstance(c, QC) for mat in fam.values() for c in mat.flat)
+        assert _same(JetMatrix.from_coefficients(fam, 2, 3, N_VARS, ORDER, exact=exact), m)
+    check()
+
+
+BIDEGREES = [(p, q) for p in range(ORDER + 1) for q in range(ORDER + 1 - p)]
+
+
+@pytest.mark.parametrize("size", [SPARSE, DENSE], ids=["dict", "dense"])
+def test_from_family_inverts_family(size):
+    @PROPERTY
+    @given(grids(size))
+    def check(m):
+        for p, q in BIDEGREES:
+            got = JetMatrix.from_family(m.family(p, q), p, q, N_VARS, ORDER)
+            want = m.map(lambda e: Jet(N_VARS, ORDER, {
+                key: c for key, c in e.terms.items()
+                if (sum(key[0]), sum(key[1])) == (p, q)}))
+            if p + q <= 2:
+                # a monomial reached by r <= 2 slot orderings splits and sums exactly
+                assert _same(got, want)
+            else:
+                assert (got - want).max_abs() <= 1e-14
+    check()
+
+
+def test_empty_family_builds_zero_matrix():
+    for exact in (False, True):
+        m = JetMatrix.from_coefficients({}, 2, 3, N_VARS, ORDER, exact=exact)
+        assert (m.rows, m.cols, m.exact) == (2, 3, exact)
+        assert all(not e.terms for row in m.entries for e in row)
