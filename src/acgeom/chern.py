@@ -17,7 +17,7 @@ import numpy as np
 from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
                     exterior_derivative, to_coordinate_form)
 from .jets import Jet, JetError, JetMatrix, SingularMatrixError, nan_max, series_inverse
-from .normal import normalize_to_order, pattern_violation
+from .normal import normalize_to_order, require_normal_form
 from .structure import (AlmostComplexStructure, VectorField, _jacobian,
                         transform_structure)
 
@@ -238,37 +238,20 @@ def canonical_delbar_connection(calc: FrameCalculus) -> MatrixForm:
     return MatrixForm(entries)
 
 
-def del_matrix(calc, jm: JetMatrix) -> MatrixForm:
-    """Entrywise (1,0)-derivative of a matrix of jet functions."""
-    n = calc.n
-    out = []
-    for i in range(jm.rows):
-        row = []
-        for j in range(jm.cols):
-            coeffs = {}
-            for p in range(n):
-                jet = calc.zeta_derive(p, jm[i, j])
-                if jet.terms:
-                    coeffs[((p,), ())] = jet
-            row.append(PQForm(calc, 1, 0, coeffs))
-        out.append(row)
-    return MatrixForm(out)
+def derive_matrix(calc, jm: JetMatrix, kind) -> MatrixForm:
+    """Entrywise ``kind`` derivative of a matrix of jet functions: "del"
+    gives a (1,0)-form per entry, "delbar" a (0,1)-form."""
+    derive, p, q = {"del": (calc.zeta_derive, 1, 0),
+                    "delbar": (calc.zetabar_derive, 0, 1)}[kind]
 
-
-def delbar_matrix(calc, jm: JetMatrix) -> MatrixForm:
-    n = calc.n
-    out = []
-    for i in range(jm.rows):
-        row = []
-        for j in range(jm.cols):
-            coeffs = {}
-            for r in range(n):
-                jet = calc.zetabar_derive(r, jm[i, j])
-                if jet.terms:
-                    coeffs[((), (r,))] = jet
-            row.append(PQForm(calc, 0, 1, coeffs))
-        out.append(row)
-    return MatrixForm(out)
+    def entry(f):
+        coeffs = {}
+        for r in range(calc.n):
+            jet = derive(r, f)
+            if jet.terms:
+                coeffs[((r,), ()) if p else ((), (r,))] = jet
+        return PQForm(calc, p, q, coeffs)
+    return MatrixForm([[entry(jm[i, j]) for j in range(jm.cols)] for i in range(jm.rows)])
 
 
 def chern_connection(calc: FrameCalculus, hd: HermitianData) -> ConnectionForms:
@@ -279,7 +262,7 @@ def chern_connection(calc: FrameCalculus, hd: HermitianData) -> ConnectionForms:
     asecond = canonical_delbar_connection(calc)
     hbar = hd.H.conj()
     hbar_inv = hbar.inverse()
-    rhs = del_matrix(calc, hbar) - asecond.conj_transpose().right_mul_jets(hbar)
+    rhs = derive_matrix(calc, hbar, "del") - asecond.conj_transpose().right_mul_jets(hbar)
     aprime = rhs.left_mul_jets(hbar_inv)
     return ConnectionForms(aprime, asecond)
 
@@ -354,8 +337,7 @@ def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
     """
     n = hd.n
     if require_normal:
-        if pattern_violation(s, max_degree=2) > 1e-9:
-            raise JetError("origin formula needs normal coordinates of order >= 2")
+        require_normal_form(s, "origin formula needs normal coordinates of order >= 2")
         if not hd.is_orthonormal_at_origin(tol=1e-10):
             raise JetError("origin formula needs an orthonormal frame at 0")
     lin = hd.H.family(1, 0)
@@ -428,8 +410,8 @@ def pointwise_curvature_residual(calc, hd, conn, blocks):
     if asec0 > 1e-10:
         raise JetError("pointwise formula needs a delbar-flat frame at 0")
     hbar = hd.H.conj()
-    d_h = del_matrix(calc, hbar)
-    db_h = delbar_matrix(calc, hbar)
+    d_h = derive_matrix(calc, hbar, "del")
+    db_h = derive_matrix(calc, hbar, "delbar")
     expr = d_h.apply("delbar") - db_h.wedge(d_h) + conn.asecond.apply("del") \
         - conn.asecond.conj_transpose().apply("delbar")
     diff = expr - blocks.theta11
@@ -459,18 +441,24 @@ def chern_derivative(calc, conn: ConnectionForms, xi: VectorField,
     return calc.frame.from_frame_components(out)
 
 
+def _omega_matrix(calc, hd, order) -> JetMatrix:
+    """The antisymmetric 2n x 2n matrix of omega's coordinate components,
+    with entries re-embedded at ``order``."""
+    dim = 2 * calc.n
+    w = JetMatrix.zeros(dim, dim, calc.n, order)
+    for (a, b), jet in to_coordinate_form(metric_form(calc, hd)).coeffs.items():
+        w.entries[a][b] = jet.with_order(order)
+        w.entries[b][a] = -w.entries[a][b]
+    return w
+
+
 class LeviCivita:
     """Christoffel data of g = omega(., J.) in the complexified basis."""
 
     def __init__(self, calc: FrameCalculus, hd: HermitianData):
         n, order = calc.n, calc.order
-        omega_c = to_coordinate_form(metric_form(calc, hd))
         dim = 2 * n
-        w = JetMatrix.zeros(dim, dim, n, order)
-        for (a, b), jet in omega_c.coeffs.items():
-            w.entries[a][b] = jet
-            w.entries[b][a] = -jet
-        self.g = w @ calc.structure.matrix()
+        self.g = _omega_matrix(calc, hd, order) @ calc.structure.matrix()
         g0 = np.asarray(self.g.constant())
         sym_err = np.abs(g0 - g0.T).max()
         if sym_err > 1e-10:
@@ -688,9 +676,9 @@ class ChernLeviCivita:
 def _transform_connection(calc, conn: ConnectionForms, g: JetMatrix):
     """Connection forms after the frame change sigma = e . g."""
     ginv = g.inverse()
-    ap = (del_matrix(calc, g) + conn.aprime.right_mul_jets(g)).left_mul_jets(ginv)
-    asec = (delbar_matrix(calc, g) + conn.asecond.right_mul_jets(g)).left_mul_jets(ginv)
-    return ConnectionForms(ap, asec)
+    ap = derive_matrix(calc, g, "del") + conn.aprime.right_mul_jets(g)
+    asec = derive_matrix(calc, g, "delbar") + conn.asecond.right_mul_jets(g)
+    return ConnectionForms(ap.left_mul_jets(ginv), asec.left_mul_jets(ginv))
 
 
 def _transform_metric_matrix(hd: HermitianData, g: JetMatrix) -> JetMatrix:
@@ -847,8 +835,7 @@ def connection_asymptotics(calc: FrameCalculus, hd: HermitianData,
     """Closed-form first-order coefficient families of the coordinate-frame
     hermitian connection in normal coordinates with orthonormal frame."""
     s = calc.structure
-    if pattern_violation(s, max_degree=2) > tol:
-        raise JetError("asymptotic families need normal coordinates of order >= 2")
+    require_normal_form(s, "asymptotic families need normal coordinates of order >= 2", tol)
     if not hd.is_orthonormal_at_origin(tol=1e-10):
         raise JetError("asymptotic families need an orthonormal frame at 0")
     n = calc.n
@@ -959,14 +946,9 @@ def transform_metric(calc_old: FrameCalculus, hd: HermitianData, phi,
     w = max(order, max(p.order for p in phi)) + 1
     phi_w = [p.padded(w) for p in phi]
     psi = series_inverse(phi_w)
-    omega_c = to_coordinate_form(metric_form(calc_old, hd))
     dim = 2 * n
-    wmat = JetMatrix.zeros(dim, dim, n, w)
-    for (a, b), jet in omega_c.coeffs.items():
-        wmat.entries[a][b] = jet.with_order(w)
-        wmat.entries[b][a] = -jet.with_order(w)
     dpsi = _jacobian(psi, w)
-    w_comp = wmat.compose(psi)
+    w_comp = _omega_matrix(calc_old, hd, w).compose(psi)
     w_new = dpsi.T @ w_comp @ dpsi
     g_new = calc_new.frame.G.with_order(w)
     h_entries = []

@@ -7,27 +7,34 @@ with zero discrepancy.
 
 A jet stores its nonzero coefficients in the dict ``terms``, keyed by
 ``(alpha, beta)`` and kept in graded order (total degree, then alpha, then
-beta).  Float arithmetic on large jets runs on a second view of the same
-data: a coefficient vector over the graded monomial index of (n, order),
-built once per (n, order) and cached for the life of the process.  The index
-lists every monomial of degree <= order in graded order and every product
-pair (I, J) of total degree <= order, sorted by the slot K of I + J, so one
-product is a gather, a multiply and one ``np.add.reduceat``.  A jet computes
-its vector on first use and keeps it, since jets are immutable.
+beta).  Large float products and every ``compose`` run on a second view of
+the same data: a coefficient vector over the graded monomial index of
+(n, order), built once per (n, order) and cached for the life of the
+process.  The index lists every monomial of degree <= order in graded order
+and every product pair (I, J) of total degree <= order, sorted by the slot K
+of I + J, so one product is a gather, a multiply and one
+``np.add.reduceat``.  A jet computes its vector on first use and keeps it,
+since jets are immutable.  The vector is complex, or an object array of
+``QC`` for an exact jet.
 
 Which path runs:
 
 - ``Jet.__mul__``: the dense kernel when both jets are float and the product
   of their term counts exceeds the index's ``dense_min_pairs``
   (``_DENSE_MUL_MIN_PAIRS`` plus a share of the product table's size);
-  otherwise the dict convolution over the stored terms.  Exact jets always
-  take the dict path.
-- ``Jet.compose``: float jets build the substituted monomials on dense
-  vectors, each one from a monomial of one degree less, and sum them in one
-  matrix-vector product; exact jets use dict products.
+  otherwise the dict convolution over the stored terms.
+- ``Jet.compose``: one path for both modes.  The substituted monomials are
+  built on coefficient vectors, each one from a monomial of one degree less,
+  and summed in one vector-matrix product.
 - ``JetMatrix.__matmul__``: per output entry, the dense kernel summed over the
   inner index when the entry's pair count exceeds ``dense_min_pairs`` (float
   only); otherwise a sum of ``Jet`` products.
+
+Exact operands of ``*`` and ``@`` stay on the dict path.  The dense kernel
+does run on ``QC`` object arrays, but it forms every pair of the product
+table, and a ``QC`` product costs four ``Fraction`` products: at the float
+threshold it made ``validate --exact`` 3-14x slower on (n, N, degree) =
+(3, 2, 2), (2, 5, 2) and (4, 3, 2).
 
 Coefficient families of a ``JetMatrix`` go out and come back in one way each:
 ``coefficients`` / ``from_coefficients`` map every monomial to a rows x cols
@@ -493,10 +500,11 @@ class Jet:
     __rmul__ = __mul__
 
     def _dense(self):
-        """Coefficient vector over the graded index of (n, order); cached."""
+        """Coefficient vector over the graded index of (n, order): complex, or
+        an object array of ``QC`` when exact; cached."""
         if self._pack is None:
             idx = _index(self.n, self.order)
-            vec = np.zeros(idx.size, dtype=complex)
+            vec = zero_coefficients(idx.size, self.exact)
             if self.terms:
                 vec[[idx.pos[k] for k in self.terms]] = list(self.terms.values())
             vec.flags.writeable = False
@@ -504,21 +512,23 @@ class Jet:
         return self._pack
 
     @classmethod
-    def _from_dense(cls, idx, vec, effective_order):
-        """Float jet from a coefficient vector over ``idx``.
+    def _from_dense(cls, idx, vec, effective_order, exact=False):
+        """Jet from a coefficient vector over ``idx``.
 
-        Applies the same pruning as ``__init__``: coefficients below
-        PRUNE_EPS are dropped and non-finite ones kept.  The slots come in
+        Applies the same pruning as ``__init__``: exact zeros are dropped
+        from an exact vector, and coefficients below PRUNE_EPS from a float
+        one, whose non-finite coefficients are kept.  The slots come in
         graded order already, so the terms need no sort.
         """
-        keep = ~(np.abs(vec) < PRUNE_EPS)
+        keep = vec.astype(bool) if exact else ~(np.abs(vec) < PRUNE_EPS)
         slots = np.flatnonzero(keep)
         jet = cls.__new__(cls)
-        jet.n, jet.order, jet.exact = idx.n, idx.order, False
+        jet.n, jet.order, jet.exact = idx.n, idx.order, exact
         jet.effective_order = min(effective_order, idx.order)
         monos = idx.monos
         jet.terms = dict(zip([monos[i] for i in slots.tolist()], vec[slots].tolist()))
-        vec = np.where(keep, vec, 0)
+        if not exact:
+            vec = np.where(keep, vec, 0)
         vec.flags.writeable = False
         jet._pack = vec
         return jet
@@ -581,78 +591,37 @@ class Jet:
             total += m
         return total
 
-    def compose(self, subs: Sequence["Jet"], allow_affine=False):
+    def compose(self, subs: Sequence["Jet"]):
         """Substitute z_k -> subs[k] and zbar_k -> conj(subs[k]).
 
-        ``subs`` may also carry 2n jets, the last n of which must be the
-        conjugates of the first n.
+        The n substitution jets must have zero constant terms.  Float and
+        exact jets run the same code on coefficient vectors: each monomial
+        of ``self`` is the image of a monomial one degree lower times the
+        image of one variable, so the table of images is filled from its
+        parents and summed in one vector-matrix product.
         """
         subs = list(subs)
-        if len(subs) == 2 * self.n:
-            for k in range(self.n):
-                if (subs[self.n + k] - subs[k].conj()).max_abs() > 1e-12:
-                    raise JetError(
-                        f"substitution for zbar_{k} is not the conjugate of the one for z_{k}")
-            subs = subs[: self.n]
         if len(subs) != self.n:
             raise JetError(f"expected {self.n} substitution jets, got {len(subs)}")
         subs = [s.truncated(self.order) if s.order > self.order else s for s in subs]
+        exact = self.exact
         for k, s in enumerate(subs):
             if s.order != self.order:
                 raise JetError("substitution jets must match the composed jet's order")
-            if s.exact != self.exact:
+            if s.exact != exact:
                 raise JetError("cannot mix exact and floating jets")
-            if not allow_affine and abs(s.constant_term) > (0 if self.exact else PRUNE_EPS):
-                raise JetError(
-                    f"substitution for z_{k} has a nonzero constant term; "
-                    "pass allow_affine=True to opt in")
+            if abs(s.constant_term) > (0 if exact else PRUNE_EPS):
+                raise JetError(f"substitution for z_{k} has a nonzero constant term")
         eff = min([self.effective_order] + [s.effective_order for s in subs])
-        if not self.exact:
-            return self._compose_dense(subs, eff)
-        conj_subs = [s.conj() for s in subs]
-        out = Jet.zero(subs[0].n, self.order, exact=True)
-        pow_cache = {}
-
-        def power(base_jet, tag, e):
-            if e == 0:
-                return None
-            got = pow_cache.get((tag, e))
-            if got is None:
-                lower = power(base_jet, tag, e - 1)
-                got = base_jet if lower is None else lower * base_jet
-                pow_cache[(tag, e)] = got
-            return got
-
-        for (a, b), c in self.terms.items():
-            term = None
-            for k in range(self.n):
-                for tag, base, e in (("z", subs[k], a[k]), ("zb", conj_subs[k], b[k])):
-                    p = power(base, (tag, k), e)
-                    if p is not None:
-                        term = p if term is None else term * p
-            if term is None:
-                out = out + Jet.constant(subs[0].n, self.order, c, exact=True)
-            else:
-                out = out + term * c
-        return Jet(out.n, out.order, out.terms, effective_order=eff, exact=True)
-
-    def _compose_dense(self, subs, eff):
-        """Float ``compose`` on coefficient vectors.
-
-        The images of z_1..z_n are ``subs`` and those of zbar_1..zbar_n their
-        conjugates.  Each monomial of ``self`` is the image of a monomial one
-        degree lower times one of these, so the table of images is filled
-        from its parents.
-        """
         out_idx = _index(subs[0].n, self.order)
         if not self.terms:
-            return Jet._from_dense(out_idx, np.zeros(out_idx.size, dtype=complex), eff)
+            return Jet._from_dense(out_idx, zero_coefficients(out_idx.size, exact), eff, exact)
         idx = _index(self.n, self.order)
         parents, variables = idx.factors
         vecs = [s._dense() for s in subs]
         vecs += [v[out_idx.conj_perm].conj() for v in vecs]
-        unit = np.zeros(out_idx.size, dtype=complex)
-        unit[0] = 1.0
+        unit = zero_coefficients(out_idx.size, exact)
+        unit[0] = QC(1) if exact else 1.0
         table = {0: unit}
 
         def image(slot):
@@ -664,8 +633,8 @@ class Jet:
             return got
 
         images = np.array([image(idx.pos[key]) for key in self.terms])
-        coeffs = np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
-        return Jet._from_dense(out_idx, coeffs @ images, eff)
+        coeffs = np.fromiter(self.terms.values(), dtype=images.dtype, count=len(self.terms))
+        return Jet._from_dense(out_idx, coeffs @ images, eff, exact)
 
     # -- serialization ------------------------------------------------------
 
@@ -732,12 +701,8 @@ class JetMatrix:
 
     @classmethod
     def from_constant(cls, array, n, order, exact=False):
-        if exact:
-            return cls([[Jet.constant(n, order, c, exact=True) for c in row]
-                        for row in array])
-        array = np.asarray(array, dtype=complex)
-        return cls([[Jet.constant(n, order, array[i, j])
-                     for j in range(array.shape[1])] for i in range(array.shape[0])])
+        array = np.asarray(array, dtype=object if exact else complex)
+        return cls([[Jet.constant(n, order, c, exact=exact) for c in row] for row in array])
 
     @classmethod
     def from_coefficients(cls, fam, rows, cols, n, order, exact=False):
@@ -813,8 +778,8 @@ class JetMatrix:
     def dzbar(self, k):
         return self.map(lambda e: e.dzbar(k))
 
-    def compose(self, subs, allow_affine=False):
-        return self.map(lambda e: e.compose(subs, allow_affine=allow_affine))
+    def compose(self, subs):
+        return self.map(lambda e: e.compose(subs))
 
     def eval(self, point):
         out = np.zeros((self.rows, self.cols), dtype=complex)
@@ -824,11 +789,9 @@ class JetMatrix:
         return out
 
     def constant(self):
-        """Constant-term matrix as a numpy array (or QC nested list when exact)."""
-        if self.exact:
-            return [[e.constant_term for e in row] for row in self.entries]
+        """Constant-term matrix: complex, or an object array of ``QC`` when exact."""
         return np.array([[e.constant_term for e in row] for row in self.entries],
-                        dtype=complex)
+                        dtype=object if self.exact else complex)
 
     def coefficients(self):
         """Every stored coefficient as ``{(alpha, beta): rows x cols array}``:
@@ -938,39 +901,34 @@ class JetMatrix:
         """Neumann-series inverse; requires an invertible constant term."""
         if self.rows != self.cols:
             raise JetError("only square jet matrices can be inverted")
-        size = self.rows
-        if self.exact:
-            m0_inv = _exact_inverse(self.constant(), size)
-            m0_inv_mat = JetMatrix.from_constant(m0_inv, self.n, self.order, exact=True)
+        size, n, order, exact = self.rows, self.n, self.order, self.exact
+        m0 = self.constant()
+        if exact:
+            m0_inv = _exact_inverse(m0, size)
         else:
-            m0 = self.constant()
             cond = np.linalg.cond(m0)
             if not np.isfinite(cond) or cond > 1e12:
                 raise SingularMatrixError(
                     f"constant term is numerically singular (cond={cond:.3e})", cond)
-            m0_inv_mat = JetMatrix.from_constant(np.linalg.inv(m0), self.n, self.order)
+            m0_inv = np.linalg.inv(m0)
+        m0_inv_mat = JetMatrix.from_constant(m0_inv, n, order, exact=exact)
         # M = M0 (I + M0^-1 (M - M0));  (I + X)^-1 = sum (-X)^k, X nilpotent mod order.
-        const = JetMatrix.from_constant(self.constant(), self.n, self.order,
-                                        exact=self.exact)
-        x = m0_inv_mat @ (self - const)
-        acc = JetMatrix.identity(size, self.n, self.order, exact=self.exact)
-        power = JetMatrix.identity(size, self.n, self.order, exact=self.exact)
-        for _ in range(self.order):
+        x = m0_inv_mat @ (self - JetMatrix.from_constant(m0, n, order, exact=exact))
+        acc = power = JetMatrix.identity(size, n, order, exact=exact)
+        for _ in range(order):
             power = -(power @ x)
             if power.max_abs() == 0:
                 break
             acc = acc + power
-        out = acc @ m0_inv_mat
         eff = self.effective_order
-        return out.map(lambda e: Jet(e.n, e.order, e.terms, effective_order=eff,
-                                     exact=e.exact))
+        return (acc @ m0_inv_mat).map(lambda e: e.trusted(eff))
 
     def __repr__(self):
         return f"JetMatrix({self.rows}x{self.cols}, n={self.n}, N={self.order})"
 
 
 def _exact_inverse(rows, size):
-    """Gauss-Jordan inverse of a QC matrix given as nested lists."""
+    """Gauss-Jordan inverse of a square array of QC, as nested lists."""
     a = [[QC(0) + rows[i][j] for j in range(size)] for i in range(size)]
     inv = [[QC(1) if i == j else QC(0) for j in range(size)] for i in range(size)]
     for col in range(size):

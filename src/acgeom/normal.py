@@ -43,12 +43,6 @@ def _fits(part, whole):
     return all(x <= y for x, y in zip(part, whole))
 
 
-def _mat_conj(m, exact):
-    if exact:
-        return np.array([[c.conjugate() for c in row] for row in m], dtype=object)
-    return m.conjugate()
-
-
 class ClosedFormA:
     """Closed-form A coefficients of one B family, shared by every target.
 
@@ -77,7 +71,7 @@ class ClosedFormA:
         dtype = object if exact else complex
         keys = [k for k in bfam if sum(k[0]) >= 1]
         self._mats = [np.asarray(bfam[k], dtype=dtype) for k in keys]
-        self._conj = [_mat_conj(m, exact) for m in self._mats]
+        self._conj = [m.conjugate() for m in self._mats]
         degrees = [sum(k[0]) + sum(k[1]) for k in keys]
         self._factors = []
         for i, lam_mu in enumerate(keys):
@@ -244,6 +238,13 @@ def pattern_violation(s: AlmostComplexStructure, max_degree=None):
                    if sum(alpha) + sum(beta) <= cap and l >= lmax(alpha))
 
 
+def require_normal_form(s: AlmostComplexStructure, message, tol=1e-9):
+    """Raise ``JetError(message)`` unless B keeps the normal-form pattern
+    through degree 2 to within ``tol``; a NaN violation raises too."""
+    if not pattern_violation(s, max_degree=2) <= tol:
+        raise JetError(message)
+
+
 @dataclass
 class NormalCoordinateResult:
     structure: AlmostComplexStructure
@@ -320,8 +321,7 @@ def torsion_jet_normal(s_normal: AlmostComplexStructure):
     Returns nbar[r][k][l] (k < l) as jets of order 1 built out of the linear
     and quadratic coefficient families of B in normal coordinates.
     """
-    if pattern_violation(s_normal, max_degree=2) > 1e-9:
-        raise JetError("structure is not in normal form through degree 2")
+    require_normal_form(s_normal, "structure is not in normal form through degree 2")
     n = s_normal.n
     b1 = s_normal.B.family(1, 0)
     b2 = s_normal.B.family(2, 0)

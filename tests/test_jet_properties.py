@@ -211,3 +211,93 @@ def test_empty_family_builds_zero_matrix():
         m = JetMatrix.from_coefficients({}, 2, 3, N_VARS, ORDER, exact=exact)
         assert (m.rows, m.cols, m.exact) == (2, 3, exact)
         assert all(not e.terms for row in m.entries for e in row)
+
+
+# -- exact and float agree -----------------------------------------------------
+#
+# On dyadic data every float operation is exact, so the float result of each
+# operation must equal the exact one coefficient for coefficient, with the
+# same effective order.  Exact products and matmuls always take the dict path,
+# so the dense sizes compare the float kernel with it.
+
+def exact_copy(jet):
+    return Jet(jet.n, jet.order, {k: QC(Fraction(c.real), Fraction(c.imag))
+                                  for k, c in jet.terms.items()},
+               effective_order=jet.effective_order, exact=True)
+
+
+def exact_matrix(m):
+    return m.map(exact_copy)
+
+
+def assert_agree(got, want):
+    assert not got.exact and want.exact
+    assert got.terms == {k: complex(c) for k, c in want.terms.items()}
+    assert got.effective_order == want.effective_order
+
+
+def assert_matrices_agree(got, want):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    for r1, r2 in zip(got.entries, want.entries):
+        for x, y in zip(r1, r2):
+            assert_agree(x, y)
+
+
+def trusted_jets(size):
+    """Jets whose effective order is drawn from 1..ORDER."""
+    return st.tuples(jets(size), st.integers(1, ORDER)).map(lambda t: t[0].trusted(t[1]))
+
+
+@pytest.mark.parametrize("size", [SPARSE, DENSE], ids=["dict", "dense"])
+def test_exact_and_float_products_agree(size):
+    @PROPERTY
+    @given(trusted_jets(size), trusted_jets(size))
+    def check(f, g):
+        assert_agree(f * g, exact_copy(f) * exact_copy(g))
+    check()
+
+
+@pytest.mark.parametrize("size", [SPARSE, DENSE], ids=["dict", "dense"])
+def test_exact_and_float_matmul_agree(size):
+    @PROPERTY
+    @given(grids(size), grids(size))
+    def check(a, b):
+        if size is DENSE:
+            assert min(_entry_pairs(a, b.T)) > THRESHOLD
+        assert_matrices_agree(a @ b.T, exact_matrix(a) @ exact_matrix(b).T)
+    check()
+
+
+@pytest.mark.parametrize("size", [SPARSE, DENSE], ids=["dict", "dense"])
+def test_exact_and_float_compose_agree(size):
+    @PROPERTY
+    @given(trusted_jets(size), coordinate_changes(size))
+    def check(f, phi):
+        assert_agree(f.compose(phi), exact_copy(f).compose([exact_copy(p) for p in phi]))
+    check()
+
+
+def unit_triangular(size):
+    """2 x 2 jet matrices with constant term [[1, c], [0, 1]], c dyadic, so
+    that the constant's inverse [[1, -c], [0, 1]] and the Neumann series stay
+    dyadic."""
+    lo, hi = size
+    tail = st.dictionaries(st.sampled_from(HIGHER if size is SPARSE else MONOS[1:]), dyadic,
+                           min_size=lo, max_size=hi)
+    zero = ((0,) * N_VARS, (0,) * N_VARS)
+
+    def build(parts):
+        tails, c = parts
+        consts = ((1, c), (0, 1))
+        return JetMatrix([[Jet(N_VARS, ORDER, {**tails[2 * i + j], zero: consts[i][j]})
+                           for j in range(2)] for i in range(2)])
+    return st.tuples(st.tuples(*[tail] * 4), dyadic).map(build)
+
+
+@pytest.mark.parametrize("size", [SPARSE, DENSE], ids=["dict", "dense"])
+def test_exact_and_float_inverse_agree(size):
+    @PROPERTY
+    @given(unit_triangular(size))
+    def check(m):
+        assert_matrices_agree(m.inverse(), exact_matrix(m).inverse())
+    check()

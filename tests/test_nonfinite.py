@@ -20,7 +20,7 @@ from acgeom.cli import Options, SpecError, parse_manifold_spec, run_command
 from acgeom.fixtures import fix_b
 from acgeom.forms import FrameCalculus, fundamental_identities_check
 from acgeom.jets import Jet, JetError, JetMatrix
-from acgeom.normal import pattern_violation, structure_from_b_family
+from acgeom.normal import pattern_violation, structure_from_b_family, torsion_jet_normal
 from acgeom.structure import AlmostComplexStructure, ValidationReport, nijenhuis_check
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -104,6 +104,20 @@ def _nan_b_structure():
 
 def test_pattern_violation_propagates_nan():
     assert math.isnan(pattern_violation(_nan_b_structure()))
+
+
+def _identity_metric():
+    return chern.HermitianData(JetMatrix.identity(2, 2, 3))
+
+
+@pytest.mark.parametrize("guarded", [
+    lambda s: chern.curvature_origin_formula(_identity_metric(), s),
+    lambda s: chern.connection_asymptotics(FrameCalculus(s), _identity_metric()),
+    torsion_jet_normal,
+], ids=["curvature_origin_formula", "connection_asymptotics", "torsion_jet_normal"])
+def test_normal_form_guard_rejects_nan_violation(guarded):
+    with pytest.raises(JetError, match="normal"):
+        guarded(_nan_b_structure())
 
 
 def test_nijenhuis_check_propagates_nan():
