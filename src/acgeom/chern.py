@@ -209,16 +209,12 @@ class ConnectionForms:
         calc = self.aprime.calc
         n = calc.n
         comps = calc.frame.to_frame_components(x)
-        out = JetMatrix.zeros(n, n, n, calc.order)
-        for k in range(n):
-            for l in range(n):
-                acc = Jet.zero(n, calc.order)
-                for (kk, _ll), c in self.aprime[k, l].coeffs.items():
-                    acc = acc + c * comps[kk[0]]
-                for (_kk, ll), c in self.asecond[k, l].coeffs.items():
-                    acc = acc + c * comps[n + ll[0]]
-                out.entries[k][l] = acc
-        return out
+        return JetMatrix([[Jet.dot([(c, comps[kk[0]])
+                                    for (kk, _ll), c in self.aprime[k, l].coeffs.items()]
+                                   + [(c, comps[n + ll[0]])
+                                      for (_kk, ll), c in self.asecond[k, l].coeffs.items()],
+                                   n, calc.order)
+                           for l in range(n)] for k in range(n)])
 
 
 def canonical_delbar_connection(calc: FrameCalculus) -> MatrixForm:
@@ -281,17 +277,15 @@ def hermitian_compat_residual(calc, hd, conn: ConnectionForms):
         for l in range(n):
             for m in range(n):
                 lhs = calc.zeta_derive(p, h[l, m])
-                rhs = Jet.zero(n, calc.order)
-                for s in range(n):
-                    rhs = rhs + ap[s][l][p] * h[s, m] \
-                        + asec[s][m][p].conj() * h[l, s]
+                rhs = Jet.dot([t for s in range(n)
+                               for t in ((ap[s][l][p], h[s, m]),
+                                         (asec[s][m][p].conj(), h[l, s]))], n, calc.order)
                 eff = min(lhs.effective_order, rhs.effective_order)
                 residuals.append((lhs - rhs).max_abs(eff))
                 lhs2 = calc.zetabar_derive(p, h[l, m])
-                rhs2 = Jet.zero(n, calc.order)
-                for s in range(n):
-                    rhs2 = rhs2 + asec[s][l][p] * h[s, m] \
-                        + ap[s][m][p].conj() * h[l, s]
+                rhs2 = Jet.dot([t for s in range(n)
+                                for t in ((asec[s][l][p], h[s, m]),
+                                          (ap[s][m][p].conj(), h[l, s]))], n, calc.order)
                 eff2 = min(lhs2.effective_order, rhs2.effective_order)
                 residuals.append((lhs2 - rhs2).max_abs(eff2))
     return nan_max(residuals)
@@ -377,13 +371,8 @@ def pointwise_hermitian_residual(calc, hd, blocks: CurvatureBlocks,
             eta = fr.real_frame_field(b)
             theta_val = [[1j * blocks.theta11[k, l].evaluate([xi, eta])
                           for l in range(n)] for k in range(n)]
-            pair = [[None] * n for _ in range(n)]
-            for l in range(n):
-                for m in range(n):
-                    acc = Jet.zero(n, calc.order)
-                    for s in range(n):
-                        acc = acc + theta_val[s][l] * hd.H[s, m]
-                    pair[l][m] = acc
+            pair = [[Jet.dot([(theta_val[s][l], hd.H[s, m]) for s in range(n)], n, calc.order)
+                     for m in range(n)] for l in range(n)]
             for l in range(n):
                 for m in range(n):
                     diff = pair[l][m] - pair[m][l].conj()
@@ -427,17 +416,10 @@ def chern_derivative(calc, conn: ConnectionForms, xi: VectorField,
     n = calc.n
     comps = calc.frame.to_frame_components(eta)
     a_of_xi = conn.pair_with(xi)
-    out = []
-    for k in range(n):
-        acc = xi.derive(comps[k])
-        for l in range(n):
-            acc = acc + a_of_xi[k, l] * comps[l]
-        out.append(acc)
-    for k in range(n):
-        acc = xi.derive(comps[n + k])
-        for l in range(n):
-            acc = acc + a_of_xi[k, l].conj() * comps[n + l]
-        out.append(acc)
+    out = [Jet.dot([(a_of_xi[k, l], comps[l]) for l in range(n)], n, calc.order,
+                   start=xi.derive(comps[k])) for k in range(n)]
+    out += [Jet.dot([(a_of_xi[k, l].conj(), comps[n + l]) for l in range(n)], n, calc.order,
+                    start=xi.derive(comps[n + k])) for k in range(n)]
     return calc.frame.from_frame_components(out)
 
 
@@ -474,31 +456,20 @@ class LeviCivita:
         for c in range(dim):
             for a in range(dim):
                 for b in range(a, dim):
-                    acc = Jet.zero(n, order)
-                    for d in range(dim):
-                        term = derivs[b][d][a] + derivs[a][d][b] - derivs[a][b][d]
-                        acc = acc + self.ginv[c, d] * term
-                    acc = acc * 0.5
+                    acc = Jet.dot([(self.ginv[c, d],
+                                    derivs[b][d][a] + derivs[a][d][b] - derivs[a][b][d])
+                                   for d in range(dim)], n, order) * 0.5
                     self.gamma[c][a][b] = acc
                     self.gamma[c][b][a] = acc
 
     def derivative(self, xi: VectorField, eta: VectorField) -> VectorField:
         n = self.calc.n
         dim = 2 * n
-        out = []
-        for c in range(dim):
-            acc = xi.derive(eta.components[c])
-            for a in range(dim):
-                xa = xi.components[a]
-                if not xa.terms:
-                    continue
-                for b in range(dim):
-                    eb = eta.components[b]
-                    if not eb.terms:
-                        continue
-                    acc = acc + self.gamma[c][a][b] * xa * eb
-            out.append(acc)
-        return VectorField(out)
+        live = [(a, b, xa, eb) for a, xa in enumerate(xi.components) if xa.terms
+                for b, eb in enumerate(eta.components) if eb.terms]
+        return VectorField([Jet.dot([(self.gamma[c][a][b] * xa, eb) for a, b, xa, eb in live],
+                                    n, self.calc.order, start=xi.derive(eta.components[c]))
+                            for c in range(dim)])
 
     def torsion_free_residual(self, xi, eta):
         lhs = self.derivative(xi, eta) - self.derivative(eta, xi) - xi.bracket(eta)
@@ -547,13 +518,11 @@ class ChernLeviCivita:
 
     def _solve_omega_pairing(self, rhs10, rhs01) -> VectorField:
         """Vector V with omega(V, zetabar_m) = rhs10[m], omega(V, zeta_m) = rhs01[m]."""
-        n = self.n
-        v = [Jet.zero(n, self.calc.order) for _ in range(n)]
-        w = [Jet.zero(n, self.calc.order) for _ in range(n)]
-        for k in range(n):
-            for m in range(n):
-                v[k] = v[k] + self._h_t_inv[k, m] * (rhs10[m] * (-2j))
-                w[k] = w[k] + self._h_inv[k, m] * (rhs01[m] * 2j)
+        n, order = self.n, self.calc.order
+        rhs10 = [r * (-2j) for r in rhs10]
+        rhs01 = [r * 2j for r in rhs01]
+        v = [Jet.dot(zip(self._h_t_inv.entries[k], rhs10), n, order) for k in range(n)]
+        w = [Jet.dot(zip(self._h_inv.entries[k], rhs01), n, order) for k in range(n)]
         return self.calc.frame.from_frame_components(v + w)
 
     def gamma(self, x: VectorField, y: VectorField) -> VectorField:
@@ -592,12 +561,8 @@ class ChernLeviCivita:
         [zetabar_l, zetabar_m]^{1,0})."""
         n = self.n
         h = self.hd.H
-        rhs10 = []
-        for m in range(n):
-            acc = Jet.zero(n, self.calc.order)
-            for s in range(n):
-                acc = acc + self.calc.bc.N[s][l, m] * h[s, k]
-            rhs10.append(acc * (-0.5j))
+        rhs10 = [Jet.dot([(self.calc.bc.N[s][l, m], h[s, k]) for s in range(n)],
+                         n, self.calc.order) * (-0.5j) for m in range(n)]
         zero = [Jet.zero(n, self.calc.order)] * n
         return self._solve_omega_pairing(rhs10, zero)
 
@@ -797,13 +762,10 @@ def connection_matrix_coordinate(calc, conn: ConnectionForms):
     a_coord = [JetMatrix.zeros(dim, dim, n, order) for _ in range(dim)]
     for k in range(n):
         for l in range(n):
-            comp = [Jet.zero(n, order) for _ in range(dim)]
-            for (kk, _), c in conn.aprime[k, l].coeffs.items():
-                for a in range(dim):
-                    comp[a] = comp[a] + c * g[kk[0], a]
-            for (_, ll), c in conn.asecond[k, l].coeffs.items():
-                for a in range(dim):
-                    comp[a] = comp[a] + c * g[n + ll[0], a]
+            rows = [(c, kk[0]) for (kk, _), c in conn.aprime[k, l].coeffs.items()] \
+                + [(c, n + ll[0]) for (_, ll), c in conn.asecond[k, l].coeffs.items()]
+            comp = [Jet.dot([(c, g[row, a]) for c, row in rows], n, order)
+                    for a in range(dim)]
             for a in range(dim):
                 a_coord[a].entries[k][l] = comp[a]
                 # conjugate block: swap dz <-> dzbar components and conjugate
@@ -955,16 +917,9 @@ def transform_metric(calc_old: FrameCalculus, hd: HermitianData, phi,
     for l in range(n):
         row = []
         for m in range(n):
-            acc = Jet.zero(n, w)
-            for a in range(dim):
-                za = g_new[a, l]
-                if not za.terms:
-                    continue
-                for b in range(dim):
-                    zb = g_new[b, n + m]
-                    if not zb.terms:
-                        continue
-                    acc = acc + w_new[a, b] * za * zb
+            acc = Jet.dot([(w_new[a, b] * g_new[a, l], g_new[b, n + m])
+                           for a in range(dim) if g_new[a, l].terms
+                           for b in range(dim) if g_new[b, n + m].terms], n, w)
             row.append((acc * (-2j)).truncated(order))
         h_entries.append(row)
     h = JetMatrix(h_entries)

@@ -61,11 +61,11 @@ class FrameCalculus:
         self._zetas = [self.frame.zeta(k) for k in range(s.n)]
         self._zetabars = [self.frame.zeta_bar(k) for k in range(s.n)]
 
-    def zeta_derive(self, r, f: Jet) -> Jet:
-        return self._zetas[r].derive(f)
+    def zeta_derive(self, r, f: Jet, grad=None) -> Jet:
+        return self._zetas[r].derive(f, grad)
 
-    def zetabar_derive(self, r, f: Jet) -> Jet:
-        return self._zetabars[r].derive(f)
+    def zetabar_derive(self, r, f: Jet, grad=None) -> Jet:
+        return self._zetabars[r].derive(f, grad)
 
     def function(self, f: Jet):
         return PQForm(self, 0, 0, {((), ()): f})
@@ -157,7 +157,7 @@ class PQForm:
         if self.calc is not other.calc:
             raise JetError("forms live in different frames")
         p, q = self.p + other.p, self.q + other.q
-        acc = {}
+        terms = {}
         for (k1, l1), c1 in self.coeffs.items():
             w1 = [(0, i) for i in k1] + [(1, i) for i in l1]
             for (k2, l2), c2 in other.coeffs.items():
@@ -165,10 +165,8 @@ class PQForm:
                 sign, kk, ll = normalize_factors(word)
                 if sign == 0:
                     continue
-                contrib = (c1 * c2) * float(sign)
-                key = (kk, ll)
-                acc[key] = acc[key] + contrib if key in acc else contrib
-        return PQForm(self.calc, p, q, acc)
+                terms.setdefault((kk, ll), []).append((c1 * c2, float(sign)))
+        return PQForm(self.calc, p, q, _sum_terms(terms, self.calc.n, self.calc.order))
 
     def evaluate(self, fields) -> Jet:
         """Evaluate on p+q vector fields (antisymmetrized pairing)."""
@@ -177,17 +175,13 @@ class PQForm:
             raise JetError(f"need {deg} fields, got {len(fields)}")
         n, order = self.calc.n, self.calc.order
         fr = self.calc.frame
+        if not deg:
+            return sum(self.coeffs.values(), Jet.zero(n, order))
         comps = [fr.to_frame_components(x) for x in fields]
-        total = Jet.zero(n, order)
-        for (k, l), c in self.coeffs.items():
-            covs = list(k) + [n + i for i in l]
-            if not deg:
-                total = total + c
-                continue
-            det = _determinant([[comps[fi][cov] for fi in range(deg)]
-                                for cov in covs], n, order)
-            total = total + c * det
-        return total
+        return Jet.dot([(c, _determinant([[comps[fi][cov] for fi in range(deg)]
+                                          for cov in list(k) + [n + i for i in l]],
+                                         n, order))
+                        for (k, l), c in self.coeffs.items()], n, order)
 
     def __repr__(self):
         return f"PQForm(({self.p},{self.q}), {len(self.coeffs)} terms)"
@@ -220,7 +214,7 @@ def _determinant(rows, n, order) -> Jet:
     """Determinant of a square jet matrix, sum over perm of
     sign * rows[0][perm[0]] * rows[1][perm[1]] * ..., multiplied left to
     right; a product stops at its first zero partial product."""
-    det = Jet.zero(n, order)
+    terms = []
     for perm, sign in _signed_permutations(len(rows)):
         prod = None
         for row, col in zip(rows, perm):
@@ -229,8 +223,8 @@ def _determinant(rows, n, order) -> Jet:
             if not prod.terms:
                 break
         if prod is not None and prod.terms:
-            det = det + prod * sign
-    return det
+            terms.append((prod, sign))
+    return Jet.dot(terms, n, order)
 
 
 def apply_operator(kind: str, u: PQForm, calc: FrameCalculus | None = None) -> PQForm:
@@ -253,13 +247,24 @@ def apply_operator(kind: str, u: PQForm, calc: FrameCalculus | None = None) -> P
     raise JetError(f"unknown operator kind {kind!r}")
 
 
-def _accumulate(acc, word, jet):
+def _sum_terms(terms, n, order):
+    """``{key: sum of jet * scalar over the (jet, scalar) list of the key}``.
+    The first product is built by ``*`` and the rest are added to it by
+    ``Jet.dot``, which equals the fold ``acc[key] = acc[key] + jet * scalar``
+    that starts from the first product."""
+    out = {}
+    for key, ((jet, c), *rest) in terms.items():
+        first = jet * c
+        out[key] = Jet.dot(rest, n, order, start=first) if rest else first
+    return out
+
+
+def _accumulate(terms, word, jet):
+    """Record jet times the sign of the wedge word under the word's key."""
     sign, kk, ll = normalize_factors(word)
     if sign == 0 or not jet.terms:
         return
-    key = (kk, ll)
-    contrib = jet * float(sign)
-    acc[key] = acc[key] + contrib if key in acc else contrib
+    terms.setdefault((kk, ll), []).append((jet, float(sign)))
 
 
 def _op_del(u, calc):
@@ -267,22 +272,23 @@ def _op_del(u, calc):
     acc = {}
     for (kk, ll), c in u.coeffs.items():
         base = [(0, i) for i in kk] + [(1, i) for i in ll]
+        grad = c.gradient()
         for r in range(n):
-            _accumulate(acc, [(0, r)] + base, calc.zeta_derive(r, c))
+            _accumulate(acc, [(0, r)] + base, calc.zeta_derive(r, c, grad))
         for j, kj in enumerate(kk, start=1):
             khat = [(0, i) for i in kk if i != kj] + [(1, i) for i in ll]
             for r in range(n):
                 for t in range(r + 1, n):
-                    coeff = c * calc.bc.M[kj][r, t].conj()
+                    coeff = c * calc.bc.conj_table("M")[kj][r, t]
                     _accumulate(acc, [(0, r), (0, t)] + khat, coeff * float((-1) ** j))
         for j, lj in enumerate(ll, start=1):
             lhat = [(0, i) for i in kk] + [(1, i) for i in ll if i != lj]
             for r in range(n):
                 for t in range(n):
-                    coeff = c * calc.bc.U[lj][t, r].conj()
+                    coeff = c * calc.bc.conj_table("U")[lj][t, r]
                     sign = -((-1) ** u.p) * ((-1) ** j)
                     _accumulate(acc, [(0, r), (1, t)] + lhat, coeff * float(sign))
-    return PQForm(calc, u.p + 1, u.q, acc)
+    return PQForm(calc, u.p + 1, u.q, _sum_terms(acc, n, calc.order))
 
 
 def _op_delbar(u, calc):
@@ -290,8 +296,9 @@ def _op_delbar(u, calc):
     acc = {}
     for (kk, ll), c in u.coeffs.items():
         base = [(0, i) for i in kk] + [(1, i) for i in ll]
+        grad = c.gradient()
         for r in range(n):
-            _accumulate(acc, [(1, r)] + base, calc.zetabar_derive(r, c))
+            _accumulate(acc, [(1, r)] + base, calc.zetabar_derive(r, c, grad))
         for j, kj in enumerate(kk, start=1):
             khat = [(0, i) for i in kk if i != kj] + [(1, i) for i in ll]
             for r in range(n):
@@ -305,7 +312,7 @@ def _op_delbar(u, calc):
                     coeff = c * calc.bc.M[lj][r, t]
                     sign = ((-1) ** u.p) * ((-1) ** j)
                     _accumulate(acc, [(1, r), (1, t)] + lhat, coeff * float(sign))
-    return PQForm(calc, u.p, u.q + 1, acc)
+    return PQForm(calc, u.p, u.q + 1, _sum_terms(acc, n, calc.order))
 
 
 def _op_theta(u, calc):
@@ -318,10 +325,10 @@ def _op_theta(u, calc):
             lhat = [(0, i) for i in kk] + [(1, i) for i in ll if i != lj]
             for r in range(n):
                 for t in range(r + 1, n):
-                    coeff = c * calc.bc.N[lj][r, t].conj()
+                    coeff = c * calc.bc.conj_table("N")[lj][r, t]
                     sign = -((-1) ** u.p) * ((-1) ** j)
                     _accumulate(acc, [(0, r), (0, t)] + lhat, coeff * float(sign))
-    return PQForm(calc, u.p + 2, u.q - 1, acc)
+    return PQForm(calc, u.p + 2, u.q - 1, _sum_terms(acc, n, calc.order))
 
 
 def _op_thetabar(u, calc):
@@ -337,7 +344,7 @@ def _op_thetabar(u, calc):
                     coeff = c * calc.bc.N[kj][r, t]
                     sign = -((-1) ** j)
                     _accumulate(acc, [(1, r), (1, t)] + khat, coeff * float(sign))
-    return PQForm(calc, u.p - 1, u.q + 2, acc)
+    return PQForm(calc, u.p - 1, u.q + 2, _sum_terms(acc, n, calc.order))
 
 
 def canonical_p0_connection(u: PQForm) -> PQForm:
@@ -378,12 +385,9 @@ class MixedForm:
         return self.components.get((p, q), PQForm(self.calc, p, q, {}))
 
     def evaluate(self, fields) -> Jet:
-        total = Jet.zero(self.calc.n, self.calc.order)
         deg = len(fields)
-        for (p, q), form in self.components.items():
-            if p + q == deg:
-                total = total + form.evaluate(fields)
-        return total
+        return sum((form.evaluate(fields) for (p, q), form in self.components.items()
+                    if p + q == deg), Jet.zero(self.calc.n, self.calc.order))
 
     def max_abs(self, max_degree=None):
         return nan_max(f.max_abs(max_degree) for f in self.components.values())
@@ -458,10 +462,9 @@ class CoordForm:
                 merged = sorted(key + (a,))
                 pos = merged.index(a)
                 sign = (-1) ** (len(key) - pos)  # moved left past trailing factors
-                contrib = (c * jet) * float(sign)
-                k2 = tuple(merged)
-                acc[k2] = acc[k2] + contrib if k2 in acc else contrib
-        return CoordForm(self.n, self.order, self.degree + 1, acc)
+                acc.setdefault(tuple(merged), []).append((c * jet, float(sign)))
+        return CoordForm(self.n, self.order, self.degree + 1,
+                         _sum_terms(acc, self.n, self.order))
 
     def d(self):
         """Textbook exterior derivative on jet coefficients."""
@@ -474,10 +477,9 @@ class CoordForm:
                 merged = sorted(key + (a,))
                 pos = merged.index(a)
                 sign = (-1) ** pos   # dx_a moved from the front past pos factors
-                k2 = tuple(merged)
-                contrib = dc * float(sign)
-                acc[k2] = acc[k2] + contrib if k2 in acc else contrib
-        return CoordForm(self.n, self.order, self.degree + 1, acc)
+                acc.setdefault(tuple(merged), []).append((dc, float(sign)))
+        return CoordForm(self.n, self.order, self.degree + 1,
+                         _sum_terms(acc, self.n, self.order))
 
     def max_abs(self, max_degree=None):
         return nan_max(j.max_abs(max_degree) for j in self.coeffs.values())
@@ -490,15 +492,11 @@ class CoordForm:
 
     def evaluate(self, fields) -> Jet:
         deg = self.degree
-        total = Jet.zero(self.n, self.order)
-        for key, c in self.coeffs.items():
-            if not deg:
-                total = total + c
-                continue
-            det = _determinant([[fields[fi].components[cov] for fi in range(deg)]
-                                for cov in key], self.n, self.order)
-            total = total + c * det
-        return total
+        if not deg:
+            return sum(self.coeffs.values(), Jet.zero(self.n, self.order))
+        return Jet.dot([(c, _determinant([[fields[fi].components[cov] for fi in range(deg)]
+                                          for cov in key], self.n, self.order))
+                        for key, c in self.coeffs.items()], self.n, self.order)
 
 
 def to_coordinate_form(u: PQForm) -> CoordForm:

@@ -17,18 +17,33 @@ of I + J, so one product is a gather, a multiply and one
 since jets are immutable.  The vector is complex, or an object array of
 ``QC`` for an exact jet.
 
+Small jets take a third view: each monomial's integer code over the index
+(its exponents as digits in radix order + 1), so that the code of I + J is
+code(I) + code(J) whenever I + J is within the order.
+
 Which path runs:
 
 - ``Jet.__mul__``: the dense kernel when both jets are float and the product
   of their term counts exceeds the index's ``dense_min_pairs``
   (``_DENSE_MUL_MIN_PAIRS`` plus a share of the product table's size);
-  otherwise the dict convolution over the stored terms.
+  otherwise the dict convolution over the stored terms, which keys its
+  partial sums by code(I) + code(J) and sorts the result into slot order
+  once.
+- ``Jet.dot``: every sum of products, acc = acc + a * b, over (jet, jet) or
+  (jet, scalar) pairs.  Each product runs on the path ``*`` would take, but
+  no product or partial-sum jet is built: the products' terms go into one
+  code-keyed dict with the fold's pruning, and one jet is built at the end,
+  equal bit for bit to the fold.
 - ``Jet.compose``: one path for both modes.  The substituted monomials are
   built on coefficient vectors, each one from a monomial of one degree less,
   and summed in one vector-matrix product.
 - ``JetMatrix.__matmul__``: per output entry, the dense kernel summed over the
   inner index when the entry's pair count exceeds ``dense_min_pairs`` (float
-  only); otherwise a sum of ``Jet`` products.
+  only); otherwise ``Jet.dot`` over the inner index.
+
+Results whose terms come out in graded order already (negation, scaling,
+partials, re-tagging, re-embedding, truncation and the product paths above) are
+built by ``Jet._make``, which skips ``__init__``'s key lookup and sort.
 
 Exact operands of ``*`` and ``@`` stay on the dict path.  The dense kernel
 does run on ``QC`` object arrays, but it forms every pair of the product
@@ -59,11 +74,15 @@ PRUNE_EPS = 1e-14
 
 # A float product runs on the dense kernel when its operands' term counts
 # multiply to more than this plus one per 250 pairs of the (n, order) product
-# table, and on the dict convolution otherwise.  The dict path costs about
-# 5 us per pair; a dense product costs a fixed ~40 us plus ~20 ns per table
-# pair.  Measured crossovers (fresh low-degree operands, 2-vCPU Xeon VM):
-# 9-16 pairs for n <= 3, 16-25 at (n, N) = (4, 4), 64-144 at (4, 5) and
-# about 300 at (4, 6).
+# table, and on the dict convolution otherwise.  When this was set, the dict
+# path cost about 5 us per pair and a dense product a fixed ~40 us plus
+# ~20 ns per table pair, with crossovers (fresh low-degree operands, 2-vCPU
+# Xeon VM) of 9-16 pairs for n <= 3, 16-25 at (n, N) = (4, 4), 64-144 at
+# (4, 5) and about 300 at (4, 6).  The code-keyed dict product moved them:
+# on the same operands it costs 7-15 us for up to 16 pairs, and the
+# crossover is now about 250 pairs at (2, 3) and (3, 3) and above 256 at
+# (4, 4) and (4, 5).  The threshold stays, since the path decides the order
+# of summation and with it the last bits of every report.
 _DENSE_MUL_MIN_PAIRS = 12
 
 
@@ -267,6 +286,14 @@ class _Index:
         codes = exps @ radix
         return exps, radix, codes, np.argsort(codes)
 
+    @functools.cached_property
+    def code_lists(self):
+        """(code of each slot, degree of each slot, slot of each code) as
+        Python lists and a dict, for the dict product and ``Jet.dot``."""
+        exps, _, codes, _ = self._codes
+        code_list = codes.tolist()
+        return code_list, exps.sum(axis=1).tolist(), {c: s for s, c in enumerate(code_list)}
+
     def _slot_of_code(self, code):
         _, _, codes, by_code = self._codes
         return by_code[np.searchsorted(codes, code, sorter=by_code)]
@@ -317,6 +344,16 @@ def _index(n, order):
     return _Index(n, order)
 
 
+def _check_operand(jet, shape):
+    """Raise unless ``jet`` has the (n, order, exact) of ``shape``."""
+    if (jet.n, jet.order, jet.exact) != shape:
+        n, order, _ = shape
+        if (jet.n, jet.order) != (n, order):
+            raise JetError(f"jet mismatch: (n={n}, order={order}) vs "
+                           f"(n={jet.n}, order={jet.order})")
+        raise JetError("cannot mix exact and floating jets")
+
+
 class Jet:
     """Truncated power series; immutable value type.
 
@@ -326,7 +363,7 @@ class Jet:
     trusted (differentiation decrements it).
     """
 
-    __slots__ = ("n", "order", "effective_order", "exact", "terms", "_pack")
+    __slots__ = ("n", "order", "effective_order", "exact", "terms", "_pack", "_coded")
 
     def __init__(self, n, order, terms=None, effective_order=None, exact=False):
         if order < 0:
@@ -335,7 +372,7 @@ class Jet:
         self.order = order
         self.exact = exact
         self.effective_order = order if effective_order is None else min(effective_order, order)
-        self._pack = None
+        self._pack = self._coded = None
         if not terms:
             self.terms = {}
             return
@@ -382,27 +419,18 @@ class Jet:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _check_binary(self, other):
-        if self.n != other.n or self.order != other.order:
-            raise JetError(
-                f"jet mismatch: (n={self.n}, order={self.order}) vs "
-                f"(n={other.n}, order={other.order})")
-        if self.exact != other.exact:
-            raise JetError("cannot mix exact and floating jets")
-
     def truncated(self, new_order):
         """Copy truncated to a (usually lower) order."""
+        if new_order < 0:
+            raise JetError("order must be >= 0")
         terms = {k: c for k, c in self.terms.items() if _degree(k) <= new_order}
-        return Jet(self.n, new_order, terms,
-                   effective_order=min(self.effective_order, new_order),
-                   exact=self.exact)
+        return Jet._make(self.n, new_order, terms, self.effective_order, self.exact)
 
     def with_order(self, new_order):
         """Re-embed at a higher truncation order; trusted degrees unchanged."""
         if new_order < self.order:
             return self.truncated(new_order)
-        return Jet(self.n, new_order, self.terms,
-                   effective_order=self.effective_order, exact=self.exact)
+        return Jet._make(self.n, new_order, self.terms, self.effective_order, self.exact)
 
     def padded(self, new_order):
         """Re-embed treating the content as an exact polynomial: every degree
@@ -410,13 +438,11 @@ class Jet:
         is polynomial (coordinate changes, constructed fixtures)."""
         if new_order < self.order:
             return self.truncated(new_order)
-        return Jet(self.n, new_order, self.terms,
-                   effective_order=new_order, exact=self.exact)
+        return Jet._make(self.n, new_order, self.terms, new_order, self.exact)
 
     def trusted(self, eff):
         """Copy with the stated effective order (caller vouches for it)."""
-        return Jet(self.n, self.order, self.terms, effective_order=eff,
-                   exact=self.exact)
+        return Jet._make(self.n, self.order, self.terms, eff, self.exact, self._pack)
 
     def coeff(self, alpha, beta):
         default = QC(0) if self.exact else 0j
@@ -440,7 +466,7 @@ class Jet:
     def __add__(self, other):
         if not isinstance(other, Jet):
             other = Jet.constant(self.n, self.order, other, exact=self.exact)
-        self._check_binary(other)
+        _check_operand(other, (self.n, self.order, self.exact))
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0 if not self.exact else QC(0)) + c
@@ -451,8 +477,8 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.n, self.order, {k: -c for k, c in self.terms.items()},
-                   effective_order=self.effective_order, exact=self.exact)
+        return Jet._make(self.n, self.order, {k: -c for k, c in self.terms.items()},
+                         self.effective_order, self.exact)
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -465,37 +491,56 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self._scale(other)
-        self._check_binary(other)
-        pairs = len(self.terms) * len(other.terms)
-        if not self.exact and pairs > _DENSE_MUL_MIN_PAIRS:
-            idx = _index(self.n, self.order)
-            if pairs > idx.dense_min_pairs:
-                return Jet._from_dense(idx, idx.mul(self._dense(), other._dense()),
-                                       min(self.effective_order, other.effective_order))
-        terms = {}
+        _check_operand(other, (self.n, self.order, self.exact))
+        idx = _index(self.n, self.order)
+        eff = min(self.effective_order, other.effective_order)
+        if not self.exact and len(self.terms) * len(other.terms) > idx.dense_min_pairs:
+            return Jet._from_dense(idx, idx.mul(self._dense(), other._dense()), eff)
+        terms = self._dict_product(other, idx)
+        if self.exact:
+            kept = {k: c for k, c in terms.items() if c}
+        else:
+            kept = {k: c for k, c in terms.items() if not abs(c) < PRUNE_EPS}
+        return Jet._from_codes(idx, kept, eff, self.exact)
+
+    def _code_terms(self, idx):
+        """(code, degree, coefficient) of each term, in graded order; cached."""
+        if self._coded is None:
+            codes, degrees, _ = idx.code_lists
+            slots = map(idx.pos.__getitem__, self.terms)
+            self._coded = [(codes[s], degrees[s], c) for s, c in zip(slots, self.terms.values())]
+        return self._coded
+
+    def _dict_product(self, other, idx):
+        """Unpruned product as ``{code: coefficient}``.  The pairs are visited
+        left term by left term, each against the right terms in graded order
+        up to the first whose degree overflows the order."""
+        order = idx.order
+        right = other._code_terms(idx)
         zero = QC(0) if self.exact else 0j
-        for (a1, b1), c1 in self.terms.items():
-            d1 = sum(a1) + sum(b1)
-            for (a2, b2), c2 in other.terms.items():
-                if d1 + sum(a2) + sum(b2) > self.order:
-                    continue
-                key = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
-                terms[key] = terms.get(key, zero) + c1 * c2
-        return Jet(self.n, self.order, terms,
-                   effective_order=min(self.effective_order, other.effective_order),
-                   exact=self.exact)
+        terms = {}
+        get = terms.get
+        for k1, d1, c1 in self._code_terms(idx):
+            room = order - d1
+            for k2, d2, c2 in right:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                terms[k] = get(k, zero) + c1 * c2
+        return terms
 
     def _scale(self, c):
         if self.exact:
             c = _as_qc(c)
+            terms = {k: x for k, v in self.terms.items() if (x := v * c)}
         elif isinstance(c, (int, float, complex, np.integer, np.floating,
                             np.complexfloating)):
             c = complex(c)
+            terms = {k: x for k, v in self.terms.items()
+                     if not abs(x := v * c) < PRUNE_EPS}
         else:
             return NotImplemented
-        return Jet(self.n, self.order, {k: v * c for k, v in self.terms.items()},
-                   effective_order=self.effective_order, exact=self.exact)
+        return Jet._make(self.n, self.order, terms, self.effective_order, self.exact)
 
     __rmul__ = __mul__
 
@@ -512,6 +557,19 @@ class Jet:
         return self._pack
 
     @classmethod
+    def _make(cls, n, order, terms, effective_order, exact, pack=None):
+        """Jet on ``terms`` as given: pruned, valid for (n, order) and in
+        graded order already, so ``__init__``'s key lookup and sort are
+        skipped.  ``terms`` is not copied; no jet mutates its terms."""
+        jet = cls.__new__(cls)
+        jet.n, jet.order, jet.exact = n, order, exact
+        jet.effective_order = effective_order if effective_order < order else order
+        jet.terms = terms
+        jet._pack = pack
+        jet._coded = None
+        return jet
+
+    @classmethod
     def _from_dense(cls, idx, vec, effective_order, exact=False):
         """Jet from a coefficient vector over ``idx``.
 
@@ -522,16 +580,84 @@ class Jet:
         """
         keep = vec.astype(bool) if exact else ~(np.abs(vec) < PRUNE_EPS)
         slots = np.flatnonzero(keep)
-        jet = cls.__new__(cls)
-        jet.n, jet.order, jet.exact = idx.n, idx.order, exact
-        jet.effective_order = min(effective_order, idx.order)
         monos = idx.monos
-        jet.terms = dict(zip([monos[i] for i in slots.tolist()], vec[slots].tolist()))
+        terms = dict(zip([monos[i] for i in slots.tolist()], vec[slots].tolist()))
         if not exact:
             vec = np.where(keep, vec, 0)
         vec.flags.writeable = False
-        jet._pack = vec
-        return jet
+        return cls._make(idx.n, idx.order, terms, effective_order, exact, vec)
+
+    @classmethod
+    def _from_codes(cls, idx, terms, effective_order, exact):
+        """Jet from pruned ``{code: coefficient}`` terms, sorted into slot order."""
+        slot_of = idx.code_lists[2]
+        by_slot = {slot_of[k]: c for k, c in terms.items()}
+        monos = idx.monos
+        return cls._make(idx.n, idx.order, {monos[s]: by_slot[s] for s in sorted(by_slot)},
+                         effective_order, exact)
+
+    @classmethod
+    def dot(cls, pairs, n, order, exact=False, start=None):
+        """Sum of the products ``a * b`` over ``pairs``, added to ``start``.
+
+        Each pair is (jet, jet) or (jet, scalar).  The result equals the fold
+        ``acc = start`` (default ``Jet.zero``), ``acc = acc + a * b`` bit for
+        bit, without building a product or a partial-sum jet: each product is
+        pruned as its own jet would be, its terms are added in fold order to
+        one code-keyed dict (a new key starts at the ``0`` of ``__add__``),
+        every touched sum below PRUNE_EPS (exact: zero) is dropped at once,
+        and the effective order is the least over ``start`` and the products.
+        """
+        idx = _index(n, order)
+        codes, pos = idx.code_lists[0], idx.pos
+        shape = (n, order, exact)
+        eff = order
+        acc = {}
+        if start is not None:
+            _check_operand(start, shape)
+            eff = start.effective_order
+            acc = {codes[pos[k]]: c for k, c in start.terms.items()}
+        zero = QC(0) if exact else 0
+        get = acc.get
+        for a, b in pairs:
+            _check_operand(a, shape)
+            if a.effective_order < eff:
+                eff = a.effective_order
+            if isinstance(b, Jet):
+                _check_operand(b, shape)
+                if b.effective_order < eff:
+                    eff = b.effective_order
+                if not (a.terms and b.terms):
+                    continue
+                if not exact and len(a.terms) * len(b.terms) > idx.dense_min_pairs:
+                    vec = idx.mul(a._dense(), b._dense())
+                    slots = np.flatnonzero(~(np.abs(vec) < PRUNE_EPS))
+                    items = zip([codes[s] for s in slots.tolist()], vec[slots].tolist())
+                else:
+                    items = a._dict_product(b, idx).items()
+            else:
+                scalar = _as_qc(b) if exact else complex(b)
+                items = [(codes[s], v * scalar)
+                         for s, v in zip(map(pos.__getitem__, a.terms), a.terms.values())]
+            # a key absent from acc gets 0 + c, which is nonzero (exact) or
+            # of modulus |c| (float), so only held keys are ever dropped
+            if exact:
+                for k, c in items:
+                    if c:
+                        c = get(k, zero) + c
+                        if c:
+                            acc[k] = c
+                        else:
+                            del acc[k]
+            else:
+                for k, c in items:
+                    if not abs(c) < PRUNE_EPS:
+                        c = get(k, zero) + c
+                        if not abs(c) < PRUNE_EPS:
+                            acc[k] = c
+                        else:
+                            del acc[k]
+        return cls._from_codes(idx, acc, eff, exact)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -558,9 +684,15 @@ class Jet:
         """Formal partial derivative with respect to zbar_k."""
         return self._partial(k, conjugate=True)
 
+    def gradient(self):
+        """The 2n partials: d/dz_1..d/dz_n, then d/dzbar_1..d/dzbar_n."""
+        return ([self._partial(k, False) for k in range(self.n)]
+                + [self._partial(k, True) for k in range(self.n)])
+
     def _partial(self, k, conjugate):
         if not 0 <= k < self.n:
             raise JetError(f"variable index {k} out of range for n={self.n}")
+        exact = self.exact
         terms = {}
         for (a, b), c in self.terms.items():
             e = b[k] if conjugate else a[k]
@@ -570,9 +702,11 @@ class Jet:
                 key = (a, b[:k] + (e - 1,) + b[k + 1:])
             else:
                 key = (a[:k] + (e - 1,) + a[k + 1:], b)
-            terms[key] = c * e
-        return Jet(self.n, self.order, terms,
-                   effective_order=self.effective_order - 1, exact=self.exact)
+            c = c * e
+            if c if exact else not abs(c) < PRUNE_EPS:
+                terms[key] = c
+        # lowering one exponent of every term keeps their graded order
+        return Jet._make(self.n, self.order, terms, self.effective_order - 1, exact)
 
     def eval(self, point):
         """Evaluate with zbar_k = conj(z_k)."""
@@ -874,22 +1008,17 @@ class JetMatrix:
         for row_in in self.entries:
             row = []
             for col in columns:
-                eff = self.order
-                live = []
-                for a, b in zip(row_in, col):
-                    eff = min(eff, a.effective_order, b.effective_order)
-                    if a.terms and b.terms:
-                        live.append((a, b))
-                if idx is not None and sum(len(a.terms) * len(b.terms) for a, b in live) \
+                pairs = list(zip(row_in, col))
+                if idx is not None and sum(len(a.terms) * len(b.terms) for a, b in pairs) \
                         > idx.dense_min_pairs:
+                    live = [(a, b) for a, b in pairs if a.terms and b.terms]
+                    eff = min([self.order] + [min(a.effective_order, b.effective_order)
+                                              for a, b in pairs])
                     vec = idx.mul_sum(np.array([a._dense() for a, _ in live]),
                                       np.array([b._dense() for _, b in live]))
                     row.append(Jet._from_dense(idx, vec, eff))
-                    continue
-                acc = Jet.zero(self.n, self.order, exact=self.exact)
-                for a, b in live:
-                    acc = acc + a * b
-                row.append(acc.trusted(eff) if acc.effective_order != eff else acc)
+                else:
+                    row.append(Jet.dot(pairs, self.n, self.order, self.exact))
             out.append(row)
         return JetMatrix(out)
 
@@ -981,23 +1110,19 @@ def series_inverse(phi: Sequence[Jet], order=None):
         raise SingularMatrixError("coordinate change has a singular linear part")
     lin_inv = np.linalg.inv(lin)
     ident = [Jet.variable(n, order, k) for k in range(n)]
+
+    def linear_inverse(jets):
+        """The first n components of lin_inv applied to (jets, conj(jets))."""
+        both = [p for l, j in enumerate(jets) for p in ((j, l), (j.conj(), n + l))]
+        return [Jet.dot([(j, lin_inv[k, col]) for j, col in both], n, order)
+                for k in range(n)]
+
     # start from the inverse of the linear part, then sharpen degree by degree
-    psi = []
-    for k in range(n):
-        acc = Jet.zero(n, order)
-        for l in range(n):
-            acc = acc + lin_inv[k, l] * ident[l] + lin_inv[k, n + l] * ident[l].conj()
-        psi.append(acc)
+    psi = linear_inverse(ident)
     for _ in range(order):
         err = [phi[k].compose(psi) - ident[k] for k in range(n)]
         if max(e.max_abs() for e in err) < PRUNE_EPS:
             break
-        new_psi = []
-        for k in range(n):
-            corr = Jet.zero(n, order)
-            for l in range(n):
-                corr = corr + lin_inv[k, l] * err[l] + lin_inv[k, n + l] * err[l].conj()
-            new_psi.append(psi[k] - corr)
-        psi = new_psi
+        psi = [p - c for p, c in zip(psi, linear_inverse(err))]
     # the inverse germ is polynomial-exact through the truncation order
     return [p.trusted(order) for p in psi]

@@ -65,15 +65,22 @@ class VectorField:
         return nan_max((a - b).max_abs()
                        for a, b in zip(self.components, self.conj().components)) <= tol
 
-    def derive(self, f: Jet) -> Jet:
-        """Directional derivative of a jet function along this field."""
-        acc = Jet.zero(f.n, f.order)
+    def derive(self, f: Jet, grad=None) -> Jet:
+        """Directional derivative of a jet function along this field.
+
+        ``grad`` may hold f's 2n partials (``f.gradient()``) when the caller
+        derives f along several fields; otherwise each partial the field
+        needs is taken here."""
+        n = self.n
+        pairs = []
         for a, comp in enumerate(self.components):
-            if not comp.terms:
-                continue
-            d = f.dz(a) if a < self.n else f.dzbar(a - self.n)
-            acc = acc + comp * d
-        return acc
+            if comp.terms:
+                if grad is not None:
+                    d = grad[a]
+                else:
+                    d = f.dz(a) if a < n else f.dzbar(a - n)
+                pairs.append((comp, d))
+        return Jet.dot(pairs, f.n, f.order, f.exact)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [X, Y] = X . grad Y - Y . grad X, componentwise."""
@@ -127,13 +134,8 @@ class AlmostComplexStructure:
 
     def apply(self, x: VectorField) -> VectorField:
         m = self.matrix()
-        comps = []
-        for i in range(2 * self.n):
-            acc = Jet.zero(self.n, self.order)
-            for j in range(2 * self.n):
-                acc = acc + m[i, j] * x.components[j]
-            comps.append(acc)
-        return VectorField(comps)
+        return VectorField([Jet.dot(zip(row, x.components), self.n, self.order)
+                            for row in m.entries])
 
     def validate(self) -> ValidationReport:
         eff = min(self.A.effective_order, self.B.effective_order)
@@ -143,8 +145,8 @@ class AlmostComplexStructure:
         return ValidationReport(r1, r2, eff)
 
     def is_adapted(self, tol=1e-12):
-        a0 = self.A.constant()
-        b0 = self.B.constant()
+        a0 = self.A.constant().astype(complex)
+        b0 = self.B.constant().astype(complex)
         return (np.abs(a0 - 1j * np.eye(self.n)).max() <= tol
                 and np.abs(b0).max() <= tol)
 
@@ -161,7 +163,9 @@ class Frame:
     dual covectors on (dz, dzbar).
 
     The 2n frame fields are built once; ``zeta``/``zeta_bar`` return those
-    same objects, and their frame components are paired once, on first use.
+    same objects, and ``real_frame_field`` builds each of its n fields once,
+    on first use.  The frame components of all 3n fields are paired once, on
+    first use.
     """
 
     def __init__(self, g: JetMatrix, ginv: JetMatrix):
@@ -172,8 +176,9 @@ class Frame:
         dim = 2 * self.n
         self._fields = tuple(VectorField([g[i, a] for i in range(dim)])
                              for a in range(dim))
+        self._real_fields = [None] * self.n
         self._field_slot = {id(f): a for a, f in enumerate(self._fields)}
-        self._field_comps = [None] * dim
+        self._field_comps = [None] * (dim + self.n)
 
     @classmethod
     def standard(cls, n, order):
@@ -188,14 +193,15 @@ class Frame:
 
     def real_frame_field(self, k) -> VectorField:
         """zeta_k + conj(zeta_k), a real tangent field."""
-        return self.zeta(k) + self.zeta_bar(k)
+        x = self._real_fields[k]
+        if x is None:
+            x = self._real_fields[k] = self.zeta(k) + self.zeta_bar(k)
+            self._field_slot[id(x)] = 2 * self.n + k
+        return x
 
     def dual_pair(self, k, x: VectorField) -> Jet:
         """Pairing of zeta*_k (k < n) or its conjugate (k >= n) with x."""
-        acc = Jet.zero(self.n, self.order)
-        for a in range(2 * self.n):
-            acc = acc + self.Ginv[k, a] * x.components[a]
-        return acc
+        return Jet.dot(zip(self.Ginv.entries[k], x.components), self.n, self.order)
 
     def to_frame_components(self, x: VectorField):
         """The 2n pairings of x with the dual frame, as a tuple."""
@@ -209,13 +215,8 @@ class Frame:
         return comps
 
     def from_frame_components(self, comps) -> VectorField:
-        out = []
-        for i in range(2 * self.n):
-            acc = Jet.zero(self.n, self.order)
-            for a in range(2 * self.n):
-                acc = acc + self.G[i, a] * comps[a]
-            out.append(acc)
-        return VectorField(out)
+        return VectorField([Jet.dot(zip(row, comps), self.n, self.order)
+                            for row in self.G.entries])
 
     def project10(self, x: VectorField) -> VectorField:
         comps = self.to_frame_components(x)
@@ -279,6 +280,15 @@ class BracketCoefficients:
         self.U = U
         self.V = V
         self.n = len(M)
+        self._conj = {}
+
+    def conj_table(self, name):
+        """Table ``name`` ("M", "N", "U" or "V") with every entry
+        conjugated, built on first use."""
+        got = self._conj.get(name)
+        if got is None:
+            got = self._conj[name] = [fam.conj() for fam in getattr(self, name)]
+        return got
 
     @property
     def effective_order(self):
@@ -339,15 +349,15 @@ class TorsionTensor:
         n, order = self.n, fr.order
         xi_c = fr.to_frame_components(xi)
         eta_c = fr.to_frame_components(eta)
-        out_frame = [Jet.zero(n, order) for _ in range(2 * n)]
+        terms = [[] for _ in range(2 * n)]
         for k in range(n):
             for l in range(k + 1, n):
                 pair = xi_c[k] * eta_c[l] - eta_c[k] * xi_c[l]
                 if not pair.terms:
                     continue
                 for r in range(n):
-                    out_frame[n + r] = out_frame[n + r] + self.nbar[r][k, l] * pair
-        return fr.from_frame_components(out_frame)
+                    terms[n + r].append((self.nbar[r][k, l], pair))
+        return fr.from_frame_components([Jet.dot(t, n, order) for t in terms])
 
     def nijenhuis(self, xi: VectorField, eta: VectorField) -> VectorField:
         """N_J = tau_J + conj(tau_J) evaluated on (complexified) fields."""
@@ -355,17 +365,17 @@ class TorsionTensor:
         n, order = self.n, fr.order
         xi_c = fr.to_frame_components(xi)
         eta_c = fr.to_frame_components(eta)
-        out_frame = [Jet.zero(n, order) for _ in range(2 * n)]
+        terms = [[] for _ in range(2 * n)]
         for k in range(n):
             for l in range(k + 1, n):
                 pair10 = xi_c[k] * eta_c[l] - eta_c[k] * xi_c[l]
                 pair01 = (xi_c[n + k] * eta_c[n + l] - eta_c[n + k] * xi_c[n + l])
                 for r in range(n):
                     if pair10.terms:
-                        out_frame[n + r] = out_frame[n + r] + self.nbar[r][k, l] * pair10
+                        terms[n + r].append((self.nbar[r][k, l], pair10))
                     if pair01.terms:
-                        out_frame[r] = out_frame[r] + self.nbar[r][k, l].conj() * pair01
-        return fr.from_frame_components(out_frame)
+                        terms[r].append((self.nbar[r][k, l].conj(), pair01))
+        return fr.from_frame_components([Jet.dot(t, n, order) for t in terms])
 
 
 def torsion_tensor(s: AlmostComplexStructure, frame: Frame | None = None,
@@ -465,13 +475,11 @@ def adapt_linear(s: AlmostComplexStructure):
     if abs(np.linalg.det(q)) < 1e-10:
         raise JetError("eigenvectors do not span; cannot adapt")
     lin = np.linalg.inv(q)
-    phi = []
-    for k in range(n):
-        acc = Jet.zero(n, order)
-        for l in range(n):
-            acc = acc + lin[k, l] * Jet.variable(n, order, l) \
-                + lin[k, n + l] * Jet.variable(n, order, l, conjugate=True)
-        phi.append(acc)
+    zs = [Jet.variable(n, order, l) for l in range(n)]
+    zbs = [Jet.variable(n, order, l, conjugate=True) for l in range(n)]
+    phi = [Jet.dot([t for l in range(n) for t in ((zs[l], lin[k, l]), (zbs[l], lin[k, n + l]))],
+                   n, order)
+           for k in range(n)]
     return transform_structure(s, phi), phi
 
 

@@ -301,3 +301,51 @@ def test_exact_and_float_inverse_agree(size):
     def check(m):
         assert_matrices_agree(m.inverse(), exact_matrix(m).inverse())
     check()
+
+
+# -- Jet.dot against the fold it replaces ----------------------------------------
+#
+# ``Jet.dot`` must equal ``acc = acc + a * b`` bit for bit.  These coefficients
+# are not dyadic, so sums round and their order shows; a zero real part is
+# -0.0, which the fold's ``0 + c`` turns into 0.0.
+
+def fold(pairs, n, order, exact=False, start=None):
+    """Reference: the left fold of products that ``Jet.dot`` replaces."""
+    acc = Jet.zero(n, order, exact=exact) if start is None else start
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def assert_same_bits(got, want):
+    assert got == want
+    assert [(k, repr(c)) for k, c in got.terms.items()] == \
+        [(k, repr(c)) for k, c in want.terms.items()]
+    assert got.effective_order == want.effective_order
+
+
+rounding = st.builds(lambda re, im: complex(re / 7 if re else -0.0, im / 3),
+                     st.integers(-8, 8), st.integers(-8, 8)).filter(bool)
+
+
+def dot_operands(size, exact):
+    lo, hi = size
+    coeff = thirds if exact else rounding
+    jet = st.tuples(st.dictionaries(st.sampled_from(MONOS), coeff, min_size=lo, max_size=hi),
+                    st.integers(0, ORDER)).map(
+        lambda t: Jet(N_VARS, ORDER, t[0], effective_order=t[1], exact=exact))
+    scalar = thirds if exact else st.one_of(rounding, st.integers(-3, 3))
+    pair = st.one_of(st.tuples(jet, jet), st.tuples(jet, scalar))
+    return st.tuples(st.lists(pair, max_size=6), st.none() | jet)
+
+
+@pytest.mark.parametrize("size, exact", [(SPARSE, False), (DENSE, False), (SPARSE, True)],
+                         ids=["dict", "dense", "exact"])
+def test_dot_equals_fold(size, exact):
+    @PROPERTY
+    @given(dot_operands(size, exact))
+    def check(operands):
+        pairs, start = operands
+        assert_same_bits(Jet.dot(pairs, N_VARS, ORDER, exact, start),
+                         fold(pairs, N_VARS, ORDER, exact, start))
+    check()

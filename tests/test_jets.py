@@ -89,15 +89,85 @@ class TestMul:
 
 
 def naive_product(f, g):
-    """Convolution of two jets' terms, truncated at f.order."""
+    """Convolution of two jets' terms, truncated at f.order, keyed by
+    exponent tuples and summed in the order the pairs are visited."""
     out = {}
+    zero = QC(0) if f.exact else 0j
     for (a1, b1), c1 in f.terms.items():
         for (a2, b2), c2 in g.terms.items():
             key = (tuple(x + y for x, y in zip(a1, a2)),
                    tuple(x + y for x, y in zip(b1, b2)))
             if sum(key[0]) + sum(key[1]) <= f.order:
-                out[key] = out.get(key, 0j) + c1 * c2
+                out[key] = out.get(key, zero) + c1 * c2
     return out
+
+
+def bits(jet):
+    return [(k, repr(c)) for k, c in jet.terms.items()]
+
+
+class TestDot:
+    def test_code_keyed_product_matches_tuple_keyed(self, rng):
+        # the dict path keys its sums by monomial code; the reference keys
+        # them by exponent tuples, then prunes and sorts through Jet(...)
+        for n, order in ((1, 6), (2, 3), (3, 4)):
+            threshold = _index(n, order).dense_min_pairs
+            for nterms in (1, 2, 3):
+                f = random_jet(rng, n, order, nterms=nterms)
+                g = random_jet(rng, n, order, nterms=nterms + 1)
+                assert len(f.terms) * len(g.terms) <= threshold
+                want = Jet(n, order, naive_product(f, g))
+                assert f * g == want
+                assert bits(f * g) == bits(want)
+                fq, gq = (Jet(n, order, {k: QC(Fraction(c.real).limit_denominator(99),
+                                                Fraction(c.imag).limit_denominator(99))
+                                          for k, c in h.terms.items()}, exact=True)
+                          for h in (f, g))
+                want = Jet(n, order, naive_product(fq, gq), exact=True)
+                assert fq * gq == want
+                assert list((fq * gq).terms) == list(want.terms)
+
+    def test_partial_sum_below_prune_is_dropped(self):
+        # the fold prunes every partial sum: 1 - (1 - 5e-15) falls below
+        # PRUNE_EPS and is dropped, so the sum restarts at 2e-14; adding the
+        # three products without that prune would give 2e-14 + 5e-15
+        one = Jet.one(1, 1)
+        pairs = [(one, 1.0), (one, -(1.0 - 5e-15)), (one, 2e-14)]
+        got = Jet.dot(pairs, 1, 1)
+        assert got.constant_term == 2e-14
+        partial = Jet.zero(1, 1)
+        for a, c in pairs:
+            partial = partial + a * c
+        assert got == partial
+        jet_pairs = [(one, one * c) for _, c in pairs]
+        assert Jet.dot(jet_pairs, 1, 1).constant_term == 2e-14
+
+    def test_nan_survives(self, rng):
+        f = Jet.constant(2, 3, complex("nan")) + random_jet(rng, 2, 3, nterms=2)
+        g = random_jet(rng, 2, 3, nterms=2) + 1.0
+        for pairs in ([(f, g), (g, g)], [(f, 2.0), (f, -2.0)], [(g, f), (g, -1.0)]):
+            got = Jet.dot(pairs, 2, 3)
+            assert np.isnan(got.max_abs())
+            assert bits(got) == bits(sum((a * b for a, b in pairs), Jet.zero(2, 3)))
+
+    def test_start_and_effective_order(self):
+        f = z(2, 3, 0).trusted(2)
+        start = zb(2, 3, 1).trusted(1)
+        assert Jet.dot([], 2, 3).effective_order == 3
+        assert Jet.dot([(f, 2.0)], 2, 3).effective_order == 2
+        got = Jet.dot([(f, f)], 2, 3, start=start)
+        assert got == start + f * f
+        assert got.effective_order == 1
+
+    def test_mismatch_rejected(self):
+        with pytest.raises(JetError):
+            Jet.dot([(z(2, 3, 0), z(2, 4, 0))], 2, 3)
+        with pytest.raises(JetError):
+            Jet.dot([(z(2, 3, 0), 1.0)], 3, 3)
+        with pytest.raises(JetError):
+            Jet.dot([(z(2, 3, 0, exact=True), 1)], 2, 3)
+        with pytest.raises(JetError):
+            Jet.dot([], 2, 3, exact=True, start=z(2, 3, 0))
 
 
 class TestMaxAbs:

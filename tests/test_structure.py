@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_j0, random_deformation
-from acgeom.jets import Jet, JetError, JetMatrix
+from acgeom.jets import QC, Jet, JetError, JetMatrix
+from acgeom.normal import normalize_to_order
 from acgeom.structure import (AlmostComplexStructure, VectorField, adapt_linear,
                               bracket_coefficients, frame_and_dual,
                               nijenhuis_check, projection_via_matrix,
@@ -28,6 +29,19 @@ class TestValidate:
         bad = AlmostComplexStructure(s.A, b)
         rep = bad.validate()
         assert rep.max_residual > 0.5
+
+
+class TestAdapted:
+    def test_exact_standard_structure_is_adapted(self):
+        s = AlmostComplexStructure(JetMatrix.identity(2, 2, 3, exact=True) * QC(0, 1),
+                                   JetMatrix.zeros(2, 2, 2, 3, exact=True))
+        assert s.is_adapted()
+        assert normalize_to_order(s).violation == 0
+
+    def test_exact_b0_is_not_adapted(self):
+        b = JetMatrix.from_constant([[QC(0), QC(1, 2)], [QC(0), QC(0)]], 2, 3, exact=True)
+        s = AlmostComplexStructure(JetMatrix.identity(2, 2, 3, exact=True) * QC(0, 1), b)
+        assert not s.is_adapted()
 
 
 class TestDeformation:
@@ -86,6 +100,46 @@ class TestFrame:
             copy = VectorField(list(x.components))
             assert fr.to_frame_components(copy) is not again
             assert list(fr.to_frame_components(copy)) == fresh
+
+    def test_real_frame_fields_built_and_paired_once(self):
+        fr = frame_and_dual(random_deformation(3, n=2))
+        for a in range(fr.n):
+            x = fr.real_frame_field(a)
+            assert x is fr.real_frame_field(a)
+            want = (fr.zeta(a) + fr.zeta_bar(a)).components
+            assert all(c == w for c, w in zip(x.components, want))
+            comps = fr.to_frame_components(x)
+            assert fr.to_frame_components(x) is comps
+            assert list(comps) == [fr.dual_pair(k, x) for k in range(2 * fr.n)]
+
+    def test_dual_pair_and_derive_build_one_jet(self, monkeypatch, rng):
+        # regression guard: a fold acc = acc + a * b builds a product and a
+        # partial sum per step; Jet.dot builds only the result
+        fr = frame_and_dual(random_deformation(3, n=2))
+        x = VectorField([random_jet(rng, 2, 4, nterms=4) for _ in range(4)])
+        f = random_jet(rng, 2, 4, nterms=6)
+        grad = f.gradient()
+        built = []
+        init, make = Jet.__init__, Jet._make.__func__
+
+        def counting_init(jet, *args, **kwargs):
+            built.append(jet)
+            init(jet, *args, **kwargs)
+
+        def counting_make(cls, *args, **kwargs):
+            built.append(cls)
+            return make(cls, *args, **kwargs)
+        # every jet is built by __init__ or by the internal constructor _make
+        monkeypatch.setattr(Jet, "__init__", counting_init)
+        monkeypatch.setattr(Jet, "_make", classmethod(counting_make))
+        for k in range(2 * fr.n):
+            built.clear()
+            fr.dual_pair(k, x)
+            assert len(built) == 1
+        for a in range(2 * fr.n):
+            built.clear()
+            fr.zeta(a % fr.n).derive(f, grad)
+            assert len(built) == 1
 
     def test_fix_b_dual_matches_expansion(self):
         # zeta*_1 = dz_1 - (i/2) conj(jet_2 B)_{1,t} dzbar_t + O(3)
