@@ -33,6 +33,12 @@ def sample_points(n, count=2, radius=0.05, seed=20240805):
     return pts
 
 
+def _hermitian_part(h: JetMatrix) -> JetMatrix:
+    """(h + h^*) / 2 entrywise: (h[l, m] + conj-jet of h[m, l]) * 0.5."""
+    return JetMatrix([[(h[l, m] + h[m, l].conj()) * 0.5 for m in range(h.cols)]
+                      for l in range(h.rows)])
+
+
 class HermitianData:
     """Metric coefficient matrix h_{l,m} = h(zeta_l, zeta_m) in the frame."""
 
@@ -58,11 +64,7 @@ class HermitianData:
 
     @classmethod
     def from_matrix(cls, h: JetMatrix, symmetrize=True):
-        if symmetrize:
-            sym = JetMatrix([[(h[l, m] + h[m, l].conj()) * 0.5
-                              for m in range(h.cols)] for l in range(h.rows)])
-            return cls(sym)
-        return cls(h)
+        return cls(_hermitian_part(h) if symmetrize else h)
 
     @classmethod
     def from_families(cls, n, order, lin=None, quad_zz=None, quad_mixed=None):
@@ -321,7 +323,7 @@ def curvature(calc: FrameCalculus, conn: ConnectionForms) -> CurvatureBlocks:
 
 
 def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
-                             symplectic=False, require_normal=True):
+                             symplectic=False):
     """Closed-form curvature coefficients at the origin from the metric and
     structure coefficient families (normal coordinates, orthonormal frame).
 
@@ -330,10 +332,9 @@ def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
                  + (B^j_{l,r} - B^r_{l,j}) conj(B^k)_{r,m} ].
     """
     n = hd.n
-    if require_normal:
-        require_normal_form(s, "origin formula needs normal coordinates of order >= 2")
-        if not hd.is_orthonormal_at_origin(tol=1e-10):
-            raise JetError("origin formula needs an orthonormal frame at 0")
+    require_normal_form(s, "origin formula needs normal coordinates of order >= 2")
+    if not hd.is_orthonormal_at_origin(tol=1e-10):
+        raise JetError("origin formula needs an orthonormal frame at 0")
     lin = hd.H.family(1, 0)
     mix = hd.H.family(1, 1)
     b1 = s.B.family(1, 0)
@@ -924,9 +925,7 @@ def transform_metric(calc_old: FrameCalculus, hd: HermitianData, phi,
         h_entries.append(row)
     h = JetMatrix(h_entries)
     # clean rounding noise with an exact hermitian symmetrization
-    sym = JetMatrix([[(h[l, m] + h[m, l].conj()) * 0.5 for m in range(n)]
-                     for l in range(n)])
-    return HermitianData(sym, check=False)
+    return HermitianData(_hermitian_part(h), check=False)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +27,6 @@ from .structure import (AlmostComplexStructure, structure_from_deformation,
 
 REPORT_SCHEMA = "acgeom-report/1"
 STRUCTURE_KINDS = ("J0", "B-normal", "deformation")
-COMMANDS = ("validate", "torsion", "normalize", "identities", "curvature",
-            "decompose", "asymptotics", "geodesic")
 
 
 class SpecError(ValueError):
@@ -263,7 +261,7 @@ def _row(check, residual, tol, value=None):
                      tol, value)
 
 
-def _cmd_validate(ms, opts):
+def _cmd_validate(ms, opts, payload):
     s = build_structure(ms)
     rep = s.validate()
     rows = [
@@ -289,7 +287,7 @@ def _exact_a_crosscheck(ms):
     return 0.0 if same else 1.0
 
 
-def _cmd_torsion(ms, opts):
+def _cmd_torsion(ms, opts, payload):
     s = build_structure(ms)
     tors = torsion_tensor(s)
     rows = [
@@ -309,9 +307,10 @@ def _cmd_torsion(ms, opts):
 
 
 def _cmd_normalize(ms, opts, payload):
-    s = build_structure(ms)
-    target = min(opts.order or s.order, s.order)
-    res = normal.normalize_to_order(s, target)
+    target = ms.order if opts.order is None else opts.order
+    if not _is_int(target) or not 1 <= target <= ms.order:
+        raise SpecError("--order", f"must be an integer in 1..{ms.order}")
+    res = normal.normalize_to_order(build_structure(ms), target)
     rows = [
         _row("vanishing-pattern violation", res.violation, opts.tol),
         _row("output J^2 residual", res.structure.validate().max_residual,
@@ -360,7 +359,7 @@ def _identity_forms(calc, seed):
     return forms
 
 
-def _cmd_identities(ms, opts):
+def _cmd_identities(ms, opts, payload):
     calc = FrameCalculus(build_structure(ms))
     forms = _identity_forms(calc, opts.seed)
     table = fundamental_identities_check(calc, forms)
@@ -368,7 +367,7 @@ def _cmd_identities(ms, opts):
                  value=f"deg<={rowd['order_checked']}") for rowd in table]
 
 
-def _cmd_curvature(ms, opts):
+def _cmd_curvature(ms, opts, payload):
     s = build_structure(ms)
     calc = FrameCalculus(s)
     hd = build_metric(ms)
@@ -408,7 +407,7 @@ def _iff(a, b, tol):
     return 0.0 if (a <= tol) == (b <= tol) else 1.0
 
 
-def _cmd_decompose(ms, opts):
+def _cmd_decompose(ms, opts, payload):
     s = build_structure(ms)
     calc = FrameCalculus(s)
     hd = build_metric(ms)
@@ -433,7 +432,7 @@ def _cmd_decompose(ms, opts):
     return rows
 
 
-def _cmd_asymptotics(ms, opts):
+def _cmd_asymptotics(ms, opts, payload):
     s = build_structure(ms)
     calc = FrameCalculus(s)
     hd = build_metric(ms)
@@ -514,29 +513,21 @@ class Options:
     slope_bound: float = 2.8
 
 
+_HANDLERS = {"validate": _cmd_validate, "torsion": _cmd_torsion,
+             "normalize": _cmd_normalize, "identities": _cmd_identities,
+             "curvature": _cmd_curvature, "decompose": _cmd_decompose,
+             "asymptotics": _cmd_asymptotics, "geodesic": _cmd_geodesic}
+COMMANDS = tuple(_HANDLERS)
+
+
 def run_command(command, ms: ManifoldSpec, opts: Options) -> tuple[Report, dict]:
     """Dispatch a verification command; deterministic given (spec, flags)."""
-    if command not in COMMANDS:
+    if command not in _HANDLERS:
         raise SpecError("$", f"unknown command {command!r}")
     payload = {}
     start = time.perf_counter()
     try:
-        if command == "validate":
-            rows = _cmd_validate(ms, opts)
-        elif command == "torsion":
-            rows = _cmd_torsion(ms, opts)
-        elif command == "normalize":
-            rows = _cmd_normalize(ms, opts, payload)
-        elif command == "identities":
-            rows = _cmd_identities(ms, opts)
-        elif command == "curvature":
-            rows = _cmd_curvature(ms, opts)
-        elif command == "decompose":
-            rows = _cmd_decompose(ms, opts)
-        elif command == "asymptotics":
-            rows = _cmd_asymptotics(ms, opts)
-        else:
-            rows = _cmd_geodesic(ms, opts, payload)
+        rows = _HANDLERS[command](ms, opts, payload)
     except (JetError, SpecError) as exc:
         rows = [_row(f"error: {exc}", 1.0, 0.0)]
     report = Report(command, ms.name, rows, time.perf_counter() - start)
@@ -557,26 +548,27 @@ def _run_file(args_tuple):
 
 
 def main(argv=None):
+    defaults = Options()
     parser = argparse.ArgumentParser(
         prog="acgeom",
         description="verification suites for almost complex chart germs")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("paths", nargs="+",
                         help="manifold spec files or a directory of them")
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--order", type=int, default=None,
-                        help="override the normalization order")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tol", type=float, default=defaults.tol)
+    parser.add_argument("--order", type=int, default=defaults.order,
+                        help="normalization order, 1..N (default N)")
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--json", action="store_true", dest="as_json")
     parser.add_argument("--exact", action="store_true",
                         help="rational-arithmetic cross-checks where supported")
-    parser.add_argument("--z", type=str, default=None,
+    parser.add_argument("--z", type=str, default=defaults.z,
                         help="base point: re,im pairs, comma separated")
-    parser.add_argument("--v", type=str, default=None,
+    parser.add_argument("--v", type=str, default=defaults.v,
                         help="tangent vector: re,im pairs, comma separated")
-    parser.add_argument("--scales", type=str, default=None)
-    parser.add_argument("--steps", type=int, default=256)
-    parser.add_argument("--slope-bound", type=float, default=2.8,
+    parser.add_argument("--scales", type=str, default=defaults.scales)
+    parser.add_argument("--steps", type=int, default=defaults.steps)
+    parser.add_argument("--slope-bound", type=float, default=defaults.slope_bound,
                         dest="slope_bound")
     parser.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
     args = parser.parse_args(argv)
@@ -592,10 +584,7 @@ def main(argv=None):
         print("no spec files found", file=sys.stderr)
         return 2
 
-    opts_dict = {"tol": args.tol, "order": args.order, "seed": args.seed,
-                 "exact": args.exact, "z": args.z, "v": args.v,
-                 "scales": args.scales, "steps": args.steps,
-                 "slope_bound": args.slope_bound}
+    opts_dict = {f.name: getattr(args, f.name) for f in fields(Options)}
     tasks = [(args.command, p, opts_dict) for p in paths]
     if len(tasks) > 1 and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

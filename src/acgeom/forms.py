@@ -1,13 +1,18 @@
 """(p,q)-forms with jet coefficients in the canonical frame.
 
-Forms live in the zeta-frame of a structure; the four first-order operators
-(types (1,0), (0,1), (2,-1), (-1,2)) act through the bracket-coefficient
-tables.  A conversion to the coordinate covector basis provides the oracle
-path for the exterior-derivative decomposition and for metric work.
+Forms live in the zeta-frame of a structure.  The four first-order operators
+del, delbar, theta, thetabar (types (1,0), (0,1), (2,-1), (-1,2)) are the
+bidegree parts of d = del + delbar - theta - thetabar, and one kernel applies
+them all from one table, ``_OPERATORS``: a row gives an operator's shift, its
+sign in d, the frame fields of its derivative term, and which bracket table
+(M, N or U, plain or conjugated) replaces a removed zeta*_i or zetabar*_i by
+which covector pair.  A conversion to the coordinate covector basis provides
+the oracle path for the exterior-derivative decomposition and metric work.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -15,7 +20,26 @@ from .jets import Jet, JetError, nan_max
 from .structure import (AlmostComplexStructure, Frame, bracket_coefficients,
                         frame_and_dual)
 
-OPERATOR_KINDS = ("del", "delbar", "theta", "thetabar")
+# On u_{K,L} times the word zeta*_K ^ zetabar*_L: shift of the bidegree; sign in
+# d; derive, the tag of the derivative terms zeta_r(u) zeta*_r ^ word (0) or
+# zetabar_r(u) zetabar*_r ^ word (1); pieces, (remove zeta*_i, remove zetabar*_i).
+_Operator = namedtuple("_Operator", "shift sign derive pieces")
+# A piece puts sign * (-1)^j * entry * (tags[0])*_r ^ (tags[1])*_t in place of
+# the factor at one-based word position j, so (-1)^(p+j) for the j-th
+# zetabar*; entry is table^i[r, t] (conjugated if conj, read at [t, r] if
+# transposed), over r < t only if upper.
+_Piece = namedtuple("_Piece", "table conj tags upper transposed sign")
+_OPERATORS = {
+    "del": _Operator((1, 0), 1.0, 0, (_Piece("M", True, (0, 0), True, False, 1),
+                                      _Piece("U", True, (0, 1), False, True, -1))),
+    "delbar": _Operator((0, 1), 1.0, 1, (_Piece("U", False, (0, 1), False, False, 1),
+                                         _Piece("M", False, (1, 1), True, False, 1))),
+    "theta": _Operator((2, -1), -1.0, None,
+                       (None, _Piece("N", True, (0, 0), True, False, -1))),
+    "thetabar": _Operator((-1, 2), -1.0, None,
+                          (_Piece("N", False, (1, 1), True, False, -1), None)),
+}
+OPERATOR_KINDS = tuple(_OPERATORS)
 
 
 def _sorted_sign(seq):
@@ -227,26 +251,6 @@ def _determinant(rows, n, order) -> Jet:
     return Jet.dot(terms, n, order)
 
 
-def apply_operator(kind: str, u: PQForm, calc: FrameCalculus | None = None) -> PQForm:
-    """One of the four frame-local first-order operators.
-
-    Output bidegrees: (p+1,q), (p,q+1), (p+2,q-1), (p-1,q+2); a shift below
-    zero yields the empty form.
-    """
-    calc = u.calc if calc is None else calc
-    if calc is not u.calc:
-        raise JetError("form does not live in the operator's frame")
-    if kind == "del":
-        return _op_del(u, calc)
-    if kind == "delbar":
-        return _op_delbar(u, calc)
-    if kind == "theta":
-        return _op_theta(u, calc)
-    if kind == "thetabar":
-        return _op_thetabar(u, calc)
-    raise JetError(f"unknown operator kind {kind!r}")
-
-
 def _sum_terms(terms, n, order):
     """``{key: sum of jet * scalar over the (jet, scalar) list of the key}``.
     The first product is built by ``*`` and the rest are added to it by
@@ -267,84 +271,42 @@ def _accumulate(terms, word, jet):
     terms.setdefault((kk, ll), []).append((jet, float(sign)))
 
 
-def _op_del(u, calc):
-    n = calc.n
+def apply_operator(kind: str, u: PQForm, calc: FrameCalculus | None = None) -> PQForm:
+    """One of the four frame-local first-order operators, from its
+    ``_OPERATORS`` row.
+
+    Output bidegrees: (p+1,q), (p,q+1), (p+2,q-1), (p-1,q+2); a shift below
+    zero yields the empty form.  Each u_{K,L} gives its derivative terms,
+    then one piece per factor of its word in word order, over r, then t.
+    """
+    calc = u.calc if calc is None else calc
+    if calc is not u.calc:
+        raise JetError("form does not live in the operator's frame")
+    op = _OPERATORS.get(kind)
+    if op is None:
+        raise JetError(f"unknown operator kind {kind!r}")
+    n, bc = calc.n, calc.bc
+    derive = (calc.zeta_derive, calc.zetabar_derive)
     acc = {}
     for (kk, ll), c in u.coeffs.items():
-        base = [(0, i) for i in kk] + [(1, i) for i in ll]
-        grad = c.gradient()
-        for r in range(n):
-            _accumulate(acc, [(0, r)] + base, calc.zeta_derive(r, c, grad))
-        for j, kj in enumerate(kk, start=1):
-            khat = [(0, i) for i in kk if i != kj] + [(1, i) for i in ll]
+        word = [(0, i) for i in kk] + [(1, i) for i in ll]
+        if op.derive is not None:
+            grad = c.gradient()
             for r in range(n):
-                for t in range(r + 1, n):
-                    coeff = c * calc.bc.conj_table("M")[kj][r, t]
-                    _accumulate(acc, [(0, r), (0, t)] + khat, coeff * float((-1) ** j))
-        for j, lj in enumerate(ll, start=1):
-            lhat = [(0, i) for i in kk] + [(1, i) for i in ll if i != lj]
+                _accumulate(acc, [(op.derive, r)] + word, derive[op.derive](r, c, grad))
+        for pos, (tag, i) in enumerate(word):
+            pc = op.pieces[tag]
+            if pc is None:
+                continue
+            table = (bc.conj_table(pc.table) if pc.conj else getattr(bc, pc.table))[i]
+            (a, b), hat = pc.tags, word[:pos] + word[pos + 1:]
+            sign = float(pc.sign * (-1) ** (pos + 1))
             for r in range(n):
-                for t in range(n):
-                    coeff = c * calc.bc.conj_table("U")[lj][t, r]
-                    sign = -((-1) ** u.p) * ((-1) ** j)
-                    _accumulate(acc, [(0, r), (1, t)] + lhat, coeff * float(sign))
-    return PQForm(calc, u.p + 1, u.q, _sum_terms(acc, n, calc.order))
-
-
-def _op_delbar(u, calc):
-    n = calc.n
-    acc = {}
-    for (kk, ll), c in u.coeffs.items():
-        base = [(0, i) for i in kk] + [(1, i) for i in ll]
-        grad = c.gradient()
-        for r in range(n):
-            _accumulate(acc, [(1, r)] + base, calc.zetabar_derive(r, c, grad))
-        for j, kj in enumerate(kk, start=1):
-            khat = [(0, i) for i in kk if i != kj] + [(1, i) for i in ll]
-            for r in range(n):
-                for t in range(n):
-                    coeff = c * calc.bc.U[kj][r, t]
-                    _accumulate(acc, [(0, r), (1, t)] + khat, coeff * float((-1) ** j))
-        for j, lj in enumerate(ll, start=1):
-            lhat = [(0, i) for i in kk] + [(1, i) for i in ll if i != lj]
-            for r in range(n):
-                for t in range(r + 1, n):
-                    coeff = c * calc.bc.M[lj][r, t]
-                    sign = ((-1) ** u.p) * ((-1) ** j)
-                    _accumulate(acc, [(1, r), (1, t)] + lhat, coeff * float(sign))
-    return PQForm(calc, u.p, u.q + 1, _sum_terms(acc, n, calc.order))
-
-
-def _op_theta(u, calc):
-    n = calc.n
-    if u.q - 1 < 0:
-        return PQForm(calc, u.p + 2, u.q - 1, {})
-    acc = {}
-    for (kk, ll), c in u.coeffs.items():
-        for j, lj in enumerate(ll, start=1):
-            lhat = [(0, i) for i in kk] + [(1, i) for i in ll if i != lj]
-            for r in range(n):
-                for t in range(r + 1, n):
-                    coeff = c * calc.bc.conj_table("N")[lj][r, t]
-                    sign = -((-1) ** u.p) * ((-1) ** j)
-                    _accumulate(acc, [(0, r), (0, t)] + lhat, coeff * float(sign))
-    return PQForm(calc, u.p + 2, u.q - 1, _sum_terms(acc, n, calc.order))
-
-
-def _op_thetabar(u, calc):
-    n = calc.n
-    if u.p - 1 < 0:
-        return PQForm(calc, u.p - 1, u.q + 2, {})
-    acc = {}
-    for (kk, ll), c in u.coeffs.items():
-        for j, kj in enumerate(kk, start=1):
-            khat = [(0, i) for i in kk if i != kj] + [(1, i) for i in ll]
-            for r in range(n):
-                for t in range(r + 1, n):
-                    coeff = c * calc.bc.N[kj][r, t]
-                    sign = -((-1) ** j)
-                    _accumulate(acc, [(1, r), (1, t)] + khat, coeff * float(sign))
-    return PQForm(calc, u.p - 1, u.q + 2, _sum_terms(acc, n, calc.order))
+                for t in range(r + 1 if pc.upper else 0, n):
+                    entry = table[t, r] if pc.transposed else table[r, t]
+                    _accumulate(acc, [(a, r), (b, t)] + hat, (c * entry) * sign)
+    return PQForm(calc, u.p + op.shift[0], u.q + op.shift[1],
+                  _sum_terms(acc, n, calc.order))
 
 
 def canonical_p0_connection(u: PQForm) -> PQForm:
@@ -402,9 +364,8 @@ class MixedForm:
 def exterior_derivative(u: PQForm) -> MixedForm:
     """d = del + delbar - theta - thetabar as a mixed form."""
     out = MixedForm(u.calc)
-    for kind, sign in (("del", 1.0), ("delbar", 1.0), ("theta", -1.0),
-                       ("thetabar", -1.0)):
-        out._absorb(apply_operator(kind, u), sign)
+    for kind, op in _OPERATORS.items():
+        out._absorb(apply_operator(kind, u), op.sign)
     return out
 
 
@@ -521,12 +482,11 @@ def exterior_derivative_check(u: PQForm) -> float:
     calc = u.calc
     du_coord = to_coordinate_form(u).d()
     pieces = None
-    for kind, sgn in (("del", 1.0), ("delbar", 1.0), ("theta", -1.0),
-                      ("thetabar", -1.0)):
+    for kind, op in _OPERATORS.items():
         tu = apply_operator(kind, u, calc)
         if tu.p < 0 or tu.q < 0:
             continue
-        cf = to_coordinate_form(tu) * sgn
+        cf = to_coordinate_form(tu) * op.sign
         pieces = cf if pieces is None else pieces + cf
     diff = du_coord - pieces
     eff = min(du_coord.effective_order, pieces.effective_order)

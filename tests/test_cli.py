@@ -281,6 +281,23 @@ class TestReports:
         assert payload["b_family"]
         assert payload["phi_stages"]
 
+    @pytest.mark.parametrize("delta", [-1, 0])
+    def test_normalize_order_in_range(self, delta):
+        ms = parse_manifold_spec(fix_b_text(), name="fix_b")
+        report, payload = run_command("normalize", ms,
+                                      Options(order=ms.order + delta))
+        assert report.passed
+        assert len(payload["phi_stages"]) == ms.order + delta
+
+    @pytest.mark.parametrize("flag", ["0", "-1", "5"])
+    def test_normalize_order_out_of_range(self, flag, capsys):
+        path = os.path.join(MANIFESTS, "fix_b.json")   # N = 4
+        rc = main(["normalize", path, "--order", flag, "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1 and "data" not in doc
+        assert [r["check"] for r in doc["rows"]] == [
+            "error: --order: must be an integer in 1..4"]
+
     def test_geodesic_slope_row(self):
         ms = parse_manifold_spec(fix_b_text(), name="fix_b")
         report, _ = run_command("geodesic", ms, Options(steps=128))

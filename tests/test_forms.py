@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from acgeom import forms as forms_module
 from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_j0, random_deformation
-from acgeom.forms import (FUNDAMENTAL_IDENTITIES, CoordForm, FrameCalculus, PQForm,
+from acgeom.forms import (FUNDAMENTAL_IDENTITIES, OPERATOR_KINDS, CoordForm,
+                          FrameCalculus, PQForm,
                           _determinant, apply_operator, canonical_p0_connection,
                           exterior_derivative_check, fundamental_identities_check,
                           to_coordinate_form)
@@ -86,6 +89,55 @@ class TestOperators:
             apply_operator("del", u, calc_j0)
 
 
+
+# sha256 over every basis bidegree p, q <= n of (p, q, coefficient keys,
+# repr of each coefficient's terms, effective order) of one operator's image
+# of a random form with a coefficient on every basis monomial of (p, q)
+OPERATOR_DIGESTS = {
+    ("deformation", "del"):
+        "208e6a630aedf5f1b91b75849dba8791441efe6442401c54cafae183714fa430",
+    ("deformation", "delbar"):
+        "7ce73a6018201d9b5f9c230cea26200136d77eea1dbe1f328ac0e36b6a3092bb",
+    ("deformation", "theta"):
+        "131583b05f80f38583c89896413e2efdd0243bf58deb0cdbb184c33404ff3cdb",
+    ("deformation", "thetabar"):
+        "3546cd82310b5f93649e1d8d81bea4197162c3ee09ee49e142f0e5172e80d4b1",
+    ("fix_b", "del"):
+        "171210a60c0448a30adf43534a33db68909e85b536b86a757cdb3e64ca9b9e8e",
+    ("fix_b", "delbar"):
+        "c45c24701bb171765a8881fd5ae23b0c5634638848d8f7e9b0317c1fece5abeb",
+    ("fix_b", "theta"):
+        "bd55a6d9b3d836178ff3029a8067eacc0b0085885d2add23ff3f33f8f02c4551",
+    ("fix_b", "thetabar"):
+        "62962e810f625ff59a117a0d0614bb0e8f6eb4cca94b7f6d2dc54ebe115ef021",
+}
+
+
+@pytest.fixture(scope="module")
+def digest_calcs():
+    """The seed-2 deformation germ at n = 3, N = 3, and fix_b."""
+    return {"deformation": FrameCalculus(random_deformation(2, n=3, order=3)),
+            "fix_b": FrameCalculus(fix_b())}
+
+
+class TestOperatorDigests:
+    @pytest.mark.parametrize("germ, kind", sorted(OPERATOR_DIGESTS))
+    def test_every_bidegree(self, digest_calcs, germ, kind):
+        calc = digest_calcs[germ]
+        rng = np.random.default_rng(7)
+        h = hashlib.sha256()
+        for p in range(calc.n + 1):
+            for q in range(calc.n + 1):
+                out = apply_operator(kind, random_form(calc, rng, p, q), calc)
+                h.update(repr((out.p, out.q,
+                               [(key, c.terms) for key, c in out.coeffs.items()],
+                               out.effective_order)).encode())
+        assert h.hexdigest() == OPERATOR_DIGESTS[(germ, kind)]
+
+    def test_table_covers_every_kind(self):
+        assert {kind for _, kind in OPERATOR_DIGESTS} == set(OPERATOR_KINDS)
+
+
 class TestWedge:
     def test_self_wedge_vanishes(self, calc_b):
         u = calc_b.frame_covector(0)
@@ -148,6 +200,15 @@ class TestExteriorDerivative:
         calc = FrameCalculus(random_deformation(17))
         u = random_form(calc, rng, 1, 1)
         assert exterior_derivative_check(u) < 1e-10
+
+    def test_every_bidegree_n3(self, digest_calcs, rng):
+        # at n = 3 theta and thetabar of a form of degree <= 2 can be nonzero,
+        # so their signs in d are checked too
+        calc = digest_calcs["deformation"]
+        for p in range(3):
+            for q in range(3 - p):
+                u = random_form(calc, rng, p, q)
+                assert exterior_derivative_check(u) < 1e-10, (p, q)
 
 
 def _compose_ops(u, calc, *kinds):
