@@ -24,9 +24,8 @@ from .chern import (ChernLeviCivita, ConnectionForms, CurvatureBlocks,
                     canonical_delbar_connection, chern_connection,
                     connection_asymptotics, curvature, curvature_origin_formula,
                     special_frame, symplectic_normalize)
-from .geodesic import (GeodesicLab, GeodesicResult, error_scaling_probe,
-                       exp_asymptotic, integrate_geodesic,
-                       integrator_convergence_ratio)
+from .geodesic import (GeodesicLab, error_scaling_probe, exp_asymptotic,
+                       integrate_geodesic, integrator_convergence_ratio)
 
 __all__ = [
     "Jet", "JetError", "JetMatrix", "QC", "SingularMatrixError",
@@ -44,7 +43,7 @@ __all__ = [
     "LeviCivita", "antisymmetrize_metric_linear", "canonical_delbar_connection",
     "chern_connection", "connection_asymptotics", "curvature",
     "curvature_origin_formula", "special_frame", "symplectic_normalize",
-    "GeodesicLab", "GeodesicResult", "error_scaling_probe", "exp_asymptotic",
+    "GeodesicLab", "error_scaling_probe", "exp_asymptotic",
     "integrate_geodesic", "integrator_convergence_ratio",
 ]
 

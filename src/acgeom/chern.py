@@ -50,12 +50,12 @@ class HermitianData:
         self.order = h.order
         if check:
             # hermitian symmetry coefficientwise: h_{l,m} = conj-jet of h_{m,l}
-            herm = max((h[l, m] - h[m, l].conj()).max_abs()
-                       for l in range(self.n) for m in range(self.n))
-            if herm > tol:
+            herm = nan_max((h[l, m] - h[m, l].conj()).max_abs()
+                           for l in range(self.n) for m in range(self.n))
+            if not herm <= tol:   # a NaN coefficient fails too
                 raise JetError(f"metric matrix is not hermitian ({herm:.2e})")
             eig = np.linalg.eigvalsh(np.asarray(h.constant()))
-            if eig.min() <= 0:
+            if not eig.min() > 0:
                 raise JetError("metric constant term is not positive definite")
 
     @classmethod
@@ -104,7 +104,7 @@ def metric_form(calc: FrameCalculus, hd: HermitianData) -> PQForm:
     for l in range(calc.n):
         for m in range(calc.n):
             jet = hd.H[l, m] * 0.5j
-            if jet.terms:
+            if jet:
                 coeffs[((l,), (m,))] = jet
     return PQForm(calc, 1, 1, coeffs)
 
@@ -229,7 +229,7 @@ def canonical_delbar_connection(calc: FrameCalculus) -> MatrixForm:
             coeffs = {}
             for r in range(n):
                 jet = -calc.bc.U[k][j, r]
-                if jet.terms:
+                if jet:
                     coeffs[((), (r,))] = jet
             row.append(PQForm(calc, 0, 1, coeffs))
         entries.append(row)
@@ -246,7 +246,7 @@ def derive_matrix(calc, jm: JetMatrix, kind) -> MatrixForm:
         coeffs = {}
         for r in range(calc.n):
             jet = derive(r, f)
-            if jet.terms:
+            if jet:
                 coeffs[((r,), ()) if p else ((), (r,))] = jet
         return PQForm(calc, p, q, coeffs)
     return MatrixForm([[entry(jm[i, j]) for j in range(jm.cols)] for i in range(jm.rows)])
@@ -466,8 +466,8 @@ class LeviCivita:
     def derivative(self, xi: VectorField, eta: VectorField) -> VectorField:
         n = self.calc.n
         dim = 2 * n
-        live = [(a, b, xa, eb) for a, xa in enumerate(xi.components) if xa.terms
-                for b, eb in enumerate(eta.components) if eb.terms]
+        live = [(a, b, xa, eb) for a, xa in enumerate(xi.components) if xa
+                for b, eb in enumerate(eta.components) if eb]
         return VectorField([Jet.dot([(self.gamma[c][a][b] * xa, eb) for a, b, xa, eb in live],
                                     n, self.calc.order, start=xi.derive(eta.components[c]))
                             for c in range(dim)])
@@ -919,8 +919,8 @@ def transform_metric(calc_old: FrameCalculus, hd: HermitianData, phi,
         row = []
         for m in range(n):
             acc = Jet.dot([(w_new[a, b] * g_new[a, l], g_new[b, n + m])
-                           for a in range(dim) if g_new[a, l].terms
-                           for b in range(dim) if g_new[b, n + m].terms], n, w)
+                           for a in range(dim) if g_new[a, l]
+                           for b in range(dim) if g_new[b, n + m]], n, w)
             row.append((acc * (-2j)).truncated(order))
         h_entries.append(row)
     h = JetMatrix(h_entries)

@@ -8,6 +8,7 @@ is byte-reproducible for identical inputs).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -46,6 +47,11 @@ class ManifoldSpec:
     metric_entries: list = field(default_factory=list)
     seed: int = 0
     name: str = "inline"
+
+    @functools.cached_property
+    def structure(self) -> AlmostComplexStructure:
+        """The structure the spec describes, built and J^2-checked once."""
+        return build_structure(self)
 
     def to_document(self):
         return {
@@ -141,7 +147,7 @@ def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
     ms = ManifoldSpec(n=n, order=order, kind=kind, structure_entries=entries,
                       metric_entries=metric_entries,
                       seed=seed, name=name)
-    build_structure(ms)   # validation includes the J^2 residual check
+    ms.structure   # validation includes the J^2 residual check
     return ms
 
 
@@ -262,7 +268,7 @@ def _row(check, residual, tol, value=None):
 
 
 def _cmd_validate(ms, opts, payload):
-    s = build_structure(ms)
+    s = ms.structure
     rep = s.validate()
     rows = [
         _row("J^2 square-block residual", rep.residual_square, opts.tol),
@@ -288,7 +294,7 @@ def _exact_a_crosscheck(ms):
 
 
 def _cmd_torsion(ms, opts, payload):
-    s = build_structure(ms)
+    s = ms.structure
     tors = torsion_tensor(s)
     rows = [
         _row("frame torsion vs bracket identity", nijenhuis_check(s, tors),
@@ -310,7 +316,7 @@ def _cmd_normalize(ms, opts, payload):
     target = ms.order if opts.order is None else opts.order
     if not _is_int(target) or not 1 <= target <= ms.order:
         raise SpecError("--order", f"must be an integer in 1..{ms.order}")
-    res = normal.normalize_to_order(build_structure(ms), target)
+    res = normal.normalize_to_order(ms.structure, target)
     rows = [
         _row("vanishing-pattern violation", res.violation, opts.tol),
         _row("output J^2 residual", res.structure.validate().max_residual,
@@ -360,7 +366,7 @@ def _identity_forms(calc, seed):
 
 
 def _cmd_identities(ms, opts, payload):
-    calc = FrameCalculus(build_structure(ms))
+    calc = FrameCalculus(ms.structure)
     forms = _identity_forms(calc, opts.seed)
     table = fundamental_identities_check(calc, forms)
     return [_row(rowd["identity"], rowd["max_residual"], opts.tol,
@@ -368,7 +374,7 @@ def _cmd_identities(ms, opts, payload):
 
 
 def _cmd_curvature(ms, opts, payload):
-    s = build_structure(ms)
+    s = ms.structure
     calc = FrameCalculus(s)
     hd = build_metric(ms)
     conn = chern.chern_connection(calc, hd)
@@ -408,8 +414,7 @@ def _iff(a, b, tol):
 
 
 def _cmd_decompose(ms, opts, payload):
-    s = build_structure(ms)
-    calc = FrameCalculus(s)
+    calc = FrameCalculus(ms.structure)
     hd = build_metric(ms)
     dec = chern.ChernLeviCivita(calc, hd)
     rows = [
@@ -421,7 +426,7 @@ def _cmd_decompose(ms, opts, payload):
     domega = chern.domega_max(calc, hd)
     delta = dec.delta_max()
     nmax = dec.n_omega_max()
-    tmax = torsion_tensor(s).max_abs()
+    tmax = torsion_tensor(ms.structure, calc.frame, calc.bc).max_abs()
     rows.append(_row("delta = 0 iff d omega = 0", _iff(delta, domega, opts.tol),
                      0.0, value=f"delta={delta:.2e}"))
     rows.append(_row("N = 0 iff torsion = 0", _iff(nmax, tmax, opts.tol),
@@ -433,8 +438,7 @@ def _cmd_decompose(ms, opts, payload):
 
 
 def _cmd_asymptotics(ms, opts, payload):
-    s = build_structure(ms)
-    calc = FrameCalculus(s)
+    calc = FrameCalculus(ms.structure)
     hd = build_metric(ms)
     rows = [
         _row("coefficient families vs full connection",
@@ -474,8 +478,7 @@ def _cmd_geodesic(ms, opts, payload):
     z = _parse_vector(opts.z, ms.n, "--z") if opts.z else np.zeros(ms.n, complex)
     v = _parse_vector(opts.v, ms.n, "--v") if opts.v else \
         np.full(ms.n, 0.04 / max(ms.n, 1), dtype=complex)
-    s = build_structure(ms)
-    calc = FrameCalculus(s)
+    calc = FrameCalculus(ms.structure)
     hd = build_metric(ms)
     lab = geodesic.GeodesicLab(calc, hd)
     probe = geodesic.error_scaling_probe(lab, z, v, scales=scales,

@@ -128,7 +128,7 @@ class PQForm:
                 raise JetError(f"index tuples {(k, l)} do not match bidegree ({p},{q})")
             if list(k) != sorted(set(k)) or list(l) != sorted(set(l)):
                 raise JetError("index tuples must be strictly increasing")
-            if jet.terms:
+            if jet:
                 self.coeffs[(tuple(k), tuple(l))] = jet
 
     def _compat(self, other):
@@ -244,9 +244,9 @@ def _determinant(rows, n, order) -> Jet:
         for row, col in zip(rows, perm):
             factor = row[col]
             prod = factor if prod is None else prod * factor
-            if not prod.terms:
+            if not prod:
                 break
-        if prod is not None and prod.terms:
+        if prod:
             terms.append((prod, sign))
     return Jet.dot(terms, n, order)
 
@@ -266,7 +266,7 @@ def _sum_terms(terms, n, order):
 def _accumulate(terms, word, jet):
     """Record jet times the sign of the wedge word under the word's key."""
     sign, kk, ll = normalize_factors(word)
-    if sign == 0 or not jet.terms:
+    if sign == 0 or not jet:
         return
     terms.setdefault((kk, ll), []).append((jet, float(sign)))
 
@@ -384,7 +384,7 @@ class CoordForm:
         for key, jet in coeffs.items():
             if len(key) != degree or list(key) != sorted(set(key)):
                 raise JetError(f"bad covector tuple {key}")
-            if jet.terms:
+            if jet:
                 self.coeffs[tuple(key)] = jet
 
     @classmethod
@@ -416,7 +416,7 @@ class CoordForm:
         for key, c in self.coeffs.items():
             for a in range(2 * self.n):
                 jet = comps[a]
-                if not jet.terms:
+                if not jet:
                     continue
                 if a in key:
                     continue
@@ -433,7 +433,7 @@ class CoordForm:
         for key, c in self.coeffs.items():
             for a in range(2 * self.n):
                 dc = c.dz(a) if a < self.n else c.dzbar(a - self.n)
-                if not dc.terms or a in key:
+                if not dc or a in key:
                     continue
                 merged = sorted(key + (a,))
                 pos = merged.index(a)

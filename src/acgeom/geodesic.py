@@ -16,8 +16,6 @@ reality check of its conjugate block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chern import (AsymptoticCoefficients, ConnectionForms, HermitianData,
@@ -103,18 +101,6 @@ class PackedConnection:
         """Second derivative of the curve: -(A_z(gdot) gdot) on the first
         block; the conjugate block is determined by reality."""
         return self.action(gamma, gdot, self.n)
-
-
-@dataclass
-class GeodesicResult:
-    z: np.ndarray
-    v: np.ndarray
-    endpoint_asymptotic: np.ndarray
-    endpoint_numeric: np.ndarray
-
-    @property
-    def error(self):
-        return np.abs(self.endpoint_asymptotic - self.endpoint_numeric).max()
 
 
 def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
@@ -264,14 +250,6 @@ class GeodesicLab:
         self.packed = PackedConnection(calc, self.conn)
         self.coeffs = connection_asymptotics(calc, hd)
 
-    def result(self, z, v, steps=256) -> GeodesicResult:
-        z = np.asarray(z, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        numeric, _, _ = integrate_geodesic_checked(self.packed, z, v,
-                                                   steps=steps)
-        asym = exp_asymptotic(self.coeffs, z, v)
-        return GeodesicResult(z, v, asym, numeric)
-
 
 NOISE_FLOOR = 1e-13
 
@@ -296,8 +274,7 @@ def error_scaling_probe(lab: GeodesicLab, z, v, scales=(1.0, 0.5, 0.25, 0.125),
     rows = []
     for s, zi, vi, end, k, ok in zip(scales, zs, vs, numeric, counts,
                                      converged):
-        error = GeodesicResult(zi, vi, exp_asymptotic(lab.coeffs, zi, vi),
-                               end).error
+        error = np.abs(exp_asymptotic(lab.coeffs, zi, vi) - end).max()
         rows.append({"scale": s, "error": error, "steps": int(k),
                      "converged": bool(ok)})
     if not all(np.isfinite(r["error"]) for r in rows):

@@ -5,21 +5,26 @@ degree.  Coefficients are ``complex`` by default; an exact rational-complex
 mode (:class:`QC`) is available for oracle computations that must be checked
 with zero discrepancy.
 
-A jet stores its nonzero coefficients in the dict ``terms``, keyed by
-``(alpha, beta)`` and kept in graded order (total degree, then alpha, then
-beta).  Large float products and every ``compose`` run on a second view of
-the same data: a coefficient vector over the graded monomial index of
-(n, order), built once per (n, order) and cached for the life of the
-process.  The index lists every monomial of degree <= order in graded order
-and every product pair (I, J) of total degree <= order, sorted by the slot K
-of I + J, so one product is a gather, a multiply and one
-``np.add.reduceat``.  A jet computes its vector on first use and keeps it,
-since jets are immutable.  The vector is complex, or an object array of
-``QC`` for an exact jet.
+A jet stores its nonzero coefficients in one dict, keyed by each monomial's
+integer code and sorted by it.  A code holds base-16 digits, from the most
+significant down: the total degree, then alpha_1..alpha_n, then
+beta_1..beta_n.  With order <= 15 no digit overflows, and with n <= 7 the
+2n + 1 digits fit an int64, so codes add without carries (code(I) + code(J)
+= code(I + J) within the order), ascend in graded order (degree, then alpha,
+then beta), and carry their degree in the top digit: "degree <= d" is
+"code < (d + 1) << 8n".  The layout does not depend on the order, so a jet
+re-embedded at another order keeps its dict.  ``Jet.terms`` is a copy keyed
+by ``(alpha, beta)``, built on demand, and ``Jet(n, N, terms)`` takes such
+keys, checked against the monomials of (n, N).
 
-Small jets take a third view: each monomial's integer code over the index
-(its exponents as digits in radix order + 1), so that the code of I + J is
-code(I) + code(J) whenever I + J is within the order.
+Large float products and every ``compose`` run on coefficient vectors over
+the graded monomial index of (n, order), cached for the life of the process.
+It lists every monomial of degree <= order in code order, so a code's slot is
+its ``searchsorted`` position, and every product pair (I, J) of degree
+<= order, sorted by the slot of I + J, so one product is a gather, a
+multiply and one ``np.add.reduceat``.  A jet computes its vector (complex,
+or an object array of ``QC`` when exact) on first use and keeps it, since
+jets are immutable.
 
 Which path runs:
 
@@ -27,8 +32,7 @@ Which path runs:
   of their term counts exceeds the index's ``dense_min_pairs``
   (``_DENSE_MUL_MIN_PAIRS`` plus a share of the product table's size);
   otherwise the dict convolution over the stored terms, which keys its
-  partial sums by code(I) + code(J) and sorts the result into slot order
-  once.
+  partial sums by code(I) + code(J) and sorts the result by code once.
 - ``Jet.dot``: every sum of products, acc = acc + a * b, over (jet, jet) or
   (jet, scalar) pairs.  Each product runs on the path ``*`` would take, but
   no product or partial-sum jet is built: the products' terms go into one
@@ -41,9 +45,7 @@ Which path runs:
   inner index when the entry's pair count exceeds ``dense_min_pairs`` (float
   only); otherwise ``Jet.dot`` over the inner index.
 
-Results whose terms come out in graded order already (negation, scaling,
-partials, re-tagging, re-embedding, truncation and the product paths above) are
-built by ``Jet._make``, which skips ``__init__``'s key lookup and sort.
+Results are built by ``Jet._make`` on terms pruned and sorted already.
 
 Exact operands of ``*`` and ``@`` stay on the dict path.  The dense kernel
 does run on ``QC`` object arrays, but it forms every pair of the product
@@ -84,6 +86,11 @@ PRUNE_EPS = 1e-14
 # (4, 4) and (4, 5).  The threshold stays, since the path decides the order
 # of summation and with it the last bits of every report.
 _DENSE_MUL_MIN_PAIRS = 12
+
+# Monomial codes (see the module docstring) have 4-bit digits.
+_DIGIT_BITS = 4
+MAX_ORDER = (1 << _DIGIT_BITS) - 1
+MAX_N = 7
 
 
 class JetError(ValueError):
@@ -209,21 +216,12 @@ def _slot_orderings(exponents):
         [i for i, e in enumerate(exponents) for _ in range(e)])))
 
 
-def _degree(key):
-    alpha, beta = key
-    return sum(alpha) + sum(beta)
-
-
-def _grade_key(key):
-    return (_degree(key), key[0], key[1])
-
-
 def _bad_key_message(key, n, order):
     try:
         alpha, beta = key
         if len(alpha) != n or len(beta) != n:
             return f"multi-index length mismatch for n={n}: {key}"
-        if _degree(key) > order:
+        if sum(alpha) + sum(beta) > order:
             return f"term {key} exceeds truncation order {order}"
     except (TypeError, ValueError):
         pass
@@ -253,56 +251,82 @@ def _exponent_vectors(length, max_degree):
             yield (e,) + rest
 
 
+def _check_layout(n, order):
+    """Raise unless the monomials of (n, order) have codes."""
+    if order < 0:
+        raise JetError("order must be >= 0")
+    if order > MAX_ORDER or n > MAX_N:
+        raise JetError(f"(n={n}, order={order}) is out of range: monomial codes "
+                       f"hold n <= {MAX_N} and order <= {MAX_ORDER}")
+
+
+def _code(exponents):
+    """Code of the monomial with these 2n exponents (alpha, then beta)."""
+    code = sum(exponents)
+    for e in exponents:
+        code = code << _DIGIT_BITS | e
+    return code
+
+
+def _degree_shift(n):
+    """Bit position of the degree digit in an n-variable code."""
+    return _DIGIT_BITS * 2 * n
+
+
+def _unit_code(n, var):
+    """Code of variable ``var`` of z_1..z_n, zbar_1..zbar_n (int or int64 array)."""
+    return 1 << _degree_shift(n) | 1 << _DIGIT_BITS * (2 * n - 1 - var)
+
+
+def _conj_code(code, n):
+    """Code of (beta, alpha) from that of (alpha, beta) (int or int64 array)."""
+    half = _DIGIT_BITS * n
+    low = (1 << half) - 1
+    return code >> 2 * half << 2 * half | (code & low) << half | code >> half & low
+
+
 class _Index:
     """Graded monomial index of one (n, order), with its product table.
 
     ``monos`` lists every ``(alpha, beta)`` of total degree <= order in
-    ``_grade_key`` order and ``pos`` maps each back to its slot.  The product
-    table ``_pairs`` is (left, right, starts): every slot pair (left[p],
-    right[p]) whose monomials multiply to degree <= order, sorted by the slot
-    of the product, and where each output slot's pairs begin.  Slot 0 is the
-    constant monomial, so every output slot has at least one pair.
-    ``factors`` and ``conj_perm`` serve ``Jet.compose``.  The tables are
-    built on first use, since most indices only ever sort the terms of small
-    jets.
+    graded order and ``codes`` their (ascending) codes; ``code_of`` and
+    ``key_of`` map one to the other.  The product table ``_pairs`` is (left,
+    right, starts): every slot pair (left[p], right[p]) whose monomials
+    multiply to degree <= order, sorted by the slot of the product, and
+    where each output slot's pairs begin.  Slot 0 is the constant monomial,
+    so every output slot has at least one pair.  ``factors`` and
+    ``conj_perm`` serve ``Jet.compose``.  The tables are built on first use.
     """
 
     def __init__(self, n, order):
+        _check_layout(n, order)
         self.n, self.order = n, order
-        self.monos = sorted(((v[:n], v[n:]) for v in _exponent_vectors(2 * n, order)),
-                            key=_grade_key)
-        self.pos = {m: i for i, m in enumerate(self.monos)}
+        by_code = sorted((_code(v), v) for v in _exponent_vectors(2 * n, order))
+        self.monos = [(v[:n], v[n:]) for _, v in by_code]
+        self.codes = np.array([c for c, _ in by_code], dtype=np.int64)
         self.size = len(self.monos)
         # the product table holds every monomial of degree <= order in 4n variables
         self.dense_min_pairs = _DENSE_MUL_MIN_PAIRS + math.comb(4 * n + order, order) // 250
 
     @functools.cached_property
-    def _codes(self):
-        """(exponents, radix powers, codes, slots sorted by code)."""
-        exps = np.array([a + b for a, b in self.monos],
-                        dtype=np.int64).reshape(self.size, 2 * self.n)
-        # Exponents never exceed the order, so these codes add without carries.
-        radix = (self.order + 1) ** np.arange(2 * self.n, dtype=np.int64)
-        codes = exps @ radix
-        return exps, radix, codes, np.argsort(codes)
+    def code_of(self):
+        """Code of each ``(alpha, beta)`` of the index."""
+        return dict(zip(self.monos, self.codes.tolist()))
 
     @functools.cached_property
-    def code_lists(self):
-        """(code of each slot, degree of each slot, slot of each code) as
-        Python lists and a dict, for the dict product and ``Jet.dot``."""
-        exps, _, codes, _ = self._codes
-        code_list = codes.tolist()
-        return code_list, exps.sum(axis=1).tolist(), {c: s for s, c in enumerate(code_list)}
+    def key_of(self):
+        """``(alpha, beta)`` of each code of the index."""
+        return dict(zip(self.codes.tolist(), self.monos))
 
-    def _slot_of_code(self, code):
-        _, _, codes, by_code = self._codes
-        return by_code[np.searchsorted(codes, code, sorter=by_code)]
+    def slots(self, codes):
+        """Slots of an iterable of codes of the index."""
+        return np.searchsorted(self.codes, np.fromiter(codes, dtype=np.int64))
 
     @functools.cached_property
     def _pairs(self):
-        exps, _, codes, _ = self._codes
-        order = self.order
-        ends = np.searchsorted(exps.sum(axis=1), np.arange(order + 1), side="right")
+        codes, order = self.codes, self.order
+        # ends[d]: the number of slots of degree <= d
+        ends = np.searchsorted(codes, np.arange(1, order + 2) << _degree_shift(self.n))
         left, right = [], []
         for d in range(order + 1):
             rows = np.arange(ends[d - 1] if d else 0, ends[d])
@@ -310,7 +334,7 @@ class _Index:
             left.append(np.repeat(rows, len(cols)))
             right.append(np.tile(cols, len(rows)))
         left, right = np.concatenate(left), np.concatenate(right)
-        out = self._slot_of_code(codes[left] + codes[right])
+        out = np.searchsorted(codes, codes[left] + codes[right])
         perm = np.argsort(out, kind="stable")
         return left[perm], right[perm], np.flatnonzero(np.diff(out[perm], prepend=-1))
 
@@ -318,15 +342,16 @@ class _Index:
     def factors(self):
         """(parent, var): the monomial of slot s > 0 is that of slot parent[s]
         times variable var[s], numbered z_1..z_n, zbar_1..zbar_n."""
-        exps, radix, codes, _ = self._codes
+        exps = np.array([a + b for a, b in self.monos],
+                        dtype=np.int64).reshape(self.size, 2 * self.n)
         var = np.argmax(exps > 0, axis=1)
-        parent = self._slot_of_code(codes - radix[var])
+        parent = np.searchsorted(self.codes, self.codes - _unit_code(self.n, var))
         return parent.tolist(), var.tolist()
 
     @functools.cached_property
     def conj_perm(self):
         """Slot of (beta, alpha) for the monomial (alpha, beta) of each slot."""
-        return np.array([self.pos[(b, a)] for a, b in self.monos])
+        return np.searchsorted(self.codes, _conj_code(self.codes, self.n))
 
     def mul(self, a, b):
         """Truncated product of two coefficient vectors."""
@@ -344,6 +369,14 @@ def _index(n, order):
     return _Index(n, order)
 
 
+def _pruned(items, exact):
+    """Dict of the (code, coefficient) ``items`` that pruning keeps: nonzero
+    ones when exact; float ones of modulus >= PRUNE_EPS or NaN."""
+    if exact:
+        return {k: c for k, c in items if c}
+    return {k: c for k, c in items if not abs(c) < PRUNE_EPS}
+
+
 def _check_operand(jet, shape):
     """Raise unless ``jet`` has the (n, order, exact) of ``shape``."""
     if (jet.n, jet.order, jet.exact) != shape:
@@ -357,38 +390,33 @@ def _check_operand(jet, shape):
 class Jet:
     """Truncated power series; immutable value type.
 
-    ``terms`` maps ``(alpha, beta)`` exponent-tuple pairs to nonzero
-    coefficients; no stored key exceeds total degree ``order``.
-    ``effective_order`` tracks the degree up to which coefficients are
-    trusted (differentiation decrements it).
+    ``_terms`` maps the codes of monomials of total degree <= ``order`` to
+    nonzero coefficients, in ascending code order; ``terms`` is the same
+    keyed by ``(alpha, beta)``.  ``effective_order`` tracks the degree up to
+    which coefficients are trusted (differentiation decrements it).
     """
 
-    __slots__ = ("n", "order", "effective_order", "exact", "terms", "_pack", "_coded")
+    __slots__ = ("n", "order", "effective_order", "exact", "_terms", "_pack")
 
     def __init__(self, n, order, terms=None, effective_order=None, exact=False):
-        if order < 0:
-            raise JetError("order must be >= 0")
-        self.n = n
-        self.order = order
-        self.exact = exact
+        _check_layout(n, order)
+        self.n, self.order, self.exact = n, order, exact
         self.effective_order = order if effective_order is None else min(effective_order, order)
-        self._pack = self._coded = None
+        self._pack = None
         if not terms:
-            self.terms = {}
+            self._terms = {}
             return
-        idx = _index(n, order)
-        pos = idx.pos
+        code_of = _index(n, order).code_of
         kept = []
         for key, c in terms.items():
             if (not c) if exact else abs(c) < PRUNE_EPS:
                 continue
-            slot = pos.get(key)
-            if slot is None:
+            code = code_of.get(key)
+            if code is None:
                 raise JetError(_bad_key_message(key, n, order))
-            kept.append((slot, c if exact else complex(c)))
+            kept.append((code, c if exact else complex(c)))
         kept.sort()
-        monos = idx.monos
-        self.terms = {monos[slot]: c for slot, c in kept}
+        self._terms = dict(kept)
 
     # -- constructors -------------------------------------------------------
 
@@ -419,18 +447,29 @@ class Jet:
 
     # -- bookkeeping --------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The nonzero coefficients keyed by ``(alpha, beta)``, in graded
+        order.  A new dict on every read: changing it leaves the jet as it is."""
+        key_of = _index(self.n, self.order).key_of
+        return {key_of[k]: c for k, c in self._terms.items()}
+
+    def __bool__(self):
+        return bool(self._terms)
+
     def truncated(self, new_order):
         """Copy truncated to a (usually lower) order."""
-        if new_order < 0:
-            raise JetError("order must be >= 0")
-        terms = {k: c for k, c in self.terms.items() if _degree(k) <= new_order}
+        _check_layout(self.n, new_order)
+        end = (new_order + 1) << _degree_shift(self.n)
+        terms = {k: c for k, c in self._terms.items() if k < end}
         return Jet._make(self.n, new_order, terms, self.effective_order, self.exact)
 
     def with_order(self, new_order):
         """Re-embed at a higher truncation order; trusted degrees unchanged."""
         if new_order < self.order:
             return self.truncated(new_order)
-        return Jet._make(self.n, new_order, self.terms, self.effective_order, self.exact)
+        _check_layout(self.n, new_order)
+        return Jet._make(self.n, new_order, self._terms, self.effective_order, self.exact)
 
     def padded(self, new_order):
         """Re-embed treating the content as an exact polynomial: every degree
@@ -438,28 +477,27 @@ class Jet:
         is polynomial (coordinate changes, constructed fixtures)."""
         if new_order < self.order:
             return self.truncated(new_order)
-        return Jet._make(self.n, new_order, self.terms, new_order, self.exact)
+        _check_layout(self.n, new_order)
+        return Jet._make(self.n, new_order, self._terms, new_order, self.exact)
 
     def trusted(self, eff):
         """Copy with the stated effective order (caller vouches for it)."""
-        return Jet._make(self.n, self.order, self.terms, eff, self.exact, self._pack)
+        return Jet._make(self.n, self.order, self._terms, eff, self.exact, self._pack)
 
     def coeff(self, alpha, beta):
-        default = QC(0) if self.exact else 0j
-        return self.terms.get((tuple(alpha), tuple(beta)), default)
+        code = _index(self.n, self.order).code_of.get((tuple(alpha), tuple(beta)))
+        return self._terms.get(code, QC(0) if self.exact else 0j)
 
     @property
     def constant_term(self):
-        z = (0,) * self.n
-        return self.coeff(z, z)
+        return self._terms.get(0, QC(0) if self.exact else 0j)
 
     def max_abs(self, max_degree=None):
         """Largest coefficient modulus; NaN if any coefficient is NaN."""
-        return nan_max(abs(c) for k, c in self.terms.items()
-                       if max_degree is None or _degree(k) <= max_degree)
-
-    def is_zero(self, tol=0.0, max_degree=None):
-        return self.max_abs(max_degree) <= tol
+        if max_degree is None:
+            return nan_max(map(abs, self._terms.values()))
+        end = (max_degree + 1) << _degree_shift(self.n)
+        return nan_max(abs(c) for k, c in self._terms.items() if k < end)
 
     # -- ring operations ----------------------------------------------------
 
@@ -467,17 +505,17 @@ class Jet:
         if not isinstance(other, Jet):
             other = Jet.constant(self.n, self.order, other, exact=self.exact)
         _check_operand(other, (self.n, self.order, self.exact))
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0 if not self.exact else QC(0)) + c
-        return Jet(self.n, self.order, terms,
-                   effective_order=min(self.effective_order, other.effective_order),
-                   exact=self.exact)
+        terms = dict(self._terms)
+        zero = QC(0) if self.exact else 0
+        for k, c in other._terms.items():
+            terms[k] = terms.get(k, zero) + c
+        return Jet._make(self.n, self.order, _pruned(sorted(terms.items()), self.exact),
+                         min(self.effective_order, other.effective_order), self.exact)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._make(self.n, self.order, {k: -c for k, c in self.terms.items()},
+        return Jet._make(self.n, self.order, {k: -c for k, c in self._terms.items()},
                          self.effective_order, self.exact)
 
     def __sub__(self, other):
@@ -494,36 +532,26 @@ class Jet:
         _check_operand(other, (self.n, self.order, self.exact))
         idx = _index(self.n, self.order)
         eff = min(self.effective_order, other.effective_order)
-        if not self.exact and len(self.terms) * len(other.terms) > idx.dense_min_pairs:
+        if not self.exact and len(self._terms) * len(other._terms) > idx.dense_min_pairs:
             return Jet._from_dense(idx, idx.mul(self._dense(), other._dense()), eff)
-        terms = self._dict_product(other, idx)
-        if self.exact:
-            kept = {k: c for k, c in terms.items() if c}
-        else:
-            kept = {k: c for k, c in terms.items() if not abs(c) < PRUNE_EPS}
-        return Jet._from_codes(idx, kept, eff, self.exact)
+        terms = self._dict_product(other)
+        return Jet._make(self.n, self.order, _pruned(sorted(terms.items()), self.exact),
+                         eff, self.exact)
 
-    def _code_terms(self, idx):
-        """(code, degree, coefficient) of each term, in graded order; cached."""
-        if self._coded is None:
-            codes, degrees, _ = idx.code_lists
-            slots = map(idx.pos.__getitem__, self.terms)
-            self._coded = [(codes[s], degrees[s], c) for s, c in zip(slots, self.terms.values())]
-        return self._coded
-
-    def _dict_product(self, other, idx):
+    def _dict_product(self, other):
         """Unpruned product as ``{code: coefficient}``.  The pairs are visited
-        left term by left term, each against the right terms in graded order
-        up to the first whose degree overflows the order."""
-        order = idx.order
-        right = other._code_terms(idx)
+        left term by left term, each against the right terms in ascending
+        code order up to the first whose degree overflows the order."""
+        shift = _degree_shift(self.n)
+        top = (self.order + 1) << shift
+        right = other._terms.items()
         zero = QC(0) if self.exact else 0j
         terms = {}
         get = terms.get
-        for k1, d1, c1 in self._code_terms(idx):
-            room = order - d1
-            for k2, d2, c2 in right:
-                if d2 > room:
+        for k1, c1 in self._terms.items():
+            end = top - (k1 >> shift << shift)
+            for k2, c2 in right:
+                if k2 >= end:
                     break
                 k = k1 + k2
                 terms[k] = get(k, zero) + c1 * c2
@@ -532,14 +560,12 @@ class Jet:
     def _scale(self, c):
         if self.exact:
             c = _as_qc(c)
-            terms = {k: x for k, v in self.terms.items() if (x := v * c)}
         elif isinstance(c, (int, float, complex, np.integer, np.floating,
                             np.complexfloating)):
             c = complex(c)
-            terms = {k: x for k, v in self.terms.items()
-                     if not abs(x := v * c) < PRUNE_EPS}
         else:
             return NotImplemented
+        terms = _pruned(((k, v * c) for k, v in self._terms.items()), self.exact)
         return Jet._make(self.n, self.order, terms, self.effective_order, self.exact)
 
     __rmul__ = __mul__
@@ -550,23 +576,23 @@ class Jet:
         if self._pack is None:
             idx = _index(self.n, self.order)
             vec = zero_coefficients(idx.size, self.exact)
-            if self.terms:
-                vec[[idx.pos[k] for k in self.terms]] = list(self.terms.values())
+            if self._terms:
+                vec[idx.slots(self._terms)] = list(self._terms.values())
             vec.flags.writeable = False
             self._pack = vec
         return self._pack
 
     @classmethod
     def _make(cls, n, order, terms, effective_order, exact, pack=None):
-        """Jet on ``terms`` as given: pruned, valid for (n, order) and in
-        graded order already, so ``__init__``'s key lookup and sort are
-        skipped.  ``terms`` is not copied; no jet mutates its terms."""
+        """Jet on the ``{code: coefficient}`` ``terms`` as given: pruned,
+        within (n, order) and sorted by code already, so ``__init__``'s key
+        lookup and sort are skipped.  ``terms`` is not copied; no jet mutates
+        its terms."""
         jet = cls.__new__(cls)
         jet.n, jet.order, jet.exact = n, order, exact
         jet.effective_order = effective_order if effective_order < order else order
-        jet.terms = terms
+        jet._terms = terms
         jet._pack = pack
-        jet._coded = None
         return jet
 
     @classmethod
@@ -575,26 +601,16 @@ class Jet:
 
         Applies the same pruning as ``__init__``: exact zeros are dropped
         from an exact vector, and coefficients below PRUNE_EPS from a float
-        one, whose non-finite coefficients are kept.  The slots come in
-        graded order already, so the terms need no sort.
+        one, whose non-finite coefficients are kept.  The slots come in code
+        order already, so the terms need no sort.
         """
         keep = vec.astype(bool) if exact else ~(np.abs(vec) < PRUNE_EPS)
         slots = np.flatnonzero(keep)
-        monos = idx.monos
-        terms = dict(zip([monos[i] for i in slots.tolist()], vec[slots].tolist()))
+        terms = dict(zip(idx.codes[slots].tolist(), vec[slots].tolist()))
         if not exact:
             vec = np.where(keep, vec, 0)
         vec.flags.writeable = False
         return cls._make(idx.n, idx.order, terms, effective_order, exact, vec)
-
-    @classmethod
-    def _from_codes(cls, idx, terms, effective_order, exact):
-        """Jet from pruned ``{code: coefficient}`` terms, sorted into slot order."""
-        slot_of = idx.code_lists[2]
-        by_slot = {slot_of[k]: c for k, c in terms.items()}
-        monos = idx.monos
-        return cls._make(idx.n, idx.order, {monos[s]: by_slot[s] for s in sorted(by_slot)},
-                         effective_order, exact)
 
     @classmethod
     def dot(cls, pairs, n, order, exact=False, start=None):
@@ -609,14 +625,13 @@ class Jet:
         and the effective order is the least over ``start`` and the products.
         """
         idx = _index(n, order)
-        codes, pos = idx.code_lists[0], idx.pos
         shape = (n, order, exact)
         eff = order
         acc = {}
         if start is not None:
             _check_operand(start, shape)
             eff = start.effective_order
-            acc = {codes[pos[k]]: c for k, c in start.terms.items()}
+            acc = dict(start._terms)
         zero = QC(0) if exact else 0
         get = acc.get
         for a, b in pairs:
@@ -627,18 +642,17 @@ class Jet:
                 _check_operand(b, shape)
                 if b.effective_order < eff:
                     eff = b.effective_order
-                if not (a.terms and b.terms):
+                if not (a._terms and b._terms):
                     continue
-                if not exact and len(a.terms) * len(b.terms) > idx.dense_min_pairs:
+                if not exact and len(a._terms) * len(b._terms) > idx.dense_min_pairs:
                     vec = idx.mul(a._dense(), b._dense())
                     slots = np.flatnonzero(~(np.abs(vec) < PRUNE_EPS))
-                    items = zip([codes[s] for s in slots.tolist()], vec[slots].tolist())
+                    items = zip(idx.codes[slots].tolist(), vec[slots].tolist())
                 else:
-                    items = a._dict_product(b, idx).items()
+                    items = a._dict_product(b).items()
             else:
                 scalar = _as_qc(b) if exact else complex(b)
-                items = [(codes[s], v * scalar)
-                         for s, v in zip(map(pos.__getitem__, a.terms), a.terms.values())]
+                items = [(k, v * scalar) for k, v in a._terms.items()]
             # a key absent from acc gets 0 + c, which is nonzero (exact) or
             # of modulus |c| (float), so only held keys are ever dropped
             if exact:
@@ -657,24 +671,24 @@ class Jet:
                             acc[k] = c
                         else:
                             del acc[k]
-        return cls._from_codes(idx, acc, eff, exact)
+        return cls._make(n, order, dict(sorted(acc.items())), eff, exact)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
         return (self.n == other.n and self.order == other.order
-                and self.terms == other.terms)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.n, self.order, tuple(self.terms.items())))
+        return hash((self.n, self.order, tuple(self._terms.items())))
 
     # -- calculus -----------------------------------------------------------
 
     def conj(self):
         """Anti-involution: (alpha, beta, c) -> (beta, alpha, conj c)."""
-        terms = {(b, a): c.conjugate() for (a, b), c in self.terms.items()}
-        return Jet(self.n, self.order, terms,
-                   effective_order=self.effective_order, exact=self.exact)
+        n = self.n
+        terms = sorted((_conj_code(k, n), c.conjugate()) for k, c in self._terms.items())
+        return Jet._make(n, self.order, dict(terms), self.effective_order, self.exact)
 
     def dz(self, k):
         """Formal partial derivative with respect to z_k."""
@@ -692,21 +706,15 @@ class Jet:
     def _partial(self, k, conjugate):
         if not 0 <= k < self.n:
             raise JetError(f"variable index {k} out of range for n={self.n}")
-        exact = self.exact
-        terms = {}
-        for (a, b), c in self.terms.items():
-            e = b[k] if conjugate else a[k]
-            if e == 0:
-                continue
-            if conjugate:
-                key = (a, b[:k] + (e - 1,) + b[k + 1:])
-            else:
-                key = (a[:k] + (e - 1,) + a[k + 1:], b)
-            c = c * e
-            if c if exact else not abs(c) < PRUNE_EPS:
-                terms[key] = c
-        # lowering one exponent of every term keeps their graded order
-        return Jet._make(self.n, self.order, terms, self.effective_order - 1, exact)
+        n = self.n
+        var = n + k if conjugate else k
+        at = _DIGIT_BITS * (2 * n - 1 - var)
+        unit = _unit_code(n, var)
+        # e: the exponent digit of var; lowering it keeps the terms' code order
+        items = ((code - unit, c * e) for code, c in self._terms.items()
+                 if (e := code >> at & MAX_ORDER))
+        return Jet._make(n, self.order, _pruned(items, self.exact),
+                         self.effective_order - 1, self.exact)
 
     def eval(self, point):
         """Evaluate with zbar_k = conj(z_k)."""
@@ -748,7 +756,7 @@ class Jet:
                 raise JetError(f"substitution for z_{k} has a nonzero constant term")
         eff = min([self.effective_order] + [s.effective_order for s in subs])
         out_idx = _index(subs[0].n, self.order)
-        if not self.terms:
+        if not self._terms:
             return Jet._from_dense(out_idx, zero_coefficients(out_idx.size, exact), eff, exact)
         idx = _index(self.n, self.order)
         parents, variables = idx.factors
@@ -766,8 +774,8 @@ class Jet:
                 table[slot] = got
             return got
 
-        images = np.array([image(idx.pos[key]) for key in self.terms])
-        coeffs = np.fromiter(self.terms.values(), dtype=images.dtype, count=len(self.terms))
+        images = np.array([image(slot) for slot in idx.slots(self._terms).tolist()])
+        coeffs = np.fromiter(self._terms.values(), dtype=images.dtype, count=len(self._terms))
         return Jet._from_dense(out_idx, coeffs @ images, eff, exact)
 
     # -- serialization ------------------------------------------------------
@@ -775,29 +783,20 @@ class Jet:
     def to_records(self):
         """Graded-lex sorted list of {alpha, beta, re, im} records."""
         recs = []
-        for (a, b) in sorted(self.terms, key=_grade_key):
-            c = complex(self.terms[(a, b)])
+        for (a, b), c in self.terms.items():
+            c = complex(c)
             recs.append({"alpha": list(a), "beta": list(b), "re": c.real, "im": c.imag})
         return recs
 
-    @classmethod
-    def from_records(cls, n, order, records):
-        terms = {}
-        for r in records:
-            key = (tuple(r["alpha"]), tuple(r["beta"]))
-            terms[key] = complex(r["re"], r["im"])
-        return cls(n, order, terms)
-
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return f"Jet(n={self.n}, N={self.order}; 0)"
         bits = []
-        for key in list(self.terms)[:4]:
-            a, b = key
+        for (a, b), c in list(self.terms.items())[:4]:
             mono = "".join(f"z{i + 1}^{e}" for i, e in enumerate(a) if e)
             mono += "".join(f"zb{i + 1}^{e}" for i, e in enumerate(b) if e)
-            bits.append(f"({self.terms[key]})*{mono or '1'}")
-        more = " + ..." if len(self.terms) > 4 else ""
+            bits.append(f"({c})*{mono or '1'}")
+        more = " + ..." if len(self._terms) > 4 else ""
         return f"Jet(n={self.n}, N={self.order}; {' + '.join(bits)}{more})"
 
 
@@ -1009,9 +1008,9 @@ class JetMatrix:
             row = []
             for col in columns:
                 pairs = list(zip(row_in, col))
-                if idx is not None and sum(len(a.terms) * len(b.terms) for a, b in pairs) \
+                if idx is not None and sum(len(a._terms) * len(b._terms) for a, b in pairs) \
                         > idx.dense_min_pairs:
-                    live = [(a, b) for a, b in pairs if a.terms and b.terms]
+                    live = [(a, b) for a, b in pairs if a and b]
                     eff = min([self.order] + [min(a.effective_order, b.effective_order)
                                               for a, b in pairs])
                     vec = idx.mul_sum(np.array([a._dense() for a, _ in live]),

@@ -74,7 +74,7 @@ class VectorField:
         n = self.n
         pairs = []
         for a, comp in enumerate(self.components):
-            if comp.terms:
+            if comp:
                 if grad is not None:
                     d = grad[a]
                 else:
@@ -353,7 +353,7 @@ class TorsionTensor:
         for k in range(n):
             for l in range(k + 1, n):
                 pair = xi_c[k] * eta_c[l] - eta_c[k] * xi_c[l]
-                if not pair.terms:
+                if not pair:
                     continue
                 for r in range(n):
                     terms[n + r].append((self.nbar[r][k, l], pair))
@@ -371,9 +371,9 @@ class TorsionTensor:
                 pair10 = xi_c[k] * eta_c[l] - eta_c[k] * xi_c[l]
                 pair01 = (xi_c[n + k] * eta_c[n + l] - eta_c[n + k] * xi_c[n + l])
                 for r in range(n):
-                    if pair10.terms:
+                    if pair10:
                         terms[n + r].append((self.nbar[r][k, l], pair10))
-                    if pair01.terms:
+                    if pair01:
                         terms[r].append((self.nbar[r][k, l].conj(), pair01))
         return fr.from_frame_components([Jet.dot(t, n, order) for t in terms])
 

@@ -76,6 +76,19 @@ class TestParsing:
             parse_manifold_spec(json.dumps(doc))
         assert err.value.path == path
 
+    def test_parse_and_validate_build_the_structure_once(self, monkeypatch):
+        calls = []
+        build = normal.structure_from_b_family
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(normal, "structure_from_b_family", counting_build)
+        ms = parse_manifold_spec(fix_b_text())
+        report, _ = run_command("validate", ms, Options())
+        assert report.passed
+        assert len(calls) == 1
+
     def test_bad_kind_rejected(self):
         doc = json.loads(fix_b_text())
         doc["structure"]["kind"] = "other"

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from fractions import Fraction
 
 from acgeom.jets import (Jet, JetError, JetMatrix, QC, SingularMatrixError,
-                         _index, block2x2, multi_index, series_inverse)
+                         _conj_code, _index, block2x2, multi_index, series_inverse)
 
 from conftest import random_jet, random_point
 
@@ -85,7 +87,7 @@ class TestMul:
         g = random_jet(rng, 2, 4, nterms=30) + 10.0
         h = f * g
         assert np.isnan(h.max_abs())
-        assert not h.is_zero(tol=1.0)
+        assert not h.max_abs() <= 1.0
 
 
 def naive_product(f, g):
@@ -174,7 +176,7 @@ class TestMaxAbs:
     def test_nan_coefficient_is_not_zero(self):
         f = Jet(2, 3, {((1, 0), (0, 0)): 2.0, ((0, 0), (0, 1)): complex("nan")})
         assert np.isnan(f.max_abs())
-        assert not f.is_zero()
+        assert not f.max_abs() <= 0.0
 
     def test_nan_propagates_through_matrix(self):
         m = JetMatrix.identity(2, 2, 3)
@@ -483,13 +485,114 @@ class TestSeriesInverse:
             assert (psi[k].compose(phi) - ident).max_abs() < 1e-12
 
 
+def graded_monomials(n, order):
+    """Every (alpha, beta) of degree <= order, sorted by (degree, alpha, beta)."""
+    monos = []
+    for d in range(order + 1):
+        for slots in itertools.combinations_with_replacement(range(2 * n), d):
+            e = multi_index(2 * n, *slots)
+            monos.append((e[:n], e[n:]))
+    return sorted(monos, key=lambda m: (sum(m[0]) + sum(m[1]), m[0], m[1]))
+
+
+def layout_codes(exps):
+    """Codes of the rows of a (count, 2n) exponent array, from the layout:
+    base-16 digits holding the degree, then alpha, then beta."""
+    digits = np.column_stack([exps.sum(axis=1), exps])
+    return digits @ (16 ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+LAYOUT_SHAPES = ([(n, order) for n in range(1, 5) for order in range(9)]
+                 + [(1, 15), (7, 1), (7, 2)])
+
+
+class TestMonomialCodes:
+    @pytest.mark.parametrize("n, order", LAYOUT_SHAPES)
+    def test_ascending_codes_are_graded_order(self, n, order):
+        idx = _index(n, order)
+        want = graded_monomials(n, order)
+        assert idx.monos == want
+        codes = [idx.code_of[m] for m in want]
+        assert codes == sorted(codes) == idx.codes.tolist()
+        exps = np.array([a + b for a, b in want]).reshape(len(want), 2 * n)
+        assert codes == layout_codes(exps).tolist()
+
+    @pytest.mark.parametrize("n, order", LAYOUT_SHAPES)
+    def test_codes_add(self, n, order):
+        # code(I) + code(J) = code(I + J) for every pair within the order
+        idx = _index(n, order)
+        exps = np.array([a + b for a, b in idx.monos]).reshape(idx.size, 2 * n)
+        degree = exps.sum(axis=1)
+        codes = idx.codes
+        for d in range(order + 1):
+            left, right = np.meshgrid(np.flatnonzero(degree == d),
+                                      np.flatnonzero(degree <= order - d), indexing="ij")
+            left, right = left.ravel(), right.ravel()
+            assert np.array_equal(codes[left] + codes[right],
+                                  layout_codes(exps[left] + exps[right]))
+
+    @pytest.mark.parametrize("n, order", [(1, 15), (2, 4), (3, 3), (7, 2)])
+    def test_conj_code_swaps_alpha_and_beta(self, n, order):
+        code_of = _index(n, order).code_of
+        for a, b in code_of:
+            assert _conj_code(code_of[(a, b)], n) == code_of[(b, a)]
+
+    def test_conj_keys(self, rng):
+        f = random_jet(rng, 3, 4, nterms=12)
+        got = f.conj().terms
+        assert got == {(b, a): c.conjugate() for (a, b), c in f.terms.items()}
+        assert list(got) == [m for m in _index(3, 4).monos if m in got]
+
+    def test_terms_view_is_graded_and_detached(self, rng):
+        f = random_jet(rng, 2, 4, nterms=10)
+        view = f.terms
+        assert list(view) == [m for m in _index(2, 4).monos if m in view]
+        before = dict(view)
+        view[((0, 0), (0, 0))] = 99.0
+        del view[next(iter(before))]
+        assert f.terms == before
+        assert f == Jet(2, 4, before)
+
+    def test_bool(self):
+        assert not Jet.zero(2, 3)
+        assert not Jet(2, 3, {((1, 0), (0, 0)): 1e-20})
+        assert Jet.one(2, 3)
+        assert not Jet.one(2, 3).dz(0)
+
+    def test_deepest_codes(self):
+        # order 15 fills a digit; n = 7 fills the int64 code
+        x = Jet.variable(1, 15, 0)
+        top = x
+        for _ in range(14):
+            top = top * x
+        assert top.terms == {((15,), (0,)): 1}
+        assert (top * x).max_abs() == 0
+        assert top.conj().terms == {((0,), (15,)): 1}
+        assert top.dz(0).terms == {((14,), (0,)): 15}
+        w = Jet.variable(7, 2, 6) * Jet.variable(7, 2, 6, conjugate=True)
+        assert w.terms == {(multi_index(7, 6), multi_index(7, 6)): 1}
+
+    @pytest.mark.parametrize("build", [
+        lambda: Jet(1, 16),
+        lambda: Jet(8, 2),
+        lambda: Jet.constant(8, 2, 1.0),
+        lambda: Jet.variable(1, 15, 0).with_order(16),
+        lambda: Jet.variable(1, 15, 0).padded(16),
+        lambda: Jet.variable(1, 4, 0).truncated(-1),
+    ], ids=["init-order", "init-n", "constant-n", "with_order", "padded", "truncated"])
+    def test_out_of_range_raises(self, build):
+        with pytest.raises(JetError):
+            build()
+
+
 class TestSerialization:
     def test_roundtrip_sorted(self, rng):
         f = random_jet(rng, 2, 4, nterms=8)
         recs = f.to_records()
         degs = [sum(r["alpha"]) + sum(r["beta"]) for r in recs]
         assert degs == sorted(degs)
-        g = Jet.from_records(2, 4, recs)
+        g = Jet(2, 4, {(tuple(r["alpha"]), tuple(r["beta"])): complex(r["re"], r["im"])
+                       for r in recs})
         assert f == g
 
 

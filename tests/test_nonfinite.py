@@ -83,6 +83,15 @@ def test_row_fails_on_overflowing_metric(command, check):
     assert math.isnan(row.residual) and not row.passed
 
 
+def test_hermitian_check_rejects_nan_metric():
+    # h_{1,2} - conj-jet of h_{2,1} is NaN z_1, and the check must see it
+    h = JetMatrix.identity(2, 2, 3)
+    h.entries[0][1] = _nan_coefficient(h[0, 1], (1, 0), (0, 0))
+    h.entries[1][0] = _nan_coefficient(h[1, 0], (0, 0), (1, 0))
+    with pytest.raises(JetError, match="not hermitian"):
+        chern.HermitianData(h)
+
+
 def test_metric_expansion_propagates_nan():
     calc = FrameCalculus(fix_b(order=3))
     assert math.isnan(chern.metric_coordinate_residual(calc, _nan_metric(2, 3)))
