@@ -475,6 +475,8 @@ def _cmd_geodesic(ms, opts, payload):
         scales = tuple(_parse_floats(opts.scales, "--scales"))
         if not all(s > 0 for s in scales):
             raise SpecError("--scales", "scales must be positive")
+        if len(set(scales)) < 2:
+            raise SpecError("--scales", "need at least two distinct scales")
     z = _parse_vector(opts.z, ms.n, "--z") if opts.z else np.zeros(ms.n, complex)
     v = _parse_vector(opts.v, ms.n, "--v") if opts.v else \
         np.full(ms.n, 0.04 / max(ms.n, 1), dtype=complex)
@@ -495,6 +497,9 @@ def _cmd_geodesic(ms, opts, payload):
         rows.append(_row("non-finite endpoint error", 1.0, 0.0))
     elif probe["exact"]:
         rows.append(_row("error at integrator noise floor (exact)", 0.0, 0.0))
+    elif probe["slope"] is None:
+        rows.append(_row("too few scales above the noise floor to fit a "
+                         "slope", 1.0, 0.0))
     else:
         slope = probe["slope"]
         rows.append(_row(f"fitted slope >= {opts.slope_bound}",

@@ -7,11 +7,14 @@ serves as the independent oracle.  A scaling probe fits the error exponent
 between the two.
 
 The oracle integrates the whole scale ladder of the probe as one batch: RK4
-runs on an (S, 2n) array of states (gamma, gamma-dot), and each step-doubling
-round re-runs only the scales whose endpoint has not yet settled.  The
-connection is evaluated from tables precomputed once per germ
-(``PackedConnection``), the same ones for the acceleration and for the
-reality check of its conjugate block.
+runs on an (S, 2n) array of states (gamma, gamma-dot).  The first step
+doubling shares one sweep with the undoubled run: the rows at s and at 2s
+steps form one batch, each row with its own step size, with the trust-radius
+exits of the two runs made one after the other.  Each later doubling re-runs
+only the scales whose endpoint has not yet settled.  The connection is
+evaluated on the packed state from tables precomputed once per germ
+(``PackedConnection``), the same ones for the RK4 rate, the acceleration and
+the reality check of its conjugate block.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ class PackedConnection:
 
     Every monomial of every entry A_z[a][i, j] is one term.  The tables are
     built once: per term, the flat positions of its factors in a power table
-    of u = (gamma, gdot, conj gamma, conj gdot) (the exponents over the 2n
-    variables, then the velocity components a and j at power one), and a
-    dense row-scatter matrix carrying the minus sign.  The action
-    -(A_z(v) v) on a batch of states is then one power table, one gather,
-    one product over the factors and one matmul.
+    of u = (gamma, gdot, conj gamma, conj gdot), stored as pairs (z_k,
+    zbar_k) of the exponents over the 2n variables followed by the pair of
+    velocity components (a, j) at power one, and a dense row-scatter matrix
+    carrying the minus sign.  The action -(A_z(v) v) on a batch of states is
+    then one power table, one gather, one product per pair and one matmul.
     """
 
     def __init__(self, calc: FrameCalculus, conn: ConnectionForms):
@@ -59,43 +62,55 @@ class PackedConnection:
         rows = np.array([t[0] for t in terms], dtype=np.intp)
         exps = np.array([t[3] for t in terms], dtype=np.intp).reshape(-1, 2 * n)
         self.degrees = np.arange(max(exps.max(initial=0), 1) + 1)
+        width = len(self.degrees)
         # position in u of each variable (z, zbar) and each velocity component
         var_pos = np.concatenate([np.arange(n), 2 * n + np.arange(n)])
         vel_pos = var_pos + n
         comps = np.array([t[2] for t in terms], dtype=np.intp)
         cols = np.array([t[1] for t in terms], dtype=np.intp)
-        width = len(self.degrees)
-        gather = np.concatenate([var_pos * width + exps,
-                                 (vel_pos[comps] * width + 1)[:, None],
-                                 (vel_pos[cols] * width + 1)[:, None]], axis=1).T
+        var_at = (var_pos * width + exps).reshape(-1, 2, n).transpose(0, 2, 1)
+        vel_at = np.stack([vel_pos[comps], vel_pos[cols]], axis=-1) * width + 1
+        gather = np.concatenate([var_at, vel_at[:, None]], axis=1) \
+            .transpose(1, 2, 0)                 # (n + 1 pairs, 2, terms)
         coeffs = np.array([t[4] for t in terms], dtype=complex)
         scatter = np.zeros((len(terms), 2 * n), dtype=complex)
         scatter[np.arange(len(terms)), rows] = -1.0
         first = int(np.count_nonzero(rows < n))
         self.flat = not terms
         self.tables = {
-            n: (coeffs[:first], np.ascontiguousarray(gather[:, :first]),
+            n: (coeffs[:first], np.ascontiguousarray(gather[..., :first]),
                 np.ascontiguousarray(scatter[:first, :n])),
             2 * n: (coeffs, np.ascontiguousarray(gather), scatter),
         }
+
+    def _evaluate(self, y, nrows):
+        """The first ``nrows`` rows of -(A_z(v) v) at the states y = (gamma,
+        gdot), (2n,) or (S, 2n).  One multiply per pair k builds both
+        z^alpha and zbar^beta, each as ((f_0 f_1) f_2) ..., and a term is
+        ((coeff (z^alpha zbar^beta)) v_a) v_j."""
+        n = self.n
+        coeffs, gather, scatter = self.tables[nrows]
+        u = np.concatenate([y, y.conj()], axis=-1)
+        powers = (u[..., None] ** self.degrees).reshape(u.shape[:-1] + (-1,))
+        f = powers.take(gather, axis=-1)        # (..., n + 1, 2, terms)
+        mono = f[..., 0, :, :]
+        for k in range(1, n):
+            mono = mono * f[..., k, :, :]
+        vals = coeffs * (mono[..., 0, :] * mono[..., 1, :]) \
+            * f[..., n, 0, :] * f[..., n, 1, :]
+        return vals @ scatter
+
+    def rate(self, y):
+        """(gamma-dot, gamma-ddot) at the states y = (gamma, gamma-dot)."""
+        return np.concatenate([y[..., self.n:], self._evaluate(y, self.n)],
+                              axis=-1)
 
     def action(self, gamma, gdot, nrows=None):
         """-(A_z(v) v) at z = gamma, v = (gdot, conj gdot): the first block
         for ``nrows`` = n, all 2n rows by default; gamma and gdot are (n,)
         or (S, n)."""
-        n = self.n
-        coeffs, gather, scatter = self.tables[nrows or 2 * n]
-        x = np.concatenate([gamma, gdot], axis=-1)
-        u = np.concatenate([x, x.conj()], axis=-1)
-        powers = (u[..., None] ** self.degrees).reshape(u.shape[:-1] + (-1,))
-        f = np.take(powers, gather, axis=-1)     # (..., 2n + 2, terms)
-        z_mono, zbar_mono = f[..., 0, :], f[..., n, :]
-        for k in range(1, n):
-            z_mono = z_mono * f[..., k, :]
-            zbar_mono = zbar_mono * f[..., n + k, :]
-        vals = coeffs * (z_mono * zbar_mono) * f[..., 2 * n, :] \
-            * f[..., 2 * n + 1, :]
-        return vals @ scatter
+        return self._evaluate(np.concatenate([gamma, gdot], axis=-1),
+                              nrows or 2 * self.n)
 
     def acceleration(self, gamma, gdot):
         """Second derivative of the curve: -(A_z(gdot) gdot) on the first
@@ -111,33 +126,81 @@ def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
     the trust-radius check covers every state of the batch.  On a flat
     connection the curve is z + t v exactly and no step is taken."""
     n = packed.n
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    h = 1.0 / steps
-    if packed.flat:
-        exit_step = _first_exit(z, v, steps, trust_radius)
-        if exit_step is not None:
-            raise TrustRadiusExit(exit_step * h, trust_radius)
-        return (z + v, v.copy()) if return_velocity else z + v
-    y = np.concatenate([z, v], axis=-1)
-
-    def rate(y):
-        """(gamma-dot, gamma-ddot) of the state y = (gamma, gamma-dot)."""
-        gdot = y[..., n:]
-        return np.concatenate([gdot, packed.acceleration(y[..., :n], gdot)],
-                              axis=-1)
-
-    for step in range(steps):
-        if np.abs(y[..., :n]).max(initial=0.0) > trust_radius:
-            raise TrustRadiusExit(step * h, trust_radius)
-        k1 = rate(y)
-        k2 = rate(y + 0.5 * h * k1)
-        k3 = rate(y + 0.5 * h * k2)
-        k4 = rate(y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    y = np.concatenate([np.asarray(z, dtype=complex),
+                        np.asarray(v, dtype=complex)], axis=-1)
+    y = _rk4_sweep(packed, np.atleast_2d(y), steps,
+                   trust_radius).reshape(y.shape)
     if return_velocity:
         return y[..., :n], y[..., n:]
     return y[..., :n]
+
+
+def _rk4_sweep(packed: PackedConnection, y, steps, trust_radius,
+               doubled=False):
+    """RK4 over [0, 1] in ``steps`` steps on the states y (S, 2n); returns
+    the endpoint states.
+
+    With ``doubled`` it also makes the first step doubling and returns
+    ``(ends, active, refined)``: ``active`` indexes the states whose
+    endpoint is finite, and ``refined`` holds their endpoint states after
+    2 * steps steps.  The doubled rows ride in the same batch ahead of the
+    others, each row with its own step size, and carry on alone once the
+    others are done.  Trust-radius exits are those of the two runs made one
+    after the other: a doubled row counts only after the undoubled run and
+    only if its endpoint there is finite.  So when a doubled row leaves the
+    radius or turns non-finite before the undoubled run is done, the doubled
+    rows are dropped and run again afterwards.
+    """
+    n = packed.n
+    start, lead = y, 0
+    if packed.flat:
+        exit_step = _first_exit(y[:, :n], y[:, n:], steps, trust_radius)
+        if exit_step is not None:
+            raise TrustRadiusExit(exit_step * (1.0 / steps), trust_radius)
+        y = np.concatenate([y[:, :n] + y[:, n:], y[:, n:]], axis=1)
+    else:
+        lead = len(y) if doubled else 0
+        h = np.repeat([[1.0 / (2 * steps)], [1.0 / steps]], [lead, len(y)],
+                      axis=0)
+        y, lead = _rk4_steps(packed, np.concatenate([y[:lead], y]), h, lead,
+                             range(steps), 1.0 / steps, trust_radius)
+    ends = y[lead:]
+    if not doubled:
+        return ends
+    active = np.flatnonzero(np.isfinite(ends[:, :n]).all(axis=1))
+    refined = start[active]
+    if lead and active.size:
+        refined = _rk4_steps(packed, y[:lead][active], h[:lead][active], 0,
+                             range(steps, 2 * steps), 1.0 / (2 * steps),
+                             trust_radius)[0]
+    elif active.size:           # the doubled rows were dropped, or none ran
+        refined = _rk4_sweep(packed, refined, 2 * steps, trust_radius)
+    return ends, active, refined
+
+
+def _rk4_steps(packed, y, h, lead, steps, dt, trust_radius):
+    """The RK4 steps numbered ``steps`` on the states y with step sizes h
+    (S, 1); returns ``(y, lead)``.
+
+    The trust radius is checked before each step.  The rows after the first
+    ``lead`` raise ``TrustRadiusExit`` at time step * dt; the first ``lead``
+    rows are dropped as soon as one of them is outside it or not finite.
+    """
+    n = packed.n
+    half, sixth = 0.5 * h, h / 6
+    for step in steps:
+        if not np.abs(y[:, :n]).max(initial=0.0) <= trust_radius:
+            if np.abs(y[lead:, :n]).max(initial=0.0) > trust_radius:
+                raise TrustRadiusExit(step * dt, trust_radius)
+            if lead and not np.abs(y[:lead, :n]).max() <= trust_radius:
+                y, h, half, sixth = (a[lead:] for a in (y, h, half, sixth))
+                lead = 0
+        k1 = packed.rate(y)
+        k2 = packed.rate(y + half * k1)
+        k3 = packed.rate(y + half * k2)
+        k4 = packed.rate(y + h * k3)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y, lead
 
 
 def _first_exit(z, v, steps, radius):
@@ -169,25 +232,34 @@ def integrate_geodesic_checked(packed: PackedConnection, z, v, steps=256,
     Each state of a batch (S, n) stops doubling on its own once two
     successive endpoints agree within ``tol``; only the states still
     unsettled are integrated again.  A state whose endpoint is not finite
-    can never settle and stops at once.  Returns ``(endpoints, steps,
+    can never settle and stops at once.  The first doubling is one RK4
+    sweep with the undoubled run.  Returns ``(endpoints, steps,
     converged)``: the last endpoint of each state, the step count it came
     from and whether it settled, shaped like the input (scalars for one
     state).
     """
+    n = packed.n
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zs = np.atleast_2d(z)
     vs = np.atleast_2d(np.asarray(v, dtype=complex))
-    end = integrate_geodesic(packed, zs, vs, steps, trust_radius)
+    y = np.concatenate([zs, vs], axis=1)
+    if max_doublings > 0:
+        end, active, refined = _rk4_sweep(packed, y, steps, trust_radius,
+                                          doubled=True)
+        refined = refined[:, :n]
+    else:
+        end = _rk4_sweep(packed, y, steps, trust_radius)
+    end = end[:, :n]
     counts = np.full(len(zs), steps)
     converged = np.zeros(len(zs), dtype=bool)
-    active = np.flatnonzero(np.isfinite(end).all(axis=1))
-    for _ in range(max_doublings):
+    for doubling in range(max_doublings):
         if not active.size:
             break
         steps *= 2
-        refined = integrate_geodesic(packed, zs[active], vs[active], steps,
-                                     trust_radius)
+        if doubling:
+            refined = integrate_geodesic(packed, zs[active], vs[active], steps,
+                                         trust_radius)
         drift = np.abs(refined - end[active]).max(axis=1)
         end[active] = refined
         counts[active] = steps
@@ -261,9 +333,11 @@ def error_scaling_probe(lab: GeodesicLab, z, v, scales=(1.0, 0.5, 0.25, 0.125),
     The whole ladder is integrated as one batch.  Returns rows per scale
     (with the RK4 step count each endpoint came from and whether its
     step doubling converged) and the fitted log-log slope; scales whose
-    error sits at the integrator noise floor are excluded from the fit, and
-    a fully flat ladder is reported as exact.  A non-finite error anywhere
-    on the ladder is a failure (``finite`` False, no slope, not exact).
+    error sits at the integrator noise floor are excluded from the fit.  A
+    ladder whose every error is at the floor is reported as exact; one with
+    fewer than two distinct scales above it has no slope and is not exact.
+    A non-finite error anywhere on the ladder is a failure (``finite``
+    False, no slope, not exact).
     """
     z = np.asarray(z, complex)
     v = np.asarray(v, complex)
@@ -286,8 +360,9 @@ def error_scaling_probe(lab: GeodesicLab, z, v, scales=(1.0, 0.5, 0.25, 0.125),
             rows[i]["slope_partial"] = np.log(e0 / e1) / np.log(s0 / s1)
     usable = [(np.log(r["scale"]), np.log(r["error"])) for r in rows
               if r["error"] > NOISE_FLOOR]
-    if len(usable) < 2:
-        return {"rows": rows, "slope": None, "exact": True, "finite": True}
+    if len({x for x, _ in usable}) < 2:
+        return {"rows": rows, "slope": None, "exact": not usable,
+                "finite": True}
     xs = np.array([u[0] for u in usable])
     ys = np.array([u[1] for u in usable])
     slope = np.polyfit(xs, ys, 1)[0]

@@ -7,8 +7,9 @@ from acgeom.chern import HermitianData, antisymmetrize_metric_linear
 from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_b2, fix_j0
 from acgeom.forms import FrameCalculus
 from acgeom.cli import Options, parse_manifold_spec, run_command
-from acgeom.geodesic import (GeodesicLab, TrustRadiusExit, error_scaling_probe,
-                             exp_asymptotic, integrate_geodesic,
+from acgeom.geodesic import (NOISE_FLOOR, GeodesicLab, TrustRadiusExit,
+                             error_scaling_probe, exp_asymptotic,
+                             integrate_geodesic,
                              integrate_geodesic_checked,
                              integrator_convergence_ratio)
 from acgeom.jets import JetError
@@ -48,6 +49,7 @@ class TestFlatCase:
         def evaluated(*args):
             raise AssertionError("flat connection evaluated")
 
+        monkeypatch.setattr(lab_flat.packed, "rate", evaluated)
         monkeypatch.setattr(lab_flat.packed, "acceleration", evaluated)
         z = np.array([0.03 + 0.01j, -0.02j])
         v = np.array([0.05 - 0.01j, 0.04j])
@@ -119,15 +121,21 @@ V_OFF = np.array([0.12, 0.1j])
 
 
 def per_scale_checked(packed, z, v, steps, tol=1e-12, max_doublings=4):
-    """The step-doubling loop run one state at a time."""
+    """The step-doubling loop run one state at a time, each run after the
+    other: (endpoint, steps, converged)."""
     end = integrate_geodesic(packed, z, v, steps)
+    if not np.isfinite(end).all():
+        return end, steps, False
     for _ in range(max_doublings):
         steps *= 2
         refined = integrate_geodesic(packed, z, v, steps)
-        if np.abs(refined - end).max() < tol:
-            return refined, steps
+        drift = np.abs(refined - end).max()
         end = refined
-    return end, steps
+        if drift < tol:
+            return end, steps, True
+        if not np.isfinite(drift):
+            break
+    return end, steps, False
 
 
 class TestBatchedOracle:
@@ -169,11 +177,11 @@ class TestBatchedOracle:
                                   steps=steps)
         for row in out["rows"]:
             s = row["scale"]
-            end, k = per_scale_checked(lab_b.packed, Z_OFF * s, V_OFF * s,
-                                       steps)
+            end, k, ok = per_scale_checked(lab_b.packed, Z_OFF * s,
+                                           V_OFF * s, steps)
             asym = exp_asymptotic(lab_b.coeffs, Z_OFF * s, V_OFF * s)
             assert row["steps"] == k
-            assert row["converged"] is True
+            assert row["converged"] is ok is True
             assert abs(row["error"] - np.abs(asym - end).max()) < 1e-15
         # the ladder needs a different number of doublings per scale here
         assert len({row["steps"] for row in out["rows"]}) > 1
@@ -192,6 +200,93 @@ class TestBatchedOracle:
         # a non-finite endpoint never settles, so it is not doubled
         assert all(r["steps"] == 64 and not r["converged"]
                    for r in out["rows"])
+
+
+class TestMergedSweep:
+    """The first step doubling shares one RK4 sweep with the undoubled run:
+    it must give the bits, step counts, flags and trust-radius exits of the
+    two runs made one after the other."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 256])
+    def test_ladder_matches_per_scale_loop(self, lab_b, steps):
+        zs = np.array([Z_OFF * s for s in LADDER])
+        vs = np.array([V_OFF * s for s in LADDER])
+        ends, counts, converged = integrate_geodesic_checked(
+            lab_b.packed, zs, vs, steps=steps)
+        want = [per_scale_checked(lab_b.packed, zi, vi, steps)
+                for zi, vi in zip(zs, vs)]
+        assert np.array_equal(ends, np.array([w[0] for w in want]))
+        assert np.array_equal(counts, [w[1] for w in want])
+        assert np.array_equal(converged, [w[2] for w in want])
+
+    @staticmethod
+    def exits(packed, z, v, steps):
+        """The TrustRadiusExit of the merged sweep, checked against the one
+        of the per-scale loop."""
+        with pytest.raises(TrustRadiusExit) as seq:
+            for zi, vi in zip(np.atleast_2d(z), np.atleast_2d(v)):
+                per_scale_checked(packed, zi, vi, steps)
+        with pytest.raises(TrustRadiusExit) as merged:
+            integrate_geodesic_checked(packed, z, v, steps=steps)
+        assert merged.value.time == seq.value.time
+        assert str(merged.value) == str(seq.value)
+        return merged.value.time
+
+    @pytest.mark.parametrize("z, v, steps, time", [
+        ([0.19, 0.0], [0.5, 0.0], 64, 2 / 64),
+        # the four-step run would leave at t = 0.25, but the two-step run,
+        # made first, leaves at t = 0.5
+        ([0.0, 0.0], [1.0, 0.0], 2, 0.5),
+    ])
+    def test_exit_by_undoubled_row(self, lab_b, z, v, steps, time):
+        assert self.exits(lab_b.packed, [z, Z_OFF / 16], [v, V_OFF / 16],
+                          steps) == time
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_exit_by_doubled_row_only(self, lab_b, batch):
+        # the one-step run checks only t = 0; the two-step run leaves at 0.5
+        z, v = np.zeros(2, complex), np.array([0.5, 0.0])
+        assert np.isfinite(integrate_geodesic(lab_b.packed, z, v, 1)).all()
+        if batch:
+            z, v = np.array([Z_OFF / 16, z]), np.array([V_OFF / 16, v])
+        assert self.exits(lab_b.packed, z, v, 1) == 0.5
+
+    def test_exit_by_doubled_row_before_undoubled_run_is_done(self):
+        # the two-step run stays inside at t = 0.5; the four-step run is
+        # outside at t = 0.25, a step the sweep reaches before the two-step
+        # run is done
+        lab = GeodesicLab(FrameCalculus(fix_b(b=5.0)),
+                          HermitianData.identity(2, 4))
+        z = np.array([0.05 - 0.06j, -0.075j])
+        v = np.array([-0.27 - 0.64j, 0.52 - 0.93j])
+        assert np.isfinite(integrate_geodesic(lab.packed, z, v, 2)).all()
+        assert self.exits(lab.packed, z, v, 2) == 0.25
+
+    def test_doubled_row_after_non_finite_endpoint_never_exits(self, lab_b):
+        # the one-step endpoint overflows, so the two-step run, which would
+        # leave the radius at t = 0.5, is never made
+        zs, vs = np.zeros((2, 2), complex), np.array([[0.0, 5e62], V_OFF])
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrustRadiusExit) as err:
+                integrate_geodesic(lab_b.packed, zs[0], vs[0], 2)
+            assert err.value.time == 0.5
+            ends, counts, converged = integrate_geodesic_checked(
+                lab_b.packed, zs, vs, steps=1)
+        assert not np.isfinite(ends[0]).all()
+        assert counts[0] == 1 and not converged[0]
+        end, k, ok = per_scale_checked(lab_b.packed, zs[1], vs[1], 1)
+        assert np.array_equal(ends[1], end)
+        assert counts[1] == k and converged[1] == ok
+
+    def test_nan_row_not_doubled(self, lab_b):
+        zs = np.array([Z_OFF, Z_OFF / 4])
+        vs = np.array([[np.nan, 0], V_OFF / 4])
+        ends, counts, converged = integrate_geodesic_checked(
+            lab_b.packed, zs, vs, steps=64)
+        assert np.isnan(ends[0]).all() and counts[0] == 64 and not converged[0]
+        end, k, ok = per_scale_checked(lab_b.packed, zs[1], vs[1], 64)
+        assert np.array_equal(ends[1], end)
+        assert counts[1] == k and converged[1] == ok
 
 
 class TestIntegrator:
@@ -270,6 +365,13 @@ class TestErrorScaling:
         lab = GeodesicLab(calc2, fixed.metric)
         out = error_scaling_probe(lab, [0.015, -0.01], [0.03, 0.02], steps=256)
         assert out["slope"] >= 2.8
+
+    def test_one_scale_above_noise_floor_is_not_exact(self, lab_b):
+        out = error_scaling_probe(lab_b, [0.0, 0.0], [0.04, 0.02],
+                                  scales=(1.0, 1e-4), steps=64)
+        assert out["rows"][0]["error"] > NOISE_FLOOR
+        assert out["rows"][1]["error"] <= NOISE_FLOOR
+        assert out["finite"] and not out["exact"] and out["slope"] is None
 
 
 class TestQuadraticConsistency:
@@ -352,7 +454,13 @@ class TestGeodesicCommandInputs:
     def test_non_positive_steps(self, spec, steps):
         assert self.fail_row(spec, steps=steps).startswith("error: --steps: ")
 
-    @pytest.mark.parametrize("scales", ["1,0", "1,-0.5", "1,nan", "1,x"])
+    @pytest.mark.parametrize("scales", ["1,0", "1,-0.5", "1,nan", "1,x",
+                                        "1", "1,1"])
     def test_bad_scales(self, spec, scales):
         check = self.fail_row(spec, scales=scales)
         assert check.startswith("error: --scales: ")
+
+    def test_one_scale_above_noise_floor_fails(self, spec):
+        report, _ = run_command("geodesic", spec, Options(scales="1,0.0001"))
+        assert not report.passed
+        assert report.rows[-1].check.startswith("too few scales above")

@@ -7,6 +7,7 @@ surface only when a traced benchmark run fails to install its spans.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,29 @@ def test_span_target_resolves(name, module, path):
     importlib.import_module(module)
     _owner, target = tracing._resolve(module, path)
     assert callable(target)
+
+
+def test_traced_geodesic_emits_the_same_document():
+    """The spans wrap the RK4 oracle without changing a byte of its report."""
+    from acgeom import cli
+
+    path = TRACING.parents[1] / "manifests" / "fix_b.json"
+    spec = cli.parse_manifold_spec(path.read_text(encoding="utf-8"),
+                                   name="fix_b.json")
+
+    def document():
+        """The ``--json`` document, payload included, as the CLI prints it."""
+        report, payload = cli.run_command("geodesic", spec, cli.Options())
+        doc = report.to_document()
+        doc["data"] = payload
+        return json.dumps(doc, sort_keys=True, indent=2)
+
+    plain = document()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = document()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert tracer.totals()["cli.run_command"][0] == 1
