@@ -22,14 +22,14 @@ from .structure import (AlmostComplexStructure, VectorField, _jacobian,
                         transform_structure)
 
 
-def sample_points(n, count=2, radius=0.05, seed=20240805):
-    """Evaluation points for residual sweeps: the origin plus fixed
-    pseudo-random points of the given norm."""
-    rng = np.random.default_rng(seed)
+def sample_points(n):
+    """Evaluation points for residual sweeps: the origin plus two fixed
+    pseudo-random points of norm 0.05."""
+    rng = np.random.default_rng(20240805)
     pts = [np.zeros(n, dtype=complex)]
-    for _ in range(count):
+    for _ in range(2):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        pts.append(radius * v / np.linalg.norm(v))
+        pts.append(0.05 * v / np.linalg.norm(v))
     return pts
 
 
@@ -42,7 +42,7 @@ def _hermitian_part(h: JetMatrix) -> JetMatrix:
 class HermitianData:
     """Metric coefficient matrix h_{l,m} = h(zeta_l, zeta_m) in the frame."""
 
-    def __init__(self, h: JetMatrix, check=True, tol=1e-10):
+    def __init__(self, h: JetMatrix, check=True):
         if h.rows != h.cols or h.rows != h.n:
             raise JetError("metric matrix must be n x n in n variables")
         self.H = h
@@ -52,7 +52,7 @@ class HermitianData:
             # hermitian symmetry coefficientwise: h_{l,m} = conj-jet of h_{m,l}
             herm = nan_max((h[l, m] - h[m, l].conj()).max_abs()
                            for l in range(self.n) for m in range(self.n))
-            if not herm <= tol:   # a NaN coefficient fails too
+            if not herm <= 1e-10:   # a NaN coefficient fails too
                 raise JetError(f"metric matrix is not hermitian ({herm:.2e})")
             eig = np.linalg.eigvalsh(np.asarray(h.constant()))
             if not eig.min() > 0:
@@ -66,36 +66,9 @@ class HermitianData:
     def from_matrix(cls, h: JetMatrix, symmetrize=True):
         return cls(_hermitian_part(h) if symmetrize else h)
 
-    @classmethod
-    def from_families(cls, n, order, lin=None, quad_zz=None, quad_mixed=None):
-        """Metric with prescribed coefficient families around the identity.
-
-        lin[p,l,m] sets the z_p coefficient of h_{l,m} (conjugate partners
-        are filled in); quad_zz must be symmetric in its first two slots;
-        quad_mixed is hermitian-averaged on ingestion.
-        """
-        h = JetMatrix.identity(n, n, order)
-
-        def part(tensor, deg_z, deg_zbar):
-            return JetMatrix.from_family(tensor, deg_z, deg_zbar, n, order)
-
-        if lin is not None:
-            lin = np.asarray(lin, dtype=complex)
-            h = h + part(lin, 1, 0) + part(np.conj(lin).transpose(0, 2, 1), 0, 1)
-        if quad_zz is not None:
-            quad_zz = np.asarray(quad_zz, dtype=complex)
-            quad_zz = 0.5 * (quad_zz + quad_zz.transpose(1, 0, 2, 3))
-            h = h + part(quad_zz, 2, 0) \
-                + part(np.conj(quad_zz).transpose(0, 1, 3, 2), 0, 2)
-        if quad_mixed is not None:
-            quad_mixed = np.asarray(quad_mixed, dtype=complex)
-            herm = 0.5 * (quad_mixed
-                          + np.conj(quad_mixed.transpose(1, 0, 3, 2)))
-            h = h + part(herm, 1, 1)
-        return cls(h)
-
-    def is_orthonormal_at_origin(self, tol=1e-12):
-        return np.abs(np.asarray(self.H.constant()) - np.eye(self.n)).max() <= tol
+    def is_orthonormal_at_origin(self):
+        """H(0) = I to within 1e-10."""
+        return np.abs(np.asarray(self.H.constant()) - np.eye(self.n)).max() <= 1e-10
 
 
 def metric_form(calc: FrameCalculus, hd: HermitianData) -> PQForm:
@@ -130,11 +103,6 @@ class MatrixForm:
         self.calc = probe.calc
         self.p, self.q = probe.p, probe.q
 
-    @classmethod
-    def zeros(cls, calc, rows, cols, p, q):
-        return cls([[PQForm(calc, p, q, {}) for _ in range(cols)]
-                    for _ in range(rows)])
-
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i][j]
@@ -149,9 +117,6 @@ class MatrixForm:
     def __sub__(self, other):
         return MatrixForm([[a - b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return self.map(lambda e: -e)
 
     def wedge(self, other):
         out = []
@@ -195,10 +160,6 @@ class MatrixForm:
 
     def max_abs(self, max_degree=None):
         return nan_max(e.max_abs(max_degree) for row in self.entries for e in row)
-
-    @property
-    def effective_order(self):
-        return min(e.effective_order for row in self.entries for e in row)
 
 
 @dataclass
@@ -333,7 +294,7 @@ def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
     """
     n = hd.n
     require_normal_form(s, "origin formula needs normal coordinates of order >= 2")
-    if not hd.is_orthonormal_at_origin(tol=1e-10):
+    if not hd.is_orthonormal_at_origin():
         raise JetError("origin formula needs an orthonormal frame at 0")
     lin = hd.H.family(1, 0)
     mix = hd.H.family(1, 1)
@@ -355,15 +316,14 @@ def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
     return out
 
 
-def pointwise_hermitian_residual(calc, hd, blocks: CurvatureBlocks,
-                                 points=None):
+def pointwise_hermitian_residual(calc, hd, blocks: CurvatureBlocks):
     """i Theta^{1,1}(xi, eta) is h-hermitian for real xi, eta:
     h(i Theta(xi,eta) s_l, s_m) = conj(h(i Theta(xi,eta) s_m, s_l)).
 
     The pairing is formed at the jet level so both sides share a truncation,
     then the trusted part is evaluated at the sample points."""
     n = calc.n
-    points = sample_points(n) if points is None else points
+    points = sample_points(n)
     fr = calc.frame
     residuals = []
     for a in range(n):
@@ -483,20 +443,13 @@ def _coordinate_derivative(jet, a, n):
 
 # -- Chern vs Levi-Civita -----------------------------------------------------
 
-def _eval_trusted(field: VectorField, point):
-    """Evaluate only the trusted degrees of each component."""
-    return np.array([c.truncated(max(c.effective_order, 0)).eval(point)
-                     for c in field.components])
-
-
 class ChernLeviCivita:
     """Tensors relating the hermitian and riemannian connections."""
 
-    def __init__(self, calc: FrameCalculus, hd: HermitianData,
-                 conn: ConnectionForms | None = None):
+    def __init__(self, calc: FrameCalculus, hd: HermitianData):
         self.calc = calc
         self.hd = hd
-        self.conn = chern_connection(calc, hd) if conn is None else conn
+        self.conn = chern_connection(calc, hd)
         self.lc = LeviCivita(calc, hd)
         n, order = calc.n, calc.order
         self.n = n
@@ -505,6 +458,7 @@ class ChernLeviCivita:
         self._domega = metric_exterior_derivative(calc, hd)
         self._fields = [calc.frame.zeta(k) for k in range(n)] + \
             [calc.frame.zeta_bar(k) for k in range(n)]
+        self._points = sample_points(n)
         self._tables = {}
 
     def _memo(self, key, compute):
@@ -586,51 +540,53 @@ class ChernLeviCivita:
                 residuals.extend(c.max_abs(c.effective_order) for c in comps[:self.n])
         return nan_max(residuals)
 
-    def decomposition_residual(self, points=None):
-        """Max deviation of D_xi eta = LC_xi eta + delta(xi,eta) - N(xi,eta)
-        over real frame pairs at the sample points."""
-        points = sample_points(self.n) if points is None else points
-        residuals = []
+    def _chern_pair(self, a, b) -> VectorField:
+        """D_xi eta on the real frame fields xi = e_a, eta = e_b, memoized."""
         fr = self.calc.frame
+        return self._memo(("chern", a, b), lambda: chern_derivative(
+            self.calc, self.conn, fr.real_frame_field(a), fr.real_frame_field(b)))
+
+    def _pair_max(self, field):
+        """Largest trusted value of ``field(a, b)`` over the real frame pairs
+        (a, b) at the sample points; each pair's field is built once."""
+        residuals = []
         for a in range(self.n):
             for b in range(self.n):
-                xi = fr.real_frame_field(a)
-                eta = fr.real_frame_field(b)
-                d = chern_derivative(self.calc, self.conn, xi, eta)
-                lc = self.lc.derivative(xi, eta)
-                dl = self.delta(a, b)
-                nw = self.n_omega(a, b)
-                resid = d - lc - dl + nw
-                residuals.extend(np.abs(_eval_trusted(resid, p)).max() for p in points)
+                trusted = [c.truncated(max(c.effective_order, 0))
+                           for c in field(a, b).components]
+                residuals.extend(np.abs(np.array([c.eval(p) for c in trusted])).max()
+                                 for p in self._points)
         return nan_max(residuals)
 
-    def torsion_formula_residual(self, points=None):
+    def decomposition_residual(self):
+        """Max deviation of D_xi eta = LC_xi eta + delta(xi,eta) - N(xi,eta)
+        over real frame pairs at the sample points."""
+        fr = self.calc.frame
+
+        def resid(a, b):
+            lc = self.lc.derivative(fr.real_frame_field(a), fr.real_frame_field(b))
+            return self._chern_pair(a, b) - lc - self.delta(a, b) + self.n_omega(a, b)
+        return self._pair_max(resid)
+
+    def torsion_formula_residual(self):
         """Torsion of the hermitian connection against
         [gamma^{2,0}+gamma^{0,2}](xi,eta) - N(xi,eta) + N(eta,xi).
 
         The gamma sign follows from the connection decomposition plus the
         symmetry of gamma^{1,1}(., J.); both fixtures with an active gamma
         pin it numerically."""
-        points = sample_points(self.n) if points is None else points
-        residuals = []
         fr = self.calc.frame
-        for a in range(self.n):
-            for b in range(self.n):
-                xi = fr.real_frame_field(a)
-                eta = fr.real_frame_field(b)
-                tors = chern_derivative(self.calc, self.conn, xi, eta) \
-                    - chern_derivative(self.calc, self.conn, eta, xi) \
-                    - xi.bracket(eta)
-                rhs = self.gamma_20_plus_02(a, b) - self.n_omega(a, b) \
-                    + self.n_omega(b, a)
-                diff = tors - rhs
-                residuals.extend(np.abs(_eval_trusted(diff, p)).max() for p in points)
-        return nan_max(residuals)
 
-    def delta_max(self, points=None):
-        points = sample_points(self.n) if points is None else points
-        return nan_max(np.abs(_eval_trusted(self.delta(a, b), p)).max()
-                       for a in range(self.n) for b in range(self.n) for p in points)
+        def diff(a, b):
+            tors = self._chern_pair(a, b) - self._chern_pair(b, a) \
+                - fr.real_frame_field(a).bracket(fr.real_frame_field(b))
+            rhs = self.gamma_20_plus_02(a, b) - self.n_omega(a, b) \
+                + self.n_omega(b, a)
+            return tors - rhs
+        return self._pair_max(diff)
+
+    def delta_max(self):
+        return self._pair_max(self.delta)
 
     def n_omega_max(self):
         pairs = [self.n_omega(a, b) for a in range(self.n) for b in range(self.n)]
@@ -670,7 +626,7 @@ def special_frame(calc: FrameCalculus, hd: HermitianData) -> SpecialFrameResult:
     (0,1)-connection form at the origin.
     """
     n, order = calc.n, calc.order
-    if not hd.is_orthonormal_at_origin(tol=1e-10):
+    if not hd.is_orthonormal_at_origin():
         raise JetError("special frame construction needs H(0) = I")
     conn = chern_connection(calc, hd)
     # stage 1: g0 = I - sum_p A^{(p)}(0) z_p - sum_r A^{(rbar)}(0) zbar_r
@@ -793,13 +749,12 @@ class AsymptoticCoefficients:
     c_origin: np.ndarray
 
 
-def connection_asymptotics(calc: FrameCalculus, hd: HermitianData,
-                           tol=1e-9) -> AsymptoticCoefficients:
+def connection_asymptotics(calc: FrameCalculus, hd: HermitianData) -> AsymptoticCoefficients:
     """Closed-form first-order coefficient families of the coordinate-frame
     hermitian connection in normal coordinates with orthonormal frame."""
     s = calc.structure
-    require_normal_form(s, "asymptotic families need normal coordinates of order >= 2", tol)
-    if not hd.is_orthonormal_at_origin(tol=1e-10):
+    require_normal_form(s, "asymptotic families need normal coordinates of order >= 2")
+    if not hd.is_orthonormal_at_origin():
         raise JetError("asymptotic families need an orthonormal frame at 0")
     n = calc.n
     lin = hd.H.family(1, 0)
@@ -958,8 +913,8 @@ def _apply_quadratic_change(calc, hd, sym_part, n_order):
     return QuadraticChangeResult(s2, hd2, full_phi, np.abs(lin).max(), b1_dev)
 
 
-def symplectic_normalize(calc: FrameCalculus, hd: HermitianData, n_order=None,
-                         tol=1e-9) -> QuadraticChangeResult:
+def symplectic_normalize(calc: FrameCalculus, hd: HermitianData,
+                         n_order=None) -> QuadraticChangeResult:
     """Kill the linear metric terms of a closed hermitian form by the
     quadratic holomorphic change, preserving the degree-one structure data.
 
@@ -970,7 +925,7 @@ def symplectic_normalize(calc: FrameCalculus, hd: HermitianData, n_order=None,
     n_order = calc.order if n_order is None else n_order
     lin = hd.H.family(1, 0)
     sym_err = np.abs(lin - lin.transpose(1, 0, 2)).max()
-    if sym_err > tol:
+    if sym_err > 1e-9:
         raise JetError(
             f"metric is not symplectic: linear-family symmetry defect "
             f"{sym_err:.2e} signals d omega != 0")

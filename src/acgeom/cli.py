@@ -86,10 +86,10 @@ def _finite_number(path, x):
     raise SpecError(path, "must be a finite number")
 
 
-def _check_entry(path, e, n, order, field_names=("k", "l")):
+def _check_entry(path, e, n, order):
     if not isinstance(e, dict):
         raise SpecError(path, "must be an object")
-    for key in ("alpha", "beta", "re", "im", *field_names):
+    for key in ("alpha", "beta", "re", "im", "k", "l"):
         if key not in e:
             raise SpecError(path, f"missing field {key!r}")
     for key in ("alpha", "beta"):
@@ -100,7 +100,7 @@ def _check_entry(path, e, n, order, field_names=("k", "l")):
                             f"must be {n} non-negative integers")
     if sum(e["alpha"]) + sum(e["beta"]) > order:
         raise SpecError(path, f"total degree exceeds order {order}")
-    for key in field_names:
+    for key in ("k", "l"):
         if not _is_int(e[key]) or not 1 <= e[key] <= n:
             raise SpecError(f"{path}.{key}", f"must be an integer index in 1..{n}")
     return {"alpha": list(e["alpha"]), "beta": list(e["beta"]),
@@ -195,7 +195,7 @@ def build_metric(ms: ManifoldSpec) -> chern.HermitianData:
              for k in range(1, ms.n + 1)]
     fam = _family_from_entries(ident + ms.metric_entries, ms.n)
     h = JetMatrix.from_coefficients(fam, ms.n, ms.n, ms.n, ms.order)
-    return chern.HermitianData.from_matrix(h, symmetrize=True)
+    return chern.HermitianData.from_matrix(h)
 
 
 # -- reports ------------------------------------------------------------------
@@ -528,6 +528,15 @@ _HANDLERS = {"validate": _cmd_validate, "torsion": _cmd_torsion,
 COMMANDS = tuple(_HANDLERS)
 
 
+def _check_options(opts: Options):
+    """Reject the threshold flags that would make every verdict meaningless:
+    a non-finite or negative ``--tol`` and a non-finite ``--slope-bound``."""
+    if not math.isfinite(opts.tol) or opts.tol < 0:
+        raise SpecError("--tol", "must be a finite non-negative number")
+    if not math.isfinite(opts.slope_bound):
+        raise SpecError("--slope-bound", "must be a finite number")
+
+
 def run_command(command, ms: ManifoldSpec, opts: Options) -> tuple[Report, dict]:
     """Dispatch a verification command; deterministic given (spec, flags)."""
     if command not in _HANDLERS:
@@ -535,6 +544,7 @@ def run_command(command, ms: ManifoldSpec, opts: Options) -> tuple[Report, dict]
     payload = {}
     start = time.perf_counter()
     try:
+        _check_options(opts)
         rows = _HANDLERS[command](ms, opts, payload)
     except (JetError, SpecError) as exc:
         rows = [_row(f"error: {exc}", 1.0, 0.0)]

@@ -17,8 +17,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .jets import Jet, JetError, nan_max
-from .structure import (AlmostComplexStructure, Frame, bracket_coefficients,
-                        frame_and_dual)
+from .structure import AlmostComplexStructure, bracket_coefficients, frame_and_dual
 
 # On u_{K,L} times the word zeta*_K ^ zetabar*_L: shift of the bidegree; sign in
 # d; derive, the tag of the derivative terms zeta_r(u) zeta*_r ^ word (0) or
@@ -76,9 +75,9 @@ def normalize_factors(factors):
 class FrameCalculus:
     """Frame, bracket tables and directional derivatives for one structure."""
 
-    def __init__(self, s: AlmostComplexStructure, frame: Frame | None = None):
+    def __init__(self, s: AlmostComplexStructure):
         self.structure = s
-        self.frame = frame_and_dual(s) if frame is None else frame
+        self.frame = frame_and_dual(s)
         self.bc = bracket_coefficients(s, self.frame)
         self.n = s.n
         self.order = s.order
@@ -93,11 +92,6 @@ class FrameCalculus:
 
     def function(self, f: Jet):
         return PQForm(self, 0, 0, {((), ()): f})
-
-    def frame_covector(self, k, conjugate=False):
-        if conjugate:
-            return PQForm(self, 0, 1, {((), (k,)): Jet.one(self.n, self.order)})
-        return PQForm(self, 1, 0, {((k,), ()): Jet.one(self.n, self.order)})
 
     def monomial_forms(self, max_degree=2):
         """All basis wedge monomials of total degree <= max_degree."""
@@ -322,11 +316,9 @@ class MixedForm:
 
     __slots__ = ("calc", "components")
 
-    def __init__(self, calc, components=()):
+    def __init__(self, calc):
         self.calc = calc
         self.components = {}
-        for form in components:
-            self._absorb(form)
 
     def _absorb(self, form, sign=1.0):
         if not form.coeffs:
@@ -336,15 +328,6 @@ class MixedForm:
             self.components[key] = self.components[key] + form * sign
         else:
             self.components[key] = form * sign
-
-    def __add__(self, other):
-        out = MixedForm(self.calc, self.components.values())
-        for form in other.components.values():
-            out._absorb(form)
-        return out
-
-    def component(self, p, q) -> PQForm:
-        return self.components.get((p, q), PQForm(self.calc, p, q, {}))
 
     def evaluate(self, fields) -> Jet:
         deg = len(fields)

@@ -27,14 +27,16 @@ from .chern import (AsymptoticCoefficients, ConnectionForms, HermitianData,
 from .forms import FrameCalculus
 from .jets import JetError
 
+TRUST_RADIUS = 0.2      # |z| beyond which the jet data is not trusted
+SETTLE_TOL = 1e-12      # endpoint drift under one doubling that counts as settled
+
 
 class TrustRadiusExit(JetError):
     """Trajectory left the region where the jet data is trusted."""
 
-    def __init__(self, time, radius):
-        super().__init__(f"geodesic left |z| <= {radius} at t = {time:.4f}")
+    def __init__(self, time):
+        super().__init__(f"geodesic left |z| <= {TRUST_RADIUS} at t = {time:.4f}")
         self.time = time
-        self.radius = radius
 
 
 class PackedConnection:
@@ -119,24 +121,23 @@ class PackedConnection:
 
 
 def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
-                       trust_radius=0.2, return_velocity=False):
+                       return_velocity=False):
     """Classical RK4 on (gamma, gamma-dot) over [0, 1].
 
     ``z`` and ``v`` are one state (n,) or a batch (S, n) integrated together;
-    the trust-radius check covers every state of the batch.  On a flat
-    connection the curve is z + t v exactly and no step is taken."""
+    the trust-radius check (|z| <= ``TRUST_RADIUS``) covers every state of
+    the batch, and a non-finite state hides no other state's exit.  On a
+    flat connection the curve is z + t v exactly and no step is taken."""
     n = packed.n
     y = np.concatenate([np.asarray(z, dtype=complex),
                         np.asarray(v, dtype=complex)], axis=-1)
-    y = _rk4_sweep(packed, np.atleast_2d(y), steps,
-                   trust_radius).reshape(y.shape)
+    y = _rk4_sweep(packed, np.atleast_2d(y), steps).reshape(y.shape)
     if return_velocity:
         return y[..., :n], y[..., n:]
     return y[..., :n]
 
 
-def _rk4_sweep(packed: PackedConnection, y, steps, trust_radius,
-               doubled=False):
+def _rk4_sweep(packed: PackedConnection, y, steps, doubled=False):
     """RK4 over [0, 1] in ``steps`` steps on the states y (S, 2n); returns
     the endpoint states.
 
@@ -154,16 +155,16 @@ def _rk4_sweep(packed: PackedConnection, y, steps, trust_radius,
     n = packed.n
     start, lead = y, 0
     if packed.flat:
-        exit_step = _first_exit(y[:, :n], y[:, n:], steps, trust_radius)
+        exit_step = _first_exit(y[:, :n], y[:, n:], steps)
         if exit_step is not None:
-            raise TrustRadiusExit(exit_step * (1.0 / steps), trust_radius)
+            raise TrustRadiusExit(exit_step * (1.0 / steps))
         y = np.concatenate([y[:, :n] + y[:, n:], y[:, n:]], axis=1)
     else:
         lead = len(y) if doubled else 0
         h = np.repeat([[1.0 / (2 * steps)], [1.0 / steps]], [lead, len(y)],
                       axis=0)
         y, lead = _rk4_steps(packed, np.concatenate([y[:lead], y]), h, lead,
-                             range(steps), 1.0 / steps, trust_radius)
+                             range(steps), 1.0 / steps)
     ends = y[lead:]
     if not doubled:
         return ends
@@ -171,28 +172,28 @@ def _rk4_sweep(packed: PackedConnection, y, steps, trust_radius,
     refined = start[active]
     if lead and active.size:
         refined = _rk4_steps(packed, y[:lead][active], h[:lead][active], 0,
-                             range(steps, 2 * steps), 1.0 / (2 * steps),
-                             trust_radius)[0]
+                             range(steps, 2 * steps), 1.0 / (2 * steps))[0]
     elif active.size:           # the doubled rows were dropped, or none ran
-        refined = _rk4_sweep(packed, refined, 2 * steps, trust_radius)
+        refined = _rk4_sweep(packed, refined, 2 * steps)
     return ends, active, refined
 
 
-def _rk4_steps(packed, y, h, lead, steps, dt, trust_radius):
+def _rk4_steps(packed, y, h, lead, steps, dt):
     """The RK4 steps numbered ``steps`` on the states y with step sizes h
     (S, 1); returns ``(y, lead)``.
 
     The trust radius is checked before each step.  The rows after the first
-    ``lead`` raise ``TrustRadiusExit`` at time step * dt; the first ``lead``
+    ``lead`` raise ``TrustRadiusExit`` at time step * dt as soon as one of
+    them is outside it, whatever the other rows hold; the first ``lead``
     rows are dropped as soon as one of them is outside it or not finite.
     """
     n = packed.n
     half, sixth = 0.5 * h, h / 6
     for step in steps:
-        if not np.abs(y[:, :n]).max(initial=0.0) <= trust_radius:
-            if np.abs(y[lead:, :n]).max(initial=0.0) > trust_radius:
-                raise TrustRadiusExit(step * dt, trust_radius)
-            if lead and not np.abs(y[:lead, :n]).max() <= trust_radius:
+        if not np.abs(y[:, :n]).max(initial=0.0) <= TRUST_RADIUS:
+            if (np.abs(y[lead:, :n]) > TRUST_RADIUS).any():
+                raise TrustRadiusExit(step * dt)
+            if lead and not np.abs(y[:lead, :n]).max() <= TRUST_RADIUS:
                 y, h, half, sixth = (a[lead:] for a in (y, h, half, sixth))
                 lead = 0
         k1 = packed.rate(y)
@@ -203,13 +204,14 @@ def _rk4_steps(packed, y, h, lead, steps, dt, trust_radius):
     return y, lead
 
 
-def _first_exit(z, v, steps, radius):
+def _first_exit(z, v, steps):
     """First step k < steps at which a straight line z + t v is outside the
-    trust radius at t = k / steps, or None.  max |z + t v| over the batch is
-    convex in t, so once inside at t = 0 the steps outside form one run that
-    ends at the last step, found by bisection."""
+    trust radius at t = k / steps, or None.  Each |z_i + t v_i| is convex in
+    t, so once inside at t = 0 the steps at which some state is outside
+    form one run that ends at the last step, found by bisection.  A NaN
+    state is never outside and hides no other state's exit."""
     def outside(k):
-        return np.abs(z + (k / steps) * v).max(initial=0.0) > radius
+        return (np.abs(z + (k / steps) * v) > TRUST_RADIUS).any()
 
     if outside(0):
         return 0
@@ -226,11 +228,11 @@ def _first_exit(z, v, steps, radius):
 
 
 def integrate_geodesic_checked(packed: PackedConnection, z, v, steps=256,
-                               trust_radius=0.2, tol=1e-12, max_doublings=4):
+                               max_doublings=4):
     """Integrate, doubling the step count until the endpoint is stable.
 
     Each state of a batch (S, n) stops doubling on its own once two
-    successive endpoints agree within ``tol``; only the states still
+    successive endpoints agree within ``SETTLE_TOL``; only the states still
     unsettled are integrated again.  A state whose endpoint is not finite
     can never settle and stops at once.  The first doubling is one RK4
     sweep with the undoubled run.  Returns ``(endpoints, steps,
@@ -245,11 +247,10 @@ def integrate_geodesic_checked(packed: PackedConnection, z, v, steps=256,
     vs = np.atleast_2d(np.asarray(v, dtype=complex))
     y = np.concatenate([zs, vs], axis=1)
     if max_doublings > 0:
-        end, active, refined = _rk4_sweep(packed, y, steps, trust_radius,
-                                          doubled=True)
+        end, active, refined = _rk4_sweep(packed, y, steps, doubled=True)
         refined = refined[:, :n]
     else:
-        end = _rk4_sweep(packed, y, steps, trust_radius)
+        end = _rk4_sweep(packed, y, steps)
     end = end[:, :n]
     counts = np.full(len(zs), steps)
     converged = np.zeros(len(zs), dtype=bool)
@@ -258,13 +259,12 @@ def integrate_geodesic_checked(packed: PackedConnection, z, v, steps=256,
             break
         steps *= 2
         if doubling:
-            refined = integrate_geodesic(packed, zs[active], vs[active], steps,
-                                         trust_radius)
+            refined = integrate_geodesic(packed, zs[active], vs[active], steps)
         drift = np.abs(refined - end[active]).max(axis=1)
         end[active] = refined
         counts[active] = steps
-        converged[active] = drift < tol
-        active = active[np.isfinite(drift) & ~(drift < tol)]
+        converged[active] = drift < SETTLE_TOL
+        active = active[np.isfinite(drift) & ~(drift < SETTLE_TOL)]
     if single:
         return end[0], int(counts[0]), bool(converged[0])
     return end, counts, converged
@@ -371,14 +371,14 @@ def error_scaling_probe(lab: GeodesicLab, z, v, scales=(1.0, 0.5, 0.25, 0.125),
 
 
 def integrator_convergence_ratio(lab: GeodesicLab, z, v, coarse=4,
-                                 reference=1024, floor=1e-14):
+                                 reference=1024):
     """Endpoint-error ratio under step halving; ~16 for a fourth-order rule."""
     ref = integrate_geodesic(lab.packed, z, v, steps=reference)
     e_coarse = np.abs(integrate_geodesic(lab.packed, z, v, steps=coarse)
                       - ref).max()
     e_fine = np.abs(integrate_geodesic(lab.packed, z, v, steps=2 * coarse)
                     - ref).max()
-    if e_fine < floor:
+    if e_fine < 1e-14:
         raise JetError("convergence probe hit the noise floor; use coarser steps")
     return e_coarse / e_fine
 

@@ -441,10 +441,6 @@ class Jet:
         key = (zero, unit) if conjugate else (unit, zero)
         return cls(n, order, {key: QC(1) if exact else 1.0}, exact=exact)
 
-    @classmethod
-    def monomial(cls, n, order, alpha, beta, c, exact=False):
-        return cls(n, order, {(tuple(alpha), tuple(beta)): c}, exact=exact)
-
     # -- bookkeeping --------------------------------------------------------
 
     @property
@@ -901,16 +897,6 @@ class JetMatrix:
         return JetMatrix([[self.entries[i][j] for i in range(self.rows)]
                           for j in range(self.cols)])
 
-    @property
-    def H(self):
-        return self.conj().T
-
-    def dz(self, k):
-        return self.map(lambda e: e.dz(k))
-
-    def dzbar(self, k):
-        return self.map(lambda e: e.dzbar(k))
-
     def compose(self, subs):
         return self.map(lambda e: e.compose(subs))
 
@@ -1087,14 +1073,15 @@ def block2x2(tl, tr, bl, br):
     return JetMatrix(rows)
 
 
-def series_inverse(phi: Sequence[Jet], order=None):
+def series_inverse(phi: Sequence[Jet]):
     """Compositional inverse of a coordinate-change germ.
 
     ``phi`` lists the images of z_1..z_n (conjugates implicit); the linear
-    part must be invertible.  Returns psi with phi(psi(Z)) = Z up to order.
+    part must be invertible.  Returns psi with phi(psi(Z)) = Z up to the
+    order of ``phi[0]``.
     """
     n = len(phi)
-    order = phi[0].order if order is None else order
+    order = phi[0].order
     phi = [p.with_order(order) for p in phi]
     lin = np.zeros((2 * n, 2 * n), dtype=complex)
     for k in range(n):

@@ -238,10 +238,10 @@ def pattern_violation(s: AlmostComplexStructure, max_degree=None):
                    if sum(alpha) + sum(beta) <= cap and l >= lmax(alpha))
 
 
-def require_normal_form(s: AlmostComplexStructure, message, tol=1e-9):
+def require_normal_form(s: AlmostComplexStructure, message):
     """Raise ``JetError(message)`` unless B keeps the normal-form pattern
-    through degree 2 to within ``tol``; a NaN violation raises too."""
-    if not pattern_violation(s, max_degree=2) <= tol:
+    through degree 2 to within 1e-9; a NaN violation raises too."""
+    if not pattern_violation(s, max_degree=2) <= 1e-9:
         raise JetError(message)
 
 
@@ -346,15 +346,15 @@ def torsion_jet_normal(s_normal: AlmostComplexStructure):
     return out
 
 
-def torsion_jet_equivalence(s_normal: AlmostComplexStructure, k: int, tol=1e-11):
+def torsion_jet_equivalence(s_normal: AlmostComplexStructure, k: int):
     """Diagnostic for: the order-k torsion jet vanishes iff B vanishes at
-    order k+1 (k in {0, 1})."""
+    order k+1 (k in {0, 1}), each to within 1e-11."""
     from .structure import torsion_tensor
     if k not in (0, 1):
         raise JetError("diagnostic defined for jet orders 0 and 1")
     tors = torsion_tensor(s_normal)
-    torsion_jet_zero = tors.max_abs(max_degree=k) <= tol
-    b_zero = s_normal.B.max_abs(max_degree=k + 1) <= tol
+    torsion_jet_zero = tors.max_abs(max_degree=k) <= 1e-11
+    b_zero = s_normal.B.max_abs(max_degree=k + 1) <= 1e-11
     return {"torsion_jet_zero": torsion_jet_zero,
             "b_vanishes": b_zero,
             "consistent": torsion_jet_zero == b_zero}

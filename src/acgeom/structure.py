@@ -33,10 +33,6 @@ class VectorField:
             raise JetError("vector field needs 2n components")
 
     @classmethod
-    def zero(cls, n, order):
-        return cls([Jet.zero(n, order) for _ in range(2 * n)])
-
-    @classmethod
     def coordinate(cls, n, order, a):
         """The coordinate field d/dz_a (a < n) or d/dzbar_{a-n} (a >= n)."""
         comps = [Jet.zero(n, order) for _ in range(2 * n)]
@@ -54,16 +50,9 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return VectorField([-x for x in self.components])
-
     def conj(self):
         comps = [c.conj() for c in self.components]
         return VectorField(comps[self.n:] + comps[: self.n])
-
-    def is_real(self, tol=1e-12):
-        return nan_max((a - b).max_abs()
-                       for a, b in zip(self.components, self.conj().components)) <= tol
 
     def derive(self, f: Jet, grad=None) -> Jet:
         """Directional derivative of a jet function along this field.
@@ -180,11 +169,6 @@ class Frame:
         self._field_slot = {id(f): a for a, f in enumerate(self._fields)}
         self._field_comps = [None] * (dim + self.n)
 
-    @classmethod
-    def standard(cls, n, order):
-        ident = JetMatrix.identity(2 * n, n, order)
-        return cls(ident, ident)
-
     def zeta(self, k) -> VectorField:
         return self._fields[k]
 
@@ -218,16 +202,6 @@ class Frame:
         return VectorField([Jet.dot(zip(row, comps), self.n, self.order)
                             for row in self.G.entries])
 
-    def project10(self, x: VectorField) -> VectorField:
-        comps = self.to_frame_components(x)
-        zero = Jet.zero(self.n, self.order)
-        return self.from_frame_components(comps[: self.n] + (zero,) * self.n)
-
-    def project01(self, x: VectorField) -> VectorField:
-        comps = self.to_frame_components(x)
-        zero = Jet.zero(self.n, self.order)
-        return self.from_frame_components((zero,) * self.n + comps[self.n:])
-
     def scaled(self, factors):
         """Frame with zeta_k replaced by factors[k] * zeta_k (factors[k](0) != 0)."""
         n = self.n
@@ -252,14 +226,6 @@ def frame_and_dual(s: AlmostComplexStructure) -> Frame:
         raise SingularMatrixError(
             "frame matrix singular at the origin; structure is not adapted") from exc
     return Frame(g, ginv)
-
-
-def projection_via_matrix(s: AlmostComplexStructure, x: VectorField, kind: str):
-    """(I -+ iJ)/2 projection, kept as an independent path for testing."""
-    jx = s.apply(x)
-    sign = -1j if kind == "10" else 1j
-    return VectorField([(c + sign * jc) * 0.5
-                        for c, jc in zip(x.components, jx.components)])
 
 
 class BracketCoefficients:
@@ -342,22 +308,6 @@ class TorsionTensor:
 
     def coefficient(self, r, k, l) -> Jet:
         return self.nbar[r][k, l]
-
-    def apply(self, xi: VectorField, eta: VectorField) -> VectorField:
-        """tau_J(xi, eta) as a vector field (values in T^{0,1})."""
-        fr = self.frame
-        n, order = self.n, fr.order
-        xi_c = fr.to_frame_components(xi)
-        eta_c = fr.to_frame_components(eta)
-        terms = [[] for _ in range(2 * n)]
-        for k in range(n):
-            for l in range(k + 1, n):
-                pair = xi_c[k] * eta_c[l] - eta_c[k] * xi_c[l]
-                if not pair:
-                    continue
-                for r in range(n):
-                    terms[n + r].append((self.nbar[r][k, l], pair))
-        return fr.from_frame_components([Jet.dot(t, n, order) for t in terms])
 
     def nijenhuis(self, xi: VectorField, eta: VectorField) -> VectorField:
         """N_J = tau_J + conj(tau_J) evaluated on (complexified) fields."""
@@ -483,13 +433,12 @@ def adapt_linear(s: AlmostComplexStructure):
     return transform_structure(s, phi), phi
 
 
-def structure_from_deformation(n, order, seed=0, magnitude=0.08, entries=6,
-                               max_degree=2):
+def structure_from_deformation(n, order, seed=0, magnitude=0.08, max_degree=2):
     """Seeded test generator: J = (I+P) J0 (I+P)^{-1} with P a small real
     perturbation, then a linear adaptation at the origin."""
     rng = np.random.default_rng(seed)
     fam = {}
-    for _ in range(entries):
+    for _ in range(6):
         i = int(rng.integers(0, 2 * n))
         j = int(rng.integers(0, 2 * n))
         d = int(rng.integers(0, max_degree + 1))

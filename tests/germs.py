@@ -1,12 +1,16 @@
-"""Shared test germs: the flat structure, the minimal torsion fixture, and
-deterministic random deformations."""
+"""Shared test germs: the flat structure, the minimal torsion fixture,
+deterministic random deformations, metrics built from coefficient families
+and the frame covectors as forms."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .normal import structure_from_b_family
-from .structure import AlmostComplexStructure, structure_from_deformation
+from acgeom.chern import HermitianData
+from acgeom.forms import FrameCalculus, PQForm
+from acgeom.jets import Jet, JetMatrix
+from acgeom.normal import lmax, structure_from_b_family
+from acgeom.structure import AlmostComplexStructure, structure_from_deformation
 
 FIX_B_VALUE = 0.3 + 0.1j
 
@@ -56,7 +60,6 @@ def random_b_normal(seed, n=2, order=4, magnitude=0.15) -> AlmostComplexStructur
         for _ in range(d - 1):
             exps[int(rng.integers(0, 2 * n))] += 1
         alpha, beta = tuple(exps[:n]), tuple(exps[n:])
-        from .normal import lmax
         big = lmax(alpha)
         if big < 1:
             continue
@@ -68,3 +71,38 @@ def random_b_normal(seed, n=2, order=4, magnitude=0.15) -> AlmostComplexStructur
         fam[key] = fam.get(key, np.zeros((n, n), dtype=complex)) + mat
         placed += 1
     return structure_from_b_family(fam, n, order, exact_check=True)
+
+
+def metric_from_families(n, order, lin=None, quad_zz=None, quad_mixed=None):
+    """Metric with prescribed coefficient families around the identity.
+
+    lin[p,l,m] sets the z_p coefficient of h_{l,m} (conjugate partners
+    are filled in); quad_zz must be symmetric in its first two slots;
+    quad_mixed is hermitian-averaged on ingestion.
+    """
+    h = JetMatrix.identity(n, n, order)
+
+    def part(tensor, deg_z, deg_zbar):
+        return JetMatrix.from_family(tensor, deg_z, deg_zbar, n, order)
+
+    if lin is not None:
+        lin = np.asarray(lin, dtype=complex)
+        h = h + part(lin, 1, 0) + part(np.conj(lin).transpose(0, 2, 1), 0, 1)
+    if quad_zz is not None:
+        quad_zz = np.asarray(quad_zz, dtype=complex)
+        quad_zz = 0.5 * (quad_zz + quad_zz.transpose(1, 0, 2, 3))
+        h = h + part(quad_zz, 2, 0) \
+            + part(np.conj(quad_zz).transpose(0, 1, 3, 2), 0, 2)
+    if quad_mixed is not None:
+        quad_mixed = np.asarray(quad_mixed, dtype=complex)
+        herm = 0.5 * (quad_mixed
+                      + np.conj(quad_mixed.transpose(1, 0, 3, 2)))
+        h = h + part(herm, 1, 1)
+    return HermitianData(h)
+
+
+def frame_covector(calc: FrameCalculus, k, conjugate=False) -> PQForm:
+    """The frame covector zeta*_k, or zetabar*_k with ``conjugate``, as a form."""
+    if conjugate:
+        return PQForm(calc, 0, 1, {((), (k,)): Jet.one(calc.n, calc.order)})
+    return PQForm(calc, 1, 0, {((k,), ()): Jet.one(calc.n, calc.order)})

@@ -9,11 +9,12 @@ import pytest
 from acgeom import chern, geodesic, normal
 from acgeom.chern import HermitianData
 from acgeom.cli import Options, emit_report, main, parse_manifold_spec, run_command
-from acgeom.fixtures import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0,
-                             random_b_normal, random_deformation)
 from acgeom.forms import FrameCalculus, fundamental_identities_check
 from acgeom.jets import Jet, JetMatrix, QC, _exponent_vectors
 from acgeom.structure import torsion_tensor, nijenhuis_check
+
+from germs import (fix_b, fix_b2, fix_b3, fix_j0, metric_from_families,
+                   random_b_normal, random_deformation)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -140,13 +141,13 @@ def _symplectic_metric():
     lin[0, 0, 0] = 0.2
     lin[0, 1, 1] = 0.15
     sym = 0.5 * (lin + lin.transpose(1, 0, 2))
-    return HermitianData.from_families(2, 4, lin=sym)
+    return metric_from_families(2, 4, lin=sym)
 
 
 def _nonclosed_metric():
     lin = np.zeros((2, 2, 2), dtype=complex)
     lin[0, 1, 0] = 0.2
-    return HermitianData.from_families(2, 4, lin=lin)
+    return metric_from_families(2, 4, lin=lin)
 
 
 def test_criterion_5_chern_levi_civita():
@@ -159,7 +160,7 @@ def test_criterion_5_chern_levi_civita():
         ("nonclosed", calc0, _nonclosed_metric()),
         ("fix-b", calcb, HermitianData.identity(2, 4)),
         ("deformation", calcr,
-         HermitianData.from_families(2, 4, lin=0.05 * np.ones((2, 2, 2)))),
+         metric_from_families(2, 4, lin=0.05 * np.ones((2, 2, 2)))),
     ]
     worst_dec = worst_tor = 0.0
     delta_sym = delta_open = None
@@ -187,9 +188,9 @@ def test_criterion_6_curvature():
     fixtures = [
         (FrameCalculus(fix_b()), HermitianData.identity(2, 4)),
         (FrameCalculus(fix_b2()), HermitianData.identity(2, 4)),
-        (FrameCalculus(fix_j0()), HermitianData.from_families(
+        (FrameCalculus(fix_j0()), metric_from_families(
             2, 4, quad_mixed=0.2 * np.ones((2, 2, 2, 2)))),
-        (FrameCalculus(random_b_normal(601)), HermitianData.from_families(
+        (FrameCalculus(random_b_normal(601)), metric_from_families(
             2, 4, lin=0.05 * np.ones((2, 2, 2)))),
     ]
     worst_origin = worst_sym = worst_point = 0.0
@@ -220,11 +221,11 @@ def test_criterion_7_special_frame():
     quad[0, 1, 0, 0] = 0.3 - 0.1j
     quad[1, 1, 1, 0] = 0.2
     fixtures = [
-        (FrameCalculus(fix_j0()), HermitianData.from_families(
+        (FrameCalculus(fix_j0()), metric_from_families(
             2, 4, lin=0.1 * np.ones((2, 2, 2)), quad_zz=quad,
             quad_mixed=0.12 * np.ones((2, 2, 2, 2)))),
         (FrameCalculus(fix_b()), HermitianData.identity(2, 4)),
-        (FrameCalculus(fix_b()), HermitianData.from_families(
+        (FrameCalculus(fix_b()), metric_from_families(
             2, 4, quad_mixed=0.2 * np.ones((2, 2, 2, 2)))),
     ]
     worst_cond = worst_h = worst_lem = 0.0
@@ -248,7 +249,7 @@ def test_criterion_8_asymptotics():
         lin = 0.1 * (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
         qm = 0.1 * (rng.normal(size=(2, 2, 2, 2))
                     + 1j * rng.normal(size=(2, 2, 2, 2)))
-        fixtures.append((FrameCalculus(s), HermitianData.from_families(
+        fixtures.append((FrameCalculus(s), metric_from_families(
             2, 4, lin=lin, quad_mixed=qm)))
     worst_s = worst_m = 0.0
     for calc, hd in fixtures:

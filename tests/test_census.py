@@ -1,0 +1,111 @@
+"""Every public definition in ``src/acgeom`` serves the tool.
+
+A definition counts as called when its name appears as a ``Name`` or an
+``Attribute`` in ``src/acgeom`` outside ``__init__.py`` (whose re-exports call
+nothing), anywhere in ``perfbench/``, or as a part of a dotted path in the
+tracer's ``SPAN_TARGETS``.  Tests do not count: a definition that only tests
+use belongs in ``tests/`` (see ``germs.py``).  The census matches bare names,
+not bindings, so a method that shares its name with a called one passes: it
+can miss a dead definition, never flag a live one.
+"""
+
+import ast
+from pathlib import Path
+
+import acgeom
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "acgeom"
+PERFBENCH = ROOT / "perfbench"
+
+# The uncalled definitions that stay, each with its reason.  The list can only
+# shrink: an entry that gains a caller fails the census until it is removed.
+_ITEM_4 = "paper check that waits for a CLI row (ROADMAP item 4)"
+ALLOWLIST = {
+    "chern.LeviCivita.torsion_free_residual": _ITEM_4 + ": decompose",
+    "chern.almost_holomorphic_identities": _ITEM_4 + ": curvature",
+    "chern.antisymmetrize_metric_linear": _ITEM_4 + ": asymptotics",
+    "chern.pointwise_hermitian_residual": _ITEM_4 + ": curvature",
+    "chern.special_frame": _ITEM_4 + ": curvature",
+    "chern.symplectic_normalize": _ITEM_4 + ": asymptotics",
+    "normal.torsion_jet_equivalence": _ITEM_4 + ": torsion",
+    "normal.torsion_jet_normal": _ITEM_4 + ": torsion",
+    "normal.verify_holomorphic_invariance": _ITEM_4 + ": normalize",
+    "forms.canonical_p0_connection":
+        "the abstract's (0,1)-connection on (p,0)-forms, the base case of "
+        "the Schur-power construction (ROADMAP item 9)",
+    "forms.exterior_derivative_check":
+        "d against its four bidegree parts through the coordinate basis, "
+        "a paper check for a CLI row (ROADMAP items 4 and 13)",
+    "geodesic.integrator_convergence_ratio":
+        "fourth-order convergence of the RK4 oracle, a paper check for a "
+        "CLI row (ROADMAP items 4 and 13)",
+    "geodesic.conjugate_block_residual":
+        "reality of the packed connection action, a paper check for a CLI "
+        "row (ROADMAP items 4 and 13)",
+    "cli.serialize_manifold_spec":
+        "acceptance criterion 10 pins the spec round trip "
+        "(test_acceptance.py::test_criterion_10_cli)",
+}
+
+
+def _definitions():
+    """{qualified name: bare name} of the public top-level functions and
+    classes of ``src/acgeom`` and the public methods of those classes."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            out[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) \
+                            and not sub.name.startswith("_"):
+                        out[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+    return out
+
+
+def _span_target_parts(tree):
+    """The dotted-path parts of the third field of each ``SPAN_TARGETS``
+    entry."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPAN_TARGETS"
+                for t in node.targets):
+            return {part for entry in node.value.elts
+                    for part in ast.literal_eval(entry)[2].split(".")}
+    raise AssertionError("perfbench/tracing.py defines no SPAN_TARGETS")
+
+
+def _called_names():
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += sorted(PERFBENCH.rglob("*.py"))
+    names = set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if path == PERFBENCH / "tracing.py":
+            names |= _span_target_parts(tree)
+    return names
+
+
+def test_every_uncalled_definition_is_allowlisted():
+    called = _called_names()
+    flagged = {q for q, name in _definitions().items() if name not in called}
+    new = sorted(flagged - set(ALLOWLIST))
+    assert not new, f"uncalled definitions in src/ (call them or move them to tests/): {new}"
+    stale = sorted(set(ALLOWLIST) - flagged)
+    assert not stale, f"allowlisted definitions now called or gone (drop them): {stale}"
+    assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+def test_every_exported_name_resolves():
+    assert len(set(acgeom.__all__)) == len(acgeom.__all__)
+    missing = [name for name in acgeom.__all__ if not hasattr(acgeom, name)]
+    assert not missing

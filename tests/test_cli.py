@@ -143,8 +143,8 @@ class TestExactCrosscheck:
 
         def with_stray_term(b):
             a = solve(b)
-            a.entries[k][l] = a.entries[k][l] + Jet.monomial(
-                b.n, b.order, *key, QC(0, "1/1024"), exact=True)
+            a.entries[k][l] = a.entries[k][l] + Jet(
+                b.n, b.order, {key: QC(0, "1/1024")}, exact=True)
             return a
 
         monkeypatch.setattr(normal, "solve_a_degree_by_degree", with_stray_term)
@@ -310,6 +310,33 @@ class TestReports:
         assert rc == 1 and "data" not in doc
         assert [r["check"] for r in doc["rows"]] == [
             "error: --order: must be an integer in 1..4"]
+
+    @pytest.mark.parametrize("command, flag, value, check", [
+        ("geodesic", "--slope-bound", "nan",
+         "error: --slope-bound: must be a finite number"),
+        ("geodesic", "--slope-bound", "inf",
+         "error: --slope-bound: must be a finite number"),
+        ("validate", "--tol", "nan",
+         "error: --tol: must be a finite non-negative number"),
+        ("validate", "--tol", "inf",
+         "error: --tol: must be a finite non-negative number"),
+        ("validate", "--tol", "-1",
+         "error: --tol: must be a finite non-negative number"),
+    ])
+    def test_bad_threshold_flag(self, command, flag, value, check, capsys):
+        # max(0, nan - slope) is 0 and every residual is <= inf: either
+        # value would turn every verdict into PASS
+        path = os.path.join(MANIFESTS, "fix_b.json")
+        rc = main([command, path, flag, value, "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1 and "data" not in doc
+        assert [r["check"] for r in doc["rows"]] == [check]
+
+    def test_zero_tol_is_valid(self):
+        ms = parse_manifold_spec(fix_b_text(), name="fix_b")
+        report, _ = run_command("validate", ms, Options(tol=0.0))
+        assert [r.check for r in report.rows][:2] == [
+            "J^2 square-block residual", "J^2 mixed-block residual"]
 
     def test_geodesic_slope_row(self):
         ms = parse_manifold_spec(fix_b_text(), name="fix_b")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from acgeom import forms as forms_module
-from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_j0, random_deformation
 from acgeom.forms import (FUNDAMENTAL_IDENTITIES, OPERATOR_KINDS, CoordForm,
                           FrameCalculus, PQForm,
                           _determinant, apply_operator, canonical_p0_connection,
@@ -14,6 +13,7 @@ from acgeom.jets import Jet, JetError
 from acgeom.structure import VectorField, torsion_tensor
 
 from conftest import random_jet
+from germs import fix_b, fix_j0, frame_covector, random_deformation
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ class TestOperators:
 
     def test_thetabar_of_frame_covector(self, calc_b):
         # thetabar zeta*_k = sum_{l<t} N^k_{l,t} zetabar*_l wedge zetabar*_t
-        u = calc_b.frame_covector(0)
+        u = frame_covector(calc_b, 0)
         tu = apply_operator("thetabar", u)
         assert tu.p == 0 and tu.q == 2
         want = calc_b.bc.N[0][0, 1]
@@ -140,12 +140,12 @@ class TestOperatorDigests:
 
 class TestWedge:
     def test_self_wedge_vanishes(self, calc_b):
-        u = calc_b.frame_covector(0)
+        u = frame_covector(calc_b, 0)
         assert u.wedge(u).max_abs() == 0
 
     def test_mixed_basis_form(self, calc_b):
-        u = calc_b.frame_covector(0)
-        v = calc_b.frame_covector(0, conjugate=True)
+        u = frame_covector(calc_b, 0)
+        v = frame_covector(calc_b, 0, conjugate=True)
         w = u.wedge(v)
         assert (w.p, w.q) == (1, 1)
         got = w.coefficient((0,), (0,))
@@ -193,7 +193,7 @@ class TestExteriorDerivative:
         assert exterior_derivative_check(u) == 0
 
     def test_frame_covector_fix_b(self, calc_b):
-        u = calc_b.frame_covector(0)
+        u = frame_covector(calc_b, 0)
         assert exterior_derivative_check(u) < 1e-11
 
     def test_random_form_random_structure(self, rng):
@@ -307,7 +307,7 @@ class TestFundamentalIdentities:
         for base in calc_j0.monomial_forms(2):
             assert apply_operator("theta", base).max_abs() == 0
         # FIX-B: theta must NOT vanish (torsion is nonzero)
-        u = calc_b.frame_covector(0, conjugate=True)
+        u = frame_covector(calc_b, 0, conjugate=True)
         assert apply_operator("theta", u).max_abs() > 1e-3
         tors = torsion_tensor(calc_b.structure, calc_b.frame, calc_b.bc)
         assert tors.max_abs() > 1e-3

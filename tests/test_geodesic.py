@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from acgeom.chern import HermitianData, antisymmetrize_metric_linear
-from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_b2, fix_j0
 from acgeom.forms import FrameCalculus
 from acgeom.cli import Options, parse_manifold_spec, run_command
 from acgeom.geodesic import (NOISE_FLOOR, GeodesicLab, TrustRadiusExit,
@@ -13,6 +12,9 @@ from acgeom.geodesic import (NOISE_FLOOR, GeodesicLab, TrustRadiusExit,
                              integrate_geodesic_checked,
                              integrator_convergence_ratio)
 from acgeom.jets import JetError
+
+from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0,
+                   metric_from_families, random_b_normal)
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +321,23 @@ class TestIntegrator:
             integrate_geodesic(lab_b.packed, [[0.0, 0.0], [0.19, 0.0]],
                                [[0.01, 0.0], [0.5, 0.0]], steps=64)
 
+    @pytest.mark.parametrize("lab", ["lab_flat", "lab_b"])
+    def test_nan_row_hides_no_exit(self, lab, request):
+        # a NaN state is never outside the radius, and must not mask the
+        # exit of another state of its batch
+        packed = request.getfixturevalue(lab).packed
+        zs = np.zeros((2, 2), complex)
+        vs = np.array([[1.0, 0.0], [np.nan, 0.0]], complex)
+        with pytest.raises(TrustRadiusExit) as alone:
+            integrate_geodesic(packed, zs[0], vs[0], 64)
+        assert alone.value.time == 13 / 64
+        with pytest.raises(TrustRadiusExit) as batch:
+            integrate_geodesic(packed, zs, vs, 64)
+        assert batch.value.time == alone.value.time
+        with pytest.raises(TrustRadiusExit) as checked:
+            integrate_geodesic_checked(packed, zs, vs, steps=64)
+        assert checked.value.time == alone.value.time
+
     def test_endpoint_drift_below_machine_scale(self, lab_b):
         # endpoint is stable under step doubling at 1e-12 (Richardson check)
         from acgeom.geodesic import integrate_geodesic_checked
@@ -349,7 +368,6 @@ class TestErrorScaling:
         assert out["slope"] >= 2.8
 
     def test_refined_slope_with_vanishing_torsion_one_jet(self):
-        from acgeom.fixtures import fix_b3
         lab = GeodesicLab(FrameCalculus(fix_b3()), HermitianData.identity(2, 4))
         out = error_scaling_probe(lab, [0.0, 0.0], [0.04, 0.02], steps=256)
         assert out["slope"] >= 3.8
@@ -359,7 +377,7 @@ class TestErrorScaling:
         lin[0, 1, 0] = 0.15
         lin[1, 0, 1] = -0.08 + 0.03j
         calc = FrameCalculus(fix_b())
-        hd = HermitianData.from_families(2, 4, lin=lin)
+        hd = metric_from_families(2, 4, lin=lin)
         fixed = antisymmetrize_metric_linear(calc, hd, n_order=3)
         calc2 = FrameCalculus(fixed.structure)
         lab = GeodesicLab(calc2, fixed.metric)
@@ -402,12 +420,11 @@ class TestQuadraticConsistency:
         # refined normalization in this regime, and with them the
         # off-diagonal metric-structure cross terms the closed forms omit
         from acgeom.chern import connection_matrix_coordinate
-        from acgeom.fixtures import random_b_normal
         calc = FrameCalculus(random_b_normal(77))
         rng = np.random.default_rng(78)
         qm = 0.1 * (rng.normal(size=(2, 2, 2, 2))
                     + 1j * rng.normal(size=(2, 2, 2, 2)))
-        hd = HermitianData.from_families(2, 4, quad_mixed=qm)
+        hd = metric_from_families(2, 4, quad_mixed=qm)
         lab = GeodesicLab(calc, hd)
         a_z = connection_matrix_coordinate(calc, lab.conn)
         n = 2

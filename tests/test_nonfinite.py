@@ -17,11 +17,12 @@ import pytest
 
 from acgeom import chern
 from acgeom.cli import Options, SpecError, parse_manifold_spec, run_command
-from acgeom.fixtures import fix_b
 from acgeom.forms import FrameCalculus, fundamental_identities_check
 from acgeom.jets import Jet, JetError, JetMatrix
 from acgeom.normal import pattern_violation, structure_from_b_family, torsion_jet_normal
 from acgeom.structure import AlmostComplexStructure, ValidationReport, nijenhuis_check
+
+from germs import fix_b
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -41,7 +42,7 @@ NAN_J2_SPEC = json.dumps({
 
 def _nan_coefficient(jet, alpha, beta):
     """``jet`` plus a NaN coefficient at z^alpha zbar^beta."""
-    return jet + Jet.monomial(jet.n, jet.order, alpha, beta, complex(math.nan, 0))
+    return jet + Jet(jet.n, jet.order, {(alpha, beta): complex(math.nan, 0)})
 
 
 def _nan_metric(n, order):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_b2, fix_j0, random_deformation
 from acgeom.jets import Jet, JetError, JetMatrix, QC
 from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
                            extract_a_family, lmax, normalize_to_order,
@@ -12,6 +11,9 @@ from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
                            structure_from_b_family, torsion_jet_equivalence,
                            torsion_jet_normal, verify_holomorphic_invariance)
 from acgeom.structure import torsion_tensor
+
+from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0, random_b_normal,
+                   random_deformation)
 
 
 def exact_b_family(n=2):
@@ -105,7 +107,6 @@ class TestFormA:
         assert (a_solved - s.A).max_abs() < 1e-13
 
     def test_constraints_satisfied_for_random_family(self):
-        from acgeom.fixtures import random_b_normal
         for seed in (1, 2):
             s = random_b_normal(seed)
             assert s.validate().max_residual < 1e-12
@@ -257,7 +258,6 @@ class TestTorsionJet:
         assert j.max_abs(1) == abs(j.constant_term)  # no linear terms
 
     def test_cross_check_against_frame_brackets(self):
-        from acgeom.fixtures import random_b_normal
         for s in (fix_b(), fix_b2(), random_b_normal(4)):
             jets = torsion_jet_normal(s)
             tors = torsion_tensor(s)
@@ -280,7 +280,6 @@ class TestTorsionJet:
         assert abs(ref.coeff((0, 0), (1, 0)) - 0.5j * val) < 1e-11
 
     def test_equivalence_diagnostic_four_cases(self):
-        from acgeom.fixtures import fix_b3
         cases = [
             (fix_b(), 0, False),    # torsion at origin nonzero
             (fix_b2(), 0, True),    # B quadratic: 0-jet of torsion vanishes

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from acgeom.fixtures import FIX_B_VALUE, fix_b, fix_j0, random_deformation
 from acgeom.jets import QC, Jet, JetError, JetMatrix
 from acgeom.normal import normalize_to_order
 from acgeom.structure import (AlmostComplexStructure, VectorField, adapt_linear,
                               bracket_coefficients, frame_and_dual,
-                              nijenhuis_check, projection_via_matrix,
-                              structure_from_deformation, torsion_tensor,
-                              transform_structure)
+                              nijenhuis_check, structure_from_deformation,
+                              torsion_tensor, transform_structure)
 
 from conftest import random_jet, random_point
+from germs import FIX_B_VALUE, fix_b, fix_j0, random_deformation
 
 
 class TestValidate:
@@ -150,20 +149,14 @@ class TestFrame:
         assert abs(row.coeff((0, 0), (0, 1)) - expected) < 1e-12
         assert fr.Ginv[0, 3].max_abs(1) < 1e-12
 
-    def test_projection_paths_agree(self, rng):
+    def test_frame_fields_are_j_eigenvectors(self):
+        # J zeta_k = i zeta_k and J zetabar_k = -i zetabar_k
         s = random_deformation(11)
         fr = frame_and_dual(s)
-        x = VectorField([random_jet(rng, 2, 4, nterms=3) for _ in range(4)])
-        p_frame = fr.project10(x)
-        p_matrix = projection_via_matrix(s, x, "10")
-        diff = p_frame - p_matrix
-        eff = min(p_frame.effective_order, p_matrix.effective_order)
-        assert diff.max_abs(eff) < 1e-11
-        q_frame = fr.project01(x)
-        q_matrix = projection_via_matrix(s, x, "01")
-        assert (q_frame - q_matrix).max_abs(eff) < 1e-11
-        # projections sum to the identity
-        assert ((p_frame + q_frame) - x).max_abs(eff) < 1e-11
+        for k in range(s.n):
+            for field, eigenvalue in ((fr.zeta(k), 1j), (fr.zeta_bar(k), -1j)):
+                diff = s.apply(field) - field * eigenvalue
+                assert diff.max_abs(diff.effective_order) < 1e-11
 
 
 class TestBrackets:
@@ -250,8 +243,9 @@ class TestTorsion:
         eta = VectorField.coordinate(2, 4, 1)
         for _ in range(3):
             p = random_point(rng, 2, radius=0.05)
-            v1 = t_plain.apply(xi, eta).eval(p)
-            v2 = t_scaled.apply(xi, eta).eval(p)
+            # N_J = tau + conj(tau) with tau in T^{0,1}, which both frames share
+            v1 = t_plain.nijenhuis(xi, eta).eval(p)
+            v2 = t_scaled.nijenhuis(xi, eta).eval(p)
             assert np.abs(v1 - v2).max() < 1e-10
 
 
@@ -265,15 +259,15 @@ class TestTransform:
 
     def test_biholomorphism_preserves_j0(self):
         s = fix_j0()
-        phi = [Jet.variable(2, 4, 0) + 0.4 * Jet.monomial(2, 4, (0, 2), (0, 0), 1.0),
-               Jet.variable(2, 4, 1) - 0.25 * Jet.monomial(2, 4, (2, 0), (0, 0), 1.0)]
+        phi = [Jet.variable(2, 4, 0) + 0.4 * Jet(2, 4, {((0, 2), (0, 0)): 1.0}),
+               Jet.variable(2, 4, 1) - 0.25 * Jet(2, 4, {((2, 0), (0, 0)): 1.0})]
         t = transform_structure(s, phi)
         assert (t.A - s.A).max_abs() < 1e-12
         assert t.B.max_abs() < 1e-12
 
     def test_transform_validates(self):
         s = random_deformation(8)
-        phi = [Jet.variable(2, 4, 0) + 0.2 * Jet.monomial(2, 4, (0, 1), (1, 0), 1.0),
+        phi = [Jet.variable(2, 4, 0) + 0.2 * Jet(2, 4, {((0, 1), (1, 0)): 1.0}),
                Jet.variable(2, 4, 1)]
         t = transform_structure(s, phi)
         assert t.validate().max_residual < 1e-11
