@@ -6,7 +6,7 @@ connections, curvature, normal coordinates and the asymptotic geodesic flow,
 and checks every identity numerically against independent oracles.
 """
 
-from .jets import Jet, JetError, JetMatrix, QC, SingularMatrixError
+from .jets import Jet, JetError, JetMatrix, QC, SingularMatrixError, Substitution
 from .structure import (AlmostComplexStructure, Frame, VectorField,
                         adapt_linear, bracket_coefficients, frame_and_dual,
                         nijenhuis_check, structure_from_deformation,
@@ -28,7 +28,7 @@ from .geodesic import (GeodesicLab, error_scaling_probe, exp_asymptotic,
                        integrate_geodesic, integrator_convergence_ratio)
 
 __all__ = [
-    "Jet", "JetError", "JetMatrix", "QC", "SingularMatrixError",
+    "Jet", "JetError", "JetMatrix", "QC", "SingularMatrixError", "Substitution",
     "AlmostComplexStructure", "Frame", "VectorField", "adapt_linear",
     "bracket_coefficients", "frame_and_dual", "nijenhuis_check",
     "structure_from_deformation", "torsion_tensor", "transform_structure",

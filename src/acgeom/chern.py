@@ -16,7 +16,8 @@ import numpy as np
 
 from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
                     exterior_derivative, to_coordinate_form)
-from .jets import Jet, JetError, JetMatrix, SingularMatrixError, nan_max, series_inverse
+from .jets import (Jet, JetError, JetMatrix, SingularMatrixError, Substitution, nan_max,
+                   series_inverse)
 from .normal import normalize_to_order, require_normal_form
 from .structure import (AlmostComplexStructure, VectorField, _jacobian,
                         transform_structure)
@@ -907,7 +908,8 @@ def _apply_quadratic_change(calc, hd, sym_part, n_order):
     s2 = res.structure
     calc2 = FrameCalculus(s2)
     hd2 = transform_metric(calc1, hd1, res.phi, calc2)
-    full_phi = [p.compose([q.with_order(p.order) for q in phi]) for p in res.phi]
+    sub = Substitution(phi)
+    full_phi = [p.compose(sub) for p in res.phi]
     b1_dev = np.abs(s2.B.family(1, 0) - s.B.family(1, 0)).max()
     lin = hd2.H.family(1, 0)
     return QuadraticChangeResult(s2, hd2, full_phi, np.abs(lin).max(), b1_dev)

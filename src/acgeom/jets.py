@@ -40,7 +40,13 @@ Which path runs:
   equal bit for bit to the fold.
 - ``Jet.compose``: one path for both modes.  The substituted monomials are
   built on coefficient vectors, each one from a monomial of one degree less,
-  and summed in one vector-matrix product.
+  and summed in one vector-matrix product.  The images live in a
+  ``Substitution``: built once per coordinate change, it holds the checks,
+  the vectors of the substitution jets and of their conjugates, and a memo
+  of images per order, so every compose of the same germ (the entries of
+  ``JetMatrix.compose``, the components of a Newton step of
+  ``series_inverse``) builds each image once.  A list passed to ``compose``
+  is wrapped in a new one.
 - ``JetMatrix.__matmul__``: per output entry, the dense kernel summed over the
   inner index when the entry's pair count exceeds ``dense_min_pairs`` (float
   only); otherwise ``Jet.dot`` over the inner index.
@@ -729,38 +735,25 @@ class Jet:
             total += m
         return total
 
-    def compose(self, subs: Sequence["Jet"]):
+    def compose(self, subs: Sequence["Jet"] | "Substitution"):
         """Substitute z_k -> subs[k] and zbar_k -> conj(subs[k]).
 
-        The n substitution jets must have zero constant terms.  Float and
+        ``subs`` is a list of n jets with zero constant terms or a
+        ``Substitution`` of them; a list is wrapped in a new one.  Float and
         exact jets run the same code on coefficient vectors: each monomial
         of ``self`` is the image of a monomial one degree lower times the
-        image of one variable, so the table of images is filled from its
-        parents and summed in one vector-matrix product.
+        image of one variable, so the images are filled from their parents
+        into the substitution's memo and summed in one vector-matrix product.
         """
-        subs = list(subs)
-        if len(subs) != self.n:
-            raise JetError(f"expected {self.n} substitution jets, got {len(subs)}")
-        subs = [s.truncated(self.order) if s.order > self.order else s for s in subs]
+        if not isinstance(subs, Substitution):
+            subs = Substitution(subs)
+        out_idx, vecs, table = subs._sweep(self)
         exact = self.exact
-        for k, s in enumerate(subs):
-            if s.order != self.order:
-                raise JetError("substitution jets must match the composed jet's order")
-            if s.exact != exact:
-                raise JetError("cannot mix exact and floating jets")
-            if abs(s.constant_term) > (0 if exact else PRUNE_EPS):
-                raise JetError(f"substitution for z_{k} has a nonzero constant term")
-        eff = min([self.effective_order] + [s.effective_order for s in subs])
-        out_idx = _index(subs[0].n, self.order)
+        eff = min(self.effective_order, subs.effective_order)
         if not self._terms:
             return Jet._from_dense(out_idx, zero_coefficients(out_idx.size, exact), eff, exact)
         idx = _index(self.n, self.order)
         parents, variables = idx.factors
-        vecs = [s._dense() for s in subs]
-        vecs += [v[out_idx.conj_perm].conj() for v in vecs]
-        unit = zero_coefficients(out_idx.size, exact)
-        unit[0] = QC(1) if exact else 1.0
-        table = {0: unit}
 
         def image(slot):
             got = table.get(slot)
@@ -794,6 +787,64 @@ class Jet:
             bits.append(f"({c})*{mono or '1'}")
         more = " + ..." if len(self._terms) > 4 else ""
         return f"Jet(n={self.n}, N={self.order}; {' + '.join(bits)}{more})"
+
+
+class Substitution:
+    """The substitution z_k -> jets[k], zbar_k -> conj(jets[k]) of one germ,
+    checked once and shared by every ``compose`` through it.
+
+    The jets must share their number of variables and their mode, and have
+    constant terms that are zero (exact) or of modulus <= PRUNE_EPS (float;
+    NaN and inf are not).  A jet composed through them has one variable per
+    jet, their mode, and an order N no higher than theirs: it composes
+    through the jets truncated to N.  Per order N, the substitution keeps
+    the coefficient vectors of the truncated jets and of their conjugates,
+    and a memo ``{slot: image}`` of the substituted monomials built so far.  The composes of one germ (the
+    entries of a ``JetMatrix``, the components of a Newton step) then build
+    each image once.  An image depends only on its slot, so sharing leaves
+    every coefficient's bits as they are.  The memo lives as long as the
+    substitution.
+    """
+
+    __slots__ = ("jets", "exact", "effective_order", "_sweeps")
+
+    def __init__(self, jets: Sequence[Jet]):
+        self.jets = list(jets)
+        if not self.jets:
+            raise JetError("a substitution needs at least one jet")
+        n, self.exact = self.jets[0].n, self.jets[0].exact
+        for k, s in enumerate(self.jets):
+            if s.exact != self.exact:
+                raise JetError("cannot mix exact and floating jets")
+            if s.n != n:
+                raise JetError("substitution jets must share their number of variables")
+            c = s.constant_term
+            if (c != 0) if self.exact else not abs(c) <= PRUNE_EPS:
+                raise JetError(f"substitution for z_{k} has a nonzero constant term")
+        self.effective_order = min(s.effective_order for s in self.jets)
+        self._sweeps = {}
+
+    def _sweep(self, jet):
+        """(output index, vectors of the jets then of their conjugates,
+        memo) at the order of ``jet``, once ``jet`` is checked against the
+        substitution."""
+        if len(self.jets) != jet.n:
+            raise JetError(f"expected {jet.n} substitution jets, got {len(self.jets)}")
+        if jet.exact != self.exact:
+            raise JetError("cannot mix exact and floating jets")
+        order = jet.order
+        sweep = self._sweeps.get(order)
+        if sweep is None:
+            if any(s.order < order for s in self.jets):
+                raise JetError("substitution jets must match the composed jet's order")
+            out_idx = _index(self.jets[0].n, order)
+            vecs = [(s.truncated(order) if s.order > order else s)._dense()
+                    for s in self.jets]
+            vecs += [v[out_idx.conj_perm].conj() for v in vecs]
+            unit = zero_coefficients(out_idx.size, self.exact)
+            unit[0] = QC(1) if self.exact else 1.0
+            sweep = self._sweeps[order] = (out_idx, vecs, {0: unit})
+        return sweep
 
 
 class JetMatrix:
@@ -898,14 +949,10 @@ class JetMatrix:
                           for j in range(self.cols)])
 
     def compose(self, subs):
+        """Every entry composed through one ``Substitution`` of ``subs``."""
+        if not isinstance(subs, Substitution):
+            subs = Substitution(subs)
         return self.map(lambda e: e.compose(subs))
-
-    def eval(self, point):
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self.entries[i][j].eval(point)
-        return out
 
     def constant(self):
         """Constant-term matrix: complex, or an object array of ``QC`` when exact."""
@@ -1106,7 +1153,8 @@ def series_inverse(phi: Sequence[Jet]):
     # start from the inverse of the linear part, then sharpen degree by degree
     psi = linear_inverse(ident)
     for _ in range(order):
-        err = [phi[k].compose(psi) - ident[k] for k in range(n)]
+        sub = Substitution(psi)
+        err = [phi[k].compose(sub) - ident[k] for k in range(n)]
         if max(e.max_abs() for e in err) < PRUNE_EPS:
             break
         psi = [p - c for p, c in zip(psi, linear_inverse(err))]

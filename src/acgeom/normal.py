@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import (Jet, JetError, JetMatrix, QC, _exponent_vectors, multi_index,
-                   nan_max, zero_coefficients)
+from .jets import (Jet, JetError, JetMatrix, QC, Substitution, _exponent_vectors,
+                   multi_index, nan_max, zero_coefficients)
 from .structure import AlmostComplexStructure, transform_structure
 
 
@@ -311,7 +311,8 @@ def normalize_to_order(s: AlmostComplexStructure, n_order=None) -> NormalCoordin
         stages.append(phi)
         if changed:
             cur = transform_structure(cur, phi)
-            total = [p.compose(total) for p in phi]
+            sub = Substitution(total)
+            total = [p.compose(sub) for p in phi]
     return NormalCoordinateResult(cur, total, stages, pattern_violation(cur))
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import (Jet, JetError, JetMatrix, SingularMatrixError, block2x2,
-                   nan_max, series_inverse)
+from .jets import (Jet, JetError, JetMatrix, SingularMatrixError, Substitution,
+                   block2x2, nan_max, series_inverse)
 
 
 class VectorField:
@@ -75,9 +75,6 @@ class VectorField:
         """Lie bracket [X, Y] = X . grad Y - Y . grad X, componentwise."""
         return VectorField([self.derive(c) for c in other.components]) - \
             VectorField([other.derive(c) for c in self.components])
-
-    def eval(self, point):
-        return np.array([c.eval(point) for c in self.components])
 
     def max_abs(self, max_degree=None):
         return nan_max(c.max_abs(max_degree) for c in self.components)
@@ -201,16 +198,6 @@ class Frame:
     def from_frame_components(self, comps) -> VectorField:
         return VectorField([Jet.dot(zip(row, comps), self.n, self.order)
                             for row in self.G.entries])
-
-    def scaled(self, factors):
-        """Frame with zeta_k replaced by factors[k] * zeta_k (factors[k](0) != 0)."""
-        n = self.n
-        diag = JetMatrix.zeros(2 * n, 2 * n, n, self.order)
-        for k in range(n):
-            diag.entries[k][k] = factors[k]
-            diag.entries[n + k][n + k] = factors[k].conj()
-        g = self.G @ diag
-        return Frame(g, g.inverse())
 
 
 def frame_and_dual(s: AlmostComplexStructure) -> Frame:
@@ -393,8 +380,9 @@ def transform_structure(s: AlmostComplexStructure, phi) -> AlmostComplexStructur
     dphi = _jacobian(phi_w, w)
     dpsi = _jacobian(psi, w)
     m = s.matrix().with_order(w)
-    m_of_psi = m.compose(psi)
-    dphi_of_psi = dphi.compose(psi)
+    sub = Substitution(psi)
+    m_of_psi = m.compose(sub)
+    dphi_of_psi = dphi.compose(sub)
     m_new = dphi_of_psi @ m_of_psi @ dpsi
     n = s.n
     a_new = JetMatrix([[m_new[i, j].truncated(s.order) for j in range(n)]

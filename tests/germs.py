@@ -1,6 +1,7 @@
 """Shared test germs: the flat structure, the minimal torsion fixture,
 deterministic random deformations, metrics built from coefficient families
-and the frame covectors as forms."""
+and the frame covectors as forms; plus point values of jet matrices and
+vector fields, and rescaled frames."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from acgeom.chern import HermitianData
 from acgeom.forms import FrameCalculus, PQForm
 from acgeom.jets import Jet, JetMatrix
 from acgeom.normal import lmax, structure_from_b_family
-from acgeom.structure import AlmostComplexStructure, structure_from_deformation
+from acgeom.structure import (AlmostComplexStructure, Frame, VectorField,
+                              structure_from_deformation)
 
 FIX_B_VALUE = 0.3 + 0.1j
 
@@ -106,3 +108,24 @@ def frame_covector(calc: FrameCalculus, k, conjugate=False) -> PQForm:
     if conjugate:
         return PQForm(calc, 0, 1, {((), (k,)): Jet.one(calc.n, calc.order)})
     return PQForm(calc, 1, 0, {((k,), ()): Jet.one(calc.n, calc.order)})
+
+
+def matrix_eval(m: JetMatrix, point):
+    """Value of every entry of ``m`` at ``point`` (zbar_k = conj(z_k))."""
+    return np.array([[e.eval(point) for e in row] for row in m.entries], dtype=complex)
+
+
+def field_eval(v: VectorField, point):
+    """Value of every component of ``v`` at ``point``."""
+    return np.array([c.eval(point) for c in v.components])
+
+
+def scaled_frame(frame: Frame, factors) -> Frame:
+    """The frame with zeta_k replaced by factors[k] * zeta_k (factors[k](0) != 0)."""
+    n = frame.n
+    diag = JetMatrix.zeros(2 * n, 2 * n, n, frame.order)
+    for k in range(n):
+        diag.entries[k][k] = factors[k]
+        diag.entries[n + k][n + k] = factors[k].conj()
+    g = frame.G @ diag
+    return Frame(g, g.inverse())

@@ -1,10 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 
-import json
 import os
 
 import numpy as np
-import pytest
 
 from acgeom import chern, geodesic, normal
 from acgeom.chern import HermitianData

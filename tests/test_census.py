@@ -7,6 +7,9 @@ tracer's ``SPAN_TARGETS``.  Tests do not count: a definition that only tests
 use belongs in ``tests/`` (see ``germs.py``).  The census matches bare names,
 not bindings, so a method that shares its name with a called one passes: it
 can miss a dead definition, never flag a live one.
+
+The test side has its own census: every name a module of ``tests/`` imports
+is used in that module.
 """
 
 import ast
@@ -17,6 +20,7 @@ import acgeom
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "acgeom"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 # The uncalled definitions that stay, each with its reason.  The list can only
 # shrink: an entry that gains a caller fails the census until it is removed.
@@ -109,3 +113,22 @@ def test_every_exported_name_resolves():
     assert len(set(acgeom.__all__)) == len(acgeom.__all__)
     missing = [name for name in acgeom.__all__ if not hasattr(acgeom, name)]
     assert not missing
+
+
+def _unused_imports(tree):
+    """The names an import in ``tree`` binds that no ``Name`` node reads.
+    An attribute chain starts with a ``Name``, so ``np.zeros`` uses ``np``."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used
+
+
+def test_every_test_import_is_used():
+    unused = {path.name: sorted(names) for path in sorted(TESTS.glob("*.py"))
+              if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not unused, f"unused imports in tests/: {unused}"

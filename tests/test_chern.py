@@ -5,26 +5,25 @@ import numpy as np
 import pytest
 
 from acgeom import chern
-from acgeom.chern import (AsymptoticCoefficients, ChernLeviCivita,
-                          HermitianData, LeviCivita, antisymmetrize_metric_linear,
+from acgeom.chern import (ChernLeviCivita, HermitianData, LeviCivita,
+                          antisymmetrize_metric_linear,
                           almost_holomorphic_identities,
                           asymptotics_vs_full_connection,
                           canonical_delbar_connection, chern_connection,
-                          chern_derivative, connection_asymptotics,
-                          connection_matrix_coordinate, curvature,
+                          chern_derivative, connection_asymptotics, curvature,
                           curvature_origin_formula, domega_max,
                           hermitian_compat_residual,
                           hermitian_curvature_symmetry, metric_coordinate_residual,
                           metric_form, pointwise_curvature_residual, sample_points,
-                          special_frame, symplectic_normalize, transform_metric)
+                          special_frame, symplectic_normalize)
 from acgeom.cli import Options, parse_manifold_spec, run_command
-from acgeom.forms import FrameCalculus, apply_operator
+from acgeom.forms import FrameCalculus
 from acgeom.jets import Jet, JetError, JetMatrix
 from acgeom.structure import VectorField, torsion_tensor
 
 from conftest import random_jet
-from germs import (FIX_B_VALUE, fix_b, fix_b3, fix_j0, metric_from_families,
-                   random_b_normal, random_deformation)
+from germs import (FIX_B_VALUE, fix_b, fix_b3, fix_j0, matrix_eval,
+                   metric_from_families, random_b_normal, random_deformation)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -243,7 +242,7 @@ class TestLeviCivita:
         step = 1e-5
 
         def g_num(point):
-            return lc.g.eval(point)
+            return matrix_eval(lc.g, point)
 
         for _ in range(2):
             p = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))

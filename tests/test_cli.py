@@ -1,15 +1,13 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
 from acgeom import normal
 from acgeom.jets import Jet, QC
-from acgeom.cli import (COMMANDS, ManifoldSpec, Options, Report, ReportRow,
-                        SpecError, build_metric, build_structure, emit_report,
-                        main, parse_manifold_spec, run_command,
-                        serialize_manifold_spec)
+from acgeom.cli import (COMMANDS, Options, Report, ReportRow, SpecError,
+                        build_metric, build_structure, emit_report, main,
+                        parse_manifold_spec, run_command, serialize_manifold_spec)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 

@@ -13,7 +13,7 @@ from acgeom.geodesic import (NOISE_FLOOR, GeodesicLab, TrustRadiusExit,
                              integrator_convergence_ratio)
 from acgeom.jets import JetError
 
-from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0,
+from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0, matrix_eval,
                    metric_from_families, random_b_normal)
 
 
@@ -163,7 +163,7 @@ class TestBatchedOracle:
         assert got.shape == (6, 2)
         for z, v, acc in zip(zs, vs, got):
             vf = np.concatenate([v, np.conj(v)])
-            want = -sum(a_z[a].eval(z) @ vf * vf[a] for a in range(4))
+            want = -sum(matrix_eval(a_z[a], z) @ vf * vf[a] for a in range(4))
             assert np.abs(want[2:] - np.conj(want[:2])).max() < 1e-15
             assert np.abs(acc - want[:2]).max() < 1e-15
             assert np.abs(lab_b.packed.acceleration(z, v) - acc).max() < 1e-15

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from fractions import Fraction
 
 from acgeom.jets import (Jet, JetError, JetMatrix, QC, SingularMatrixError,
-                         _conj_code, _index, block2x2, multi_index, series_inverse)
+                         Substitution, _Index, _conj_code, _index, block2x2,
+                         multi_index, series_inverse)
 
 from conftest import random_jet, random_point
 
@@ -391,6 +393,112 @@ class TestCompose:
         rhs = f.compose([p.compose(psi) for p in phi])
         eff = min(lhs.effective_order, rhs.effective_order)
         assert (lhs - rhs).max_abs(eff) < 1e-11
+
+
+def dyadic_jet(rng, n, order, nterms, min_degree=0, exact=False):
+    """Jet on the first ``nterms`` monomials of degree >= min_degree, with
+    dyadic coefficients, so exact and float arithmetic agree; ``nterms``
+    above the index size gives full support."""
+    terms = {}
+    for m in _index(n, order).monos:
+        if sum(m[0]) + sum(m[1]) >= min_degree and len(terms) < nterms:
+            re, im = (int(v) for v in rng.integers(-64, 65, size=2))
+            terms[m] = QC(Fraction(re, 64), Fraction(im, 64)) if exact \
+                else complex(re / 64, im / 64)
+    return Jet(n, order, terms, exact=exact)
+
+
+class TestSubstitution:
+    """One ``Substitution`` shared by many composes gives each the bits of a
+    compose through a fresh one."""
+
+    N_VARS, ORDER = 2, 4
+
+    def germ(self, rng, order, exact=False):
+        """z_k plus full-support terms of degree 2..order; the second
+        component trusted to degree 3 only."""
+        n = self.N_VARS
+        psi = [z(n, order, k, exact) + dyadic_jet(rng, n, order, 10 ** 3, 2, exact)
+               for k in range(n)]
+        return [psi[0], psi[1].trusted(3)]
+
+    def matrix(self, rng, exact=False):
+        """4 x 4 entries from one to every monomial of (2, 4): rows of 1, 3,
+        20 and 70 terms, the sizes of dict-path and of dense-kernel jets."""
+        n, order = self.N_VARS, self.ORDER
+        assert _index(n, order).size == 70
+        return JetMatrix([[dyadic_jet(rng, n, order, nterms, exact=exact) for _ in range(4)]
+                          for nterms in (1, 3, 20, 70)])
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_shared_compose_keeps_every_bit(self, rng, exact):
+        m = self.matrix(rng, exact)
+        psi = self.germ(rng, self.ORDER + 1, exact)
+        got = m.compose(psi)
+        for row, got_row in zip(m.entries, got.entries):
+            for e, g in zip(row, got_row):
+                want = e.compose(list(psi))
+                assert bits(g) == bits(want)
+                assert g.effective_order == want.effective_order == 3
+
+    def test_one_substitution_serves_every_order(self, rng):
+        n = self.N_VARS
+        psi = self.germ(rng, 5)
+        sub = Substitution(psi)
+        for order in (5, 3, 4, 5, 2):
+            f = dyadic_jet(rng, n, order, 10 ** 3)
+            assert bits(f.compose(sub)) == bits(f.compose(psi))
+
+    def test_float_and_exact_images_stay_apart(self, rng):
+        # the same dyadic germ in both modes, so only the mode tells the
+        # two substitutions apart
+        n, order = self.N_VARS, self.ORDER
+        def exact(jet):
+            return Jet(n, order, {k: QC(Fraction(c.real), Fraction(c.imag))
+                                  for k, c in jet.terms.items()}, exact=True)
+
+        psi = [z(n, order, k) + dyadic_jet(rng, n, order, 10 ** 3, 2) for k in range(n)]
+        f = dyadic_jet(rng, n, order, 10 ** 3)
+        got = f.compose(Substitution(psi))
+        got_exact = exact(f).compose(Substitution([exact(p) for p in psi]))
+        assert got_exact.exact and all(isinstance(c, QC) for c in got_exact.terms.values())
+        assert got.terms == {k: complex(c) for k, c in got_exact.terms.items()}
+
+    def test_one_matrix_compose_shares_images(self, rng, monkeypatch):
+        m = self.matrix(rng)
+        psi = self.germ(rng, self.ORDER)
+        calls = []
+        mul = _Index.mul
+        monkeypatch.setattr(_Index, "mul", lambda idx, a, b: calls.append(1) or mul(idx, a, b))
+        m.compose(psi)
+        shared = len(calls)
+        for row in m.entries:
+            for e in row:
+                e.compose(psi)
+        assert shared < len(calls) - shared
+        assert shared <= _index(self.N_VARS, self.ORDER).size
+
+    @pytest.mark.parametrize("jet", [
+        z(2, 3, 0, exact=True),
+        Jet.variable(3, 3, 0),
+        z(2, 4, 0),
+    ], ids=["exact-vs-float", "wrong-count", "order-above"])
+    def test_rejections(self, jet):
+        sub = Substitution([z(2, 3, 0), z(2, 3, 1)])
+        with pytest.raises(JetError):
+            jet.compose(sub)
+        with pytest.raises(JetError):
+            JetMatrix([[jet]]).compose(sub)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, complex(0, -math.inf),
+                                   complex(math.nan, 1)])
+    def test_non_finite_constant_term_rejected(self, c):
+        f = Jet(2, 3, {((1, 0), (0, 0)): 2.0})
+        subs = [Jet(2, 3, {((0, 0), (0, 0)): c, ((1, 0), (0, 0)): 1.0}), z(2, 3, 1)]
+        with pytest.raises(JetError, match="constant term"):
+            Substitution(subs)
+        with pytest.raises(JetError, match="constant term"):
+            f.compose(subs)
 
 
 class TestMatrixInverse:

@@ -6,10 +6,10 @@ import pytest
 
 from acgeom.jets import Jet, JetError, JetMatrix, QC
 from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
-                           extract_a_family, lmax, normalize_to_order,
-                           pattern_violation, solve_a_degree_by_degree,
-                           structure_from_b_family, torsion_jet_equivalence,
-                           torsion_jet_normal, verify_holomorphic_invariance)
+                           lmax, normalize_to_order, pattern_violation,
+                           solve_a_degree_by_degree, structure_from_b_family,
+                           torsion_jet_equivalence, torsion_jet_normal,
+                           verify_holomorphic_invariance)
 from acgeom.structure import torsion_tensor
 
 from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0, random_b_normal,

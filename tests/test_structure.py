@@ -9,7 +9,8 @@ from acgeom.structure import (AlmostComplexStructure, VectorField, adapt_linear,
                               torsion_tensor, transform_structure)
 
 from conftest import random_jet, random_point
-from germs import FIX_B_VALUE, fix_b, fix_j0, random_deformation
+from germs import (FIX_B_VALUE, field_eval, fix_b, fix_j0, random_deformation,
+                   scaled_frame)
 
 
 class TestValidate:
@@ -235,7 +236,7 @@ class TestTorsion:
         fr = frame_and_dual(s)
         f = Jet.one(2, 4) + 0.3 * Jet.variable(2, 4, 0) \
             + 0.2j * Jet.variable(2, 4, 1, conjugate=True)
-        scaled = fr.scaled([f, Jet.one(2, 4)])
+        scaled = scaled_frame(fr, [f, Jet.one(2, 4)])
         t_plain = torsion_tensor(s, fr)
         t_scaled = torsion_tensor(s, scaled)
         assert (t_plain.nbar[0][0, 1] - t_scaled.nbar[0][0, 1]).max_abs() > 1e-3
@@ -244,8 +245,8 @@ class TestTorsion:
         for _ in range(3):
             p = random_point(rng, 2, radius=0.05)
             # N_J = tau + conj(tau) with tau in T^{0,1}, which both frames share
-            v1 = t_plain.nijenhuis(xi, eta).eval(p)
-            v2 = t_scaled.nijenhuis(xi, eta).eval(p)
+            v1 = field_eval(t_plain.nijenhuis(xi, eta), p)
+            v2 = field_eval(t_scaled.nijenhuis(xi, eta), p)
             assert np.abs(v1 - v2).max() < 1e-10
 
 
