@@ -159,9 +159,6 @@ class MatrixForm:
     def apply(self, kind):
         return self.map(lambda e: apply_operator(kind, e))
 
-    def max_abs(self, max_degree=None):
-        return nan_max(e.max_abs(max_degree) for row in self.entries for e in row)
-
 
 @dataclass
 class ConnectionForms:
@@ -284,8 +281,7 @@ def curvature(calc: FrameCalculus, conn: ConnectionForms) -> CurvatureBlocks:
     return CurvatureBlocks(theta20, theta11, theta02)
 
 
-def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
-                             symplectic=False):
+def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure):
     """Closed-form curvature coefficients at the origin from the metric and
     structure coefficient families (normal coordinates, orthonormal frame).
 
@@ -307,8 +303,7 @@ def curvature_origin_formula(hd: HermitianData, s: AlmostComplexStructure,
                 for l in range(n):
                     val = -mix[j, k, l, m]
                     for r in range(n):
-                        if not symplectic:
-                            val += lin[j, l, r] * np.conj(lin[k, m, r])
+                        val += lin[j, l, r] * np.conj(lin[k, m, r])
                         val += 0.25 * (np.conj(b1[k][m, r]) - np.conj(b1[r][m, k])) \
                             * b1[j][r, l]
                         val += 0.25 * (b1[j][l, r] - b1[r][l, j]) \
@@ -794,10 +789,10 @@ def connection_asymptotics(calc: FrameCalculus, hd: HermitianData) -> Asymptotic
                                   lin, b1, b_zz, b_mixed, c0)
 
 
-def asymptotics_vs_full_connection(calc, hd, coeffs=None):
+def asymptotics_vs_full_connection(calc, hd):
     """Compare the closed-form families against the order-one expansion of
     the numerically assembled coordinate connection matrix."""
-    coeffs = connection_asymptotics(calc, hd) if coeffs is None else coeffs
+    coeffs = connection_asymptotics(calc, hd)
     conn = chern_connection(calc, hd)
     a_z = connection_matrix_coordinate(calc, conn)
     n = calc.n

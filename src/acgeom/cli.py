@@ -108,12 +108,25 @@ def _check_entry(path, e, n, order):
             "im": _finite_number(f"{path}.im", e["im"])}
 
 
+def _object(path, x):
+    if not isinstance(x, dict):
+        raise SpecError(path, "must be an object")
+    return x
+
+
+def _list(path, x):
+    if not isinstance(x, list):
+        raise SpecError(path, "must be a list")
+    return x
+
+
 def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
     """Parse and validate a chart-germ document (JSON text)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError("$", f"not valid JSON: {exc}") from exc
+    _object("$", doc)
     for key in ("n", "order", "structure"):
         if key not in doc:
             raise SpecError("$", f"missing top-level field {key!r}")
@@ -125,12 +138,12 @@ def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
     seed = doc.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise SpecError("$.seed", "must be a non-negative integer")
-    sblock = doc["structure"]
+    sblock = _object("$.structure", doc["structure"])
     kind = sblock.get("kind")
     if kind not in STRUCTURE_KINDS:
         raise SpecError("$.structure.kind", f"must be one of {STRUCTURE_KINDS}")
     entries = []
-    for i, e in enumerate(sblock.get("entries", [])):
+    for i, e in enumerate(_list("$.structure.entries", sblock.get("entries", []))):
         cleaned = _check_entry(f"$.structure.entries[{i}]", e, n, order)
         if kind == "B-normal":
             if sum(cleaned["alpha"]) < 1:
@@ -142,7 +155,8 @@ def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
                     "entry violates the normal-form vanishing pattern")
         entries.append(cleaned)
     metric_entries = []
-    for i, e in enumerate(doc.get("metric", {}).get("entries", [])):
+    mblock = _object("$.metric", doc.get("metric", {}))
+    for i, e in enumerate(_list("$.metric.entries", mblock.get("entries", []))):
         metric_entries.append(_check_entry(f"$.metric.entries[{i}]", e, n, order))
     ms = ManifoldSpec(n=n, order=order, kind=kind, structure_entries=entries,
                       metric_entries=metric_entries,
@@ -241,9 +255,14 @@ class Report:
         }
 
 
-def emit_report(report: Report, fmt="text") -> str:
+def emit_report(report: Report, fmt, payload) -> str:
+    """The report as ``fmt`` "text" or "json"; a JSON document carries a
+    non-empty ``payload`` under "data"."""
     if fmt == "json":
-        return json.dumps(report.to_document(), sort_keys=True, indent=2) + "\n"
+        doc = report.to_document()
+        if payload:
+            doc["data"] = payload
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     lines = [f"# {report.command} on {report.fixture}"]
     width = max([44] + [len(r.check) for r in report.rows])
     header = f"{'check':<{width}} {'residual':>12} {'tolerance':>12} {'value':>14} {'status':>7}"
@@ -470,7 +489,7 @@ def _parse_vector(text, n, flag):
 def _cmd_geodesic(ms, opts, payload):
     if not _is_int(opts.steps) or opts.steps < 1:
         raise SpecError("--steps", "must be a positive integer")
-    scales = (1.0, 0.5, 0.25, 0.125)
+    scales = geodesic.SCALE_LADDER
     if opts.scales:
         scales = tuple(_parse_floats(opts.scales, "--scales"))
         if not all(s > 0 for s in scales):
@@ -483,8 +502,7 @@ def _cmd_geodesic(ms, opts, payload):
     calc = FrameCalculus(ms.structure)
     hd = build_metric(ms)
     lab = geodesic.GeodesicLab(calc, hd)
-    probe = geodesic.error_scaling_probe(lab, z, v, scales=scales,
-                                         steps=opts.steps)
+    probe = geodesic.error_scaling_probe(lab, z, v, scales, opts.steps)
     rows = []
     payload["scales"] = [{"s": r["scale"], "e": r["error"],
                           "slope_partial": r.get("slope_partial")}
@@ -529,10 +547,13 @@ COMMANDS = tuple(_HANDLERS)
 
 
 def _check_options(opts: Options):
-    """Reject the threshold flags that would make every verdict meaningless:
-    a non-finite or negative ``--tol`` and a non-finite ``--slope-bound``."""
+    """Reject the flags that would make every verdict meaningless or crash a
+    command: a non-finite or negative ``--tol``, a negative ``--seed`` and a
+    non-finite ``--slope-bound``."""
     if not math.isfinite(opts.tol) or opts.tol < 0:
         raise SpecError("--tol", "must be a finite non-negative number")
+    if not _is_int(opts.seed) or opts.seed < 0:
+        raise SpecError("--seed", "must be a non-negative integer")
     if not math.isfinite(opts.slope_bound):
         raise SpecError("--slope-bound", "must be a finite number")
 
@@ -610,19 +631,11 @@ def main(argv=None):
     else:
         results = [_run_file(t) for t in tasks]
 
-    all_pass = True
-    out = []
-    for (report, payload) in results:
-        all_pass = all_pass and report.passed
-        if args.as_json:
-            doc = report.to_document()
-            if payload:
-                doc["data"] = payload
-            out.append(json.dumps(doc, sort_keys=True, indent=2))
-        else:
-            out.append(emit_report(report, "text"))
-    sys.stdout.write("\n".join(out) + ("\n" if args.as_json else ""))
-    return 0 if all_pass else 1
+    fmt = "json" if args.as_json else "text"
+    out = [emit_report(report, fmt, payload) for report, payload in results]
+    # text reports are separated by a blank line; JSON documents are not
+    sys.stdout.write(("" if args.as_json else "\n").join(out))
+    return 0 if all(report.passed for report, _ in results) else 1
 
 
 if __name__ == "__main__":

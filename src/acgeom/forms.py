@@ -205,27 +205,12 @@ class PQForm:
         return f"PQForm(({self.p},{self.q}), {len(self.coeffs)} terms)"
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
 def _signed_permutations(deg):
     """(perm, float sign) over the permutations of range(deg), in
     ``itertools.permutations`` order."""
-    return tuple((perm, float(_perm_sign(perm))) for perm in permutations(range(deg)))
+    return tuple((perm, float(_sorted_sign(perm)[0]))
+                 for perm in permutations(range(deg)))
 
 
 def _determinant(rows, n, order) -> Jet:

@@ -29,6 +29,7 @@ from .jets import JetError
 
 TRUST_RADIUS = 0.2      # |z| beyond which the jet data is not trusted
 SETTLE_TOL = 1e-12      # endpoint drift under one doubling that counts as settled
+MAX_DOUBLINGS = 4       # step doublings before an endpoint counts as unsettled
 
 
 class TrustRadiusExit(JetError):
@@ -120,9 +121,8 @@ class PackedConnection:
         return self.action(gamma, gdot, self.n)
 
 
-def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
-                       return_velocity=False):
-    """Classical RK4 on (gamma, gamma-dot) over [0, 1].
+def integrate_geodesic(packed: PackedConnection, z, v, steps):
+    """Classical RK4 on (gamma, gamma-dot) over [0, 1]; returns the endpoint.
 
     ``z`` and ``v`` are one state (n,) or a batch (S, n) integrated together;
     the trust-radius check (|z| <= ``TRUST_RADIUS``) covers every state of
@@ -132,8 +132,6 @@ def integrate_geodesic(packed: PackedConnection, z, v, steps=256,
     y = np.concatenate([np.asarray(z, dtype=complex),
                         np.asarray(v, dtype=complex)], axis=-1)
     y = _rk4_sweep(packed, np.atleast_2d(y), steps).reshape(y.shape)
-    if return_velocity:
-        return y[..., :n], y[..., n:]
     return y[..., :n]
 
 
@@ -227,14 +225,14 @@ def _first_exit(z, v, steps):
     return hi
 
 
-def integrate_geodesic_checked(packed: PackedConnection, z, v, steps=256,
-                               max_doublings=4):
+def integrate_geodesic_checked(packed: PackedConnection, z, v, steps):
     """Integrate, doubling the step count until the endpoint is stable.
 
     Each state of a batch (S, n) stops doubling on its own once two
-    successive endpoints agree within ``SETTLE_TOL``; only the states still
-    unsettled are integrated again.  A state whose endpoint is not finite
-    can never settle and stops at once.  The first doubling is one RK4
+    successive endpoints agree within ``SETTLE_TOL``, or after
+    ``MAX_DOUBLINGS`` doublings; only the states still unsettled are
+    integrated again.  A state whose endpoint is not finite can never settle
+    and stops at once.  The first doubling is one RK4
     sweep with the undoubled run.  Returns ``(endpoints, steps,
     converged)``: the last endpoint of each state, the step count it came
     from and whether it settled, shaped like the input (scalars for one
@@ -246,15 +244,11 @@ def integrate_geodesic_checked(packed: PackedConnection, z, v, steps=256,
     zs = np.atleast_2d(z)
     vs = np.atleast_2d(np.asarray(v, dtype=complex))
     y = np.concatenate([zs, vs], axis=1)
-    if max_doublings > 0:
-        end, active, refined = _rk4_sweep(packed, y, steps, doubled=True)
-        refined = refined[:, :n]
-    else:
-        end = _rk4_sweep(packed, y, steps)
-    end = end[:, :n]
+    end, active, refined = _rk4_sweep(packed, y, steps, doubled=True)
+    end, refined = end[:, :n], refined[:, :n]
     counts = np.full(len(zs), steps)
     converged = np.zeros(len(zs), dtype=bool)
-    for doubling in range(max_doublings):
+    for doubling in range(MAX_DOUBLINGS):
         if not active.size:
             break
         steps *= 2
@@ -324,10 +318,10 @@ class GeodesicLab:
 
 
 NOISE_FLOOR = 1e-13
+SCALE_LADDER = (1.0, 0.5, 0.25, 0.125)    # the CLI's scales unless --scales
 
 
-def error_scaling_probe(lab: GeodesicLab, z, v, scales=(1.0, 0.5, 0.25, 0.125),
-                        steps=256):
+def error_scaling_probe(lab: GeodesicLab, z, v, scales, steps):
     """Fit the error exponent of |exp_asym - ode| under joint scaling.
 
     The whole ladder is integrated as one batch.  Returns rows per scale

@@ -399,15 +399,16 @@ class Jet:
     ``_terms`` maps the codes of monomials of total degree <= ``order`` to
     nonzero coefficients, in ascending code order; ``terms`` is the same
     keyed by ``(alpha, beta)``.  ``effective_order`` tracks the degree up to
-    which coefficients are trusted (differentiation decrements it).
+    which coefficients are trusted (differentiation decrements it); a new
+    jet trusts every degree, and ``trusted`` restates it.
     """
 
     __slots__ = ("n", "order", "effective_order", "exact", "_terms", "_pack")
 
-    def __init__(self, n, order, terms=None, effective_order=None, exact=False):
+    def __init__(self, n, order, terms=None, exact=False):
         _check_layout(n, order)
         self.n, self.order, self.exact = n, order, exact
-        self.effective_order = order if effective_order is None else min(effective_order, order)
+        self.effective_order = order
         self._pack = None
         if not terms:
             self._terms = {}
@@ -440,12 +441,12 @@ class Jet:
         return cls.constant(n, order, QC(1) if exact else 1.0, exact=exact)
 
     @classmethod
-    def variable(cls, n, order, k, conjugate=False, exact=False):
+    def variable(cls, n, order, k, conjugate=False):
         if not 0 <= k < n:
             raise JetError(f"variable index {k} out of range for n={n}")
         unit, zero = multi_index(n, k), (0,) * n
         key = (zero, unit) if conjugate else (unit, zero)
-        return cls(n, order, {key: QC(1) if exact else 1.0}, exact=exact)
+        return cls(n, order, {key: 1.0})
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -130,7 +130,7 @@ class AlmostComplexStructure:
         r2 = (self.A.conj() @ self.B + self.B @ self.A).max_abs(eff)
         return ValidationReport(r1, r2, eff)
 
-    def is_adapted(self, tol=1e-12):
+    def is_adapted(self, tol):
         a0 = self.A.constant().astype(complex)
         b0 = self.B.constant().astype(complex)
         return (np.abs(a0 - 1j * np.eye(self.n)).max() <= tol
@@ -232,7 +232,6 @@ class BracketCoefficients:
         self.N = N
         self.U = U
         self.V = V
-        self.n = len(M)
         self._conj = {}
 
     def conj_table(self, name):
@@ -243,20 +242,9 @@ class BracketCoefficients:
             got = self._conj[name] = [fam.conj() for fam in getattr(self, name)]
         return got
 
-    @property
-    def effective_order(self):
-        return min(fam[k, l].effective_order
-                   for tab in (self.M, self.N, self.U, self.V)
-                   for fam in tab for k in range(self.n) for l in range(self.n))
 
-    def max_abs(self):
-        return nan_max(fam.max_abs() for tab in (self.M, self.N, self.U, self.V)
-                       for fam in tab)
-
-
-def bracket_coefficients(s: AlmostComplexStructure, frame: Frame | None = None):
+def bracket_coefficients(s: AlmostComplexStructure, frame: Frame):
     """Coefficient tables of the frame-field Lie brackets."""
-    frame = frame_and_dual(s) if frame is None else frame
     n, order = s.n, s.order
     mbar = [JetMatrix.zeros(n, n, n, order) for _ in range(n)]
     nbar = [JetMatrix.zeros(n, n, n, order) for _ in range(n)]
@@ -332,13 +320,12 @@ def nijenhuis_bracket_formula(s: AlmostComplexStructure, xi: VectorField,
     return VectorField([0.25 * c for c in total.components])
 
 
-def nijenhuis_check(s: AlmostComplexStructure, tors: TorsionTensor | None = None):
+def nijenhuis_check(s: AlmostComplexStructure, tors: TorsionTensor):
     """Max deviation between frame-bracket torsion and the 4N_J identity.
 
     Both paths are evaluated on all coordinate-field pairs and compared up to
     the joint effective order.
     """
-    tors = torsion_tensor(s) if tors is None else tors
     n, order = s.n, s.order
     residuals = []
     for a in range(2 * n):
@@ -421,19 +408,20 @@ def adapt_linear(s: AlmostComplexStructure):
     return transform_structure(s, phi), phi
 
 
-def structure_from_deformation(n, order, seed=0, magnitude=0.08, max_degree=2):
+def structure_from_deformation(n, order, seed=0):
     """Seeded test generator: J = (I+P) J0 (I+P)^{-1} with P a small real
-    perturbation, then a linear adaptation at the origin."""
+    perturbation (six terms of degree <= 2, coefficients 0.08 times a
+    complex normal), then a linear adaptation at the origin."""
     rng = np.random.default_rng(seed)
     fam = {}
     for _ in range(6):
         i = int(rng.integers(0, 2 * n))
         j = int(rng.integers(0, 2 * n))
-        d = int(rng.integers(0, max_degree + 1))
+        d = int(rng.integers(0, 3))
         exps = [0] * (2 * n)
         for _ in range(d):
             exps[int(rng.integers(0, 2 * n))] += 1
-        c = magnitude * complex(rng.normal(), rng.normal())
+        c = 0.08 * complex(rng.normal(), rng.normal())
         key = (tuple(exps[:n]), tuple(exps[n:]))
         fam.setdefault(key, np.zeros((2 * n, 2 * n), dtype=complex))[i, j] += c
     p = JetMatrix.from_coefficients(fam, 2 * n, 2 * n, n, order)

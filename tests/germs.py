@@ -1,20 +1,32 @@
 """Shared test germs: the flat structure, the minimal torsion fixture,
 deterministic random deformations, metrics built from coefficient families
 and the frame covectors as forms; plus point values of jet matrices and
-vector fields, and rescaled frames."""
+vector fields, rescaled frames, and the largest coefficients and trusted
+degree of bracket tables and form matrices."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from acgeom.chern import HermitianData
+from acgeom.chern import HermitianData, MatrixForm
 from acgeom.forms import FrameCalculus, PQForm
-from acgeom.jets import Jet, JetMatrix
+from acgeom.jets import Jet, JetError, JetMatrix, nan_max
 from acgeom.normal import lmax, structure_from_b_family
-from acgeom.structure import (AlmostComplexStructure, Frame, VectorField,
+from acgeom.structure import (AlmostComplexStructure, BracketCoefficients,
+                              Frame, VectorField,
                               structure_from_deformation)
 
 FIX_B_VALUE = 0.3 + 0.1j
+
+
+def b_normal(fam, n, order) -> AlmostComplexStructure:
+    """``structure_from_b_family``, raising ``JetError`` unless the
+    reconstructed structure meets J^2 = -I to within 1e-10."""
+    s = structure_from_b_family(fam, n, order)
+    residual = s.validate().max_residual
+    if not residual <= 1e-10:   # a NaN residual fails too
+        raise JetError(f"reconstructed structure violates J^2 = -I ({residual:.2e})")
+    return s
 
 
 def fix_j0(n=2, order=4) -> AlmostComplexStructure:
@@ -30,19 +42,19 @@ def fix_b(order=4, b=FIX_B_VALUE) -> AlmostComplexStructure:
     from the closed-form reconstruction.
     """
     fam = {((0, 1), (0, 0)): np.array([[b, 0], [0, 0]], dtype=complex)}
-    return structure_from_b_family(fam, 2, order, exact_check=True)
+    return b_normal(fam, 2, order)
 
 
 def fix_b2(order=4, b=FIX_B_VALUE) -> AlmostComplexStructure:
     """Variant with vanishing torsion at the origin: B(z) = b z_2^2 E11."""
     fam = {((0, 2), (0, 0)): np.array([[b, 0], [0, 0]], dtype=complex)}
-    return structure_from_b_family(fam, 2, order, exact_check=True)
+    return b_normal(fam, 2, order)
 
 
 def fix_b3(order=4, b=0.2 - 0.15j) -> AlmostComplexStructure:
     """Variant with vanishing torsion 1-jet: B(z) = b z_2^2 zbar_1 E11."""
     fam = {((0, 2), (1, 0)): np.array([[b, 0], [0, 0]], dtype=complex)}
-    return structure_from_b_family(fam, 2, order, exact_check=True)
+    return b_normal(fam, 2, order)
 
 
 def random_deformation(seed, n=2, order=4) -> AlmostComplexStructure:
@@ -72,7 +84,7 @@ def random_b_normal(seed, n=2, order=4, magnitude=0.15) -> AlmostComplexStructur
         key = (alpha, beta)
         fam[key] = fam.get(key, np.zeros((n, n), dtype=complex)) + mat
         placed += 1
-    return structure_from_b_family(fam, n, order, exact_check=True)
+    return b_normal(fam, n, order)
 
 
 def metric_from_families(n, order, lin=None, quad_zz=None, quad_mixed=None):
@@ -129,3 +141,18 @@ def scaled_frame(frame: Frame, factors) -> Frame:
         diag.entries[n + k][n + k] = factors[k].conj()
     g = frame.G @ diag
     return Frame(g, g.inverse())
+
+
+def brackets_max_abs(bc: BracketCoefficients):
+    """Largest coefficient over the four bracket tables; NaN if any is NaN."""
+    return nan_max(fam.max_abs() for tab in (bc.M, bc.N, bc.U, bc.V) for fam in tab)
+
+
+def brackets_effective_order(bc: BracketCoefficients):
+    """Least trusted degree over the four bracket tables."""
+    return min(fam.effective_order for tab in (bc.M, bc.N, bc.U, bc.V) for fam in tab)
+
+
+def form_matrix_max_abs(m: MatrixForm, max_degree=None):
+    """Largest coefficient over the entries of a form matrix."""
+    return nan_max(e.max_abs(max_degree) for row in m.entries for e in row)

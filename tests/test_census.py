@@ -8,6 +8,12 @@ use belongs in ``tests/`` (see ``germs.py``).  The census matches bare names,
 not bindings, so a method that shares its name with a called one passes: it
 can miss a dead definition, never flag a live one.
 
+Options get the same rule: every defaulted parameter of a function or method
+of ``src/acgeom`` is passed, by keyword or by position, by some call in
+``src/`` (outside ``__init__.py``) or ``perfbench/`` to a function of its
+name.  A value that only tests pass is a test knob: the tool's value becomes
+the code, and a test that needs another value builds it in ``tests/``.
+
 The test side has its own census: every name a module of ``tests/`` imports
 is used in that module.
 """
@@ -50,6 +56,22 @@ ALLOWLIST = {
     "cli.serialize_manifold_spec":
         "acceptance criterion 10 pins the spec round trip "
         "(test_acceptance.py::test_criterion_10_cli)",
+}
+
+
+# The defaulted parameters that no call in src/ or perfbench/ passes, each
+# with its reason.  The list can only shrink, as ALLOWLIST does.
+OPTION_ALLOWLIST = {
+    "cli.main(argv)":
+        "the console script calls main() with no arguments, so that argparse "
+        "reads sys.argv",
+    "forms.FrameCalculus.zeta_derive(grad)":
+        "forms.apply_operator passes it through its derive pair "
+        "(calc.zeta_derive, calc.zetabar_derive), which the name match "
+        "cannot see",
+    "forms.FrameCalculus.zetabar_derive(grad)":
+        "forms.apply_operator passes it through its derive pair, as for "
+        "zeta_derive",
 }
 
 
@@ -97,6 +119,79 @@ def _called_names():
         if path == PERFBENCH / "tracing.py":
             names |= _span_target_parts(tree)
     return names
+
+
+def _options():
+    """(qualified name, called name, parameter, positional index or None)
+    for each defaulted parameter of the top-level functions of
+    ``src/acgeom`` and the methods of its classes.  A constructor is called
+    by its class name; the index counts the call's positional arguments,
+    so it skips ``self`` and ``cls``."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                funcs = [(node.name, node, node.name, 0)]
+            elif isinstance(node, ast.ClassDef):
+                funcs = [(f"{node.name}.{f.name}", f,
+                          node.name if f.name == "__init__" else f.name,
+                          0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in f.decorator_list) else 1)
+                         for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for qual, func, called, skip in funcs:
+                args = func.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    out.append((f"{path.stem}.{qual}", called, arg.arg, i - skip))
+                out += [(f"{path.stem}.{qual}", called, arg.arg, None)
+                        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None]
+    return out
+
+
+def _calls():
+    """{called name: [ast.Call]} over ``src/acgeom`` outside ``__init__.py``
+    and ``perfbench/``."""
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += sorted(PERFBENCH.rglob("*.py"))
+    calls = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, param, index):
+    """Whether ``call`` passes ``param`` (at positional ``index``); a
+    ``*args`` or ``**kwargs`` counts for every parameter it can reach."""
+    if index is not None and (len(call.args) > index or any(
+            isinstance(arg, ast.Starred) for arg in call.args)):
+        return True
+    return any(kw.arg in (param, None) for kw in call.keywords)
+
+
+def test_every_option_has_a_tool_setter():
+    calls = _calls()
+    flagged = set()
+    for qual, called, param, index in _options():
+        function = qual.rsplit(".", 1)[0] if qual.endswith(".__init__") else qual
+        if function in ALLOWLIST:
+            continue
+        if not any(_passes(c, param, index) for c in calls.get(called, [])):
+            flagged.add(f"{qual}({param})")
+    new = sorted(flagged - set(OPTION_ALLOWLIST))
+    assert not new, ("defaulted parameters no call in src/ or perfbench/ "
+                     f"passes (make the tool's value the code): {new}")
+    stale = sorted(set(OPTION_ALLOWLIST) - flagged)
+    assert not stale, f"allowlisted options now passed or gone (drop them): {stale}"
+    assert all(reason.strip() for reason in OPTION_ALLOWLIST.values())
 
 
 def test_every_uncalled_definition_is_allowlisted():

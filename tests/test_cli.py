@@ -74,6 +74,22 @@ class TestParsing:
             parse_manifold_spec(json.dumps(doc))
         assert err.value.path == path
 
+    @pytest.mark.parametrize("text, path", [
+        ('["n", "order", "structure"]', "$"),
+        ('{"n": 2, "order": 4, "structure": "J0"}', "$.structure"),
+        ('{"n": 2, "order": 4, "structure": {"kind": "J0", "entries": 3}}',
+         "$.structure.entries"),
+        ('{"n": 2, "order": 4, "structure": {"kind": "J0"}, "metric": [1]}',
+         "$.metric"),
+        ('{"n": 2, "order": 4, "structure": {"kind": "J0"},'
+         ' "metric": {"entries": {"k": 1}}}', "$.metric.entries"),
+    ], ids=["top-level-array", "structure-string", "entries-number",
+            "metric-array", "metric-entries-object"])
+    def test_bad_shape_rejected_with_path(self, text, path):
+        with pytest.raises(SpecError) as err:
+            parse_manifold_spec(text)
+        assert err.value.path == path
+
     def test_parse_and_validate_build_the_structure_once(self, monkeypatch):
         calls = []
         build = normal.structure_from_b_family
@@ -233,12 +249,12 @@ class TestVerdicts:
 class TestReports:
     def test_empty_report_header_only(self):
         rep = Report("validate", "none", [])
-        text = emit_report(rep, "text")
+        text = emit_report(rep, "text", {})
         assert "validate" in text and "PASS" in text
 
     def test_single_row_pass_line(self):
         rep = Report("validate", "f", [ReportRow("c", 0.0, 1e-10)])
-        text = emit_report(rep, "text")
+        text = emit_report(rep, "text", {})
         assert text.count("PASS") == 2  # row + summary
 
     def test_long_check_name_keeps_columns_aligned(self):
@@ -247,7 +263,7 @@ class TestReports:
         rows = [ReportRow("short", 1e-14, 1e-10),
                 ReportRow(long_name, 2e-13, 1e-10, value=3)]
         rep = Report("validate", "f", rows)
-        lines = emit_report(rep, "text").splitlines()
+        lines = emit_report(rep, "text", {}).splitlines()
         header, rule, short_line, long_line = lines[1:5]
         assert len(rule) == len(header)
         assert len(short_line) == len(header) == len(long_line)
@@ -255,17 +271,17 @@ class TestReports:
         # right-aligned columns end at the same position on every line
         assert header.index("residual") + len("residual") == \
             long_line.index("2.000e-13") + len("2.000e-13")
-        assert json.loads(emit_report(rep, "json")) == rep.to_document()
+        assert json.loads(emit_report(rep, "json", {})) == rep.to_document()
 
     def test_short_check_names_keep_minimum_width(self):
         rep = Report("validate", "f", [ReportRow("c", 0.0, 1e-10)])
-        header = emit_report(rep, "text").splitlines()[1]
+        header = emit_report(rep, "text", {}).splitlines()[1]
         assert header.startswith("check" + " " * 39 + " ")
 
     def test_json_round_trip(self):
         ms = parse_manifold_spec(fix_b_text(), name="fix_b")
-        report, _ = run_command("validate", ms, Options())
-        doc = json.loads(emit_report(report, "json"))
+        report, payload = run_command("validate", ms, Options())
+        doc = json.loads(emit_report(report, "json", payload))
         assert doc["schema"] == "acgeom-report/1"
         assert doc["pass"] is True
         assert doc == report.to_document()
@@ -330,6 +346,16 @@ class TestReports:
         assert rc == 1 and "data" not in doc
         assert [r["check"] for r in doc["rows"]] == [check]
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_rejected(self, command, capsys):
+        # numpy's default_rng rejects a negative seed with a ValueError
+        path = os.path.join(MANIFESTS, "fix_b.json")
+        rc = main([command, path, "--seed", "-1", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1 and "data" not in doc
+        assert [r["check"] for r in doc["rows"]] == [
+            "error: --seed: must be a non-negative integer"]
+
     def test_zero_tol_is_valid(self):
         ms = parse_manifold_spec(fix_b_text(), name="fix_b")
         report, _ = run_command("validate", ms, Options(tol=0.0))
@@ -348,17 +374,18 @@ class TestDeterminism:
         ms = parse_manifold_spec(fix_b_text(), name="fix_b")
         outs = []
         for _ in range(2):
-            report, _ = run_command("identities", ms, Options(seed=11))
-            outs.append(emit_report(report, "json"))
+            report, payload = run_command("identities", ms, Options(seed=11))
+            outs.append(emit_report(report, "json", payload))
         assert outs[0] == outs[1]
 
     def test_byte_identical_geodesic(self):
         ms = parse_manifold_spec(fix_b_text(), name="fix_b")
         outs = []
         for _ in range(2):
-            report, _ = run_command("geodesic", ms, Options(steps=64))
-            outs.append(emit_report(report, "json"))
+            report, payload = run_command("geodesic", ms, Options(steps=64))
+            outs.append(emit_report(report, "json", payload))
         assert outs[0] == outs[1]
+        assert len(json.loads(outs[0])["data"]["scales"]) == 4
 
 
 class TestMainEntry:
@@ -382,6 +409,16 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("[PASS]") == 2
+
+    def test_bad_shape_fails_its_file_only(self, tmp_path, capsys):
+        (tmp_path / "a_bad.json").write_text('{"n": 2, "order": 4, "structure": []}')
+        src = os.path.join(MANIFESTS, "fix_b.json")
+        (tmp_path / "b_fix_b.json").write_text(open(src, encoding="utf-8").read())
+        rc = main(["validate", str(tmp_path), "--jobs", "1"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "spec error: $.structure: must be an object" in out
+        assert out.count("[PASS]") == 1 and out.count("[FAIL]") == 1
 
     def test_bad_file_reports_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from acgeom.chern import HermitianData, antisymmetrize_metric_linear
+from acgeom import geodesic
 from acgeom.forms import FrameCalculus
 from acgeom.cli import Options, parse_manifold_spec, run_command
-from acgeom.geodesic import (NOISE_FLOOR, GeodesicLab, TrustRadiusExit,
+from acgeom.geodesic import (NOISE_FLOOR, SCALE_LADDER, GeodesicLab,
+                             TrustRadiusExit, _rk4_sweep,
                              error_scaling_probe, exp_asymptotic,
                              integrate_geodesic,
                              integrate_geodesic_checked,
@@ -15,6 +17,14 @@ from acgeom.jets import JetError
 
 from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0, matrix_eval,
                    metric_from_families, random_b_normal)
+
+
+def rk4_states(packed, z, v, steps):
+    """(gamma, gamma-dot) at t = 1 of the RK4 oracle, for one state (n,) or
+    a batch (S, n), as ``integrate_geodesic`` computes them."""
+    y = np.concatenate([np.asarray(z, complex), np.asarray(v, complex)], axis=-1)
+    y = _rk4_sweep(packed, np.atleast_2d(y), steps).reshape(y.shape)
+    return y[..., :packed.n], y[..., packed.n:]
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +53,7 @@ class TestFlatCase:
 
     def test_probe_reports_exact(self, lab_flat):
         out = error_scaling_probe(lab_flat, [0.02, 0.0], [0.03, 0.01],
-                                  steps=64)
+                                  SCALE_LADDER, 64)
         assert out["exact"] is True
 
 
@@ -55,11 +65,11 @@ class TestFlatCase:
         monkeypatch.setattr(lab_flat.packed, "acceleration", evaluated)
         z = np.array([0.03 + 0.01j, -0.02j])
         v = np.array([0.05 - 0.01j, 0.04j])
-        end, vel = integrate_geodesic(lab_flat.packed, z, v, steps=64,
-                                      return_velocity=True)
+        end, vel = rk4_states(lab_flat.packed, z, v, 64)
         assert np.array_equal(end, z + v) and np.array_equal(vel, v)
         zs, vs = np.array([z, 2 * z]), np.array([v, -v])
-        assert np.array_equal(integrate_geodesic(lab_flat.packed, zs, vs), zs + vs)
+        assert np.array_equal(integrate_geodesic(lab_flat.packed, zs, vs, 256),
+                              zs + vs)
 
     @pytest.mark.parametrize("z, v", [
         ([0.19, 0.0], [0.5, 0.0]),            # leaves early
@@ -144,12 +154,11 @@ class TestBatchedOracle:
     def test_batch_equals_single_runs(self, lab_b):
         zs = np.array([Z_OFF * s for s in LADDER])
         vs = np.array([V_OFF * s for s in LADDER])
-        ends, vels = integrate_geodesic(lab_b.packed, zs, vs, steps=64,
-                                        return_velocity=True)
+        ends, vels = rk4_states(lab_b.packed, zs, vs, 64)
         assert ends.shape == vels.shape == (len(LADDER), 2)
+        assert np.array_equal(ends, integrate_geodesic(lab_b.packed, zs, vs, 64))
         for zi, vi, end, vel in zip(zs, vs, ends, vels):
-            one, one_vel = integrate_geodesic(lab_b.packed, zi, vi, steps=64,
-                                              return_velocity=True)
+            one, one_vel = rk4_states(lab_b.packed, zi, vi, 64)
             assert np.abs(end - one).max() < 1e-15
             assert np.abs(vel - one_vel).max() < 1e-15
 
@@ -188,15 +197,16 @@ class TestBatchedOracle:
         # the ladder needs a different number of doublings per scale here
         assert len({row["steps"] for row in out["rows"]}) > 1
 
-    def test_unconverged_rows_reported(self, lab_b):
+    def test_unconverged_rows_reported(self, lab_b, monkeypatch):
+        monkeypatch.setattr(geodesic, "MAX_DOUBLINGS", 1)
         ends, steps, converged = integrate_geodesic_checked(
-            lab_b.packed, [Z_OFF, Z_OFF / 16], [V_OFF, V_OFF / 16], steps=1,
-            max_doublings=1)
+            lab_b.packed, [Z_OFF, Z_OFF / 16], [V_OFF, V_OFF / 16], steps=1)
         assert list(steps) == [2, 2]
         assert list(converged) == [False, True]
 
     def test_nan_is_a_failure_not_exact(self, lab_b):
-        out = error_scaling_probe(lab_b, [0.0, 0.0], [np.nan, 0.0], steps=64)
+        out = error_scaling_probe(lab_b, [0.0, 0.0], [np.nan, 0.0],
+                                  SCALE_LADDER, 64)
         assert out["finite"] is False
         assert out["exact"] is False and out["slope"] is None
         # a non-finite endpoint never settles, so it is not doubled
@@ -295,8 +305,7 @@ class TestIntegrator:
     def test_reversibility(self, lab_b):
         z = np.array([0.02 + 0.01j, -0.01 + 0.02j])
         v = np.array([0.04 - 0.01j, 0.03j])
-        end, vel = integrate_geodesic(lab_b.packed, z, v, steps=512,
-                                      return_velocity=True)
+        end, vel = rk4_states(lab_b.packed, z, v, 512)
         back = integrate_geodesic(lab_b.packed, end, -vel, steps=512)
         assert np.abs(back - z).max() < 1e-10
 
@@ -352,24 +361,28 @@ class TestIntegrator:
 
 class TestErrorScaling:
     def test_fix_b_cubic_at_origin(self, lab_b):
-        out = error_scaling_probe(lab_b, [0.0, 0.0], [0.04, 0.02], steps=256)
+        out = error_scaling_probe(lab_b, [0.0, 0.0], [0.04, 0.02],
+                                  SCALE_LADDER, 256)
         assert not out["exact"]
         assert out["slope"] >= 2.8
 
     def test_fix_b_away_from_origin(self, lab_b):
-        out = error_scaling_probe(lab_b, [0.02, 0.01], [0.04, 0.02], steps=256)
+        out = error_scaling_probe(lab_b, [0.02, 0.01], [0.04, 0.02],
+                                  SCALE_LADDER, 256)
         assert out["slope"] >= 2.8
 
     def test_refined_slope_reported_not_gated(self, lab_b2):
         # torsion vanishing at the origin only: still generic cubic scaling
         # (the quadratic structure jets feed back through the moving point);
         # gate at the generic error bound and report the measured slope
-        out = error_scaling_probe(lab_b2, [0.0, 0.0], [0.04, 0.02], steps=256)
+        out = error_scaling_probe(lab_b2, [0.0, 0.0], [0.04, 0.02],
+                                  SCALE_LADDER, 256)
         assert out["slope"] >= 2.8
 
     def test_refined_slope_with_vanishing_torsion_one_jet(self):
         lab = GeodesicLab(FrameCalculus(fix_b3()), HermitianData.identity(2, 4))
-        out = error_scaling_probe(lab, [0.0, 0.0], [0.04, 0.02], steps=256)
+        out = error_scaling_probe(lab, [0.0, 0.0], [0.04, 0.02],
+                                  SCALE_LADDER, 256)
         assert out["slope"] >= 3.8
 
     def test_with_metric_after_antisymmetrization(self):
@@ -381,7 +394,8 @@ class TestErrorScaling:
         fixed = antisymmetrize_metric_linear(calc, hd, n_order=3)
         calc2 = FrameCalculus(fixed.structure)
         lab = GeodesicLab(calc2, fixed.metric)
-        out = error_scaling_probe(lab, [0.015, -0.01], [0.03, 0.02], steps=256)
+        out = error_scaling_probe(lab, [0.015, -0.01], [0.03, 0.02],
+                                  SCALE_LADDER, 256)
         assert out["slope"] >= 2.8
 
     def test_one_scale_above_noise_floor_is_not_exact(self, lab_b):

@@ -223,7 +223,7 @@ def test_empty_family_builds_zero_matrix():
 def exact_copy(jet):
     return Jet(jet.n, jet.order, {k: QC(Fraction(c.real), Fraction(c.imag))
                                   for k, c in jet.terms.items()},
-               effective_order=jet.effective_order, exact=True)
+               exact=True).trusted(jet.effective_order)
 
 
 def exact_matrix(m):
@@ -333,7 +333,7 @@ def dot_operands(size, exact):
     coeff = thirds if exact else rounding
     jet = st.tuples(st.dictionaries(st.sampled_from(MONOS), coeff, min_size=lo, max_size=hi),
                     st.integers(0, ORDER)).map(
-        lambda t: Jet(N_VARS, ORDER, t[0], effective_order=t[1], exact=exact))
+        lambda t: Jet(N_VARS, ORDER, t[0], exact=exact).trusted(t[1]))
     scalar = thirds if exact else st.one_of(rounding, st.integers(-3, 3))
     pair = st.one_of(st.tuples(jet, jet), st.tuples(jet, scalar))
     return st.tuples(st.lists(pair, max_size=6), st.none() | jet)

@@ -13,12 +13,14 @@ from acgeom.jets import (Jet, JetError, JetMatrix, QC, SingularMatrixError,
 from conftest import random_jet, random_point
 
 
-def z(n, order, k, exact=False):
-    return Jet.variable(n, order, k, exact=exact)
+def z(n, order, k, exact=False, conjugate=False):
+    """z_k (zbar_k with ``conjugate``), with the exact unit when ``exact``."""
+    var = Jet.variable(n, order, k, conjugate=conjugate)
+    return Jet(n, order, {key: QC(1) for key in var.terms}, exact=True) if exact else var
 
 
 def zb(n, order, k, exact=False):
-    return Jet.variable(n, order, k, conjugate=True, exact=exact)
+    return z(n, order, k, exact, conjugate=True)
 
 
 class TestMul:

@@ -7,13 +7,13 @@ import pytest
 from acgeom.jets import Jet, JetError, JetMatrix, QC
 from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
                            lmax, normalize_to_order, pattern_violation,
-                           solve_a_degree_by_degree, structure_from_b_family,
+                           solve_a_degree_by_degree,
                            torsion_jet_equivalence, torsion_jet_normal,
                            verify_holomorphic_invariance)
 from acgeom.structure import torsion_tensor
 
-from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0, random_b_normal,
-                   random_deformation)
+from germs import (FIX_B_VALUE, b_normal, fix_b, fix_b2, fix_b3, fix_j0,
+                   random_b_normal, random_deformation)
 
 
 def exact_b_family(n=2):
@@ -77,6 +77,12 @@ def same_matrix(got, want, exact):
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def one_target(fam, alpha, beta, n, exact):
+    """A^{alpha,beta} from a table built for this one target, as
+    ``a_from_b_closed_form`` builds it."""
+    return ClosedFormA(fam, n, exact, sum(alpha) + sum(beta))(alpha, beta)
+
+
 class TestLmax:
     def test_convention(self):
         assert lmax((0, 0)) == -1
@@ -125,7 +131,7 @@ class TestFormA:
             for alpha, beta in exponent_pairs(n, order):
                 if sum(alpha) < 1 or sum(beta) < 1:
                     continue
-                closed = a_from_b_closed_form(fam, alpha, beta, n, exact=True)
+                closed = one_target(fam, alpha, beta, n, True)
                 for k in range(n):
                     for l in range(n):
                         want = half_i * closed[k, l]
@@ -144,21 +150,22 @@ class TestClosedFormTable:
     @pytest.mark.parametrize("n, order, fam", CELLS)
     def test_shared_table_equals_one_target_evaluation(self, n, order, fam, exact):
         fam = fam if exact else to_float_family(fam)
-        table = ClosedFormA(fam, n, exact, max_degree=order)
+        table = ClosedFormA(fam, n, exact, order)
         # read from the top degree down, so that most reads hit chain sums
         # another target put into the memo
         targets = [(a, b) for a, b in exponent_pairs(n, order)
                    if sum(a) >= 1 and sum(b) >= 1][::-1]
         for alpha, beta in targets:
-            want = a_from_b_closed_form(fam, alpha, beta, n, exact=exact)
+            want = one_target(fam, alpha, beta, n, True) if exact \
+                else a_from_b_closed_form(fam, alpha, beta, n)
             assert same_matrix(table(alpha, beta), want, exact), (alpha, beta)
 
     @pytest.mark.parametrize("exact", [True, False])
     @pytest.mark.parametrize("n, order, fam", CELLS)
     def test_pruned_table_equals_unpruned(self, n, order, fam, exact):
         fam = fam if exact else to_float_family(fam)
-        pruned = ClosedFormA(fam, n, exact, max_degree=order)
-        full = ClosedFormA(fam, n, exact)
+        pruned = ClosedFormA(fam, n, exact, order)
+        full = ClosedFormA(fam, n, exact, 2 * order)   # keeps every factor
         for alpha, beta in exponent_pairs(n, order):
             assert same_matrix(pruned(alpha, beta), full(alpha, beta), exact), \
                 (alpha, beta)
@@ -174,7 +181,7 @@ class TestClosedFormTable:
                 assert a[k, l] == want[k, l], (k, l)
 
     def test_target_above_max_degree_rejected(self):
-        table = ClosedFormA(to_float_family(exact_b_family()), 2, max_degree=3)
+        table = ClosedFormA(to_float_family(exact_b_family()), 2, False, 3)
         with pytest.raises(JetError):
             table((1, 1), (0, 2))
 
@@ -271,7 +278,7 @@ class TestTorsionJet:
         # single B^{2,1bar} entry: linear zbar_1 term (i/2) * value
         val = 0.4 - 0.05j
         fam = {((0, 1), (1, 0)): np.array([[val, 0], [0, 0]], dtype=complex)}
-        s = structure_from_b_family(fam, 2, 4, exact_check=True)
+        s = b_normal(fam, 2, 4)
         jets = torsion_jet_normal(s)
         j = jets[0][0][1]   # Nbar^1_{1,2}
         assert abs(j.coeff((0, 0), (1, 0)) - 0.5j * val) < 1e-12
