@@ -7,7 +7,7 @@ and checks every identity numerically against independent oracles.
 """
 
 from .jets import Jet, JetError, JetMatrix, QC, SingularMatrixError, Substitution
-from .structure import (AlmostComplexStructure, Frame, VectorField,
+from .structure import (AlmostComplexStructure, ChartChange, Frame, VectorField,
                         adapt_linear, bracket_coefficients, frame_and_dual,
                         nijenhuis_check, structure_from_deformation,
                         torsion_tensor, transform_structure)
@@ -29,7 +29,7 @@ from .geodesic import (GeodesicLab, error_scaling_probe, exp_asymptotic,
 
 __all__ = [
     "Jet", "JetError", "JetMatrix", "QC", "SingularMatrixError", "Substitution",
-    "AlmostComplexStructure", "Frame", "VectorField", "adapt_linear",
+    "AlmostComplexStructure", "ChartChange", "Frame", "VectorField", "adapt_linear",
     "bracket_coefficients", "frame_and_dual", "nijenhuis_check",
     "structure_from_deformation", "torsion_tensor", "transform_structure",
     "FrameCalculus", "MixedForm", "PQForm", "apply_operator",

@@ -16,10 +16,9 @@ import numpy as np
 
 from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
                     exterior_derivative, to_coordinate_form)
-from .jets import (Jet, JetError, JetMatrix, SingularMatrixError, Substitution, nan_max,
-                   series_inverse)
+from .jets import Jet, JetError, JetMatrix, SingularMatrixError, Substitution, nan_max
 from .normal import normalize_to_order, require_normal_form
-from .structure import (AlmostComplexStructure, VectorField, _jacobian,
+from .structure import (AlmostComplexStructure, ChartChange, VectorField,
                         transform_structure)
 
 
@@ -852,17 +851,22 @@ def metric_coordinate_residual(calc, hd):
 
 # -- metric transport and symplectic refinement --------------------------------
 
-def transform_metric(calc_old: FrameCalculus, hd: HermitianData, phi,
+def transform_metric(calc_old: FrameCalculus, hd: HermitianData, change,
                      calc_new: FrameCalculus) -> HermitianData:
-    """Metric coefficients in the new chart/frame after Z = phi(z)."""
+    """Metric coefficients in the new chart/frame after Z = phi(z).
+
+    ``change`` is a ``ChartChange`` built for ``calc_new.order`` or the n
+    jets of phi, which are wrapped in one.  The coordinate components of
+    omega are pulled back by psi at the change's working order
+    ``calc_new.order + 1`` and paired with the new frame.
+    """
     n = calc_old.n
     order = calc_new.order
-    w = max(order, max(p.order for p in phi)) + 1
-    phi_w = [p.padded(w) for p in phi]
-    psi = series_inverse(phi_w)
+    change = ChartChange.at(change, order)
+    w = change.working_order
     dim = 2 * n
-    dpsi = _jacobian(psi, w)
-    w_comp = _omega_matrix(calc_old, hd, w).compose(psi)
+    dpsi = change.dpsi
+    w_comp = _omega_matrix(calc_old, hd, w).compose(change.sub)
     w_new = dpsi.T @ w_comp @ dpsi
     g_new = calc_new.frame.G.with_order(w)
     h_entries = []
@@ -896,9 +900,10 @@ def _apply_quadratic_change(calc, hd, sym_part, n_order):
     target = n_order + 1
     quad = JetMatrix.from_family((0.5 * sym_part).reshape(n, n, 1, n), 2, 0, n, target)
     phi = [Jet.variable(n, target, m) + quad[0, m] for m in range(n)]
-    s1 = transform_structure(s, phi)
+    change = ChartChange(phi, s.order)
+    s1 = transform_structure(s, change)
     calc1 = FrameCalculus(s1)
-    hd1 = transform_metric(calc, hd, phi, calc1)
+    hd1 = transform_metric(calc, hd, change, calc1)
     res = normalize_to_order(s1, n_order)
     s2 = res.structure
     calc2 = FrameCalculus(s2)

@@ -243,7 +243,8 @@ def require_normal_form(s: AlmostComplexStructure, message):
 @dataclass
 class NormalCoordinateResult:
     structure: AlmostComplexStructure
-    phi: list                      # accumulated change, n jets of order N+1
+    phi: list                      # accumulated change, n jets of order N+1, the
+                                   # working order of a ChartChange for order N
     phi_stages: list = field(default_factory=list)
     violation: float = 0.0
 

@@ -353,24 +353,55 @@ def _jacobian(phi, order):
     return JetMatrix(rows)
 
 
-def transform_structure(s: AlmostComplexStructure, phi) -> AlmostComplexStructure:
+class ChartChange:
+    """One coordinate change Z = phi(z), built once for outputs of order
+    ``order`` and shared by every transport through it.
+
+    Transports keep degrees <= ``order``.  A degree-d coefficient of a
+    derivative needs its input through degree d + 1, so the Jacobians need
+    phi and psi through ``order + 1`` and M o psi needs psi through
+    ``order``: every part works at ``working_order`` = ``order + 1``.  phi
+    is re-embedded there (padded as an exact polynomial when shorter,
+    truncated when longer), and the change holds both Jacobians ``dphi`` and
+    ``dpsi`` and one ``Substitution`` of psi = ``series_inverse(phi)``, whose
+    image memo the composes of the structure and of the metric share.
+    """
+
+    __slots__ = ("order", "working_order", "dphi", "dpsi", "sub")
+
+    def __init__(self, phi, order):
+        w = self.working_order = order + 1
+        phi_w = [p.padded(w) for p in phi]
+        psi = series_inverse(phi_w)
+        self.order = order
+        self.dphi, self.dpsi = (_jacobian(jets, w) for jets in (phi_w, psi))
+        self.sub = Substitution(psi)
+
+    @classmethod
+    def at(cls, change, order):
+        """``change`` if it is a ChartChange for ``order``; a list of n jets
+        is wrapped in a new one."""
+        if not isinstance(change, cls):
+            return cls(change, order)
+        if change.order != order:
+            raise JetError(f"chart change built for order {change.order}, "
+                           f"used at order {order}")
+        return change
+
+
+def transform_structure(s: AlmostComplexStructure, change) -> AlmostComplexStructure:
     """Push the structure through the coordinate change Z = phi(z).
 
-    ``phi`` lists the n jets of the new coordinates (polynomial germs); the
+    ``change`` is a ``ChartChange`` built for ``s.order`` or the n jets of
+    the new coordinates (polynomial germs), which are wrapped in one.  The
     matrix transforms by conjugation with the Jacobian and composition with
-    the inverse germ.  Working one order above the truncation keeps every
-    reported degree trustworthy.
+    the inverse germ, at the change's working order ``s.order + 1``, which
+    keeps every degree <= ``s.order`` trustworthy.
     """
-    w = max(s.order, max(p.order for p in phi)) + 1
-    phi_w = [p.padded(w) for p in phi]
-    psi = series_inverse(phi_w)
-    dphi = _jacobian(phi_w, w)
-    dpsi = _jacobian(psi, w)
-    m = s.matrix().with_order(w)
-    sub = Substitution(psi)
-    m_of_psi = m.compose(sub)
-    dphi_of_psi = dphi.compose(sub)
-    m_new = dphi_of_psi @ m_of_psi @ dpsi
+    change = ChartChange.at(change, s.order)
+    m_of_psi = s.matrix().with_order(change.working_order).compose(change.sub)
+    dphi_of_psi = change.dphi.compose(change.sub)
+    m_new = dphi_of_psi @ m_of_psi @ change.dpsi
     n = s.n
     a_new = JetMatrix([[m_new[i, j].truncated(s.order) for j in range(n)]
                        for i in range(n)])

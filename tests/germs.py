@@ -6,6 +6,8 @@ degree of bracket tables and form matrices."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from acgeom.chern import HermitianData, MatrixForm
@@ -27,6 +29,20 @@ def b_normal(fam, n, order) -> AlmostComplexStructure:
     if not residual <= 1e-10:   # a NaN residual fails too
         raise JetError(f"reconstructed structure violates J^2 = -I ({residual:.2e})")
     return s
+
+
+def jets_sha256(*groups):
+    """sha256 over each group of jets of (order, effective order, terms) per
+    jet; ``repr`` of a float round-trips, so equal digests mean equal bits."""
+    h = hashlib.sha256()
+    for jets in groups:
+        h.update(repr([(e.order, e.effective_order, e.terms) for e in jets]).encode())
+    return h.hexdigest()
+
+
+def flat_entries(m: JetMatrix):
+    """The entries of a jet matrix, row by row."""
+    return [e for row in m.entries for e in row]
 
 
 def fix_j0(n=2, order=4) -> AlmostComplexStructure:

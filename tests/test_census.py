@@ -204,6 +204,28 @@ def test_every_uncalled_definition_is_allowlisted():
     assert all(reason.strip() for reason in ALLOWLIST.values())
 
 
+def _call_sites(name):
+    """(module, top-level definition, method) of every call of ``name`` in
+    ``src/acgeom``; a part that does not apply is None."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for sub in node.body if isinstance(node, ast.ClassDef) else [None]:
+                where = (path.stem, getattr(node, "name", None), getattr(sub, "name", None))
+                sites += [where for call in ast.walk(sub or node)
+                          if isinstance(call, ast.Call)
+                          and name in (getattr(call.func, "id", None),
+                                       getattr(call.func, "attr", None))]
+    return sites
+
+
+def test_one_padding_rule():
+    # the working order, the inverse germ and the Jacobians of a coordinate
+    # change are built in one place, so no transport keeps its own copy
+    for name in ("series_inverse", "_jacobian"):
+        assert _call_sites(name) == [("structure", "ChartChange", "__init__")], name
+
+
 def test_every_exported_name_resolves():
     assert len(set(acgeom.__all__)) == len(acgeom.__all__)
     missing = [name for name in acgeom.__all__ if not hasattr(acgeom, name)]

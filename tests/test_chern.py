@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from acgeom import chern
+from acgeom import chern, jets, normal, structure
 from acgeom.chern import (ChernLeviCivita, HermitianData, LeviCivita,
                           antisymmetrize_metric_linear,
                           almost_holomorphic_identities,
@@ -22,9 +22,9 @@ from acgeom.jets import Jet, JetError, JetMatrix
 from acgeom.structure import VectorField, torsion_tensor
 
 from conftest import random_jet
-from germs import (FIX_B_VALUE, fix_b, fix_b3, fix_j0, form_matrix_max_abs,
-                   matrix_eval, metric_from_families, random_b_normal,
-                   random_deformation)
+from germs import (FIX_B_VALUE, fix_b, fix_b3, fix_j0, flat_entries,
+                   form_matrix_max_abs, jets_sha256, matrix_eval,
+                   metric_from_families, random_b_normal, random_deformation)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -631,17 +631,63 @@ class TestSymplecticNormalize:
             symplectic_normalize(calc_j0, make_nonclosed_metric(), n_order=3)
 
     def test_antisymmetrize_general_metric(self, calc_b):
-        lin = np.zeros((2, 2, 2), dtype=complex)
-        lin[0, 1, 0] = 0.2
-        lin[1, 0, 1] = -0.1 + 0.04j
-        hd = metric_from_families(2, 4, lin=lin)
-        out = antisymmetrize_metric_linear(calc_b, hd, n_order=3)
+        out = antisymmetrize_metric_linear(calc_b, _general_for_b(), n_order=3)
         new_lin = out.metric.H.family(1, 0)
         sym = 0.5 * (new_lin + new_lin.transpose(1, 0, 2))
         assert np.abs(sym).max() < 1e-11
         assert out.b1_deviation < 1e-11
         from acgeom.normal import pattern_violation
         assert pattern_violation(out.structure, max_degree=3) < 1e-11
+
+
+# sha256 of the metric coefficients and the accumulated change on fix_b
+# (n_order = 3), from ``germs.jets_sha256``.  The structure and the metric are
+# both transported at the working order N + 1; at N the top degree of the
+# metric moves and these fail.
+METRIC_CHANGE_DIGESTS = {
+    "antisymmetrize":
+        "6071a16bbbd8a0e5949ace708aff36329c08312cf1840cb1ab260d862ea47e94",
+    "symplectic":
+        "3781914a2a653978682095ab60058b9696e619a23d6fd2548064111a94e916e6",
+}
+
+
+def _general_for_b():
+    lin = np.zeros((2, 2, 2), dtype=complex)
+    lin[0, 1, 0] = 0.2
+    lin[1, 0, 1] = -0.1 + 0.04j
+    return metric_from_families(2, 4, lin=lin)
+
+
+@pytest.mark.parametrize("kind", sorted(METRIC_CHANGE_DIGESTS))
+def test_metric_change_bits(calc_b, kind):
+    if kind == "symplectic":
+        out = symplectic_normalize(calc_b, _symplectic_for_b(), n_order=3)
+    else:
+        out = antisymmetrize_metric_linear(calc_b, _general_for_b(), n_order=3)
+    assert jets_sha256(flat_entries(out.metric.H), out.phi) == METRIC_CHANGE_DIGESTS[kind]
+
+
+def test_one_series_inverse_per_chart_change(monkeypatch, calc_b):
+    # one change for the quadratic phi, shared by the structure and the
+    # metric, one per changed normalization stage (two on fix_b) and one for
+    # the metric's move by the normalizing phi
+    calls, builds = [], []
+    inverse, init = jets.series_inverse, structure.ChartChange.__init__
+
+    def counting_inverse(phi):
+        calls.append(phi)
+        return inverse(phi)
+
+    def counting_init(self, phi, order):
+        builds.append(order)
+        init(self, phi, order)
+    for module in (jets, structure, normal, chern):
+        if hasattr(module, "series_inverse"):
+            monkeypatch.setattr(module, "series_inverse", counting_inverse)
+    monkeypatch.setattr(structure.ChartChange, "__init__", counting_init)
+    symplectic_normalize(calc_b, _symplectic_for_b(), n_order=3)
+    assert len(calls) == len(builds) == 4
 
 
 class TestHermitianPointwise:

@@ -13,7 +13,7 @@ from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
 from acgeom.structure import torsion_tensor
 
 from germs import (FIX_B_VALUE, b_normal, fix_b, fix_b2, fix_b3, fix_j0,
-                   random_b_normal, random_deformation)
+                   flat_entries, jets_sha256, random_b_normal, random_deformation)
 
 
 def exact_b_family(n=2):
@@ -201,6 +201,13 @@ class TestNormalize:
             res = normalize_to_order(s, 3)
             assert res.violation < 1e-11
             assert res.structure.validate().max_residual < 1e-11
+
+    def test_generic_n3_bits(self):
+        # sha256 of phi and of B's coefficients, from ``germs.jets_sha256``:
+        # the report-byte pins cover n <= 2 only
+        res = normalize_to_order(random_deformation(1, n=3, order=4), 4)
+        assert jets_sha256(res.phi, flat_entries(res.structure.B)) == \
+            "b8935b4b386b70e48ba757836a0d4ab56dc73f405e573c638e38fa1a667b728c"
 
     def test_idempotent_on_normal_input(self):
         s = fix_b()

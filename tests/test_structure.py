@@ -3,7 +3,7 @@ import pytest
 
 from acgeom.jets import QC, Jet, JetError, JetMatrix
 from acgeom.normal import normalize_to_order
-from acgeom.structure import (AlmostComplexStructure, VectorField, adapt_linear,
+from acgeom.structure import (AlmostComplexStructure, ChartChange, VectorField, adapt_linear,
                               bracket_coefficients, frame_and_dual,
                               nijenhuis_check, torsion_tensor, transform_structure)
 
@@ -266,6 +266,11 @@ class TestTransform:
                Jet.variable(2, 4, 1)]
         t = transform_structure(s, phi)
         assert t.validate().max_residual < 1e-11
+
+    def test_chart_change_for_another_order_rejected(self):
+        phi = [Jet.variable(2, 4, k) for k in range(2)]
+        with pytest.raises(JetError, match="built for order 3"):
+            transform_structure(fix_b(), ChartChange(phi, 3))
 
     def test_singular_jacobian_rejected(self):
         s = fix_j0()
