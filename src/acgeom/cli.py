@@ -23,8 +23,9 @@ import numpy as np
 from . import chern, geodesic, normal
 from .forms import FrameCalculus, fundamental_identities_check
 from .jets import Jet, JetError, JetMatrix, QC, nan_max, zero_coefficients
-from .structure import (AlmostComplexStructure, structure_from_deformation,
-                        torsion_tensor, nijenhuis_check)
+from .structure import (AlmostComplexStructure, ValidationReport,
+                        structure_from_deformation, torsion_tensor,
+                        nijenhuis_check)
 
 REPORT_SCHEMA = "acgeom-report/1"
 STRUCTURE_KINDS = ("J0", "B-normal", "deformation")
@@ -50,8 +51,13 @@ class ManifoldSpec:
 
     @functools.cached_property
     def structure(self) -> AlmostComplexStructure:
-        """The structure the spec describes, built and J^2-checked once."""
+        """The structure the spec describes, built once."""
         return build_structure(self)
+
+    @functools.cached_property
+    def validation(self) -> ValidationReport:
+        """The J^2 report of ``structure``, which parsing checks once."""
+        return self.structure.validate()
 
     def to_document(self):
         return {
@@ -120,7 +126,7 @@ def _list(path, x):
     return x
 
 
-def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
+def parse_manifold_spec(text, name) -> ManifoldSpec:
     """Parse and validate a chart-germ document (JSON text)."""
     try:
         doc = json.loads(text)
@@ -161,7 +167,10 @@ def parse_manifold_spec(text, name="inline") -> ManifoldSpec:
     ms = ManifoldSpec(n=n, order=order, kind=kind, structure_entries=entries,
                       metric_entries=metric_entries,
                       seed=seed, name=name)
-    ms.structure   # validation includes the J^2 residual check
+    residual = ms.validation.max_residual
+    if not residual <= 1e-9:   # a NaN residual fails too
+        raise SpecError("$.structure",
+                        f"J^2 residual {residual:.2e} over threshold")
     return ms
 
 
@@ -188,17 +197,11 @@ def _family_from_entries(entries, n, exact=False):
 
 def build_structure(ms: ManifoldSpec) -> AlmostComplexStructure:
     if ms.kind == "J0":
-        s = AlmostComplexStructure.standard(ms.n, ms.order)
-    elif ms.kind == "B-normal":
+        return AlmostComplexStructure.standard(ms.n, ms.order)
+    if ms.kind == "B-normal":
         fam = _family_from_entries(ms.structure_entries, ms.n)
-        s = normal.structure_from_b_family(fam, ms.n, ms.order)
-    else:
-        s = structure_from_deformation(ms.n, ms.order, seed=ms.seed)
-    residual = s.validate().max_residual
-    if not residual <= 1e-9:   # a NaN residual fails too
-        raise SpecError("$.structure",
-                        f"J^2 residual {residual:.2e} over threshold")
-    return s
+        return normal.structure_from_b_family(fam, ms.n, ms.order)
+    return structure_from_deformation(ms.n, ms.order, seed=ms.seed)
 
 
 def build_metric(ms: ManifoldSpec) -> chern.HermitianData:
@@ -287,8 +290,7 @@ def _row(check, residual, tol, value=None):
 
 
 def _cmd_validate(ms, opts, payload):
-    s = ms.structure
-    rep = s.validate()
+    s, rep = ms.structure, ms.validation
     rows = [
         _row("J^2 square-block residual", rep.residual_square, opts.tol),
         _row("J^2 mixed-block residual", rep.residual_mixed, opts.tol),
@@ -307,7 +309,7 @@ def _exact_a_crosscheck(ms):
     # every term of the solver's A, the constant iI included, must equal the
     # closed form's; a term the closed form does not have is a mismatch
     a = normal.solve_a_degree_by_degree(b)
-    want = normal.a_from_b_family(fam, n, order, exact=True)
+    want = normal.a_from_b_family(fam, n, order)
     same = all(a[k, l] == want[k, l] for k in range(n) for l in range(n))
     return 0.0 if same else 1.0
 

@@ -93,7 +93,7 @@ class FrameCalculus:
     def function(self, f: Jet):
         return PQForm(self, 0, 0, {((), ()): f})
 
-    def monomial_forms(self, max_degree=2):
+    def monomial_forms(self, max_degree):
         """All basis wedge monomials of total degree <= max_degree."""
         out = []
         for p in range(max_degree + 1):
@@ -305,7 +305,7 @@ class MixedForm:
         self.calc = calc
         self.components = {}
 
-    def _absorb(self, form, sign=1.0):
+    def _absorb(self, form, sign):
         if not form.coeffs:
             return
         key = (form.p, form.q)

@@ -116,7 +116,7 @@ class QC:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
@@ -203,7 +203,7 @@ def _as_qc(x):
     return got
 
 
-def zero_coefficients(shape, exact=False):
+def zero_coefficients(shape, exact):
     """Array of zero coefficients: complex, or of ``QC(0)`` when exact."""
     if exact:
         return np.full(shape, QC(0), dtype=object)
@@ -405,7 +405,7 @@ class Jet:
 
     __slots__ = ("n", "order", "effective_order", "exact", "_terms", "_pack")
 
-    def __init__(self, n, order, terms=None, exact=False):
+    def __init__(self, n, order, terms, exact=False):
         _check_layout(n, order)
         self.n, self.order, self.exact = n, order, exact
         self.effective_order = order

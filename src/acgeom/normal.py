@@ -1,16 +1,14 @@
 """Almost-complex normal coordinates of order N.
 
-Implements the stagewise normalization of the structure blocks, the closed
-combinatorial formula reconstructing A from the B coefficient family, an
-independent degree-by-degree solver of A^2 = -I - conj(B) B used as oracle,
-the order-one torsion jet in normal coordinates, and invariance under
-top-degree holomorphic changes.
+Implements the stagewise normalization of the structure blocks, the
+degree-by-degree solver of A^2 = -I - conj(B) B that builds A from a normal
+B family, the paper's closed combinatorial formula for A, kept as the exact
+check of that solver, the order-one torsion jet in normal coordinates, and
+invariance under top-degree holomorphic changes.
 
-The closed formula is evaluated from one table per B family
-(``ClosedFormA``): its conj(B) B factor products and its memo of ordered
-chain sums do not depend on the target coefficient, so every coefficient
-of a family reads the same table.  ``a_from_b_closed_form`` is the same
-table built for a single target.
+The closed formula is exact only and is evaluated from one table per B
+family (``ClosedFormA``): its conj(B) B factor products and its memo of
+ordered chain sums serve every target coefficient.
 """
 
 from __future__ import annotations
@@ -63,14 +61,13 @@ class ClosedFormA:
     family and read by every target (alpha, beta) with |alpha| + |beta| <=
     ``max_degree``.  A factor above ``max_degree`` fits no such target and
     is left out.  A factor's matrix product is formed the first time a chain
-    uses it.
+    uses it.  The family's entries are exact (``QC``).
     """
 
-    def __init__(self, bfam, n, exact, max_degree):
-        self.n, self.exact, self.max_degree = n, exact, max_degree
-        dtype = object if exact else complex
+    def __init__(self, bfam, n, max_degree):
+        self.n, self.max_degree = n, max_degree
         keys = [k for k in bfam if sum(k[0]) >= 1]
-        self._mats = [np.asarray(bfam[k], dtype=dtype) for k in keys]
+        self._mats = [np.asarray(bfam[k], dtype=object) for k in keys]
         self._conj = [m.conjugate() for m in self._mats]
         degrees = [sum(k[0]) + sum(k[1]) for k in keys]
         self._factors = []
@@ -131,32 +128,37 @@ class ClosedFormA:
         if total > self.max_degree:
             raise JetError(f"target degree {total} exceeds the table's "
                            f"max_degree {self.max_degree}")
-        exact = self.exact
-        out = zero_coefficients((self.n, self.n), exact)
+        out = zero_coefficients((self.n, self.n), True)
         for k in range(1, total // 2 + 1):
             chain = self._ordered_sum(alpha, beta, k)
             if chain is None:
                 continue
             catalan = math.comb(2 * (k - 1), k - 1) // k
-            if exact:
-                weight = QC(Fraction(catalan, (-4) ** (k - 1)))
-            else:
-                weight = catalan * (-4.0) ** (-(k - 1))
-            out = out + weight * chain
+            out = out + QC(Fraction(catalan, (-4) ** (k - 1))) * chain
         return out
 
 
 def a_from_b_closed_form(bfam, alpha, beta, n):
-    """Coefficient matrix A^{alpha,beta} of the A-expansion from the B family
-    (see ``ClosedFormA``); builds a float table for this one target."""
-    return ClosedFormA(bfam, n, False, sum(alpha) + sum(beta))(alpha, beta)
+    """Complex matrix A^{alpha,beta} of a float B family: the exact table
+    (``ClosedFormA``) for this one target, built on the exact binary values
+    of the floats, with only the result rounded.  It stays because the
+    benchmark's tracer spans it by name; the tool does not call it."""
+    exact = {key: [[QC(Fraction(c.real), Fraction(c.imag)) for c in row]
+                   for row in np.asarray(mat, dtype=complex)]
+             for key, mat in bfam.items()}
+    table = ClosedFormA(exact, n, sum(alpha) + sum(beta))
+    return np.array([[complex(c) for c in row] for row in table(alpha, beta)],
+                    dtype=complex)
 
 
 def solve_a_degree_by_degree(b: JetMatrix) -> JetMatrix:
-    """Oracle: solve A^2 = -I - conj(B) B for A = iI + S degree by degree.
+    """Solve A^2 = -I - conj(B) B for A = iI + S degree by degree.
 
-    The recursion S = (i/2)(conj(B) B + S^2) gains one trusted degree per
-    sweep; it is exact in rational mode.
+    It runs the recursion S = (i/2)(R + S^2), R = conj(B) B.  R and S have
+    no terms below degree 2, so sweep j settles every degree up to 2j + 1.
+    In float it builds A for ``structure_from_b_family``; in rational mode
+    it is the exact oracle that ``validate --exact`` checks against the
+    closed formula.
     """
     n, order, exact = b.rows, b.order, b.exact
     r = b.conj() @ b
@@ -172,9 +174,9 @@ def solve_a_degree_by_degree(b: JetMatrix) -> JetMatrix:
 def structure_from_b_family(bfam, n, order) -> AlmostComplexStructure:
     """Build the structure whose B expansion is the given normal family.
 
-    A is reconstructed with the closed formula; the result satisfies both
-    block constraints of J^2 = -I up to truncation, which
-    ``cli.build_structure`` checks.
+    A is solved from B by ``solve_a_degree_by_degree``; the result
+    satisfies both block constraints of J^2 = -I up to truncation, which
+    ``cli.parse_manifold_spec`` checks.
     """
     for alpha, beta in bfam:
         if sum(alpha) + sum(beta) > order:
@@ -184,32 +186,20 @@ def structure_from_b_family(bfam, n, order) -> AlmostComplexStructure:
     b = JetMatrix.from_coefficients(
         {key: np.asarray(mat, dtype=complex) for key, mat in bfam.items()},
         n, n, n, order)
-    return AlmostComplexStructure(a_from_b_family(bfam, n, order), b)
+    return AlmostComplexStructure(solve_a_degree_by_degree(b), b)
 
 
-def a_from_b_family(bfam, n, order, exact=False) -> JetMatrix:
-    """The A block iI + (i/2) sum A^{alpha,beta} z^alpha zbar^beta of the
-    closed form through degree ``order``; every coefficient (|alpha|,
-    |beta| >= 1) is read from one table of the family."""
-    table = ClosedFormA(bfam, n, exact, order)
-    i_unit, half_i = (QC(0, 1), QC(0, Fraction(1, 2))) if exact else (1j, 0.5j)
-    ident = zero_coefficients((n, n), exact)
-    for k in range(n):
-        ident[k, k] = i_unit
-    fam = {((0,) * n, (0,) * n): ident}
-    for alpha in _exponent_vectors(n, order):
-        da = sum(alpha)
-        if da < 1:
-            continue
-        for beta in _exponent_vectors(n, order - da):
-            if sum(beta) < 1:
-                continue
-            mat = table(alpha, beta)
-            # scaled one nonzero scalar at a time, as numpy may fuse an array
-            # product and exact products cost four Fraction products each
-            fam[(alpha, beta)] = np.array([[half_i * c if c else c for c in row]
-                                           for row in mat], dtype=mat.dtype)
-    return JetMatrix.from_coefficients(fam, n, n, n, order, exact=exact)
+def a_from_b_family(bfam, n, order) -> JetMatrix:
+    """The exact A block iI + (i/2) sum A^{alpha,beta} z^alpha zbar^beta of
+    the closed form through degree ``order``; every coefficient (|alpha|,
+    |beta| >= 1) is read from one table of the exact family."""
+    table = ClosedFormA(bfam, n, order)
+    fam = {(alpha, beta): table(alpha, beta)
+           for alpha in _exponent_vectors(n, order) if sum(alpha) >= 1
+           for beta in _exponent_vectors(n, order - sum(alpha)) if sum(beta) >= 1}
+    s = JetMatrix.from_coefficients(fam, n, n, n, order, exact=True)
+    ident = JetMatrix.identity(n, n, order, exact=True)
+    return ident * QC(0, 1) + s * QC(0, Fraction(1, 2))
 
 
 def extract_a_family(s: AlmostComplexStructure):

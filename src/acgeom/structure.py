@@ -439,7 +439,7 @@ def adapt_linear(s: AlmostComplexStructure):
     return transform_structure(s, phi), phi
 
 
-def structure_from_deformation(n, order, seed=0):
+def structure_from_deformation(n, order, seed):
     """Seeded test generator: J = (I+P) J0 (I+P)^{-1} with P a small real
     perturbation (six terms of degree <= 2, coefficients 0.08 times a
     complex normal), then a linear adaptation at the origin."""

@@ -7,6 +7,10 @@ degree of bracket tables and form matrices."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +23,22 @@ from acgeom.structure import (AlmostComplexStructure, BracketCoefficients,
                               structure_from_deformation)
 
 FIX_B_VALUE = 0.3 + 0.1j
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def bench_b_normal_spec(n, order, max_degree, seed):
+    """JSON text of the benchmark's dense dyadic B-normal spec for the cell
+    (n, N, degree) and ``seed``, as ``perfbench/workloads.py`` (loaded
+    read-only) draws it for its ``exact-oracle`` tasks."""
+    name = "perfbench_workloads"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module     # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    rng = np.random.default_rng([seed, n, order, max_degree])
+    return json.dumps(module.b_normal_document(n, order, max_degree, rng))
 
 
 def b_normal(fam, n, order) -> AlmostComplexStructure:

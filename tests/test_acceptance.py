@@ -77,7 +77,7 @@ def test_criterion_2_structure_constraints():
     b = JetMatrix.from_coefficients(fam, n, n, n, order, exact=True)
     a = normal.solve_a_degree_by_degree(b)
     half_i = QC(0, "1/2")
-    closed_form = normal.ClosedFormA(fam, n, True, order)
+    closed_form = normal.ClosedFormA(fam, n, order)
     mismatches = 0
     for alpha in _exponent_vectors(n, order):
         if sum(alpha) < 1:
@@ -295,7 +295,7 @@ def test_criterion_10_cli():
     deterministic = json_outs[0] == json_outs[1]
     from acgeom.cli import serialize_manifold_spec
     round_trip = serialize_manifold_spec(
-        parse_manifold_spec(serialize_manifold_spec(ms))) \
+        parse_manifold_spec(serialize_manifold_spec(ms), name="fix_b")) \
         == serialize_manifold_spec(ms)
     rc_pass = main(["validate", os.path.join(MANIFESTS, "fix_b.json")])
     rc_fail = main(["geodesic", os.path.join(MANIFESTS, "fix_b.json"),

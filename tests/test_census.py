@@ -12,7 +12,9 @@ Options get the same rule: every defaulted parameter of a function or method
 of ``src/acgeom`` is passed, by keyword or by position, by some call in
 ``src/`` (outside ``__init__.py``) or ``perfbench/`` to a function of its
 name.  A value that only tests pass is a test knob: the tool's value becomes
-the code, and a test that needs another value builds it in ``tests/``.
+the code, and a test that needs another value builds it in ``tests/``.  The
+converse holds too: some such call omits the parameter, so that the default
+is a value the tool relies on, not one that only tests leave out.
 
 The test side has its own census: every name a module of ``tests/`` imports
 is used in that module.
@@ -73,6 +75,11 @@ OPTION_ALLOWLIST = {
         "forms.apply_operator passes it through its derive pair, as for "
         "zeta_derive",
 }
+
+
+# The defaulted parameters that every call in src/ and perfbench/ passes,
+# each with its reason.  The list can only shrink, as ALLOWLIST does.
+DEFAULT_ALLOWLIST = {}
 
 
 def _definitions():
@@ -154,16 +161,23 @@ def _options():
 
 def _calls():
     """{called name: [ast.Call]} over ``src/acgeom`` outside ``__init__.py``
-    and ``perfbench/``."""
+    and ``perfbench/``.  A ``cls(...)`` call in the body of class C is a
+    call of C, so a classmethod that builds its class counts."""
     files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     files += sorted(PERFBENCH.rglob("*.py"))
     calls = {}
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk is breadth first, so a nested class overrides its owner
+        owner = {id(node): c.name for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for node in ast.walk(c)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else \
                     func.attr if isinstance(func, ast.Attribute) else None
+                if name == "cls":
+                    name = owner.get(id(node), name)
                 calls.setdefault(name, []).append(node)
     return calls
 
@@ -177,21 +191,41 @@ def _passes(call, param, index):
     return any(kw.arg in (param, None) for kw in call.keywords)
 
 
-def test_every_option_has_a_tool_setter():
+def _flagged_options(ok):
+    """``qual(param)`` of each defaulted parameter outside ``ALLOWLIST`` for
+    which ``ok`` fails on the list of whether each call of its function
+    passes it."""
     calls = _calls()
     flagged = set()
     for qual, called, param, index in _options():
         function = qual.rsplit(".", 1)[0] if qual.endswith(".__init__") else qual
         if function in ALLOWLIST:
             continue
-        if not any(_passes(c, param, index) for c in calls.get(called, [])):
+        if not ok([_passes(c, param, index) for c in calls.get(called, [])]):
             flagged.add(f"{qual}({param})")
+    return flagged
+
+
+def test_every_option_has_a_tool_setter():
+    flagged = _flagged_options(any)
     new = sorted(flagged - set(OPTION_ALLOWLIST))
     assert not new, ("defaulted parameters no call in src/ or perfbench/ "
                      f"passes (make the tool's value the code): {new}")
     stale = sorted(set(OPTION_ALLOWLIST) - flagged)
     assert not stale, f"allowlisted options now passed or gone (drop them): {stale}"
     assert all(reason.strip() for reason in OPTION_ALLOWLIST.values())
+
+
+def test_every_default_is_relied_on():
+    # the converse: a default that every call overrides is a value no caller
+    # needs, so the parameter is required
+    flagged = _flagged_options(lambda passed: not all(passed))
+    new = sorted(flagged - set(DEFAULT_ALLOWLIST))
+    assert not new, ("defaulted parameters every call in src/ and perfbench/ "
+                     f"passes (make them required): {new}")
+    stale = sorted(set(DEFAULT_ALLOWLIST) - flagged)
+    assert not stale, f"allowlisted defaults now relied on or gone (drop them): {stale}"
+    assert all(reason.strip() for reason in DEFAULT_ALLOWLIST.values())
 
 
 def test_every_uncalled_definition_is_allowlisted():

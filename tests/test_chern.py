@@ -646,9 +646,9 @@ class TestSymplecticNormalize:
 # metric moves and these fail.
 METRIC_CHANGE_DIGESTS = {
     "antisymmetrize":
-        "6071a16bbbd8a0e5949ace708aff36329c08312cf1840cb1ab260d862ea47e94",
+        "75f8e5776b9978d04464d78b37de33f847c185a6a7d9d0617b2f5b370f0a3cf5",
     "symplectic":
-        "3781914a2a653978682095ab60058b9696e619a23d6fd2548064111a94e916e6",
+        "63c42f50232afa318d815a76f1c76ab5890ade128e51644219bcfb206c628751",
 }
 
 

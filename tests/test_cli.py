@@ -5,9 +5,12 @@ import pytest
 
 from acgeom import normal
 from acgeom.jets import Jet, QC
+from acgeom.structure import AlmostComplexStructure
 from acgeom.cli import (COMMANDS, Options, Report, ReportRow, SpecError,
                         build_metric, build_structure, emit_report, main,
                         parse_manifold_spec, run_command, serialize_manifold_spec)
+
+from germs import bench_b_normal_spec
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -26,7 +29,7 @@ class TestParsing:
         assert s.validate().max_residual == 0
 
     def test_fix_b_structure_validates(self):
-        ms = parse_manifold_spec(fix_b_text())
+        ms = parse_manifold_spec(fix_b_text(), name="fix_b")
         s = build_structure(ms)
         assert s.validate().max_residual < 1e-12
 
@@ -41,14 +44,14 @@ class TestParsing:
         doc = json.loads(fix_b_text())
         doc["structure"]["entries"][0]["alpha"] = [0, 5]
         with pytest.raises(SpecError) as err:
-            parse_manifold_spec(json.dumps(doc))
+            parse_manifold_spec(json.dumps(doc), name="fix_b")
         assert "entries[0]" in str(err.value)
 
     def test_pattern_violation_rejected(self):
         doc = json.loads(fix_b_text())
         doc["structure"]["entries"][0]["l"] = 2   # l >= lmax(alpha) slot
         with pytest.raises(SpecError):
-            parse_manifold_spec(json.dumps(doc))
+            parse_manifold_spec(json.dumps(doc), name="fix_b")
 
     @pytest.mark.parametrize("where, field, value, path", [
         ((), "n", True, "$.n"),
@@ -71,7 +74,7 @@ class TestParsing:
         target = doc[where[0]]["entries"][where[1]] if where else doc
         target[field] = value
         with pytest.raises(SpecError) as err:
-            parse_manifold_spec(json.dumps(doc))
+            parse_manifold_spec(json.dumps(doc), name="fix_b")
         assert err.value.path == path
 
     @pytest.mark.parametrize("text, path", [
@@ -87,7 +90,7 @@ class TestParsing:
             "metric-array", "metric-entries-object"])
     def test_bad_shape_rejected_with_path(self, text, path):
         with pytest.raises(SpecError) as err:
-            parse_manifold_spec(text)
+            parse_manifold_spec(text, name="inline")
         assert err.value.path == path
 
     def test_parse_and_validate_build_the_structure_once(self, monkeypatch):
@@ -98,21 +101,49 @@ class TestParsing:
             calls.append(args)
             return build(*args, **kwargs)
         monkeypatch.setattr(normal, "structure_from_b_family", counting_build)
-        ms = parse_manifold_spec(fix_b_text())
+        ms = parse_manifold_spec(fix_b_text(), name="fix_b")
         report, _ = run_command("validate", ms, Options())
         assert report.passed
         assert len(calls) == 1
+
+    def test_parse_and_validate_check_j2_once(self, monkeypatch):
+        calls = []
+        check = AlmostComplexStructure.validate
+
+        def counting_check(s):
+            calls.append(s)
+            return check(s)
+        monkeypatch.setattr(AlmostComplexStructure, "validate", counting_check)
+        ms = parse_manifold_spec(fix_b_text(), name="fix_b")
+        report, _ = run_command("validate", ms, Options())
+        assert report.passed
+        assert len(calls) == 1
+
+    def test_only_the_exact_check_builds_the_closed_form(self, monkeypatch):
+        built = []
+
+        class CountingTable(normal.ClosedFormA):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+        monkeypatch.setattr(normal, "ClosedFormA", CountingTable)
+        dense = parse_manifold_spec(bench_b_normal_spec(2, 6, 6, seed=1),
+                                    name="bnormal-n2N6d6.json")
+        ms = parse_manifold_spec(fix_b_text(), name="fix_b")
+        assert dense.kind == ms.kind == "B-normal" and built == []
+        report, _ = run_command("validate", ms, Options(exact=True))
+        assert report.passed and len(built) == 1
 
     def test_bad_kind_rejected(self):
         doc = json.loads(fix_b_text())
         doc["structure"]["kind"] = "other"
         with pytest.raises(SpecError):
-            parse_manifold_spec(json.dumps(doc))
+            parse_manifold_spec(json.dumps(doc), name="fix_b")
 
     def test_metric_block(self):
         with open(os.path.join(MANIFESTS, "j0_symplectic.json"),
                   encoding="utf-8") as fh:
-            ms = parse_manifold_spec(fh.read())
+            ms = parse_manifold_spec(fh.read(), name="j0_symplectic")
         hd = build_metric(ms)
         lin = hd.H.family(1, 0)
         assert abs(lin[0, 0, 0] - 0.2) < 1e-14
@@ -120,8 +151,10 @@ class TestParsing:
 
 class TestOrderSix:
     def test_fix_b_parses_at_order_6(self):
-        # the closed-form A carries Catalan chain weights, so J^2 = -I holds
-        # through degree 6 (the old (-4)^-(k-1) weight missed it by |b|^6)
+        # A is solved from B, so J^2 = -I holds through degree 6, and
+        # --exact checks it against the closed form, whose Catalan chain
+        # weights first matter at degree 6 (the old (-4)^-(k-1) weight
+        # missed J^2 = -I by |b|^6)
         doc = json.loads(fix_b_text())
         doc["order"] = 6
         ms = parse_manifold_spec(json.dumps(doc), name="fix_b6")
@@ -156,9 +189,11 @@ class TestExactCrosscheck:
         solve = normal.solve_a_degree_by_degree
 
         def with_stray_term(b):
+            # parsing solves a float A too; only the exact oracle is perturbed
             a = solve(b)
-            a.entries[k][l] = a.entries[k][l] + Jet(
-                b.n, b.order, {key: QC(0, "1/1024")}, exact=True)
+            if b.exact:
+                a.entries[k][l] = a.entries[k][l] + Jet(
+                    b.n, b.order, {key: QC(0, "1/1024")}, exact=True)
             return a
 
         monkeypatch.setattr(normal, "solve_a_degree_by_degree", with_stray_term)

@@ -103,13 +103,13 @@ OPERATOR_DIGESTS = {
     ("deformation", "thetabar"):
         "3546cd82310b5f93649e1d8d81bea4197162c3ee09ee49e142f0e5172e80d4b1",
     ("fix_b", "del"):
-        "171210a60c0448a30adf43534a33db68909e85b536b86a757cdb3e64ca9b9e8e",
+        "9775b4981211cf385926def38911cd7b103a211760d5cd4c15134afc5df7fe36",
     ("fix_b", "delbar"):
-        "c45c24701bb171765a8881fd5ae23b0c5634638848d8f7e9b0317c1fece5abeb",
+        "ea9f80109f6bff660e9b0de3abeadcf310f9c4b028093314c1358dfc4908853c",
     ("fix_b", "theta"):
-        "bd55a6d9b3d836178ff3029a8067eacc0b0085885d2add23ff3f33f8f02c4551",
+        "c0a299d15529ea08ab81dbce7ae81d9c111be076436838fa49d5248e2854346b",
     ("fix_b", "thetabar"):
-        "62962e810f625ff59a117a0d0614bb0e8f6eb4cca94b7f6d2dc54ebe115ef021",
+        "9b70d257e063b1a8d5d07cc3ddf5c6975ffd8298f501eb248f165f3fe9cb5865",
 }
 
 

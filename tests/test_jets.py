@@ -683,8 +683,8 @@ class TestMonomialCodes:
         assert w.terms == {(multi_index(7, 6), multi_index(7, 6)): 1}
 
     @pytest.mark.parametrize("build", [
-        lambda: Jet(1, 16),
-        lambda: Jet(8, 2),
+        lambda: Jet(1, 16, {}),
+        lambda: Jet(8, 2, {}),
         lambda: Jet.constant(8, 2, 1.0),
         lambda: Jet.variable(1, 15, 0).with_order(16),
         lambda: Jet.variable(1, 15, 0).padded(16),

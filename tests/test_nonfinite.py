@@ -55,7 +55,7 @@ def _nan_metric(n, order):
 class TestNanJ2Residual:
     def test_rejected_at_parse(self):
         with pytest.raises(SpecError) as err:
-            parse_manifold_spec(NAN_J2_SPEC)
+            parse_manifold_spec(NAN_J2_SPEC, name="nan-j2")
         assert err.value.path == "$.structure"
 
     @pytest.mark.parametrize("square, mixed", [(math.nan, 0.0), (0.0, math.nan)])

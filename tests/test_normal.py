@@ -1,9 +1,11 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from acgeom.cli import parse_manifold_spec
 from acgeom.jets import Jet, JetError, JetMatrix, QC
 from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
                            lmax, normalize_to_order, pattern_violation,
@@ -12,8 +14,9 @@ from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
                            verify_holomorphic_invariance)
 from acgeom.structure import torsion_tensor
 
-from germs import (FIX_B_VALUE, b_normal, fix_b, fix_b2, fix_b3, fix_j0,
-                   flat_entries, jets_sha256, random_b_normal, random_deformation)
+from germs import (FIX_B_VALUE, b_normal, bench_b_normal_spec, fix_b, fix_b2,
+                   fix_b3, fix_j0, flat_entries, jets_sha256, random_b_normal,
+                   random_deformation)
 
 
 def exact_b_family(n=2):
@@ -70,17 +73,22 @@ def exact_b_matrix(fam, n, order):
                            exact=True) for l in range(n)] for k in range(n)])
 
 
-def same_matrix(got, want, exact):
-    """== entry by entry in exact mode, bitwise in float."""
-    if exact:
-        return bool((got == want).all())
-    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def one_target(fam, alpha, beta, n, exact):
+def one_target(fam, alpha, beta, n):
     """A^{alpha,beta} from a table built for this one target, as
     ``a_from_b_closed_form`` builds it."""
-    return ClosedFormA(fam, n, exact, sum(alpha) + sum(beta))(alpha, beta)
+    return ClosedFormA(fam, n, sum(alpha) + sum(beta))(alpha, beta)
+
+
+def closed_form_a(s):
+    """The A block iI + (i/2) sum A^{alpha,beta} z^alpha zbar^beta of the
+    closed form on the float B family of ``s``, each coefficient from
+    ``a_from_b_closed_form``."""
+    n, order, bfam = s.n, s.order, s.B.coefficients()
+    fam = {(alpha, beta): 0.5j * a_from_b_closed_form(bfam, alpha, beta, n)
+           for alpha, beta in exponent_pairs(n, order)
+           if sum(alpha) >= 1 and sum(beta) >= 1}
+    fam[((0,) * n, (0,) * n)] = 1j * np.eye(n)
+    return JetMatrix.from_coefficients(fam, n, n, n, order)
 
 
 class TestLmax:
@@ -108,16 +116,15 @@ class TestFormA:
         assert abs(got - 0.05j) < 1e-14
 
     def test_matches_degree_by_degree_solver_float(self):
+        # the parsed A is the solver's; the closed form checks it
         s = fix_b()
-        a_solved = solve_a_degree_by_degree(s.B)
-        assert (a_solved - s.A).max_abs() < 1e-13
+        assert (closed_form_a(s) - s.A).max_abs() < 1e-13
 
     def test_constraints_satisfied_for_random_family(self):
         for seed in (1, 2):
             s = random_b_normal(seed)
             assert s.validate().max_residual < 1e-12
-            a_solved = solve_a_degree_by_degree(s.B)
-            assert (a_solved - s.A).max_abs() < 1e-12
+            assert (closed_form_a(s) - s.A).max_abs() < 1e-12
 
     def test_exact_agreement_with_solver(self):
         # rational-arithmetic: closed formula == degree-by-degree solver,
@@ -131,7 +138,7 @@ class TestFormA:
             for alpha, beta in exponent_pairs(n, order):
                 if sum(alpha) < 1 or sum(beta) < 1:
                     continue
-                closed = one_target(fam, alpha, beta, n, True)
+                closed = one_target(fam, alpha, beta, n)
                 for k in range(n):
                     for l in range(n):
                         want = half_i * closed[k, l]
@@ -146,44 +153,62 @@ class TestClosedFormTable:
     CELLS = [(2, 6, dense_exact_family(2, 3, seed=1)),
              (3, 4, dense_exact_family(3, 3, seed=2))]
 
-    @pytest.mark.parametrize("exact", [True, False])
-    @pytest.mark.parametrize("n, order, fam", CELLS)
-    def test_shared_table_equals_one_target_evaluation(self, n, order, fam, exact):
-        fam = fam if exact else to_float_family(fam)
-        table = ClosedFormA(fam, n, exact, order)
+    # the ids keep the names the exact cases had beside their float twins
+    IDS = ["2-6-fam0-True", "3-4-fam1-True"]
+
+    @pytest.mark.parametrize("n, order, fam", CELLS, ids=IDS)
+    def test_shared_table_equals_one_target_evaluation(self, n, order, fam):
+        table = ClosedFormA(fam, n, order)
         # read from the top degree down, so that most reads hit chain sums
         # another target put into the memo
         targets = [(a, b) for a, b in exponent_pairs(n, order)
                    if sum(a) >= 1 and sum(b) >= 1][::-1]
         for alpha, beta in targets:
-            want = one_target(fam, alpha, beta, n, True) if exact \
-                else a_from_b_closed_form(fam, alpha, beta, n)
-            assert same_matrix(table(alpha, beta), want, exact), (alpha, beta)
+            want = one_target(fam, alpha, beta, n)
+            assert (table(alpha, beta) == want).all(), (alpha, beta)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    @pytest.mark.parametrize("n, order, fam", CELLS)
-    def test_pruned_table_equals_unpruned(self, n, order, fam, exact):
-        fam = fam if exact else to_float_family(fam)
-        pruned = ClosedFormA(fam, n, exact, order)
-        full = ClosedFormA(fam, n, exact, 2 * order)   # keeps every factor
+    @pytest.mark.parametrize("n, order, fam", CELLS, ids=IDS)
+    def test_pruned_table_equals_unpruned(self, n, order, fam):
+        pruned = ClosedFormA(fam, n, order)
+        full = ClosedFormA(fam, n, 2 * order)   # keeps every factor
         for alpha, beta in exponent_pairs(n, order):
-            assert same_matrix(pruned(alpha, beta), full(alpha, beta), exact), \
-                (alpha, beta)
+            assert (pruned(alpha, beta) == full(alpha, beta)).all(), (alpha, beta)
 
     def test_family_matches_exact_solver_at_order_six(self):
         # chains of up to three factors, each memo entry read for every
         # number of remaining factors
         n, order, fam = self.CELLS[0]
         a = solve_a_degree_by_degree(exact_b_matrix(fam, n, order))
-        want = a_from_b_family(fam, n, order, exact=True)
+        want = a_from_b_family(fam, n, order)
         for k in range(n):
             for l in range(n):
                 assert a[k, l] == want[k, l], (k, l)
 
     def test_target_above_max_degree_rejected(self):
-        table = ClosedFormA(to_float_family(exact_b_family()), 2, False, 3)
+        table = ClosedFormA(exact_b_family(), 2, 3)
         with pytest.raises(JetError):
             table((1, 1), (0, 2))
+
+
+class TestParsedA:
+    def test_dyadic_cell_equals_exact_closed_form(self):
+        # the benchmark's seed-1 (2, 6, 6) cell: degree-6 targets carry
+        # chains of three factors (Catalan weight 2); on its dyadic B the
+        # float A that parsing solves has the exact closed form's keys and
+        # values
+        n, order = 2, 6
+        text = bench_b_normal_spec(n, order, 6, seed=1)
+        parsed = parse_manifold_spec(text, name="bnormal-n2N6d6.json").structure.A
+        fam = {}
+        for e in json.loads(text)["structure"]["entries"]:
+            key = (tuple(e["alpha"]), tuple(e["beta"]))
+            mat = fam.setdefault(key, np.full((n, n), QC(0), dtype=object))
+            mat[e["k"] - 1, e["l"] - 1] = QC(Fraction(e["re"]), Fraction(e["im"]))
+        want = a_from_b_family(fam, n, order)
+        for k in range(n):
+            for l in range(n):
+                assert parsed[k, l].terms == \
+                    {key: complex(c) for key, c in want[k, l].terms.items()}, (k, l)
 
 
 class TestNormalize:
