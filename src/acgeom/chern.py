@@ -59,10 +59,6 @@ class HermitianData:
                 raise JetError("metric constant term is not positive definite")
 
     @classmethod
-    def identity(cls, n, order):
-        return cls(JetMatrix.identity(n, n, order), check=False)
-
-    @classmethod
     def from_matrix(cls, h: JetMatrix, symmetrize=True):
         return cls(_hermitian_part(h) if symmetrize else h)
 

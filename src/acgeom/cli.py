@@ -297,19 +297,31 @@ def _cmd_validate(ms, opts, payload):
         _row("adapted at origin", 0.0 if s.is_adapted(1e-10) else 1.0, 0.0),
     ]
     if opts.exact and ms.kind == "B-normal":
+        fam = _family_from_entries(ms.structure_entries, ms.n, exact=True)
+        b = JetMatrix.from_coefficients(fam, ms.n, ms.n, ms.n, ms.order, exact=True)
+        a = normal.solve_a_degree_by_degree(b)
+        rows.append(_row("parsed A vs exact solver", _parsed_a_deviation(s.A, a),
+                         opts.tol))
         rows.append(_row("closed-form A vs exact solver",
-                         _exact_a_crosscheck(ms), 0.0))
+                         _exact_a_crosscheck(fam, a), 0.0))
     return rows
 
 
-def _exact_a_crosscheck(ms):
-    n, order = ms.n, ms.order
-    fam = _family_from_entries(ms.structure_entries, n, exact=True)
-    b = JetMatrix.from_coefficients(fam, n, n, n, order, exact=True)
+def _parsed_a_deviation(parsed, exact):
+    """Largest |parsed - exact rounded to complex| over the terms of either
+    A, entry by entry."""
+    n = parsed.rows
+    return nan_max(abs(p.get(key, 0) - complex(q.get(key, 0)))
+                   for k in range(n) for l in range(n)
+                   for p, q in [(parsed[k, l].terms, exact[k, l].terms)]
+                   for key in p.keys() | q.keys())
+
+
+def _exact_a_crosscheck(fam, a):
+    n = a.rows
     # every term of the solver's A, the constant iI included, must equal the
     # closed form's; a term the closed form does not have is a mismatch
-    a = normal.solve_a_degree_by_degree(b)
-    want = normal.a_from_b_family(fam, n, order)
+    want = normal.a_from_b_family(fam, n, a.order)
     same = all(a[k, l] == want[k, l] for k in range(n) for l in range(n))
     return 0.0 if same else 1.0
 

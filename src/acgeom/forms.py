@@ -250,7 +250,7 @@ def _accumulate(terms, word, jet):
     terms.setdefault((kk, ll), []).append((jet, float(sign)))
 
 
-def apply_operator(kind: str, u: PQForm, calc: FrameCalculus | None = None) -> PQForm:
+def apply_operator(kind: str, u: PQForm) -> PQForm:
     """One of the four frame-local first-order operators, from its
     ``_OPERATORS`` row.
 
@@ -258,9 +258,7 @@ def apply_operator(kind: str, u: PQForm, calc: FrameCalculus | None = None) -> P
     zero yields the empty form.  Each u_{K,L} gives its derivative terms,
     then one piece per factor of its word in word order, over r, then t.
     """
-    calc = u.calc if calc is None else calc
-    if calc is not u.calc:
-        raise JetError("form does not live in the operator's frame")
+    calc = u.calc
     op = _OPERATORS.get(kind)
     if op is None:
         raise JetError(f"unknown operator kind {kind!r}")
@@ -451,7 +449,7 @@ def exterior_derivative_check(u: PQForm) -> float:
     du_coord = to_coordinate_form(u).d()
     pieces = None
     for kind, op in _OPERATORS.items():
-        tu = apply_operator(kind, u, calc)
+        tu = apply_operator(kind, u)
         if tu.p < 0 or tu.q < 0:
             continue
         cf = to_coordinate_form(tu) * op.sign
@@ -489,10 +487,10 @@ def fundamental_identities_check(calc: FrameCalculus, test_forms):
         orders[name] = min(orders[name], eff)
 
     for u in test_forms:
-        image = {kind: apply_operator(kind, u, calc) for kind in OPERATOR_KINDS}
+        image = {kind: apply_operator(kind, u) for kind in OPERATOR_KINDS}
 
         def op(outer, inner):
-            return apply_operator(outer, image[inner], calc)
+            return apply_operator(outer, image[inner])
 
         dd = op("del", "del")
         record(FUNDAMENTAL_IDENTITIES[0], dd,

@@ -2,13 +2,14 @@
 
 Implements the stagewise normalization of the structure blocks, the
 degree-by-degree solver of A^2 = -I - conj(B) B that builds A from a normal
-B family, the paper's closed combinatorial formula for A, kept as the exact
-check of that solver, the order-one torsion jet in normal coordinates, and
-invariance under top-degree holomorphic changes.
+B family and stops at its fixed point, the paper's closed combinatorial
+formula for A, kept as the exact check of that solver, the order-one torsion
+jet in normal coordinates, and invariance under top-degree holomorphic
+changes.
 
 The closed formula is exact only and is evaluated from one table per B
-family (``ClosedFormA``): its conj(B) B factor products and its memo of
-ordered chain sums serve every target coefficient.
+family (``ClosedFormA``), built forward by chain length: its conj(B) B
+factor products and its chain sums serve every target coefficient.
 """
 
 from __future__ import annotations
@@ -37,89 +38,69 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _fits(part, whole):
-    return all(x <= y for x, y in zip(part, whole))
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sum_per_exponent(terms):
+    """{exponent pair: sum of the matrices} of (exponent pair, matrix) pairs."""
+    out = {}
+    for key, mat in terms:
+        out[key] = out[key] + mat if key in out else mat
+    return out
 
 
 class ClosedFormA:
     """Closed-form A coefficients of one B family, shared by every target.
 
-    ``bfam`` maps (alpha, beta) multi-index pairs to n x n matrices; pairs
-    with a vanishing first index are treated as absent.  The coefficient of
-    z^alpha zbar^beta is the sum over ordered chains of two-sided factors
-    conj(B)^{lam,mu} B^{rho,gam} with the weight C_{k-1} (-4)^{-(k-1)} per
-    chain length k, where C_m is the m-th Catalan number.  That weight
+    ``bfam`` maps (alpha, beta) multi-index pairs to n x n matrices of exact
+    ``QC`` entries; pairs with a vanishing first index are treated as
+    absent.  The coefficient of z^alpha zbar^beta is the sum over ordered
+    chains of two-sided factors conj(B)^{lam,mu} B^{rho,gam}, each at
+    exponent (rho + mu, lam + gam), with the weight C_{k-1} (-4)^{-(k-1)}
+    per chain length k, where C_m is the m-th Catalan number.  That weight
     solves X = R - X^2 / 4, which is the recursion S = (i/2)(R + S^2) for
     S = (i/2) X and R = conj(B) B: a chain of k factors arises once per
     bracketing of the k-fold product.  C_{k-1} = 1 for k <= 2, so the weight
     differs from (-4)^{-(k-1)} only from chains of three factors on, which
     first occur at degree 6.
 
-    The table of factors (one per ordered key pair, each with its exponent
-    pair) and the memo of ordered chain sums, keyed by the remaining
-    exponents and the number of factors still to place, are built once per
-    family and read by every target (alpha, beta) with |alpha| + |beta| <=
-    ``max_degree``.  A factor above ``max_degree`` fits no such target and
-    is left out.  A factor's matrix product is formed the first time a chain
-    uses it.  The family's entries are exact (``QC``).
+    The table is built forward, one chain length at a time: ``chains[k-1]``
+    maps each exponent pair of total degree <= ``max_degree`` that a chain
+    of k factors reaches to the sum of those chains.  The one-factor chains
+    are the factors, and a k-factor chain is a factor times a (k-1)-factor
+    chain, each factor fitting the degree left; a factor above
+    ``max_degree`` is left out.  Every factor is the product of its own key
+    pair: factors of one exponent are not summed before the chain products,
+    so the table shares no step with the solver's recursion on R.  Every
+    factor has degree >= 2, so there are at most ``max_degree // 2``
+    lengths.
     """
 
     def __init__(self, bfam, n, max_degree):
         self.n, self.max_degree = n, max_degree
         keys = [k for k in bfam if sum(k[0]) >= 1]
-        self._mats = [np.asarray(bfam[k], dtype=object) for k in keys]
-        self._conj = [m.conjugate() for m in self._mats]
-        degrees = [sum(k[0]) + sum(k[1]) for k in keys]
-        self._factors = []
-        for i, lam_mu in enumerate(keys):
-            for j, rho_gam in enumerate(keys):
-                degree = degrees[i] + degrees[j]
-                if degree > max_degree:
-                    continue
-                # z-exponent rho + mu, zbar-exponent lam + gam
-                ze = tuple(r + m for r, m in zip(rho_gam[0], lam_mu[1]))
-                zbe = tuple(l + g for l, g in zip(lam_mu[0], rho_gam[1]))
-                self._factors.append((degree, ze, zbe, (i, j)))
-        self._products = {}
-        self._memo = {}
-
-    def _product(self, pair):
-        """conj(B)^{keys[i]} B^{keys[j]}, multiplied out on first use."""
-        mat = self._products.get(pair)
-        if mat is None:
-            i, j = pair
-            mat = self._products[pair] = self._conj[i] @ self._mats[j]
-        return mat
-
-    def _ordered_sum(self, a_rem, b_rem, slots):
-        """Sum of the ordered chains of ``slots`` factors whose exponents add
-        up to (a_rem, b_rem); None if there is none, "unit" for slots = 0."""
-        if slots == 0:
-            if not any(a_rem) and not any(b_rem):
-                return "unit"
-            return None
-        key = (a_rem, b_rem, slots)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        # every factor has degree >= 2, so the other slots - 1 factors need
-        # at least 2 (slots - 1) of the remaining degree, and the last factor
-        # all of it
-        room = sum(a_rem) + sum(b_rem) - 2 * (slots - 1)
-        last = slots == 1
-        acc = None
-        for degree, ze, zbe, pair in self._factors:
-            if degree > room or (last and degree < room) \
-                    or not (_fits(ze, a_rem) and _fits(zbe, b_rem)):
-                continue
-            rest = self._ordered_sum(_sub(a_rem, ze), _sub(b_rem, zbe), slots - 1)
-            if rest is None:
-                continue
-            mat = self._product(pair)
-            contrib = mat if isinstance(rest, str) else mat @ rest
-            acc = contrib if acc is None else acc + contrib
-        memo[key] = acc
-        return acc
+        mats = [np.asarray(bfam[k], dtype=object) for k in keys]
+        factors = []
+        for lam_mu, left in zip(keys, mats):
+            conj = left.conjugate()
+            for rho_gam, right in zip(keys, mats):
+                degree = sum(map(sum, lam_mu + rho_gam))
+                if degree <= max_degree:
+                    # z-exponent rho + mu, zbar-exponent lam + gam
+                    key = (_add(rho_gam[0], lam_mu[1]), _add(lam_mu[0], rho_gam[1]))
+                    factors.append((degree, key, conj @ right))
+        # within[d]: the factors of degree <= d, as (exponent pair, matrix)
+        within = [[(key, mat) for degree, key, mat in factors if degree <= d]
+                  for d in range(max_degree + 1)]
+        chains = _sum_per_exponent(within[max_degree])
+        self.chains = []
+        while chains:
+            self.chains.append(chains)
+            chains = _sum_per_exponent(
+                ((_add(ze, a), _add(zbe, b)), mat @ rest)
+                for (a, b), rest in chains.items()
+                for (ze, zbe), mat in within[max_degree - sum(a) - sum(b)])
 
     def __call__(self, alpha, beta):
         """n x n coefficient matrix A^{alpha,beta} (the i/2-scaled part)."""
@@ -129,20 +110,19 @@ class ClosedFormA:
             raise JetError(f"target degree {total} exceeds the table's "
                            f"max_degree {self.max_degree}")
         out = zero_coefficients((self.n, self.n), True)
-        for k in range(1, total // 2 + 1):
-            chain = self._ordered_sum(alpha, beta, k)
-            if chain is None:
-                continue
-            catalan = math.comb(2 * (k - 1), k - 1) // k
-            out = out + QC(Fraction(catalan, (-4) ** (k - 1))) * chain
+        for k, chains in enumerate(self.chains, start=1):
+            chain = chains.get((alpha, beta))
+            if chain is not None:
+                catalan = math.comb(2 * (k - 1), k - 1) // k
+                out = out + QC(Fraction(catalan, (-4) ** (k - 1))) * chain
         return out
 
 
 def a_from_b_closed_form(bfam, alpha, beta, n):
     """Complex matrix A^{alpha,beta} of a float B family: the exact table
-    (``ClosedFormA``) for this one target, built on the exact binary values
-    of the floats, with only the result rounded.  It stays because the
-    benchmark's tracer spans it by name; the tool does not call it."""
+    (``ClosedFormA``) built to this one target's degree, on the exact binary
+    values of the floats, with only the result rounded.  It stays because
+    the benchmark's tracer spans it by name; the tool does not call it."""
     exact = {key: [[QC(Fraction(c.real), Fraction(c.imag)) for c in row]
                    for row in np.asarray(mat, dtype=complex)]
              for key, mat in bfam.items()}
@@ -151,11 +131,19 @@ def a_from_b_closed_form(bfam, alpha, beta, n):
                     dtype=complex)
 
 
+def _sweep_input(s: JetMatrix):
+    """All a sweep reads of S: each entry's effective order and terms, the
+    signed zeros of float terms told apart."""
+    return [(e.effective_order, repr(e.terms)) for row in s.entries for e in row]
+
+
 def solve_a_degree_by_degree(b: JetMatrix) -> JetMatrix:
     """Solve A^2 = -I - conj(B) B for A = iI + S degree by degree.
 
     It runs the recursion S = (i/2)(R + S^2), R = conj(B) B.  R and S have
-    no terms below degree 2, so sweep j settles every degree up to 2j + 1.
+    no terms below degree 2, so sweep j settles every degree up to 2j + 1;
+    it runs at most ``order`` sweeps and stops at the first that returns
+    its input bit for bit, since every later sweep would return it too.
     In float it builds A for ``structure_from_b_family``; in rational mode
     it is the exact oracle that ``validate --exact`` checks against the
     closed formula.
@@ -164,8 +152,13 @@ def solve_a_degree_by_degree(b: JetMatrix) -> JetMatrix:
     r = b.conj() @ b
     half_i = QC(0, Fraction(1, 2)) if exact else 0.5j
     s = JetMatrix.zeros(n, n, b.n, order, exact=exact)
+    seen = _sweep_input(s)
     for _ in range(order):
         s = (r + s @ s) * half_i
+        now = _sweep_input(s)
+        if now == seen:
+            break
+        seen = now
     ident = JetMatrix.identity(n, b.n, order, exact=exact)
     i_unit = QC(0, 1) if exact else 1j
     return ident * i_unit + s
@@ -191,12 +184,11 @@ def structure_from_b_family(bfam, n, order) -> AlmostComplexStructure:
 
 def a_from_b_family(bfam, n, order) -> JetMatrix:
     """The exact A block iI + (i/2) sum A^{alpha,beta} z^alpha zbar^beta of
-    the closed form through degree ``order``; every coefficient (|alpha|,
-    |beta| >= 1) is read from one table of the exact family."""
+    the closed form through degree ``order``, read from one table of the
+    exact family at every exponent pair a chain reaches."""
     table = ClosedFormA(bfam, n, order)
-    fam = {(alpha, beta): table(alpha, beta)
-           for alpha in _exponent_vectors(n, order) if sum(alpha) >= 1
-           for beta in _exponent_vectors(n, order - sum(alpha)) if sum(beta) >= 1}
+    fam = {key: table(*key)
+           for key in dict.fromkeys(key for chains in table.chains for key in chains)}
     s = JetMatrix.from_coefficients(fam, n, n, n, order, exact=True)
     ident = JetMatrix.identity(n, n, order, exact=True)
     return ident * QC(0, 1) + s * QC(0, Fraction(1, 2))

@@ -107,6 +107,7 @@ class AlmostComplexStructure:
         self.order = A.order
         self.A = A
         self.B = B
+        self._matrix = None
 
     @classmethod
     def standard(cls, n, order):
@@ -115,8 +116,11 @@ class AlmostComplexStructure:
         return cls(a, b)
 
     def matrix(self) -> JetMatrix:
-        """Full 2n x 2n complexified matrix of J."""
-        return block2x2(self.A, self.B.conj(), self.B, self.A.conj())
+        """Full 2n x 2n complexified matrix of J, built on first use: a
+        structure's blocks are never changed after construction."""
+        if self._matrix is None:
+            self._matrix = block2x2(self.A, self.B.conj(), self.B, self.A.conj())
+        return self._matrix
 
     def apply(self, x: VectorField) -> VectorField:
         m = self.matrix()

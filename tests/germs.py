@@ -1,8 +1,8 @@
 """Shared test germs: the flat structure, the minimal torsion fixture,
-deterministic random deformations, metrics built from coefficient families
-and the frame covectors as forms; plus point values of jet matrices and
-vector fields, rescaled frames, and the largest coefficients and trusted
-degree of bracket tables and form matrices."""
+deterministic random deformations, the flat metric, metrics built from
+coefficient families and the frame covectors as forms; plus point values of
+jet matrices and vector fields, rescaled frames, and the largest
+coefficients and trusted degree of bracket tables and form matrices."""
 
 from __future__ import annotations
 
@@ -121,6 +121,11 @@ def random_b_normal(seed, n=2, order=4, magnitude=0.15) -> AlmostComplexStructur
         fam[key] = fam.get(key, np.zeros((n, n), dtype=complex)) + mat
         placed += 1
     return b_normal(fam, n, order)
+
+
+def identity_metric(n, order) -> HermitianData:
+    """The flat metric h = I."""
+    return HermitianData(JetMatrix.identity(n, n, order))
 
 
 def metric_from_families(n, order, lin=None, quad_zz=None, quad_mixed=None):

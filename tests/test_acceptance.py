@@ -5,14 +5,13 @@ import os
 import numpy as np
 
 from acgeom import chern, geodesic, normal
-from acgeom.chern import HermitianData
 from acgeom.cli import Options, emit_report, main, parse_manifold_spec, run_command
 from acgeom.forms import FrameCalculus, fundamental_identities_check
 from acgeom.jets import Jet, JetMatrix, QC, _exponent_vectors
 from acgeom.structure import torsion_tensor, nijenhuis_check
 
-from germs import (fix_b, fix_b2, fix_b3, fix_j0, metric_from_families,
-                   random_b_normal, random_deformation)
+from germs import (fix_b, fix_b2, fix_b3, fix_j0, identity_metric,
+                   metric_from_families, random_b_normal, random_deformation)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -154,10 +153,10 @@ def test_criterion_5_chern_levi_civita():
     calcb = FrameCalculus(fix_b())
     calcr = FrameCalculus(random_deformation(501))
     fixtures = [
-        ("kahler", calc0, HermitianData.identity(2, 4)),
+        ("kahler", calc0, identity_metric(2, 4)),
         ("symplectic", calc0, _symplectic_metric()),
         ("nonclosed", calc0, _nonclosed_metric()),
-        ("fix-b", calcb, HermitianData.identity(2, 4)),
+        ("fix-b", calcb, identity_metric(2, 4)),
         ("deformation", calcr,
          metric_from_families(2, 4, lin=0.05 * np.ones((2, 2, 2)))),
     ]
@@ -185,8 +184,8 @@ def test_criterion_5_chern_levi_civita():
 
 def test_criterion_6_curvature():
     fixtures = [
-        (FrameCalculus(fix_b()), HermitianData.identity(2, 4)),
-        (FrameCalculus(fix_b2()), HermitianData.identity(2, 4)),
+        (FrameCalculus(fix_b()), identity_metric(2, 4)),
+        (FrameCalculus(fix_b2()), identity_metric(2, 4)),
         (FrameCalculus(fix_j0()), metric_from_families(
             2, 4, quad_mixed=0.2 * np.ones((2, 2, 2, 2)))),
         (FrameCalculus(random_b_normal(601)), metric_from_families(
@@ -204,7 +203,7 @@ def test_criterion_6_curvature():
             calc, hd, conn, blocks))
     calcb = FrameCalculus(fix_b())
     blocks = chern.curvature(calcb, chern.chern_connection(
-        calcb, HermitianData.identity(2, 4)))
+        calcb, identity_metric(2, 4)))
     c_val = blocks.c_tensor_at_origin()[1, 1, 0, 0]
     value_err = abs(c_val - 0.05)
     ok = (worst_origin < 1e-11 and value_err < 1e-12 and worst_sym < 1e-11
@@ -223,7 +222,7 @@ def test_criterion_7_special_frame():
         (FrameCalculus(fix_j0()), metric_from_families(
             2, 4, lin=0.1 * np.ones((2, 2, 2)), quad_zz=quad,
             quad_mixed=0.12 * np.ones((2, 2, 2, 2)))),
-        (FrameCalculus(fix_b()), HermitianData.identity(2, 4)),
+        (FrameCalculus(fix_b()), identity_metric(2, 4)),
         (FrameCalculus(fix_b()), metric_from_families(
             2, 4, quad_mixed=0.2 * np.ones((2, 2, 2, 2)))),
     ]
@@ -242,7 +241,7 @@ def test_criterion_7_special_frame():
 
 def test_criterion_8_asymptotics():
     rng = np.random.default_rng(801)
-    fixtures = [(FrameCalculus(fix_b()), HermitianData.identity(2, 4))]
+    fixtures = [(FrameCalculus(fix_b()), identity_metric(2, 4))]
     for seed in (802, 803, 804):
         s = random_b_normal(seed)
         lin = 0.1 * (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
@@ -262,7 +261,7 @@ def test_criterion_8_asymptotics():
 
 def test_criterion_9_geodesics():
     flat = geodesic.GeodesicLab(FrameCalculus(fix_j0()),
-                                HermitianData.identity(2, 4))
+                                identity_metric(2, 4))
     z = np.array([0.03 + 0.01j, -0.02j])
     v = np.array([0.05 - 0.01j, 0.04j])
     end = geodesic.integrate_geodesic(flat.packed, z, v, steps=256)
@@ -270,7 +269,7 @@ def test_criterion_9_geodesics():
                    np.abs(geodesic.exp_asymptotic(flat.coeffs, z, v)
                           - (z + v)).max())
     lab = geodesic.GeodesicLab(FrameCalculus(fix_b()),
-                               HermitianData.identity(2, 4))
+                               identity_metric(2, 4))
     probe = geodesic.error_scaling_probe(lab, [0.0, 0.0], [0.04, 0.02],
                                          geodesic.SCALE_LADDER, 256)
     ratio = geodesic.integrator_convergence_ratio(

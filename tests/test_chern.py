@@ -23,7 +23,7 @@ from acgeom.structure import VectorField, torsion_tensor
 
 from conftest import random_jet
 from germs import (FIX_B_VALUE, fix_b, fix_b3, fix_j0, flat_entries,
-                   form_matrix_max_abs, jets_sha256, matrix_eval,
+                   form_matrix_max_abs, identity_metric, jets_sha256, matrix_eval,
                    metric_from_families, random_b_normal, random_deformation)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
@@ -91,7 +91,7 @@ class TestCanonicalConnection:
         f = Jet.one(2, 4) + 0.3 * Jet.variable(2, 4, 1)
         fr = calc_b.frame
         field = f * fr.zeta(0)
-        conn = chern_connection(calc_b, HermitianData.identity(2, 4))
+        conn = chern_connection(calc_b, identity_metric(2, 4))
         zero = Jet.zero(2, 4)
         for r in range(2):
             zbr = fr.zeta_bar(r)
@@ -105,7 +105,7 @@ class TestCanonicalConnection:
 
 class TestChernConnection:
     def test_flat_identity_metric(self, calc_j0):
-        conn = chern_connection(calc_j0, HermitianData.identity(2, 4))
+        conn = chern_connection(calc_j0, identity_metric(2, 4))
         assert form_matrix_max_abs(conn.aprime) == 0
         assert form_matrix_max_abs(conn.asecond) == 0
 
@@ -118,7 +118,7 @@ class TestChernConnection:
         assert conn.aprime[1, 1].max_abs() == 0
 
     def test_identity_metric_gives_minus_conj_transpose(self, calc_b):
-        conn = chern_connection(calc_b, HermitianData.identity(2, 4))
+        conn = chern_connection(calc_b, identity_metric(2, 4))
         diff = conn.aprime + conn.asecond.conj_transpose()
         assert form_matrix_max_abs(diff) < 1e-13
 
@@ -129,7 +129,7 @@ class TestChernConnection:
         assert hermitian_compat_residual(calc_b, hd, conn) < 1e-11
 
     def test_preserves_realness(self, calc_b):
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         conn = chern_connection(calc_b, hd)
         fr = calc_b.frame
         xi = fr.real_frame_field(0)
@@ -140,7 +140,7 @@ class TestChernConnection:
 
 class TestCurvature:
     def test_flat_zero(self, calc_j0):
-        conn = chern_connection(calc_j0, HermitianData.identity(2, 4))
+        conn = chern_connection(calc_j0, identity_metric(2, 4))
         blocks = curvature(calc_j0, conn)
         assert form_matrix_max_abs(blocks.theta20) == 0
         assert form_matrix_max_abs(blocks.theta11) == 0
@@ -159,7 +159,7 @@ class TestCurvature:
         assert np.abs(c - c_direct).max() < 1e-12
 
     def test_fix_b_origin_value(self, calc_b):
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         blocks = curvature(calc_b, chern_connection(calc_b, hd))
         c = blocks.c_tensor_at_origin()
         want = 0.5 * abs(FIX_B_VALUE) ** 2
@@ -198,7 +198,7 @@ class TestCurvature:
 
     def test_real_pairing_properties(self, calc_b):
         # omega(C(xi, J xi) eta, eta) real; omega(C(xi,J xi) eta, J eta) = 0
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         blocks = curvature(calc_b, chern_connection(calc_b, hd))
         fr = calc_b.frame
         omega = metric_form(calc_b, hd)
@@ -225,7 +225,7 @@ class TestCurvature:
 
 class TestLeviCivita:
     def test_flat(self, calc_j0):
-        lc = LeviCivita(calc_j0, HermitianData.identity(2, 4))
+        lc = LeviCivita(calc_j0, identity_metric(2, 4))
         worst = max(g.max_abs() for plane in lc.gamma for row in plane
                     for g in row)
         assert worst == 0
@@ -259,7 +259,7 @@ class TestLeviCivita:
             assert np.abs(dg - dg_jet).max() < 1e-7
 
     def test_torsion_free(self, calc_b, rng):
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         lc = LeviCivita(calc_b, hd)
         for _ in range(2):
             xi = VectorField([random_jet(rng, 2, 4, nterms=2) for _ in range(4)])
@@ -268,7 +268,7 @@ class TestLeviCivita:
 
     def test_metric_compatibility(self, calc_b):
         # xi . g(eta, mu) = g(LC_xi eta, mu) + g(eta, LC_xi mu)
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         lc = LeviCivita(calc_b, hd)
         n = 2
         for a in range(2 * n):
@@ -308,7 +308,7 @@ def make_symplectic_metric(order=4):
 
 class TestChernLeviCivita:
     def test_kahler_flat(self, calc_j0):
-        dec = ChernLeviCivita(calc_j0, HermitianData.identity(2, 4))
+        dec = ChernLeviCivita(calc_j0, identity_metric(2, 4))
         assert dec.delta_max() == 0
         assert dec.n_omega_max() == 0
         assert dec.decomposition_residual() < 1e-12
@@ -327,7 +327,7 @@ class TestChernLeviCivita:
         assert dec2.gamma02_max() < 1e-12       # N_J = 0 forces gamma^{0,2} = 0
 
     def test_fix_b_identity_metric(self, calc_b):
-        dec = ChernLeviCivita(calc_b, HermitianData.identity(2, 4))
+        dec = ChernLeviCivita(calc_b, identity_metric(2, 4))
         assert dec.n_omega_max() > 1e-3
         assert dec.decomposition_residual() < 1e-10
         assert dec.torsion_formula_residual() < 1e-10
@@ -342,7 +342,7 @@ class TestChernLeviCivita:
 
     def test_delta_zero_iff_domega_zero(self, calc_j0, calc_b):
         for calc, hd in ((calc_j0, make_symplectic_metric()),
-                         (calc_b, HermitianData.identity(2, 4))):
+                         (calc_b, identity_metric(2, 4))):
             closed = domega_max(calc, hd) < 1e-12
             dec = ChernLeviCivita(calc, hd)
             assert (dec.delta_max() < 1e-10) == closed
@@ -351,7 +351,7 @@ class TestChernLeviCivita:
         dec_flat = ChernLeviCivita(calc_j0, make_nonclosed_metric())
         assert dec_flat.n_omega_max() == 0
         assert torsion_tensor(calc_j0.structure).max_abs() == 0
-        dec_tor = ChernLeviCivita(calc_b, HermitianData.identity(2, 4))
+        dec_tor = ChernLeviCivita(calc_b, identity_metric(2, 4))
         assert dec_tor.n_omega_max() > 1e-3
         assert torsion_tensor(calc_b.structure).max_abs() > 1e-3
 
@@ -499,7 +499,7 @@ class TestMatrixFormJetProducts:
 
 class TestSpecialFrame:
     def test_flat_identity(self, calc_j0):
-        sf = special_frame(calc_j0, HermitianData.identity(2, 4))
+        sf = special_frame(calc_j0, identity_metric(2, 4))
         assert (sf.g - JetMatrix.identity(2, 2, 4)).max_abs() == 0
         assert sf.a_second_origin == 0
         assert sf.h_pattern_violation == 0
@@ -518,7 +518,7 @@ class TestSpecialFrame:
         assert np.abs(np.asarray(sf.h.constant()) - np.eye(2)).max() < 1e-12
 
     def test_fix_b_special_conditions(self, calc_b):
-        sf = special_frame(calc_b, HermitianData.identity(2, 4))
+        sf = special_frame(calc_b, identity_metric(2, 4))
         assert sf.a_second_origin < 1e-12
         assert sf.del_a_second_origin < 1e-12
         assert sf.h_pattern_violation < 1e-12
@@ -535,7 +535,7 @@ class TestSpecialFrame:
 
 class TestAsymptotics:
     def test_flat_all_zero(self, calc_j0):
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         coeffs = connection_asymptotics(calc_j0, hd)
         for arr in (coeffs.s_zbar_z, coeffs.s_zbar_zbar, coeffs.s_z_z,
                     coeffs.s_z_zbar, coeffs.s_hat, coeffs.h_lin):
@@ -543,7 +543,7 @@ class TestAsymptotics:
         assert asymptotics_vs_full_connection(calc_j0, hd) < 1e-13
 
     def test_fix_b_identity_metric(self, calc_b):
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         coeffs = connection_asymptotics(calc_b, hd)
         # B = b z_2 E_11 has one linear family entry, B^2_{1,1} = b (one-based).
         # In S^{pbar,h}_{k,l} = -(1/4) sum_j (conj B^j_{k,p} - conj B^p_{k,j})
@@ -590,7 +590,7 @@ class TestAsymptotics:
     @pytest.mark.parametrize("name", ["h_lin", "s_z_z", "s_z_zbar", "s_zbar_z",
                                       "s_zbar_zbar"])
     def test_nan_family_does_not_pass(self, calc_b, name, monkeypatch):
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         coeffs = connection_asymptotics(calc_b, hd)
         bad = getattr(coeffs, name).copy()
         bad[(1,) * bad.ndim] = complex("nan")
@@ -600,7 +600,7 @@ class TestAsymptotics:
 
     def test_metric_coordinate_expansion(self, calc_b, calc_j0):
         assert metric_coordinate_residual(
-            calc_b, HermitianData.identity(2, 4)) < 1e-11
+            calc_b, identity_metric(2, 4)) < 1e-11
         lin = np.zeros((2, 2, 2), dtype=complex)
         lin[0, 0, 1] = 0.2
         hd = metric_from_families(2, 4, lin=lin)
@@ -610,12 +610,12 @@ class TestAsymptotics:
         s = random_deformation(31)
         calc = FrameCalculus(s)
         with pytest.raises(JetError):
-            connection_asymptotics(calc, HermitianData.identity(2, 4))
+            connection_asymptotics(calc, identity_metric(2, 4))
 
 
 class TestSymplecticNormalize:
     def test_identity_when_no_linear_terms(self, calc_b):
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         out = symplectic_normalize(calc_b, hd, n_order=3)
         assert out.h_linear_max == 0
         assert out.b1_deviation == 0
@@ -732,7 +732,7 @@ class TestTheta02Observation:
         # reported observation: with the torsion 1-jet zero the (0,2)-block
         # vanishes at the origin; recorded, not asserted as an invariant
         calc = FrameCalculus(fix_b3())
-        hd = HermitianData.identity(2, 4)
+        hd = identity_metric(2, 4)
         blocks = curvature(calc, chern_connection(calc, hd))
         at_origin = max(abs(c.constant_term)
                         for m in range(2) for l in range(2)

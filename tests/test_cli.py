@@ -200,6 +200,26 @@ class TestExactCrosscheck:
         row = self.run_exact()
         assert not row.passed and row.residual == 1.0
 
+    def test_stray_parsed_term_fails(self, monkeypatch):
+        solve = normal.solve_a_degree_by_degree
+
+        def with_stray_term(b):
+            # only the float A that parsing solves is perturbed, by less
+            # than parsing's J^2 check sees
+            a = solve(b)
+            if not b.exact:
+                a.entries[1][1] = a.entries[1][1] + Jet(
+                    b.n, b.order, {((0, 1), (1, 0)): 1e-12})
+            return a
+
+        monkeypatch.setattr(normal, "solve_a_degree_by_degree", with_stray_term)
+        ms = parse_manifold_spec(fix_b_text(), name="fix_b")
+        report, _ = run_command("validate", ms, Options(exact=True, tol=1e-13))
+        parsed, closed = report.rows[-2:]
+        assert parsed.check == "parsed A vs exact solver"
+        assert not parsed.passed and abs(parsed.residual - 1e-12) < 1e-15
+        assert closed.check == self.CHECK and closed.passed
+
 
 _J2 = [("J^2 square-block residual", True), ("J^2 mixed-block residual", True),
        ("adapted at origin", True)]

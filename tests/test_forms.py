@@ -83,12 +83,6 @@ class TestOperators:
         with pytest.raises(JetError):
             canonical_p0_connection(random_form(calc_b, rng, 0, 1))
 
-    def test_frame_mismatch_rejected(self, calc_b, calc_j0, rng):
-        u = random_form(calc_b, rng, 1, 0)
-        with pytest.raises(JetError):
-            apply_operator("del", u, calc_j0)
-
-
 
 # sha256 over every basis bidegree p, q <= n of (p, q, coefficient keys,
 # repr of each coefficient's terms, effective order) of one operator's image
@@ -128,7 +122,7 @@ class TestOperatorDigests:
         h = hashlib.sha256()
         for p in range(calc.n + 1):
             for q in range(calc.n + 1):
-                out = apply_operator(kind, random_form(calc, rng, p, q), calc)
+                out = apply_operator(kind, random_form(calc, rng, p, q))
                 h.update(repr((out.p, out.q,
                                [(key, c.terms) for key, c in out.coeffs.items()],
                                out.effective_order)).encode())
@@ -211,10 +205,10 @@ class TestExteriorDerivative:
                 assert exterior_derivative_check(u) < 1e-10, (p, q)
 
 
-def _compose_ops(u, calc, *kinds):
+def _compose_ops(u, *kinds):
     out = u
     for kind in reversed(kinds):
-        out = apply_operator(kind, out, calc)
+        out = apply_operator(kind, out)
     return out
 
 
@@ -232,23 +226,23 @@ def _identities_from_scratch(calc, test_forms):
         orders[name] = min(orders[name], eff)
 
     for u in test_forms:
-        record(names[0], _compose_ops(u, calc, "del", "del"),
-               _compose_ops(u, calc, "delbar", "theta")
-               + _compose_ops(u, calc, "theta", "delbar"))
-        record(names[1], _compose_ops(u, calc, "delbar", "delbar"),
-               _compose_ops(u, calc, "del", "thetabar")
-               + _compose_ops(u, calc, "thetabar", "del"))
-        record(names[2], _compose_ops(u, calc, "del", "delbar")
-               + _compose_ops(u, calc, "delbar", "del"),
-               -(_compose_ops(u, calc, "theta", "thetabar")
-                 + _compose_ops(u, calc, "thetabar", "theta")))
-        record(names[3], _compose_ops(u, calc, "del", "theta"),
-               -_compose_ops(u, calc, "theta", "del"))
-        record(names[4], _compose_ops(u, calc, "delbar", "thetabar"),
-               -_compose_ops(u, calc, "thetabar", "delbar"))
-        t2 = _compose_ops(u, calc, "theta", "theta")
+        record(names[0], _compose_ops(u, "del", "del"),
+               _compose_ops(u, "delbar", "theta")
+               + _compose_ops(u, "theta", "delbar"))
+        record(names[1], _compose_ops(u, "delbar", "delbar"),
+               _compose_ops(u, "del", "thetabar")
+               + _compose_ops(u, "thetabar", "del"))
+        record(names[2], _compose_ops(u, "del", "delbar")
+               + _compose_ops(u, "delbar", "del"),
+               -(_compose_ops(u, "theta", "thetabar")
+                 + _compose_ops(u, "thetabar", "theta")))
+        record(names[3], _compose_ops(u, "del", "theta"),
+               -_compose_ops(u, "theta", "del"))
+        record(names[4], _compose_ops(u, "delbar", "thetabar"),
+               -_compose_ops(u, "thetabar", "delbar"))
+        t2 = _compose_ops(u, "theta", "theta")
         record(names[5], t2, PQForm(calc, t2.p, t2.q, {}))
-        tb2 = _compose_ops(u, calc, "thetabar", "thetabar")
+        tb2 = _compose_ops(u, "thetabar", "thetabar")
         record(names[6], tb2, PQForm(calc, tb2.p, tb2.q, {}))
     return [{"identity": name, "max_residual": residuals[name],
              "order_checked": orders[name]} for name in names]
@@ -279,8 +273,8 @@ class TestFundamentalIdentities:
                  for base in calc_b.monomial_forms(2)]
         calls = []
 
-        def recording(kind, u, calc=None):
-            out = apply_operator(kind, u, calc)
+        def recording(kind, u):
+            out = apply_operator(kind, u)
             calls.append((kind, u, out))
             return out
         monkeypatch.setattr(forms_module, "apply_operator", recording)
@@ -295,10 +289,10 @@ class TestFundamentalIdentities:
         for kind, u, out in calls:
             if id(u) in image_of:
                 inner, f = image_of[id(u)]
-                want = _compose_ops(f, calc_b, kind, inner)
+                want = _compose_ops(f, kind, inner)
                 pairs.add((id(f), kind, inner))
             else:
-                want = apply_operator(kind, u, calc_b)
+                want = apply_operator(kind, u)
             assert (out.p, out.q, out.coeffs) == (want.p, want.q, want.coeffs)
         assert len(pairs) == len(forms) * 16
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from acgeom.chern import HermitianData, antisymmetrize_metric_linear
+from acgeom.chern import antisymmetrize_metric_linear
 from acgeom import geodesic
 from acgeom.forms import FrameCalculus
 from acgeom.cli import Options, parse_manifold_spec, run_command
@@ -15,8 +15,8 @@ from acgeom.geodesic import (NOISE_FLOOR, SCALE_LADDER, GeodesicLab,
                              integrator_convergence_ratio)
 from acgeom.jets import JetError
 
-from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0, matrix_eval,
-                   metric_from_families, random_b_normal)
+from germs import (FIX_B_VALUE, fix_b, fix_b2, fix_b3, fix_j0, identity_metric,
+                   matrix_eval, metric_from_families, random_b_normal)
 
 
 def rk4_states(packed, z, v, steps):
@@ -29,17 +29,17 @@ def rk4_states(packed, z, v, steps):
 
 @pytest.fixture(scope="module")
 def lab_flat():
-    return GeodesicLab(FrameCalculus(fix_j0()), HermitianData.identity(2, 4))
+    return GeodesicLab(FrameCalculus(fix_j0()), identity_metric(2, 4))
 
 
 @pytest.fixture(scope="module")
 def lab_b():
-    return GeodesicLab(FrameCalculus(fix_b()), HermitianData.identity(2, 4))
+    return GeodesicLab(FrameCalculus(fix_b()), identity_metric(2, 4))
 
 
 @pytest.fixture(scope="module")
 def lab_b2():
-    return GeodesicLab(FrameCalculus(fix_b2()), HermitianData.identity(2, 4))
+    return GeodesicLab(FrameCalculus(fix_b2()), identity_metric(2, 4))
 
 
 class TestFlatCase:
@@ -268,7 +268,7 @@ class TestMergedSweep:
         # outside at t = 0.25, a step the sweep reaches before the two-step
         # run is done
         lab = GeodesicLab(FrameCalculus(fix_b(b=5.0)),
-                          HermitianData.identity(2, 4))
+                          identity_metric(2, 4))
         z = np.array([0.05 - 0.06j, -0.075j])
         v = np.array([-0.27 - 0.64j, 0.52 - 0.93j])
         assert np.isfinite(integrate_geodesic(lab.packed, z, v, 2)).all()
@@ -380,7 +380,7 @@ class TestErrorScaling:
         assert out["slope"] >= 2.8
 
     def test_refined_slope_with_vanishing_torsion_one_jet(self):
-        lab = GeodesicLab(FrameCalculus(fix_b3()), HermitianData.identity(2, 4))
+        lab = GeodesicLab(FrameCalculus(fix_b3()), identity_metric(2, 4))
         out = error_scaling_probe(lab, [0.0, 0.0], [0.04, 0.02],
                                   SCALE_LADDER, 256)
         assert out["slope"] >= 3.8

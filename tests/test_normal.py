@@ -73,10 +73,32 @@ def exact_b_matrix(fam, n, order):
                            exact=True) for l in range(n)] for k in range(n)])
 
 
-def one_target(fam, alpha, beta, n):
-    """A^{alpha,beta} from a table built for this one target, as
-    ``a_from_b_closed_form`` builds it."""
-    return ClosedFormA(fam, n, sum(alpha) + sum(beta))(alpha, beta)
+# C_{k-1} (-4)^{-(k-1)} for chains of k = 1, 2, 3 factors
+CATALAN_WEIGHTS = {1: Fraction(1), 2: Fraction(-1, 4), 3: Fraction(1, 8)}
+
+
+def brute_force_closed_form(fam, n, order):
+    """{(alpha, beta): A^{alpha,beta}} of the closed formula through degree
+    ``order`` <= 7, by enumeration: every ordered tuple of factors
+    conj(B)^{lam,mu} B^{rho,gam} at exponent (rho + mu, lam + gam), each
+    multiplied out left to right."""
+    keys = [k for k in fam if sum(k[0]) >= 1]
+    factors = [((tuple(r + m for r, m in zip(rho_gam[0], lam_mu[1])),
+                 tuple(l + g for l, g in zip(lam_mu[0], rho_gam[1]))),
+                fam[lam_mu].conjugate() @ fam[rho_gam])
+               for lam_mu in keys for rho_gam in keys]
+    out = {}
+    for k, weight in CATALAN_WEIGHTS.items():
+        for chain in itertools.product(factors, repeat=k):
+            alpha = tuple(map(sum, zip(*(ze for (ze, _), _ in chain))))
+            beta = tuple(map(sum, zip(*(zbe for (_, zbe), _ in chain))))
+            if sum(alpha) + sum(beta) > order:
+                continue
+            mat = chain[0][1]
+            for _, factor in chain[1:]:
+                mat = mat @ factor
+            out[(alpha, beta)] = out.get((alpha, beta), 0) + QC(weight) * mat
+    return out
 
 
 def closed_form_a(s):
@@ -135,10 +157,11 @@ class TestFormA:
         half_i = QC(0, "1/2")
         for n, order, fam in cases:
             a = solve_a_degree_by_degree(exact_b_matrix(fam, n, order))
+            table = ClosedFormA(fam, n, order)
             for alpha, beta in exponent_pairs(n, order):
                 if sum(alpha) < 1 or sum(beta) < 1:
                     continue
-                closed = one_target(fam, alpha, beta, n)
+                closed = table(alpha, beta)
                 for k in range(n):
                     for l in range(n):
                         want = half_i * closed[k, l]
@@ -158,19 +181,22 @@ class TestClosedFormTable:
 
     @pytest.mark.parametrize("n, order, fam", CELLS, ids=IDS)
     def test_shared_table_equals_one_target_evaluation(self, n, order, fam):
+        # ``a_from_b_closed_form`` builds its table to the degree of its one
+        # target: on every target of degree d, the table built to the order
+        # equals the one built to d
         table = ClosedFormA(fam, n, order)
-        # read from the top degree down, so that most reads hit chain sums
-        # another target put into the memo
-        targets = [(a, b) for a, b in exponent_pairs(n, order)
-                   if sum(a) >= 1 and sum(b) >= 1][::-1]
-        for alpha, beta in targets:
-            want = one_target(fam, alpha, beta, n)
-            assert (table(alpha, beta) == want).all(), (alpha, beta)
+        for d in range(2, order + 1):
+            one = ClosedFormA(fam, n, d)
+            for alpha, beta in exponent_pairs(n, order):
+                if sum(alpha) >= 1 and sum(beta) >= 1 and sum(alpha) + sum(beta) == d:
+                    assert (table(alpha, beta) == one(alpha, beta)).all(), (alpha, beta)
 
     @pytest.mark.parametrize("n, order, fam", CELLS, ids=IDS)
     def test_pruned_table_equals_unpruned(self, n, order, fam):
         pruned = ClosedFormA(fam, n, order)
-        full = ClosedFormA(fam, n, 2 * order)   # keeps every factor
+        # the keys have degree <= 3, so every factor has degree <= 6 and
+        # order + 2 >= 6 keeps them all
+        full = ClosedFormA(fam, n, order + 2)
         for alpha, beta in exponent_pairs(n, order):
             assert (pruned(alpha, beta) == full(alpha, beta)).all(), (alpha, beta)
 
@@ -183,6 +209,21 @@ class TestClosedFormTable:
         for k in range(n):
             for l in range(n):
                 assert a[k, l] == want[k, l], (k, l)
+
+    def test_table_equals_brute_force_enumeration(self):
+        # a sparse family at order 6: chains of one, two and three factors
+        n, order, fam = 2, 6, exact_b_family(2)
+        want = brute_force_closed_form(fam, n, order)
+        assert max(sum(a) + sum(b) for a, b in want) == order
+        table = ClosedFormA(fam, n, order)
+        assert len(table.chains) == 3
+        zero = np.full((n, n), QC(0), dtype=object)
+        targets = [(a, b) for a, b in exponent_pairs(n, order)
+                   if sum(a) >= 1 and sum(b) >= 1]
+        assert set(want) <= set(targets)
+        for alpha, beta in targets:
+            got = table(alpha, beta)
+            assert (got == want.get((alpha, beta), zero)).all(), (alpha, beta)
 
     def test_target_above_max_degree_rejected(self):
         table = ClosedFormA(exact_b_family(), 2, 3)
@@ -209,6 +250,68 @@ class TestParsedA:
             for l in range(n):
                 assert parsed[k, l].terms == \
                     {key: complex(c) for key, c in want[k, l].terms.items()}, (k, l)
+
+
+def exact_copy(m: JetMatrix) -> JetMatrix:
+    """The exact matrix of the binary values of a float one."""
+    return m.map(lambda e: Jet(e.n, e.order, {
+        key: QC(Fraction(c.real), Fraction(c.imag)) for key, c in e.terms.items()},
+        exact=True))
+
+
+def all_sweeps(b: JetMatrix) -> JetMatrix:
+    """A = iI + S from all ``order`` sweeps of S = (i/2)(conj(B) B + S^2)."""
+    n, order, exact = b.rows, b.order, b.exact
+    r = b.conj() @ b
+    half_i = QC(0, "1/2") if exact else 0.5j
+    s = JetMatrix.zeros(n, n, b.n, order, exact=exact)
+    for _ in range(order):
+        s = (r + s @ s) * half_i
+    i_unit = QC(0, 1) if exact else 1j
+    return JetMatrix.identity(n, b.n, order, exact=exact) * i_unit + s
+
+
+def matrix_bits(m: JetMatrix):
+    """Each entry's effective order, keys and coefficient bits, signed zeros
+    told apart."""
+    def bits(c):
+        return (c.re, c.im) if isinstance(c, QC) else (c.real.hex(), c.imag.hex())
+    return [(e.effective_order, [(key, bits(c)) for key, c in e.terms.items()])
+            for row in m.entries for e in row]
+
+
+def bench_cell_b(n, order, degree):
+    text = bench_b_normal_spec(n, order, degree, seed=1)
+    return parse_manifold_spec(text, name="bnormal.json").structure.B
+
+
+class TestSolverFixedPoint:
+    # sweep j settles every degree through 2j + 1, so after conj(B) B the
+    # solver runs the N // 2 sweeps that settle A and one that returns its
+    # input; all N sweeps give the same A, bit for bit
+    def check(self, b, monkeypatch):
+        calls = []
+        matmul = JetMatrix.__matmul__
+
+        def counting(self, other):
+            calls.append(other)
+            return matmul(self, other)
+        monkeypatch.setattr(JetMatrix, "__matmul__", counting)
+        got = solve_a_degree_by_degree(b)
+        monkeypatch.undo()
+        assert len(calls) == 2 + b.order // 2
+        assert matrix_bits(got) == matrix_bits(all_sweeps(b))
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("make_b", [
+        lambda: fix_b(4).B, lambda: fix_b(6).B,
+        lambda: bench_cell_b(2, 6, 6), lambda: bench_cell_b(3, 6, 4)],
+        ids=["fix_b-4", "fix_b-6", "cell-2-6-6", "cell-3-6-4"])
+    def test_equals_all_sweeps(self, monkeypatch, make_b, exact):
+        self.check(exact_copy(make_b()) if exact else make_b(), monkeypatch)
+
+    def test_random_float_family_equals_all_sweeps(self, monkeypatch):
+        self.check(random_b_normal(3, n=3, order=5).B, monkeypatch)
 
 
 class TestNormalize:

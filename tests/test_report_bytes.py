@@ -104,9 +104,9 @@ DIGESTS = {
     ("geodesic", "j0_symplectic.json", ()):
         "51261c7cbb4feab749b472542dd0e03be8ceaa2b18bcb58f220bbc36a1d26cf4",
     ("validate", "fix_b.json", ("--exact",)):
-        "00466de41cfa41236035ea15b4ab32f64f205cab936c572b13be1256781f709c",
+        "9c4a5b1a7a7b7761eb00c7208f1815606336582419d6896ed841d06d6ff59470",
     ("validate", "fix_b2.json", ("--exact",)):
-        "731db24c0093d9ebfd47a266344f1a9a68bb6f35a2c417e771a93f36b874ac69",
+        "4d9f5472d29a13c65451999dc846975d6da9ec9c229e1cdb9a35a03bcf365752",
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acgeom import structure as structure_module
 from acgeom.jets import QC, Jet, JetError, JetMatrix
 from acgeom.normal import normalize_to_order
 from acgeom.structure import (AlmostComplexStructure, ChartChange, VectorField, adapt_linear,
@@ -217,6 +218,19 @@ class TestTorsion:
     def test_cross_check_against_bracket_identity(self):
         for s in (fix_b(), random_deformation(5), random_deformation(6)):
             assert nijenhuis_check(s, torsion_tensor(s)) < 1e-11
+
+    def test_cross_check_builds_j_once(self, monkeypatch):
+        s = fix_b()
+        builds = []
+        block2x2 = structure_module.block2x2
+
+        def counting(tl, tr, bl, br):
+            if tl is s.A:
+                builds.append(tl)
+            return block2x2(tl, tr, bl, br)
+        monkeypatch.setattr(structure_module, "block2x2", counting)
+        nijenhuis_check(s, torsion_tensor(s))
+        assert len(builds) == 1
 
     def test_antisymmetry(self):
         tors = torsion_tensor(fix_b())
