@@ -11,9 +11,9 @@ from .structure import (AlmostComplexStructure, ChartChange, Frame, VectorField,
                         adapt_linear, bracket_coefficients, frame_and_dual,
                         nijenhuis_check, structure_from_deformation,
                         torsion_tensor, transform_structure)
-from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
-                    canonical_p0_connection, exterior_derivative,
-                    exterior_derivative_check, fundamental_identities_check)
+from .forms import (FrameCalculus, PQForm, apply_operator, canonical_p0_connection,
+                    exterior_derivative, exterior_derivative_check,
+                    fundamental_identities_check)
 from .normal import (NormalCoordinateResult, a_from_b_closed_form,
                      normalize_to_order, pattern_violation,
                      solve_a_degree_by_degree, structure_from_b_family,
@@ -32,7 +32,7 @@ __all__ = [
     "AlmostComplexStructure", "ChartChange", "Frame", "VectorField", "adapt_linear",
     "bracket_coefficients", "frame_and_dual", "nijenhuis_check",
     "structure_from_deformation", "torsion_tensor", "transform_structure",
-    "FrameCalculus", "MixedForm", "PQForm", "apply_operator",
+    "FrameCalculus", "PQForm", "apply_operator",
     "canonical_p0_connection", "exterior_derivative",
     "exterior_derivative_check", "fundamental_identities_check",
     "NormalCoordinateResult", "a_from_b_closed_form", "normalize_to_order",

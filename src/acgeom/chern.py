@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (FrameCalculus, MixedForm, PQForm, apply_operator,
-                    exterior_derivative, to_coordinate_form)
+from .forms import (FrameCalculus, PQForm, apply_operator, exterior_derivative,
+                    to_coordinate_form)
 from .jets import Jet, JetError, JetMatrix, SingularMatrixError, Substitution, nan_max
 from .normal import normalize_to_order, require_normal_form
 from .structure import (AlmostComplexStructure, ChartChange, VectorField,
@@ -78,14 +78,18 @@ def metric_form(calc: FrameCalculus, hd: HermitianData) -> PQForm:
     return PQForm(calc, 1, 1, coeffs)
 
 
-def metric_exterior_derivative(calc, hd) -> MixedForm:
-    """d(omega) as a mixed form; omega is closed iff every component vanishes."""
+def metric_exterior_derivative(calc, hd):
+    """d(omega) as its nonzero signed bidegree parts (``exterior_derivative``);
+    omega is closed iff there are none."""
     return exterior_derivative(metric_form(calc, hd))
 
 
 def domega_max(calc, hd):
-    d = metric_exterior_derivative(calc, hd)
-    return d.max_abs(d.effective_order)
+    """Largest coefficient of d(omega) over its parts, up to the order every
+    part trusts."""
+    parts = metric_exterior_derivative(calc, hd)
+    eff = min((part.effective_order for part in parts), default=calc.order)
+    return nan_max(part.max_abs(eff) for part in parts)
 
 
 class MatrixForm:
@@ -161,15 +165,9 @@ class ConnectionForms:
     asecond: MatrixForm       # (0,1)-form entries
 
     def pair_with(self, x: VectorField):
-        """Matrix of jets <A_{k,l}, x> for a full connection entry pairing."""
-        calc = self.aprime.calc
-        n = calc.n
-        comps = calc.frame.to_frame_components(x)
-        return JetMatrix([[Jet.dot([(c, comps[kk[0]])
-                                    for (kk, _ll), c in self.aprime[k, l].coeffs.items()]
-                                   + [(c, comps[n + ll[0]])
-                                      for (_kk, ll), c in self.asecond[k, l].coeffs.items()],
-                                   n, calc.order)
+        """Matrix of jets A_{k,l}(x) = A'_{k,l}(x) + A''_{k,l}(x)."""
+        n = self.aprime.rows
+        return JetMatrix([[self.aprime[k, l].evaluate([x]) + self.asecond[k, l].evaluate([x])
                            for l in range(n)] for k in range(n)])
 
 
@@ -193,13 +191,13 @@ def canonical_delbar_connection(calc: FrameCalculus) -> MatrixForm:
 def derive_matrix(calc, jm: JetMatrix, kind) -> MatrixForm:
     """Entrywise ``kind`` derivative of a matrix of jet functions: "del"
     gives a (1,0)-form per entry, "delbar" a (0,1)-form."""
-    derive, p, q = {"del": (calc.zeta_derive, 1, 0),
-                    "delbar": (calc.zetabar_derive, 0, 1)}[kind]
+    field, p, q = {"del": (calc.frame.zeta, 1, 0),
+                   "delbar": (calc.frame.zeta_bar, 0, 1)}[kind]
 
     def entry(f):
         coeffs = {}
         for r in range(calc.n):
-            jet = derive(r, f)
+            jet = field(r).derive(f)
             if jet:
                 coeffs[((r,), ()) if p else ((), (r,))] = jet
         return PQForm(calc, p, q, coeffs)
@@ -232,13 +230,13 @@ def hermitian_compat_residual(calc, hd, conn: ConnectionForms):
     for p in range(n):
         for l in range(n):
             for m in range(n):
-                lhs = calc.zeta_derive(p, h[l, m])
+                lhs = calc.frame.zeta(p).derive(h[l, m])
                 rhs = Jet.dot([t for s in range(n)
                                for t in ((ap[s][l][p], h[s, m]),
                                          (asec[s][m][p].conj(), h[l, s]))], n, calc.order)
                 eff = min(lhs.effective_order, rhs.effective_order)
                 residuals.append((lhs - rhs).max_abs(eff))
-                lhs2 = calc.zetabar_derive(p, h[l, m])
+                lhs2 = calc.frame.zeta_bar(p).derive(h[l, m])
                 rhs2 = Jet.dot([t for s in range(n)
                                 for t in ((asec[s][l][p], h[s, m]),
                                           (ap[s][m][p].conj(), h[l, s]))], n, calc.order)
@@ -446,7 +444,7 @@ class ChernLeviCivita:
         self.n = n
         self._h_t_inv = hd.H.T.inverse()
         self._h_inv = hd.H.inverse()
-        self._domega = metric_exterior_derivative(calc, hd)
+        self._domega_parts = metric_exterior_derivative(calc, hd)
         self._fields = [calc.frame.zeta(k) for k in range(n)] + \
             [calc.frame.zeta_bar(k) for k in range(n)]
         self._points = sample_points(n)
@@ -460,7 +458,8 @@ class ChernLeviCivita:
         return val
 
     def domega_value(self, x, y, z) -> Jet:
-        return self._domega.evaluate([x, y, z])
+        return sum((part.evaluate([x, y, z]) for part in self._domega_parts),
+                   Jet.zero(self.n, self.calc.order))
 
     def _solve_omega_pairing(self, rhs10, rhs01) -> VectorField:
         """Vector V with omega(V, zetabar_m) = rhs10[m], omega(V, zeta_m) = rhs01[m]."""

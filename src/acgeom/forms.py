@@ -8,16 +8,17 @@ sign in d, the frame fields of its derivative term, and which bracket table
 (M, N or U, plain or conjugated) replaces a removed zeta*_i or zetabar*_i by
 which covector pair.  A conversion to the coordinate covector basis provides
 the oracle path for the exterior-derivative decomposition and metric work.
+Forms of both bases are evaluated on vector fields by ``structure.word_value``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .jets import Jet, JetError, nan_max
-from .structure import AlmostComplexStructure, bracket_coefficients, frame_and_dual
+from .structure import (AlmostComplexStructure, _sorted_sign, bracket_coefficients,
+                        frame_and_dual, word_value)
 
 # On u_{K,L} times the word zeta*_K ^ zetabar*_L: shift of the bidegree; sign in
 # d; derive, the tag of the derivative terms zeta_r(u) zeta*_r ^ word (0) or
@@ -39,22 +40,6 @@ _OPERATORS = {
                           (_Piece("N", False, (1, 1), True, False, -1), None)),
 }
 OPERATOR_KINDS = tuple(_OPERATORS)
-
-
-def _sorted_sign(seq):
-    """Sign of the permutation sorting seq; 0 on duplicates."""
-    arr = list(seq)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j] < arr[j - 1]:
-            arr[j], arr[j - 1] = arr[j - 1], arr[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(arr, arr[1:]):
-        if a == b:
-            return 0, ()
-    return sign, tuple(arr)
 
 
 def normalize_factors(factors):
@@ -81,14 +66,6 @@ class FrameCalculus:
         self.bc = bracket_coefficients(s, self.frame)
         self.n = s.n
         self.order = s.order
-        self._zetas = [self.frame.zeta(k) for k in range(s.n)]
-        self._zetabars = [self.frame.zeta_bar(k) for k in range(s.n)]
-
-    def zeta_derive(self, r, f: Jet, grad=None) -> Jet:
-        return self._zetas[r].derive(f, grad)
-
-    def zetabar_derive(self, r, f: Jet, grad=None) -> Jet:
-        return self._zetabars[r].derive(f, grad)
 
     def function(self, f: Jet):
         return PQForm(self, 0, 0, {((), ()): f})
@@ -187,47 +164,21 @@ class PQForm:
         return PQForm(self.calc, p, q, _sum_terms(terms, self.calc.n, self.calc.order))
 
     def evaluate(self, fields) -> Jet:
-        """Evaluate on p+q vector fields (antisymmetrized pairing)."""
-        deg = self.p + self.q
-        if len(fields) != deg:
-            raise JetError(f"need {deg} fields, got {len(fields)}")
+        """Evaluate on p+q vector fields: sum of u_{K,L} times the word's
+        ``word_value`` on the fields' frame components."""
+        _check_field_count(self.p + self.q, fields)
         n, order = self.calc.n, self.calc.order
-        fr = self.calc.frame
-        if not deg:
-            return sum(self.coeffs.values(), Jet.zero(n, order))
-        comps = [fr.to_frame_components(x) for x in fields]
-        return Jet.dot([(c, _determinant([[comps[fi][cov] for fi in range(deg)]
-                                          for cov in list(k) + [n + i for i in l]],
-                                         n, order))
+        comps = [self.calc.frame.to_frame_components(x) for x in fields]
+        return Jet.dot([(c, word_value(comps, k + tuple(n + i for i in l), n, order))
                         for (k, l), c in self.coeffs.items()], n, order)
 
     def __repr__(self):
         return f"PQForm(({self.p},{self.q}), {len(self.coeffs)} terms)"
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations(deg):
-    """(perm, float sign) over the permutations of range(deg), in
-    ``itertools.permutations`` order."""
-    return tuple((perm, float(_sorted_sign(perm)[0]))
-                 for perm in permutations(range(deg)))
-
-
-def _determinant(rows, n, order) -> Jet:
-    """Determinant of a square jet matrix, sum over perm of
-    sign * rows[0][perm[0]] * rows[1][perm[1]] * ..., multiplied left to
-    right; a product stops at its first zero partial product."""
-    terms = []
-    for perm, sign in _signed_permutations(len(rows)):
-        prod = None
-        for row, col in zip(rows, perm):
-            factor = row[col]
-            prod = factor if prod is None else prod * factor
-            if not prod:
-                break
-        if prod:
-            terms.append((prod, sign))
-    return Jet.dot(terms, n, order)
+def _check_field_count(deg, fields):
+    if len(fields) != deg:
+        raise JetError(f"need {deg} fields, got {len(fields)}")
 
 
 def _sum_terms(terms, n, order):
@@ -263,14 +214,14 @@ def apply_operator(kind: str, u: PQForm) -> PQForm:
     if op is None:
         raise JetError(f"unknown operator kind {kind!r}")
     n, bc = calc.n, calc.bc
-    derive = (calc.zeta_derive, calc.zetabar_derive)
     acc = {}
     for (kk, ll), c in u.coeffs.items():
         word = [(0, i) for i in kk] + [(1, i) for i in ll]
         if op.derive is not None:
             grad = c.gradient()
+            field = (calc.frame.zeta, calc.frame.zeta_bar)[op.derive]
             for r in range(n):
-                _accumulate(acc, [(op.derive, r)] + word, derive[op.derive](r, c, grad))
+                _accumulate(acc, [(op.derive, r)] + word, field(r).derive(c, grad))
         for pos, (tag, i) in enumerate(word):
             pc = op.pieces[tag]
             if pc is None:
@@ -293,46 +244,12 @@ def canonical_p0_connection(u: PQForm) -> PQForm:
     return apply_operator("delbar", u) * float((-1) ** u.p)
 
 
-class MixedForm:
-    """Sum of forms of distinct bidegrees (the four-operator image of a
-    pure-bidegree form is of this shape)."""
-
-    __slots__ = ("calc", "components")
-
-    def __init__(self, calc):
-        self.calc = calc
-        self.components = {}
-
-    def _absorb(self, form, sign):
-        if not form.coeffs:
-            return
-        key = (form.p, form.q)
-        if key in self.components:
-            self.components[key] = self.components[key] + form * sign
-        else:
-            self.components[key] = form * sign
-
-    def evaluate(self, fields) -> Jet:
-        deg = len(fields)
-        return sum((form.evaluate(fields) for (p, q), form in self.components.items()
-                    if p + q == deg), Jet.zero(self.calc.n, self.calc.order))
-
-    def max_abs(self, max_degree=None):
-        return nan_max(f.max_abs(max_degree) for f in self.components.values())
-
-    @property
-    def effective_order(self):
-        if not self.components:
-            return self.calc.order
-        return min(f.effective_order for f in self.components.values())
-
-
-def exterior_derivative(u: PQForm) -> MixedForm:
-    """d = del + delbar - theta - thetabar as a mixed form."""
-    out = MixedForm(u.calc)
-    for kind, op in _OPERATORS.items():
-        out._absorb(apply_operator(kind, u), op.sign)
-    return out
+def exterior_derivative(u: PQForm):
+    """d = del + delbar - theta - thetabar as its nonzero bidegree parts,
+    each with its sign in d, in ``_OPERATORS`` order.  The four parts have
+    distinct bidegrees, so du is their sum and vanishes iff the list does."""
+    parts = (apply_operator(kind, u) * op.sign for kind, op in _OPERATORS.items())
+    return [part for part in parts if part.coeffs]
 
 
 # -- coordinate-basis forms (oracle path) -----------------------------------
@@ -418,11 +335,11 @@ class CoordForm:
         return min(j.effective_order for j in self.coeffs.values())
 
     def evaluate(self, fields) -> Jet:
-        deg = self.degree
-        if not deg:
-            return sum(self.coeffs.values(), Jet.zero(self.n, self.order))
-        return Jet.dot([(c, _determinant([[fields[fi].components[cov] for fi in range(deg)]
-                                          for cov in key], self.n, self.order))
+        """Sum of c_key times the word's ``word_value`` on the fields'
+        coordinate components."""
+        _check_field_count(self.degree, fields)
+        comps = [x.components for x in fields]
+        return Jet.dot([(c, word_value(comps, key, self.n, self.order))
                         for key, c in self.coeffs.items()], self.n, self.order)
 
 
@@ -445,15 +362,10 @@ def to_coordinate_form(u: PQForm) -> CoordForm:
 def exterior_derivative_check(u: PQForm) -> float:
     """Residual between the coordinate-basis exterior derivative and the
     four-operator decomposition, compared through the coordinate basis."""
-    calc = u.calc
     du_coord = to_coordinate_form(u).d()
-    pieces = None
-    for kind, op in _OPERATORS.items():
-        tu = apply_operator(kind, u)
-        if tu.p < 0 or tu.q < 0:
-            continue
-        cf = to_coordinate_form(tu) * op.sign
-        pieces = cf if pieces is None else pieces + cf
+    pieces = CoordForm(du_coord.n, du_coord.order, du_coord.degree, {})
+    for part in exterior_derivative(u):
+        pieces = pieces + to_coordinate_form(part)
     diff = du_coord - pieces
     eff = min(du_coord.effective_order, pieces.effective_order)
     return diff.max_abs(eff)

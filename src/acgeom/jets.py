@@ -69,7 +69,6 @@ orderings puts c / r in each and building back sums its r slots.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -217,9 +216,18 @@ def multi_index(n, *slots):
 
 
 def _slot_orderings(exponents):
-    """Distinct orderings of the multiset in which slot i appears exponents[i] times."""
-    return sorted(set(itertools.permutations(
-        [i for i, e in enumerate(exponents) for _ in range(e)])))
+    """Distinct orderings of the multiset in which slot i appears exponents[i]
+    times, in lexicographic order: each slot still left, in turn, followed by
+    the orderings of the rest."""
+    if not any(exponents):
+        return [()]
+    out = []
+    for i, e in enumerate(exponents):
+        if e:
+            rest = list(exponents)
+            rest[i] -= 1
+            out += [(i,) + tail for tail in _slot_orderings(rest)]
+    return out
 
 
 def _bad_key_message(key, n, order):

@@ -8,16 +8,73 @@ in the complexified coordinate frame (d/dz, d/dzbar),
 adapted so that A(0) = i I and B(0) = 0.  This module builds the canonical
 (1,0)-frame and its dual, Lie-bracket coefficient tables, the torsion tensor
 with an independent cross-check, and transport under coordinate changes.
+``word_value`` is the one pairing of a wedge word with vector fields, which
+the torsion tensor and every form evaluator share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
 from .jets import (Jet, JetError, JetMatrix, SingularMatrixError, Substitution,
                    block2x2, nan_max, series_inverse)
+
+
+def _sorted_sign(seq):
+    """Sign of the permutation sorting seq; 0 on duplicates."""
+    arr = list(seq)
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j] < arr[j - 1]:
+            arr[j], arr[j - 1] = arr[j - 1], arr[j]
+            sign = -sign
+            j -= 1
+    for a, b in zip(arr, arr[1:]):
+        if a == b:
+            return 0, ()
+    return sign, tuple(arr)
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(deg):
+    """(perm, float sign) over the permutations of range(deg), in
+    ``itertools.permutations`` order."""
+    return tuple((perm, float(_sorted_sign(perm)[0]))
+                 for perm in permutations(range(deg)))
+
+
+def word_value(comps, slots, n, order) -> Jet:
+    """Value of the wedge word of the covectors ``slots`` on the
+    k = len(slots) fields whose components are ``comps[field][slot]``: the
+    determinant det[comps[j][slots[i]]] (Spivak, Calculus on Manifolds, ch. 4).
+
+    Each permutation's product sign * comps[perm[0]][slots[0]] * ... is
+    multiplied left to right and stops at its first zero partial product;
+    the value trusts no degree beyond the least effective order of its
+    entries.  The empty word is the constant 1.
+    """
+    if not slots:
+        return Jet.one(n, order)
+    terms = []
+    for perm, sign in _signed_permutations(len(slots)):
+        prod = None
+        for slot, field in zip(slots, perm):
+            factor = comps[field][slot]
+            prod = factor if prod is None else prod * factor
+            if not prod:
+                break
+        if prod:
+            terms.append((prod, sign))
+    value = Jet.dot(terms, n, order)
+    # a product that stops early, or vanishes, drops factors whose orders
+    # still bound the value
+    floor = min(row[s].effective_order for row in comps for s in slots)
+    return value if value.effective_order <= floor else value.trusted(floor)
 
 
 class VectorField:
@@ -292,13 +349,12 @@ class TorsionTensor:
         """N_J = tau_J + conj(tau_J) evaluated on (complexified) fields."""
         fr = self.frame
         n, order = self.n, fr.order
-        xi_c = fr.to_frame_components(xi)
-        eta_c = fr.to_frame_components(eta)
+        comps = [fr.to_frame_components(xi), fr.to_frame_components(eta)]
         terms = [[] for _ in range(2 * n)]
         for k in range(n):
             for l in range(k + 1, n):
-                pair10 = xi_c[k] * eta_c[l] - eta_c[k] * xi_c[l]
-                pair01 = (xi_c[n + k] * eta_c[n + l] - eta_c[n + k] * xi_c[n + l])
+                pair10 = word_value(comps, (k, l), n, order)
+                pair01 = word_value(comps, (n + k, n + l), n, order)
                 for r in range(n):
                     if pair10:
                         terms[n + r].append((self.nbar[r][k, l], pair10))

@@ -67,13 +67,6 @@ OPTION_ALLOWLIST = {
     "cli.main(argv)":
         "the console script calls main() with no arguments, so that argparse "
         "reads sys.argv",
-    "forms.FrameCalculus.zeta_derive(grad)":
-        "forms.apply_operator passes it through its derive pair "
-        "(calc.zeta_derive, calc.zetabar_derive), which the name match "
-        "cannot see",
-    "forms.FrameCalculus.zetabar_derive(grad)":
-        "forms.apply_operator passes it through its derive pair, as for "
-        "zeta_derive",
 }
 
 

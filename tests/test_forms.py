@@ -6,11 +6,11 @@ import pytest
 from acgeom import forms as forms_module
 from acgeom.forms import (FUNDAMENTAL_IDENTITIES, OPERATOR_KINDS, CoordForm,
                           FrameCalculus, PQForm,
-                          _determinant, apply_operator, canonical_p0_connection,
+                          apply_operator, canonical_p0_connection,
                           exterior_derivative_check, fundamental_identities_check,
                           to_coordinate_form)
 from acgeom.jets import Jet, JetError
-from acgeom.structure import VectorField, torsion_tensor
+from acgeom.structure import VectorField, torsion_tensor, word_value
 
 from conftest import random_jet
 from germs import fix_b, fix_j0, frame_covector, random_deformation
@@ -315,27 +315,54 @@ class TestCoordinateConversion:
             key = (kk[0], 2 + ll[0])
             assert (cf.coeffs[key] - c).max_abs() < 1e-13
 
-    def test_evaluation_matches(self, calc_b, rng):
-        from acgeom.structure import VectorField
-        u = random_form(calc_b, rng, 1, 1)
-        cf = to_coordinate_form(u)
-        fields = [VectorField([random_jet(rng, 2, 4, nterms=2) for _ in range(4)])
-                  for _ in range(2)]
-        v1 = u.evaluate(fields)
-        v2 = cf.evaluate(fields)
-        eff = min(v1.effective_order, v2.effective_order)
-        assert (v1 - v2).max_abs(eff) < 1e-11
+    def test_evaluation_matches(self, calc_b, digest_calcs, rng):
+        # every bidegree p + q <= 2 at n = 2 and 3; the 0-form is the empty word
+        for calc in (calc_b, digest_calcs["deformation"]):
+            n, order = calc.n, calc.order
+            for p in range(3):
+                for q in range(3 - p):
+                    u = random_form(calc, rng, p, q)
+                    cf = to_coordinate_form(u)
+                    fields = [VectorField([random_jet(rng, n, order, nterms=2)
+                                           for _ in range(2 * n)])
+                              for _ in range(p + q)]
+                    v1 = u.evaluate(fields)
+                    v2 = cf.evaluate(fields)
+                    assert v1, (n, p, q)
+                    eff = min(v1.effective_order, v2.effective_order)
+                    assert (v1 - v2).max_abs(eff) < 1e-11, (n, p, q)
 
 
 class TestDeterminant:
     def test_constant_matrices_match_numpy(self, rng):
-        for size in (1, 2, 3):
+        for size in (0, 1, 2, 3):
             m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-            rows = [[Jet.constant(2, 3, m[i, j]) for j in range(size)]
-                    for i in range(size)]
-            det = _determinant(rows, 2, 3)
+            comps = [[Jet.constant(2, 3, m[i, j]) for i in range(size)]
+                     for j in range(size)]
+            det = word_value(comps, tuple(range(size)), 2, 3)
             assert abs(det.constant_term - np.linalg.det(m)) < 1e-12
             assert det.max_abs(3) == abs(det.constant_term)
+
+    def test_slots_pick_the_word(self, rng):
+        # a word reads only its own slots, in its own order
+        comps = [[Jet.constant(2, 3, complex(rng.normal())) for _ in range(4)]
+                 for _ in range(2)]
+        det = word_value(comps, (3, 1), 2, 3)
+        want = comps[0][3].constant_term * comps[1][1].constant_term \
+            - comps[1][3].constant_term * comps[0][1].constant_term
+        assert abs(det.constant_term - want) < 1e-15
+        swapped = word_value(comps, (1, 3), 2, 3)
+        assert (det + swapped).max_abs() < 1e-15
+
+    def test_trusts_least_entry_order(self):
+        # the entries of z are zero and trusted to degree 3 only, so every
+        # product vanishes; the value still trusts no more than degree 3
+        calc = FrameCalculus(random_deformation(1, n=2, order=4))
+        z = VectorField([Jet.zero(2, 4).dz(0) for _ in range(4)])
+        u = PQForm(calc, 2, 0, {((0, 1), ()): Jet.one(2, 4)})
+        value = u.evaluate([z, calc.frame.zeta(1)])
+        assert not value
+        assert value.effective_order == 3
 
     def test_repeated_field_vanishes(self, rng):
         x = VectorField([random_jet(rng, 2, 3, nterms=3, dyadic=True) for _ in range(4)])
@@ -344,3 +371,10 @@ class TestDeterminant:
         assert form.evaluate([x, x]).max_abs() == 0
         want = x.components[0] * y.components[3] - y.components[0] * x.components[3]
         assert form.evaluate([x, y]) == want
+
+    def test_field_count_checked(self):
+        d0, d1 = (VectorField.coordinate(2, 3, a) for a in range(2))
+        with pytest.raises(JetError):
+            CoordForm(2, 3, 1, {(0,): Jet.one(2, 3)}).evaluate([d0, d1])
+        with pytest.raises(JetError):
+            CoordForm.function(Jet.one(2, 3)).evaluate([d0])

@@ -6,7 +6,10 @@ small and sparse.  The benchmark's full-support germs drive the dense kernel,
 ``compose``, ``series_inverse`` and the frame calculus on many more terms, so
 their reports are pinned here as well.  The task lists come from
 ``perfbench/workloads.py``, loaded read-only; each document is serialized as
-``cli.emit_report`` does, with the task's payload under ``data``.
+``cli.emit_report`` does, with the task's payload under ``data``.  When a
+change to these reports is intended, ``python tests/test_generated_report_bytes.py``
+(with ``src`` on ``PYTHONPATH``) prints the table for the current tree, every
+task of each pinned workload in build order.
 """
 
 import hashlib
@@ -70,3 +73,12 @@ def test_generated_report_bytes(workload):
         text = _document(*task.run())
         assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(workload, task.id)], \
             task.id
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for workload in sorted({w for w, _ in DIGESTS}):
+        for task in workloads.build(workload, 1, False, ROOT):
+            print(f"    ({workload!r}, {task.id!r}):".replace("'", '"'))
+            print(f'        "{hashlib.sha256(_document(*task.run()).encode()).hexdigest()}",')
+    print("}")

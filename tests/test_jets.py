@@ -7,8 +7,8 @@ import pytest
 from fractions import Fraction
 
 from acgeom.jets import (Jet, JetError, JetMatrix, QC, SingularMatrixError,
-                         Substitution, _Index, _conj_code, _index, block2x2,
-                         multi_index, series_inverse)
+                         Substitution, _Index, _conj_code, _index, _slot_orderings,
+                         block2x2, multi_index, series_inverse)
 
 from conftest import random_jet, random_point
 
@@ -234,6 +234,12 @@ class TestFamily:
         for slot in [(0, 0, 1, 2), (0, 1, 0, 2), (1, 0, 0, 2)]:
             assert cubic[slot] == 2.0
         assert np.count_nonzero(cubic) == 3
+
+    def test_slot_orderings_are_sorted_distinct_permutations(self):
+        # from_family adds a coefficient's orderings in this order
+        for exps in itertools.product(range(3), repeat=4):
+            slots = [i for i, e in enumerate(exps) for _ in range(e)]
+            assert _slot_orderings(exps) == sorted(set(itertools.permutations(slots)))
 
     def test_coefficients_match_terms(self, rng):
         m = JetMatrix([[random_jet(rng, 2, 3, nterms=6) for _ in range(3)]
