@@ -2,8 +2,8 @@
 
 A jet is a polynomial in (z_1..z_n, zbar_1..zbar_n) truncated at a fixed total
 degree.  Coefficients are ``complex`` by default; an exact rational-complex
-mode (:class:`QC`) is available for oracle computations that must be checked
-with zero discrepancy.
+mode (:class:`QC`, the value (a + b i) / d on three ints in lowest terms) is
+available for oracle computations that must be checked with zero discrepancy.
 
 A jet stores its nonzero coefficients in one dict, keyed by each monomial's
 integer code and sorted by it.  A code holds base-16 digits, from the most
@@ -55,9 +55,9 @@ Results are built by ``Jet._make`` on terms pruned and sorted already.
 
 Exact operands of ``*`` and ``@`` stay on the dict path.  The dense kernel
 does run on ``QC`` object arrays, but it forms every pair of the product
-table, and a ``QC`` product costs four ``Fraction`` products: at the float
-threshold it made ``validate --exact`` 3-14x slower on (n, N, degree) =
-(3, 2, 2), (2, 5, 2) and (4, 3, 2).
+table, most of them zero, and each pair is a Python-level ``QC`` product and
+sum: at the float threshold it made ``validate --exact`` 1.3-2.8x slower on
+(n, N, degree) = (3, 2, 2), (2, 5, 2) and (4, 3, 2).
 
 Coefficient families of a ``JetMatrix`` go out and come back in one way each:
 ``coefficients`` / ``from_coefficients`` map every monomial to a rows x cols
@@ -111,19 +111,43 @@ class SingularMatrixError(JetError):
 
 
 class QC:
-    """Exact complex scalar with rational real and imaginary parts."""
+    """Exact complex scalar (a + b i) / d on three ints, in lowest terms:
+    d > 0 and gcd(a, b, d) = 1, so equal values have equal triples.
 
-    __slots__ = ("re", "im")
+    ``QC(re, im=0)`` takes ints, ``Fraction``s or anything ``Fraction``
+    reads, such as a decimal string; ``re`` and ``im`` read the parts back as
+    ``Fraction``s.  Each operation works on the ints of its operands and
+    reduces its result by one ``math.gcd(a, b, d)``.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # both parts are in lowest terms, so over the lcm of their
+        # denominators no prime divides a, b and d at once
+        q1, q2 = re.denominator, im.denominator
+        d = q1 // math.gcd(q1, q2) * q2
+        self.a, self.b, self.d = re.numerator * (d // q1), im.numerator * (d // q2), d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
         other = _coerce_qc(other)
         if other is None:
             return NotImplemented
-        return QC(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        return _reduced(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -131,7 +155,8 @@ class QC:
         other = _coerce_qc(other)
         if other is None:
             return NotImplemented
-        return QC(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        return _reduced(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = _coerce_qc(other)
@@ -143,46 +168,64 @@ class QC:
         other = _coerce_qc(other)
         if other is None:
             return NotImplemented
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # x / y = x conj(y) d_y / (d_x |a_y + b_y i|^2)
         other = _as_qc(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        norm = a2 * a2 + b2 * b2
+        if norm == 0:
             raise ZeroDivisionError("division by exact zero")
-        return QC((self.re * other.re + self.im * other.im) / d,
-                  (self.im * other.re - self.re * other.im) / d)
+        d2 = other.d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * norm)
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
     def conjugate(self):
-        return QC(self.re, -self.im)
+        return _reduced(self.a, -self.b, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QC):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return self.b == 0 and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (self.b == 0 and self.d == other.denominator
+                    and self.a == other.numerator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction does
+        return hash(self.re) if self.b == 0 else hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def __abs__(self):
         return abs(complex(self))
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division is correctly rounded, as Fraction.__float__ is
+        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
 
     def __repr__(self):
         return f"QC({self.re!r}, {self.im!r})"
+
+
+def _reduced(a, b, d):
+    """The QC (a + b i) / d for d > 0, in lowest terms."""
+    g = math.gcd(a, b, d)
+    z = object.__new__(QC)
+    if g == 1:
+        z.a, z.b, z.d = a, b, d
+    else:
+        z.a, z.b, z.d = a // g, b // g, d // g
+    return z
 
 
 def _coerce_qc(x):

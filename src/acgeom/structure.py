@@ -78,12 +78,17 @@ def word_value(comps, slots, n, order) -> Jet:
 
 
 class VectorField:
-    """Complexified vector field: 2n jet components on (d/dz_k, d/dzbar_k)."""
+    """Complexified vector field: 2n jet components on (d/dz_k, d/dzbar_k).
 
-    __slots__ = ("n", "order", "components")
+    ``Frame.to_frame_components`` keeps the field's pairings with the dual
+    frame on the field, as (frame, components), since fields are never
+    changed after construction."""
+
+    __slots__ = ("n", "order", "components", "_frame_comps")
 
     def __init__(self, components):
         self.components = list(components)
+        self._frame_comps = None
         self.n = len(self.components) // 2
         self.order = self.components[0].order
         if len(self.components) != 2 * self.n:
@@ -211,8 +216,8 @@ class Frame:
 
     The 2n frame fields are built once; ``zeta``/``zeta_bar`` return those
     same objects, and ``real_frame_field`` builds each of its n fields once,
-    on first use.  The frame components of all 3n fields are paired once, on
-    first use.
+    on first use.  Any field is paired with the dual frame once, on first
+    use (see ``VectorField``).
     """
 
     def __init__(self, g: JetMatrix, ginv: JetMatrix):
@@ -224,8 +229,6 @@ class Frame:
         self._fields = tuple(VectorField([g[i, a] for i in range(dim)])
                              for a in range(dim))
         self._real_fields = [None] * self.n
-        self._field_slot = {id(f): a for a, f in enumerate(self._fields)}
-        self._field_comps = [None] * (dim + self.n)
 
     def zeta(self, k) -> VectorField:
         return self._fields[k]
@@ -238,7 +241,6 @@ class Frame:
         x = self._real_fields[k]
         if x is None:
             x = self._real_fields[k] = self.zeta(k) + self.zeta_bar(k)
-            self._field_slot[id(x)] = 2 * self.n + k
         return x
 
     def dual_pair(self, k, x: VectorField) -> Jet:
@@ -246,15 +248,12 @@ class Frame:
         return Jet.dot(zip(self.Ginv.entries[k], x.components), self.n, self.order)
 
     def to_frame_components(self, x: VectorField):
-        """The 2n pairings of x with the dual frame, as a tuple."""
-        a = self._field_slot.get(id(x))
-        if a is None:
-            return tuple(self.dual_pair(k, x) for k in range(2 * self.n))
-        comps = self._field_comps[a]
-        if comps is None:
-            comps = self._field_comps[a] = tuple(
-                self.dual_pair(k, x) for k in range(2 * self.n))
-        return comps
+        """The 2n pairings of x with the dual frame, as a tuple, kept on x."""
+        memo = x._frame_comps
+        if memo is None or memo[0] is not self:
+            memo = x._frame_comps = (
+                self, tuple(self.dual_pair(k, x) for k in range(2 * self.n)))
+        return memo[1]
 
     def from_frame_components(self, comps) -> VectorField:
         return VectorField([Jet.dot(zip(row, comps), self.n, self.order)

@@ -128,6 +128,28 @@ class TestChernConnection:
         conn = chern_connection(calc_b, hd)
         assert hermitian_compat_residual(calc_b, hd, conn) < 1e-11
 
+    def test_pair_with_pairs_the_field_once(self, calc_b, monkeypatch):
+        # every entry of A' and A'' is evaluated on x, and x is paired with
+        # the dual frame once: 2n pairings, not 2n per entry
+        conn = chern_connection(calc_b, identity_metric(2, 4))
+        fr = calc_b.frame
+        calls = []
+        dual_pair = structure.Frame.dual_pair
+
+        def counting(frame, k, field):
+            calls.append(k)
+            return dual_pair(frame, k, field)
+        monkeypatch.setattr(structure.Frame, "dual_pair", counting)
+        x = fr.zeta(0) + 2 * fr.zeta(1)
+        got = conn.pair_with(x)
+        assert calls == list(range(2 * calc_b.n))
+        assert flat_entries(conn.pair_with(x)) == flat_entries(got)
+        assert len(calls) == 2 * calc_b.n
+        # pinned bits: pairing x once gives each entry the bits of pairing
+        # it afresh per entry
+        assert jets_sha256(flat_entries(got)) == \
+            "f811e8fd469f624093d836d959492ab8947bda2659290f0df1ea7f71b488ff73"
+
     def test_preserves_realness(self, calc_b):
         hd = identity_metric(2, 4)
         conn = chern_connection(calc_b, hd)

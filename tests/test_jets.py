@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -719,3 +721,136 @@ def test_block2x2_shape():
     assert m.rows == m.cols == 4
     assert (m - JetMatrix.identity(4, 2, 3)).max_abs() == 0
 
+
+# -- exact scalars -----------------------------------------------------------
+
+# Rationals over denominators that are not powers of two (thirds, tenths, a
+# large power of three) as well as dyadic ones, with zero and negatives.
+RATIONALS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1, 10),
+                     Fraction(-7, 6)]),
+    st.builds(Fraction, st.integers(-60, 60),
+              st.sampled_from([1, 2, 3, 5, 6, 10, 1024, 3 ** 20])))
+# A plain operand of a QC: an int, a Fraction or a decimal or fraction string.
+SCALARS = st.one_of(st.integers(-9, 9), RATIONALS,
+                    st.sampled_from(["0.1", "-0.3", "2.5", "-1/3", "0"]))
+EXACT = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+def ref_mul(x, y):
+    """Product of two (re, im) pairs of Fractions."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def parts(z):
+    """The value of a QC as a (re, im) pair, after checking its triple is in
+    lowest terms with a positive denominator."""
+    assert all(type(v) is int for v in (z.a, z.b, z.d))
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert (z.re, z.im) == (Fraction(z.a, z.d), Fraction(z.b, z.d))
+    return (z.re, z.im)
+
+
+def triple(z):
+    return (z.a, z.b, z.d)
+
+
+class TestQC:
+    @EXACT
+    @given(RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+    def test_operations_match_fraction_pairs(self, r1, i1, r2, i2):
+        x, y = QC(r1, i1), QC(r2, i2)
+        u, v = (r1, i1), (r2, i2)
+        assert parts(x) == u
+        assert parts(x + y) == (r1 + r2, i1 + i2)
+        assert parts(x - y) == (r1 - r2, i1 - i2)
+        assert parts(x * y) == ref_mul(u, v)
+        assert parts(-x) == (-r1, -i1)
+        assert parts(x.conjugate()) == (r1, -i1)
+        assert (x == y) == (u == v)
+        if v != (0, 0):
+            assert parts(x / y) == ref_div(u, v)
+            # equal values have equal triples, however they were reached
+            assert triple((x * y) / y) == triple(x)
+        assert triple((x + y) - y) == triple(x)
+
+    @EXACT
+    @given(RATIONALS, RATIONALS, SCALARS)
+    def test_mixed_operands(self, r, i, s):
+        x, u = QC(r, i), (r, i)
+        f = Fraction(s)
+        w = (f, Fraction(0))
+        assert parts(x + s) == parts(s + x) == (r + f, i)
+        assert parts(x - s) == (r - f, i)
+        assert parts(s - x) == (f - r, -i)
+        assert parts(x * s) == parts(s * x) == ref_mul(u, w)
+        if f:
+            assert parts(x / s) == ref_div(u, w)
+        assert triple(QC(s)) == triple(QC(f)) == triple(QC(f, 0))
+        if not isinstance(s, str):
+            assert (x == s) == (i == 0 and r == s)
+
+    @EXACT
+    @given(RATIONALS, RATIONALS, RATIONALS.filter(bool))
+    def test_division_by_negative_and_imaginary(self, r, i, t):
+        x, u = QC(r, i), (r, i)
+        negative = QC(-abs(t))
+        assert parts(x / negative) == (r / -abs(t), i / -abs(t))
+        assert parts(x / QC(0, t)) == ref_div(u, (Fraction(0), t))
+        assert parts(x / QC(-t, t)) == ref_div(u, (-t, t))
+
+    @pytest.mark.parametrize("zero", [QC(0), QC(0, 0), QC("1/3") - QC(1, 0) / 3, 0,
+                                      Fraction(0), "0"],
+                             ids=["QC", "QC-pair", "difference", "int", "Fraction", "str"])
+    def test_division_by_exact_zero_raises(self, zero):
+        with pytest.raises(ZeroDivisionError):
+            QC(1, 2) / zero
+
+    def test_decimal_and_third(self):
+        tenth, third = QC("0.1"), QC(1) / 3
+        assert triple(tenth) == (1, 0, 10)
+        assert triple(third) == (1, 0, 3)
+        assert triple(tenth * 3 + third) == (19, 0, 30)
+        assert triple(QC(Fraction(2, 6), "-0.5")) == (2, -3, 6)
+        assert triple(QC(0, 0)) == triple(QC(3) - 3) == (0, 0, 1)
+
+    @EXACT
+    @given(RATIONALS, RATIONALS)
+    def test_hash_bool_repr_and_float_bits(self, r, i):
+        x = QC(r, i)
+        assert bool(x) == (r != 0 or i != 0)
+        assert repr(x) == f"QC({r!r}, {i!r})"
+        # the bits of the two-Fraction formula, complex(re) + 1j * complex(im)
+        want = complex(r) + 1j * complex(i)
+        got = complex(x)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert abs(x) == abs(want)
+        assert hash(x) == hash(QC(str(r), str(i)))
+        if i == 0:
+            # a real QC equals, and so must hash as, its Fraction and int
+            assert hash(x) == hash(r) and len({x, r}) == 1
+            if r.denominator == 1:
+                assert hash(x) == hash(int(r)) and len({x, int(r)}) == 1
+
+    def test_int_and_set_agree(self):
+        assert QC(3) == 3 and hash(QC(3)) == hash(3)
+        assert len({QC(3), 3}) == 1
+        assert len({QC(Fraction(1, 3)), Fraction(1, 3), QC("1/3", 0)}) == 1
+        assert len({QC(3), QC(3, 1)}) == 2
+
+    def test_re_and_im_are_read_only(self):
+        x = QC("0.1", -2)
+        assert (x.re, x.im) == (Fraction(1, 10), Fraction(-2))
+        with pytest.raises(AttributeError):
+            x.re = Fraction(1)
+
+    def test_mixing_with_float_raises(self):
+        with pytest.raises(JetError):
+            QC(1) / 0.5
+        with pytest.raises(TypeError):
+            QC(1) + 0.5

@@ -96,6 +96,15 @@ class TestFrame:
             assert fr.to_frame_components(copy) is not again
             assert list(fr.to_frame_components(copy)) == fresh
 
+    def test_field_pairs_with_each_frame(self):
+        # the pairings a field keeps belong to the frame that made them
+        fa, fb = frame_and_dual(random_deformation(3, n=2)), frame_and_dual(fix_b())
+        x = fa.zeta(0) + 2 * fa.zeta(1)
+        for fr in (fa, fb, fa):
+            comps = fr.to_frame_components(x)
+            assert list(comps) == [fr.dual_pair(k, x) for k in range(2 * fr.n)]
+            assert fr.to_frame_components(x) is comps
+
     def test_real_frame_fields_built_and_paired_once(self):
         fr = frame_and_dual(random_deformation(3, n=2))
         for a in range(fr.n):
