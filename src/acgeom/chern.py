@@ -344,8 +344,8 @@ def pointwise_curvature_residual(calc, hd, conn, blocks):
     (delbar del conj(H) - delbar conj(H) wedge del conj(H)
      + del A'' - delbar conj(A'')^t)(0); needs A''(0) = 0 and H(0) = I."""
     n = calc.n
-    asec0 = max(abs(conn.asecond[k, l].coefficient((), (r,)).constant_term)
-                for k in range(n) for l in range(n) for r in range(n))
+    asec0 = nan_max(abs(conn.asecond[k, l].coefficient((), (r,)).constant_term)
+                    for k in range(n) for l in range(n) for r in range(n))
     if asec0 > 1e-10:
         raise JetError("pointwise formula needs a delbar-flat frame at 0")
     hbar = hd.H.conj()
@@ -640,10 +640,10 @@ def special_frame(calc: FrameCalculus, hd: HermitianData) -> SpecialFrameResult:
     g_total = g0 @ g2
     conn2 = _transform_connection(calc, conn, g_total)
     h2 = _transform_metric_matrix(hd, g_total)
-    a2_origin = max(abs(conn2.asecond[k, l].coefficient((), (r,)).constant_term)
-                    for k in range(n) for l in range(n) for r in range(n))
+    a2_origin = nan_max(abs(conn2.asecond[k, l].coefficient((), (r,)).constant_term)
+                        for k in range(n) for l in range(n) for r in range(n))
     del_a2_final = conn2.asecond.apply("del")
-    del_a2_origin = max(
+    del_a2_origin = nan_max(
         abs(del_a2_final[m, l].coefficient((j,), (k,)).constant_term)
         for m in range(n) for l in range(n) for j in range(n) for k in range(n))
     # metric pattern: no linear terms, no zz / zbzb quadratic terms
@@ -662,8 +662,7 @@ def almost_holomorphic_identities(calc, hd, sf: SpecialFrameResult):
     blocks = curvature(calc, sf.conn)
     fr = calc.frame
     h_jets = sf.h
-    worst_scal = 0.0
-    worst_psh = 0.0
+    scal, psh = [], []
     for a in range(n):
         for b in range(n):
             xi10, eta10 = fr.zeta(a), fr.zeta(b)
@@ -679,7 +678,7 @@ def almost_holomorphic_identities(calc, hd, sf: SpecialFrameResult):
                     w = [sf.conn.aprime[m, l].evaluate([eta10]).constant_term
                          for m in range(n)]
                     rhs += sum(ui * np.conj(wi) for ui, wi in zip(u, w))
-                    worst_scal = max(worst_scal, abs(lhs - rhs))
+                    scal.append(abs(lhs - rhs))
         # i del delbar |sigma_k|^2 (xi, J xi) at 0
         xi = fr.real_frame_field(a)
         jxi = calc.structure.apply(xi)
@@ -692,8 +691,8 @@ def almost_holomorphic_identities(calc, hd, sf: SpecialFrameResult):
             u = [sf.conn.aprime[m, k].evaluate([xi10]).constant_term
                  for m in range(n)]
             rhs = -2 * cval + 2 * sum(abs(ui) ** 2 for ui in u)
-            worst_psh = max(worst_psh, abs(lhs - rhs))
-    return {"pairing_residual": worst_scal, "psh_residual": worst_psh}
+            psh.append(abs(lhs - rhs))
+    return {"pairing_residual": nan_max(scal), "psh_residual": nan_max(psh)}
 
 
 # -- normal asymptotic expansions ---------------------------------------------

@@ -7,14 +7,14 @@ serves as the independent oracle.  A scaling probe fits the error exponent
 between the two.
 
 The oracle integrates the whole scale ladder of the probe as one batch: RK4
-runs on an (S, 2n) array of states (gamma, gamma-dot).  The first step
-doubling shares one sweep with the undoubled run: the rows at s and at 2s
-steps form one batch, each row with its own step size, with the trust-radius
-exits of the two runs made one after the other.  Each later doubling re-runs
-only the scales whose endpoint has not yet settled.  The connection is
-evaluated on the packed state from tables precomputed once per germ
-(``PackedConnection``), the same ones for the RK4 rate, the acceleration and
-the reality check of its conjugate block.
+runs on an (S, 2n) array of states (gamma, gamma-dot) and exits at the first
+step that starts with a state outside the trust radius.  The first step
+doubling makes its first s steps in the same batch as the undoubled run, and
+makes the two runs one after the other when a state leaves the radius there.
+Each later doubling re-runs only the scales whose endpoint has not settled.
+The connection is evaluated on the packed state from tables precomputed once
+per germ (``PackedConnection``), the same ones for the RK4 rate, the
+acceleration and the reality check of its conjugate block.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ class PackedConnection:
         n = self.n
         coeffs, gather, scatter = self.tables[nrows]
         u = np.concatenate([y, y.conj()], axis=-1)
-        powers = (u[..., None] ** self.degrees).reshape(u.shape[:-1] + (-1,))
+        powers = (u[..., None] ** self.degrees).reshape(
+            u.shape[:-1] + (u.shape[-1] * len(self.degrees),))
         f = powers.take(gather, axis=-1)        # (..., n + 1, 2, terms)
         mono = f[..., 0, :, :]
         for k in range(1, n):
@@ -135,71 +136,37 @@ def integrate_geodesic(packed: PackedConnection, z, v, steps):
     return y[..., :n]
 
 
-def _rk4_sweep(packed: PackedConnection, y, steps, doubled=False):
+def _rk4_sweep(packed: PackedConnection, y, steps):
     """RK4 over [0, 1] in ``steps`` steps on the states y (S, 2n); returns
-    the endpoint states.
-
-    With ``doubled`` it also makes the first step doubling and returns
-    ``(ends, active, refined)``: ``active`` indexes the states whose
-    endpoint is finite, and ``refined`` holds their endpoint states after
-    2 * steps steps.  The doubled rows ride in the same batch ahead of the
-    others, each row with its own step size, and carry on alone once the
-    others are done.  Trust-radius exits are those of the two runs made one
-    after the other: a doubled row counts only after the undoubled run and
-    only if its endpoint there is finite.  So when a doubled row leaves the
-    radius or turns non-finite before the undoubled run is done, the doubled
-    rows are dropped and run again afterwards.
-    """
+    the endpoint states, or raises the ``TrustRadiusExit`` of the first step
+    that starts with a state outside the radius."""
     n = packed.n
-    start, lead = y, 0
-    if packed.flat:
-        exit_step = _first_exit(y[:, :n], y[:, n:], steps)
-        if exit_step is not None:
-            raise TrustRadiusExit(exit_step * (1.0 / steps))
-        y = np.concatenate([y[:, :n] + y[:, n:], y[:, n:]], axis=1)
-    else:
-        lead = len(y) if doubled else 0
-        h = np.repeat([[1.0 / (2 * steps)], [1.0 / steps]], [lead, len(y)],
-                      axis=0)
-        y, lead = _rk4_steps(packed, np.concatenate([y[:lead], y]), h, lead,
-                             range(steps), 1.0 / steps)
-    ends = y[lead:]
-    if not doubled:
-        return ends
-    active = np.flatnonzero(np.isfinite(ends[:, :n]).all(axis=1))
-    refined = start[active]
-    if lead and active.size:
-        refined = _rk4_steps(packed, y[:lead][active], h[:lead][active], 0,
-                             range(steps, 2 * steps), 1.0 / (2 * steps))[0]
-    elif active.size:           # the doubled rows were dropped, or none ran
-        refined = _rk4_sweep(packed, refined, 2 * steps)
-    return ends, active, refined
+    if not packed.flat:
+        return _rk4_steps(packed, y, 1.0 / steps, range(steps), 1.0 / steps)
+    exit_step = _first_exit(y[:, :n], y[:, n:], steps)
+    if exit_step is not None:
+        raise TrustRadiusExit(exit_step * (1.0 / steps))
+    return np.concatenate([y[:, :n] + y[:, n:], y[:, n:]], axis=1)
 
 
-def _rk4_steps(packed, y, h, lead, steps, dt):
-    """The RK4 steps numbered ``steps`` on the states y with step sizes h
-    (S, 1); returns ``(y, lead)``.
-
-    The trust radius is checked before each step.  The rows after the first
-    ``lead`` raise ``TrustRadiusExit`` at time step * dt as soon as one of
-    them is outside it, whatever the other rows hold; the first ``lead``
-    rows are dropped as soon as one of them is outside it or not finite.
-    """
+def _rk4_steps(packed, y, h, steps, dt):
+    """The RK4 steps numbered ``steps`` on the states y with step size h, a
+    scalar or one per state (S, 1); returns the states after them.  Before
+    each step it raises ``TrustRadiusExit`` at time step * dt if any state
+    is outside the radius; a non-finite state is never outside and hides no
+    other state's exit."""
     n = packed.n
     half, sixth = 0.5 * h, h / 6
     for step in steps:
-        if not np.abs(y[:, :n]).max(initial=0.0) <= TRUST_RADIUS:
-            if (np.abs(y[lead:, :n]) > TRUST_RADIUS).any():
-                raise TrustRadiusExit(step * dt)
-            if lead and not np.abs(y[:lead, :n]).max() <= TRUST_RADIUS:
-                y, h, half, sixth = (a[lead:] for a in (y, h, half, sixth))
-                lead = 0
+        if not np.abs(y[:, :n]).max(initial=0.0) <= TRUST_RADIUS \
+                and (np.abs(y[:, :n]) > TRUST_RADIUS).any():
+            raise TrustRadiusExit(step * dt)
         k1 = packed.rate(y)
         k2 = packed.rate(y + half * k1)
         k3 = packed.rate(y + half * k2)
         k4 = packed.rate(y + h * k3)
         y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y, lead
+    return y
 
 
 def _first_exit(z, v, steps):
@@ -225,6 +192,32 @@ def _first_exit(z, v, steps):
     return hi
 
 
+def _first_doubling(packed: PackedConnection, y, steps):
+    """The run in ``steps`` steps on the states y (S, 2n), then the run in
+    2 * ``steps`` steps on the ``active`` states, those with a finite first
+    endpoint; returns ``(ends, active, refined)``.  Both runs make their
+    first ``steps`` steps as one batch, each row with its own step size.
+    When a state leaves the radius there, or on a flat connection, the runs
+    are made one after the other, so the exit raised is always theirs."""
+    n = packed.n
+    if not packed.flat:
+        h = np.repeat([[1.0 / (2 * steps)], [1.0 / steps]], len(y), axis=0)
+        try:
+            both = _rk4_steps(packed, np.concatenate([y, y]), h, range(steps),
+                              1.0 / steps)
+        except TrustRadiusExit:
+            pass
+        else:
+            ends = both[len(y):]
+            active = np.flatnonzero(np.isfinite(ends[:, :n]).all(axis=1))
+            refined = _rk4_steps(packed, both[active], h[active],
+                                 range(steps, 2 * steps), 1.0 / (2 * steps))
+            return ends, active, refined
+    ends = _rk4_sweep(packed, y, steps)
+    active = np.flatnonzero(np.isfinite(ends[:, :n]).all(axis=1))
+    return ends, active, _rk4_sweep(packed, y[active], 2 * steps)
+
+
 def integrate_geodesic_checked(packed: PackedConnection, z, v, steps):
     """Integrate, doubling the step count until the endpoint is stable.
 
@@ -232,11 +225,11 @@ def integrate_geodesic_checked(packed: PackedConnection, z, v, steps):
     successive endpoints agree within ``SETTLE_TOL``, or after
     ``MAX_DOUBLINGS`` doublings; only the states still unsettled are
     integrated again.  A state whose endpoint is not finite can never settle
-    and stops at once.  The first doubling is one RK4
-    sweep with the undoubled run.  Returns ``(endpoints, steps,
-    converged)``: the last endpoint of each state, the step count it came
-    from and whether it settled, shaped like the input (scalars for one
-    state).
+    and stops at once.  Results and exits are those of the runs made one
+    after the other, the first two shared as ``_first_doubling`` says.
+    Returns ``(endpoints, steps, converged)``: the last endpoint of each
+    state, the step count it came from and whether it settled, shaped like
+    the input (scalars for one state).
     """
     n = packed.n
     z = np.asarray(z, dtype=complex)
@@ -244,7 +237,7 @@ def integrate_geodesic_checked(packed: PackedConnection, z, v, steps):
     zs = np.atleast_2d(z)
     vs = np.atleast_2d(np.asarray(v, dtype=complex))
     y = np.concatenate([zs, vs], axis=1)
-    end, active, refined = _rk4_sweep(packed, y, steps, doubled=True)
+    end, active, refined = _first_doubling(packed, y, steps)
     end, refined = end[:, :n], refined[:, :n]
     counts = np.full(len(zs), steps)
     converged = np.zeros(len(zs), dtype=bool)

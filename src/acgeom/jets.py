@@ -1041,21 +1041,12 @@ class JetMatrix:
             raise JetError("coefficient families are defined for float jets only")
         out = np.zeros((self.n,) * (deg_z + deg_zbar) + (self.rows, self.cols),
                        dtype=complex)
-        slots = {}
-        for k, row in enumerate(self.entries):
-            for l, e in enumerate(row):
-                for (alpha, beta), c in e.terms.items():
-                    if sum(alpha) != deg_z or sum(beta) != deg_zbar:
-                        continue
-                    got = slots.get((alpha, beta))
-                    if got is None:
-                        got = [zs + zbs for zs in _slot_orderings(alpha)
-                               for zbs in _slot_orderings(beta)]
-                        slots[(alpha, beta)] = got
-                    if len(got) > 1:
-                        c = c / len(got)
-                    for slot in got:
-                        out[slot + (k, l)] = c
+        for (alpha, beta), mat in self.coefficients().items():
+            if sum(alpha) == deg_z and sum(beta) == deg_zbar:
+                slots = [zs + zbs for zs in _slot_orderings(alpha)
+                         for zbs in _slot_orderings(beta)]
+                for slot in slots:
+                    out[slot] = mat / len(slots) if len(slots) > 1 else mat
         return out
 
     def max_abs(self, max_degree=None):
@@ -1207,7 +1198,7 @@ def series_inverse(phi: Sequence[Jet]):
     for _ in range(order):
         sub = Substitution(psi)
         err = [phi[k].compose(sub) - ident[k] for k in range(n)]
-        if max(e.max_abs() for e in err) < PRUNE_EPS:
+        if nan_max(e.max_abs() for e in err) < PRUNE_EPS:
             break
         psi = [p - c for p, c in zip(psi, linear_inverse(err))]
     # the inverse germ is polynomial-exact through the truncation order

@@ -325,9 +325,9 @@ def bracket_coefficients(s: AlmostComplexStructure, frame: Frame):
             for k in range(n):
                 u[k].entries[j][r] = fc[k]
                 v[k].entries[j][r] = fc[n + k]
-    m = [mb.conj() for mb in mbar]
-    nn = [nb.conj() for nb in nbar]
-    return BracketCoefficients(m, nn, u, v)
+    bc = BracketCoefficients([mb.conj() for mb in mbar], [nb.conj() for nb in nbar], u, v)
+    bc._conj.update(M=mbar, N=nbar)     # conj is exact: the tables conjugated back
+    return bc
 
 
 class TorsionTensor:
@@ -366,8 +366,7 @@ def torsion_tensor(s: AlmostComplexStructure, frame: Frame | None = None,
                    bc: BracketCoefficients | None = None) -> TorsionTensor:
     frame = frame_and_dual(s) if frame is None else frame
     bc = bracket_coefficients(s, frame) if bc is None else bc
-    nbar = [b.conj() for b in bc.N]
-    return TorsionTensor(nbar, frame)
+    return TorsionTensor(bc.conj_table("N"), frame)
 
 
 def nijenhuis_bracket_formula(s: AlmostComplexStructure, xi: VectorField,

@@ -18,6 +18,9 @@ is a value the tool relies on, not one that only tests leave out.
 
 The test side has its own census: every name a module of ``tests/`` imports
 is used in that module.
+
+Residual reductions keep NaN: no builtin ``max`` or ``min`` in ``src/acgeom``
+reduces magnitudes, which is ``jets.nan_max``'s job.
 """
 
 import ast
@@ -276,3 +279,26 @@ def test_every_test_import_is_used():
     unused = {path.name: sorted(names) for path in sorted(TESTS.glob("*.py"))
               if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert not unused, f"unused imports in tests/: {unused}"
+
+
+def _nan_dropping_reductions(tree):
+    """Line numbers of the builtin ``max``/``min`` calls in ``tree`` with an
+    ``abs(...)`` or ``.max_abs(...)`` call among their arguments: residual
+    reductions, in which the builtin drops a NaN that does not come first."""
+    def magnitude(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "abs"
+            or getattr(node.func, "attr", None) == "max_abs")
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) in ("max", "min")
+                  and any(magnitude(sub) for arg in node.args + node.keywords
+                          for sub in ast.walk(arg)))
+
+
+def test_residual_reductions_keep_nan():
+    # jets.nan_max is the reduction that keeps a NaN wherever it comes
+    flagged = {path.name: lines for path in sorted(SRC.glob("*.py"))
+               if (lines := _nan_dropping_reductions(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not flagged, f"builtin max/min over magnitudes (use nan_max): {flagged}"

@@ -7,8 +7,9 @@ from acgeom.chern import antisymmetrize_metric_linear
 from acgeom import geodesic
 from acgeom.forms import FrameCalculus
 from acgeom.cli import Options, parse_manifold_spec, run_command
-from acgeom.geodesic import (NOISE_FLOOR, SCALE_LADDER, GeodesicLab,
-                             TrustRadiusExit, _rk4_sweep,
+from acgeom.geodesic import (MAX_DOUBLINGS, NOISE_FLOOR, SCALE_LADDER,
+                             SETTLE_TOL, GeodesicLab, TrustRadiusExit,
+                             _rk4_sweep,
                              error_scaling_probe, exp_asymptotic,
                              integrate_geodesic,
                              integrate_geodesic_checked,
@@ -35,6 +36,11 @@ def lab_flat():
 @pytest.fixture(scope="module")
 def lab_b():
     return GeodesicLab(FrameCalculus(fix_b()), identity_metric(2, 4))
+
+
+@pytest.fixture(scope="module")
+def lab_b5():
+    return GeodesicLab(FrameCalculus(fix_b(b=5.0)), identity_metric(2, 4))
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +305,76 @@ class TestMergedSweep:
         end, k, ok = per_scale_checked(lab_b.packed, zs[1], vs[1], 64)
         assert np.array_equal(ends[1], end)
         assert counts[1] == k and converged[1] == ok
+
+
+def batch_sequential_checked(packed, zs, vs, steps):
+    """The step doubling of ``integrate_geodesic_checked`` on a batch (S, n)
+    with every run its own ``integrate_geodesic`` call, one after the other:
+    ``steps`` steps on all states, then 2 * ``steps`` on the finite ones,
+    then the later doublings on the unsettled ones."""
+    end = integrate_geodesic(packed, zs, vs, steps)
+    counts = np.full(len(zs), steps)
+    converged = np.zeros(len(zs), dtype=bool)
+    active = np.flatnonzero(np.isfinite(end).all(axis=1))
+    for _ in range(MAX_DOUBLINGS):
+        if not active.size:
+            break
+        steps *= 2
+        refined = integrate_geodesic(packed, zs[active], vs[active], steps)
+        drift = np.abs(refined - end[active]).max(axis=1)
+        end[active] = refined
+        counts[active] = steps
+        converged[active] = drift < SETTLE_TOL
+        active = active[np.isfinite(drift) & ~(drift < SETTLE_TOL)]
+    return end, counts, converged
+
+
+def outcome(run, *args):
+    """The results of ``run(*args)`` as bytes, or its trust-radius exit as
+    (time, message)."""
+    try:
+        return [np.asarray(x).tobytes() for x in run(*args)]
+    except TrustRadiusExit as err:
+        return err.time, str(err)
+
+
+class TestFirstDoublingRandomized:
+    """Seeded batches, NaN and overflowing rows among them, against the runs
+    made one after the other: the same bits, step counts and flags, or the
+    same trust-radius exit."""
+
+    @pytest.mark.parametrize("lab", ["lab_flat", "lab_b", "lab_b5"])
+    def test_matches_sequential_runs(self, lab, request):
+        packed = request.getfixturevalue(lab).packed
+        rng = np.random.default_rng(2004)
+        kinds = {"none": 0, "first run": 0, "later run": 0}
+        for case in range(50):
+            rows = int(rng.integers(1, 5))
+            steps = int(rng.choice([1, 2, 3, 8, 64]))
+            zs = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+            vs = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+            zs *= rng.choice([0.0, 0.03, 0.1]) / 2
+            vs *= rng.choice([0.05, 0.2, 0.6, 1.5]) / 2
+            for r in range(rows):
+                u = rng.random()
+                if u < 0.1:
+                    vs[r, rng.integers(2)] = np.nan
+                elif u < 0.4:
+                    # about 5e62 along zeta_1: the first step overflows to
+                    # NaN at the larger step sizes and leaves the radius at
+                    # the smaller ones
+                    vs[r] = [0, 10 ** rng.uniform(62.5, 63.5)
+                             * np.exp(2j * np.pi * rng.random())]
+            # a single state (n,) gives the bytes of a batch of one
+            z, v = (zs[0], vs[0]) if rows == 1 and case % 2 else (zs, vs)
+            with np.errstate(all="ignore"):
+                want = outcome(batch_sequential_checked, packed, zs, vs, steps)
+                got = outcome(integrate_geodesic_checked, packed, z, v, steps)
+                first = outcome(integrate_geodesic, packed, zs, vs, steps)
+            assert got == want, case
+            kinds["none" if isinstance(want, list) else
+                  "later run" if isinstance(first, list) else "first run"] += 1
+        assert min(kinds.values()) >= 5, kinds
 
 
 class TestIntegrator:

@@ -9,6 +9,7 @@ metric is finite through degree 2, so the normal-form metric expansion is a
 real comparison there; that reducer is tested on a metric holding a NaN.
 """
 
+import dataclasses
 import json
 import math
 
@@ -16,8 +17,8 @@ import pytest
 
 from acgeom import chern
 from acgeom.cli import Options, SpecError, parse_manifold_spec, run_command
-from acgeom.forms import FrameCalculus, fundamental_identities_check
-from acgeom.jets import Jet, JetError, JetMatrix
+from acgeom.forms import FrameCalculus, PQForm, fundamental_identities_check
+from acgeom.jets import Jet, JetError, JetMatrix, series_inverse
 from acgeom.normal import pattern_violation, torsion_jet_normal
 from acgeom.structure import (AlmostComplexStructure, ValidationReport, nijenhuis_check,
                               torsion_tensor)
@@ -136,3 +137,54 @@ def test_identities_propagate_nan():
     u = function * _nan_coefficient(Jet.one(2, 3), (1, 0), (0, 0))
     table = fundamental_identities_check(calc, [function, u])
     assert all(math.isnan(row["max_residual"]) for row in table[:3])
+
+
+def test_series_inverse_refuses_nan():
+    # phi = (z_1, z_2 + NaN z_1^2): the first residual of the Newton step is
+    # exactly 0, and the NaN of the second must not stop the iteration with
+    # the finite linear inverse; the next step's substitution refuses it
+    z1, z2 = Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)
+    with pytest.raises(JetError, match="constant term"):
+        series_inverse([z1, _nan_coefficient(z2, (2, 0), (0, 0))])
+
+
+def _nan_zbar_structure():
+    """fix_b with a NaN zbar_1 coefficient of B_{2,2}, which reaches the
+    (0,1)-connection form at the origin."""
+    s = fix_b(order=3)
+    b = JetMatrix([row[:] for row in s.B.entries])
+    b.entries[1][1] = _nan_coefficient(b[1, 1], (0, 0), (1, 0))
+    return AlmostComplexStructure(s.A, b)
+
+
+def test_special_frame_propagates_nan():
+    sf = chern.special_frame(FrameCalculus(_nan_zbar_structure()), _identity_metric())
+    assert math.isnan(sf.a_second_origin) and math.isnan(sf.del_a_second_origin)
+
+
+def test_almost_holomorphic_identities_propagate_nan():
+    # a NaN z_2 zbar_2 coefficient of h_{2,2} reaches both displays at the
+    # origin, after finite residuals
+    calc = FrameCalculus(fix_b(order=3))
+    hd = _identity_metric()
+    sf = chern.special_frame(calc, hd)
+    h = JetMatrix([row[:] for row in sf.h.entries])
+    h.entries[1][1] = _nan_coefficient(h[1, 1], (0, 1), (0, 1))
+    out = chern.almost_holomorphic_identities(calc, hd, dataclasses.replace(sf, h=h))
+    assert math.isnan(out["pairing_residual"]) and math.isnan(out["psh_residual"])
+
+
+def test_pointwise_curvature_gate_passes_nan_on():
+    # A''(0) holds 1e-3 and, later in the scan, NaN: the gate must not read
+    # 1e-3 and skip the check, but hand the NaN on to a NaN residual
+    calc = FrameCalculus(fix_b(order=3))
+    hd = _identity_metric()
+    nan = Jet(2, 3, {(alpha, beta): complex(math.nan, 0) for alpha, beta in
+                     [((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 0))]})
+    entries = {(0, 0): Jet.one(2, 3) * 1e-3, (1, 1): nan}
+    asecond = chern.MatrixForm([[PQForm(calc, 0, 1, {((), (0,)): entries[k, l]}
+                                        if (k, l) in entries else {})
+                                 for l in range(2)] for k in range(2)])
+    conn = dataclasses.replace(chern.chern_connection(calc, hd), asecond=asecond)
+    blocks = chern.curvature(calc, conn)
+    assert math.isnan(chern.pointwise_curvature_residual(calc, hd, conn, blocks))
