@@ -6,7 +6,9 @@ bidegree parts of d = del + delbar - theta - thetabar, and one kernel applies
 them all from one table, ``_OPERATORS``: a row gives an operator's shift, its
 sign in d, the frame fields of its derivative term, and which bracket table
 (M, N or U, plain or conjugated) replaces a removed zeta*_i or zetabar*_i by
-which covector pair.  A conversion to the coordinate covector basis provides
+which covector pair.  The kernel runs from per-word plans: a row compiled
+once per input word, keeping only the terms whose output word has no
+repeated factor, so the terms that wedge to zero cost nothing.  A conversion to the coordinate covector basis provides
 the oracle path for the exterior-derivative decomposition and metric work.
 Forms of both bases are evaluated on vector fields by ``structure.word_value``.
 """
@@ -14,6 +16,7 @@ Forms of both bases are evaluated on vector fields by ``structure.word_value``.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations
 
 from .jets import Jet, JetError, nan_max
@@ -193,12 +196,42 @@ def _sum_terms(terms, n, order):
     return out
 
 
-def _accumulate(terms, word, jet):
-    """Record jet times the sign of the wedge word under the word's key."""
-    sign, kk, ll = normalize_factors(word)
-    if sign == 0 or not jet:
-        return
-    terms.setdefault((kk, ll), []).append((jet, float(sign)))
+@lru_cache(maxsize=None)
+def _plan(kind, n, kk, ll):
+    """The ``_OPERATORS`` row of ``kind`` on the word zeta*_kk ^ zetabar*_ll
+    in n variables, as (derive, pieces) holding only the terms whose output
+    word has no repeated factor; built once per process.
+
+    derive lists (r, sign, key) for the derivative along frame field r.
+    pieces lists (table, conj, i, piece sign, entries) per factor of the
+    word, in word order, with entries (row, col, sign, key) over r, then t:
+    the piece reads table^i[row, col].  Each sign is that of the output
+    word's sort, and key is its (K, L)."""
+    op = _OPERATORS[kind]
+    word = [(0, i) for i in kk] + [(1, i) for i in ll]
+
+    def live(factors):
+        sign, k, l = normalize_factors(factors)
+        return (float(sign), (k, l)) if sign else None
+
+    derive = ()
+    if op.derive is not None:
+        derive = tuple((r, *out) for r in range(n)
+                       if (out := live([(op.derive, r)] + word)))
+    pieces = []
+    for pos, (tag, i) in enumerate(word):
+        pc = op.pieces[tag]
+        if pc is None:
+            continue
+        (a, b), hat = pc.tags, word[:pos] + word[pos + 1:]
+        entries = tuple(((t, r) if pc.transposed else (r, t)) + out
+                        for r in range(n)
+                        for t in range(r + 1 if pc.upper else 0, n)
+                        if (out := live([(a, r), (b, t)] + hat)))
+        if entries:
+            pieces.append((pc.table, pc.conj, i,
+                           float(pc.sign * (-1) ** (pos + 1)), entries))
+    return derive, tuple(pieces)
 
 
 def apply_operator(kind: str, u: PQForm) -> PQForm:
@@ -208,6 +241,11 @@ def apply_operator(kind: str, u: PQForm) -> PQForm:
     Output bidegrees: (p+1,q), (p,q+1), (p+2,q-1), (p-1,q+2); a shift below
     zero yields the empty form.  Each u_{K,L} gives its derivative terms,
     then one piece per factor of its word in word order, over r, then t.
+    The terms run from the word's ``_plan``, so a term whose output word
+    repeats a factor costs no product, gradient or derivative, and a piece
+    whose table entry is empty costs no product.  Every other term is
+    formed and summed in the row's term order, so the skipped terms, which
+    add nothing, leave the bits as they are.
     """
     calc = u.calc
     op = _OPERATORS.get(kind)
@@ -216,23 +254,19 @@ def apply_operator(kind: str, u: PQForm) -> PQForm:
     n, bc = calc.n, calc.bc
     acc = {}
     for (kk, ll), c in u.coeffs.items():
-        word = [(0, i) for i in kk] + [(1, i) for i in ll]
-        if op.derive is not None:
+        derive, pieces = _plan(kind, n, kk, ll)
+        if derive:
             grad = c.gradient()
             field = (calc.frame.zeta, calc.frame.zeta_bar)[op.derive]
-            for r in range(n):
-                _accumulate(acc, [(op.derive, r)] + word, field(r).derive(c, grad))
-        for pos, (tag, i) in enumerate(word):
-            pc = op.pieces[tag]
-            if pc is None:
-                continue
-            table = (bc.conj_table(pc.table) if pc.conj else getattr(bc, pc.table))[i]
-            (a, b), hat = pc.tags, word[:pos] + word[pos + 1:]
-            sign = float(pc.sign * (-1) ** (pos + 1))
-            for r in range(n):
-                for t in range(r + 1 if pc.upper else 0, n):
-                    entry = table[t, r] if pc.transposed else table[r, t]
-                    _accumulate(acc, [(a, r), (b, t)] + hat, (c * entry) * sign)
+            for r, sign, key in derive:
+                if jet := field(r).derive(c, grad):
+                    acc.setdefault(key, []).append((jet, sign))
+        for table, conj, i, piece_sign, entries in pieces:
+            fam = (bc.conj_table(table) if conj else getattr(bc, table))[i]
+            for row, col, sign, key in entries:
+                entry = fam[row, col]
+                if entry and (jet := (c * entry) * piece_sign):
+                    acc.setdefault(key, []).append((jet, sign))
     return PQForm(calc, u.p + op.shift[0], u.q + op.shift[1],
                   _sum_terms(acc, n, calc.order))
 

@@ -871,7 +871,9 @@ class Substitution:
             if s.n != n:
                 raise JetError("substitution jets must share their number of variables")
             c = s.constant_term
-            if (c != 0) if self.exact else not abs(c) <= PRUNE_EPS:
+            if not (self.exact or math.isfinite(abs(c))):
+                raise JetError(f"substitution for z_{k} has a non-finite constant term")
+            if (c != 0) if self.exact else abs(c) > PRUNE_EPS:
                 raise JetError(f"substitution for z_{k} has a nonzero constant term")
         self.effective_order = min(s.effective_order for s in self.jets)
         self._sweeps = {}

@@ -56,10 +56,17 @@ def word_value(comps, slots, n, order) -> Jet:
     Each permutation's product sign * comps[perm[0]][slots[0]] * ... is
     multiplied left to right and stops at its first zero partial product;
     the value trusts no degree beyond the least effective order of its
-    entries.  The empty word is the constant 1.
+    entries.  A slot that is empty in every field makes every product
+    vanish, so the value is then the empty jet at once.  The empty word is
+    the constant 1.
     """
     if not slots:
         return Jet.one(n, order)
+    # a product that stops early, or vanishes, drops factors whose orders
+    # still bound the value
+    floor = min(row[s].effective_order for row in comps for s in slots)
+    if not all(any(row[s] for row in comps) for s in slots):
+        return Jet._make(n, order, {}, floor, False)
     terms = []
     for perm, sign in _signed_permutations(len(slots)):
         prod = None
@@ -71,9 +78,6 @@ def word_value(comps, slots, n, order) -> Jet:
         if prod:
             terms.append((prod, sign))
     value = Jet.dot(terms, n, order)
-    # a product that stops early, or vanishes, drops factors whose orders
-    # still bound the value
-    floor = min(row[s].effective_order for row in comps for s in slots)
     return value if value.effective_order <= floor else value.trusted(floor)
 
 
@@ -385,11 +389,10 @@ def nijenhuis_check(s: AlmostComplexStructure, tors: TorsionTensor):
     the joint effective order.
     """
     n, order = s.n, s.order
+    coords = [VectorField.coordinate(n, order, a) for a in range(2 * n)]
     residuals = []
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            xi = VectorField.coordinate(n, order, a)
-            eta = VectorField.coordinate(n, order, b)
+    for a, xi in enumerate(coords):
+        for eta in coords[a + 1:]:
             via_tensor = tors.nijenhuis(xi, eta)
             via_brackets = nijenhuis_bracket_formula(s, xi, eta)
             diff = via_tensor - via_brackets

@@ -1,4 +1,4 @@
-"""Every public definition in ``src/acgeom`` serves the tool.
+"""Every definition in ``src/acgeom`` serves the tool.
 
 A definition counts as called when its name appears as a ``Name`` or an
 ``Attribute`` in ``src/acgeom`` outside ``__init__.py`` (whose re-exports call
@@ -6,7 +6,9 @@ nothing), anywhere in ``perfbench/``, or as a part of a dotted path in the
 tracer's ``SPAN_TARGETS``.  Tests do not count: a definition that only tests
 use belongs in ``tests/`` (see ``germs.py``).  The census matches bare names,
 not bindings, so a method that shares its name with a called one passes: it
-can miss a dead definition, never flag a live one.
+can miss a dead definition, never flag a live one.  Private
+(single-underscore) functions, classes and methods get the same rule, with
+no allowlist.
 
 Options get the same rule: every defaulted parameter of a function or method
 of ``src/acgeom`` is passed, by keyword or by position, by some call in
@@ -93,6 +95,25 @@ def _definitions():
                     if isinstance(sub, ast.FunctionDef) \
                             and not sub.name.startswith("_"):
                         out[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+    return out
+
+
+def _private_definitions():
+    """{qualified name: bare name} of the private (single-underscore)
+    top-level functions and classes of ``src/acgeom`` and the private
+    methods of its classes; dunders are called by the language."""
+    def private(node):
+        return isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+            and node.name.startswith("_") and not node.name.startswith("__")
+
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if private(node):
+                out[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                out.update((f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                           for sub in node.body if private(sub))
     return out
 
 
@@ -232,6 +253,15 @@ def test_every_uncalled_definition_is_allowlisted():
     stale = sorted(set(ALLOWLIST) - flagged)
     assert not stale, f"allowlisted definitions now called or gone (drop them): {stale}"
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+def test_every_private_definition_is_called():
+    # a helper outlives its last caller unless the census reaches it too;
+    # private definitions have no allowlist
+    called = _called_names()
+    uncalled = sorted(q for q, name in _private_definitions().items()
+                      if name not in called)
+    assert not uncalled, f"uncalled private definitions in src/ (delete them): {uncalled}"
 
 
 def _call_sites(name):

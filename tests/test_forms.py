@@ -2,15 +2,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from acgeom import forms as forms_module
 from acgeom.forms import (FUNDAMENTAL_IDENTITIES, OPERATOR_KINDS, CoordForm,
                           FrameCalculus, PQForm,
-                          apply_operator, canonical_p0_connection,
+                          apply_operator, normalize_factors, canonical_p0_connection,
                           exterior_derivative_check, fundamental_identities_check,
                           to_coordinate_form)
-from acgeom.jets import Jet, JetError
-from acgeom.structure import VectorField, torsion_tensor, word_value
+from acgeom.jets import Jet, JetError, _index
+from acgeom.structure import (VectorField, _signed_permutations, torsion_tensor,
+                              word_value)
 
 from conftest import random_jet
 from germs import fix_b, fix_j0, frame_covector, random_deformation
@@ -130,6 +133,76 @@ class TestOperatorDigests:
 
     def test_table_covers_every_kind(self):
         assert {kind for _, kind in OPERATOR_DIGESTS} == set(OPERATOR_KINDS)
+
+
+def _apply_operator_term_by_term(kind, u):
+    """``apply_operator`` as it was before per-word plans: every derivative
+    and piece is formed first, and the sign of its output word is tested
+    after."""
+    calc = u.calc
+    op = forms_module._OPERATORS[kind]
+    n, bc = calc.n, calc.bc
+    acc = {}
+
+    def accumulate(word, jet):
+        sign, kk, ll = normalize_factors(word)
+        if sign != 0 and jet:
+            acc.setdefault((kk, ll), []).append((jet, float(sign)))
+
+    for (kk, ll), c in u.coeffs.items():
+        word = [(0, i) for i in kk] + [(1, i) for i in ll]
+        if op.derive is not None:
+            grad = c.gradient()
+            field = (calc.frame.zeta, calc.frame.zeta_bar)[op.derive]
+            for r in range(n):
+                accumulate([(op.derive, r)] + word, field(r).derive(c, grad))
+        for pos, (tag, i) in enumerate(word):
+            pc = op.pieces[tag]
+            if pc is None:
+                continue
+            table = (bc.conj_table(pc.table) if pc.conj else getattr(bc, pc.table))[i]
+            (a, b), hat = pc.tags, word[:pos] + word[pos + 1:]
+            sign = float(pc.sign * (-1) ** (pos + 1))
+            for r in range(n):
+                for t in range(r + 1 if pc.upper else 0, n):
+                    entry = table[t, r] if pc.transposed else table[r, t]
+                    accumulate([(a, r), (b, t)] + hat, (c * entry) * sign)
+    return PQForm(calc, u.p + op.shift[0], u.q + op.shift[1],
+                  forms_module._sum_terms(acc, n, calc.order))
+
+
+def _bits(form):
+    return (form.p, form.q, form.effective_order,
+            [(key, repr(c.terms), c.effective_order) for key, c in form.coeffs.items()])
+
+
+class TestOperatorPlans:
+    @pytest.mark.parametrize("n, order", [(1, 4), (2, 4), (3, 3), (4, 2)])
+    def test_plans_match_term_by_term(self, n, order):
+        calc = FrameCalculus(random_deformation(5, n=n, order=order))
+        rng = np.random.default_rng(11)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                u = random_form(calc, rng, p, q)
+                for kind in OPERATOR_KINDS:
+                    want = _apply_operator_term_by_term(kind, u)
+                    assert _bits(apply_operator(kind, u)) == _bits(want), (kind, p, q)
+
+    def test_vanishing_words_cost_nothing(self, calc_b, rng, monkeypatch):
+        # delbar of a (0, n)-form: every derivative and every piece wedges a
+        # zetabar* onto n of them, so none is formed
+        n = calc_b.n
+        u = PQForm(calc_b, 0, n, {((), tuple(range(n))): random_jet(rng, n, calc_b.order)})
+        calls = []
+        for owner, name in ((Jet, "__mul__"), (Jet, "gradient"), (VectorField, "derive")):
+            def counting(*args, _name=name, _orig=getattr(owner, name), **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+        out = apply_operator("delbar", u)
+        monkeypatch.undo()
+        assert (out.p, out.q, out.coeffs) == (0, n + 1, {})
+        assert calls == []
 
 
 class TestWedge:
@@ -378,3 +451,74 @@ class TestDeterminant:
             CoordForm(2, 3, 1, {(0,): Jet.one(2, 3)}).evaluate([d0, d1])
         with pytest.raises(JetError):
             CoordForm.function(Jet.one(2, 3)).evaluate([d0])
+
+
+def _word_value_expanded(comps, slots, n, order):
+    """``word_value`` as it was before its early return: every permutation's
+    product is formed whatever the slots hold."""
+    if not slots:
+        return Jet.one(n, order)
+    terms = []
+    for perm, sign in _signed_permutations(len(slots)):
+        prod = None
+        for slot, field in zip(slots, perm):
+            factor = comps[field][slot]
+            prod = factor if prod is None else prod * factor
+            if not prod:
+                break
+        if prod:
+            terms.append((prod, sign))
+    value = Jet.dot(terms, n, order)
+    floor = min(row[s].effective_order for row in comps for s in slots)
+    return value if value.effective_order <= floor else value.trusted(floor)
+
+
+WORD_ORDER = 3
+
+
+@st.composite
+def unreached_words(draw):
+    """(comps, slots, n): 1-3 fields on n = 2 or 3 variables, whose entries
+    are empty, empty with a lowered effective order, or random jets, with
+    at least one slot of the word empty in every field."""
+    n = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    slots = tuple(draw(st.permutations(range(2 * n)))[:k])
+    empty = draw(st.sets(st.sampled_from(slots), min_size=1))
+    monos = _index(n, WORD_ORDER).monos
+    coefficient = st.builds(lambda re, im: complex(re / 8, im / 8),
+                            st.integers(-8, 8), st.integers(-8, 8)).filter(bool)
+    lowered = st.integers(0, WORD_ORDER - 1).map(
+        lambda e: Jet.zero(n, WORD_ORDER).trusted(e))
+    nonzero = st.tuples(st.dictionaries(st.sampled_from(monos), coefficient,
+                                        min_size=1, max_size=4),
+                        st.integers(0, WORD_ORDER)).map(
+        lambda te: Jet(n, WORD_ORDER, te[0]).trusted(te[1]))
+    blank = st.just(Jet.zero(n, WORD_ORDER)) | lowered
+    comps = [[draw(blank if s in empty else blank | nonzero) for s in range(2 * n)]
+             for _ in range(k)]
+    return comps, slots, n
+
+
+def _assert_matches_expansion(comps, slots, n):
+    got = word_value(comps, slots, n, WORD_ORDER)
+    want = _word_value_expanded(comps, slots, n, WORD_ORDER)
+    assert (repr(got.terms), got.effective_order) == \
+        (repr(want.terms), want.effective_order)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(unreached_words())
+def test_unreached_word_matches_the_expansion(word):
+    _assert_matches_expansion(*word)
+
+
+def test_unreached_word_keeps_the_floor_of_an_unread_entry():
+    # slot 0 is empty in both fields, so the expansion never reads slot 1,
+    # whose empty entry trusts degree 1 only: the value still trusts no more
+    x = Jet(2, WORD_ORDER, {((1, 0), (0, 0)): 1.0})
+    comps = [[Jet.zero(2, WORD_ORDER), x, x, x],
+             [Jet.zero(2, WORD_ORDER), Jet.zero(2, WORD_ORDER).trusted(1), x, x]]
+    _assert_matches_expansion(comps, (0, 1), 2)
+    assert word_value(comps, (0, 1), 2, WORD_ORDER).effective_order == 1

@@ -18,7 +18,7 @@ import pytest
 from acgeom import chern
 from acgeom.cli import Options, SpecError, parse_manifold_spec, run_command
 from acgeom.forms import FrameCalculus, PQForm, fundamental_identities_check
-from acgeom.jets import Jet, JetError, JetMatrix, series_inverse
+from acgeom.jets import Jet, JetError, JetMatrix, Substitution, series_inverse
 from acgeom.normal import pattern_violation, torsion_jet_normal
 from acgeom.structure import (AlmostComplexStructure, ValidationReport, nijenhuis_check,
                               torsion_tensor)
@@ -146,6 +146,15 @@ def test_series_inverse_refuses_nan():
     z1, z2 = Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)
     with pytest.raises(JetError, match="constant term"):
         series_inverse([z1, _nan_coefficient(z2, (2, 0), (0, 0))])
+
+
+@pytest.mark.parametrize("c, named", [(math.nan, "non-finite"), (math.inf, "non-finite"),
+                                      (1e-3, "nonzero")])
+def test_substitution_names_a_non_finite_constant(c, named):
+    # a NaN or inf constant term is not "nonzero": the message names it
+    z1, z2 = Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)
+    with pytest.raises(JetError, match=f"z_1 has a {named} constant term"):
+        Substitution([z1, z2 + c])
 
 
 def _nan_zbar_structure():
