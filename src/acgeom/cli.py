@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from decimal import Decimal
 
 import numpy as np
 
@@ -188,7 +188,7 @@ def _family_from_entries(entries, n, exact=False):
         if key not in fam:
             fam[key] = zero_coefficients((n, n), exact)
         if exact:
-            c = QC(Fraction(repr(e["re"])), Fraction(repr(e["im"])))
+            c = QC(Decimal(repr(e["re"])), Decimal(repr(e["im"])))
         else:
             c = complex(e["re"], e["im"])
         fam[key][e["k"] - 1, e["l"] - 1] += c

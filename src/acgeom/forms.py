@@ -173,10 +173,17 @@ class PQForm:
         n, order = self.calc.n, self.calc.order
         comps = [self.calc.frame.to_frame_components(x) for x in fields]
         return Jet.dot([(c, word_value(comps, k + tuple(n + i for i in l), n, order))
-                        for (k, l), c in self.coeffs.items()], n, order)
+                        for (k, l), c in self.coeffs.items()], n, order, _mode(self.coeffs))
 
     def __repr__(self):
         return f"PQForm(({self.p},{self.q}), {len(self.coeffs)} terms)"
+
+
+def _mode(coeffs):
+    """Whether the coefficient jets of a form, which share one mode, are
+    exact; an empty form is float."""
+    first = next(iter(coeffs.values()), None)
+    return first is not None and first.exact
 
 
 def _check_field_count(deg, fields):
@@ -374,7 +381,8 @@ class CoordForm:
         _check_field_count(self.degree, fields)
         comps = [x.components for x in fields]
         return Jet.dot([(c, word_value(comps, key, self.n, self.order))
-                        for key, c in self.coeffs.items()], self.n, self.order)
+                        for key, c in self.coeffs.items()], self.n, self.order,
+                       _mode(self.coeffs))
 
 
 def to_coordinate_form(u: PQForm) -> CoordForm:

@@ -36,8 +36,8 @@ Which path runs:
 - ``Jet.dot``: every sum of products, acc = acc + a * b, over (jet, jet) or
   (jet, scalar) pairs.  Each product runs on the path ``*`` would take, but
   no product or partial-sum jet is built: the products' terms go into one
-  code-keyed dict with the fold's pruning, and one jet is built at the end,
-  equal bit for bit to the fold.
+  code-keyed dict (float: with the fold's pruning, equal bit for bit to the
+  fold; exact: as int triples), and one jet is built at the end.
 - ``Jet.compose``: one path for both modes.  The substituted monomials are
   built on coefficient vectors, each one from a monomial of one degree less,
   and summed in one vector-matrix product.  The images live in a
@@ -53,11 +53,16 @@ Which path runs:
 
 Results are built by ``Jet._make`` on terms pruned and sorted already.
 
-Exact operands of ``*`` and ``@`` stay on the dict path.  The dense kernel
-does run on ``QC`` object arrays, but it forms every pair of the product
-table, most of them zero, and each pair is a Python-level ``QC`` product and
-sum: at the float threshold it made ``validate --exact`` 1.3-2.8x slower on
-(n, N, degree) = (3, 2, 2), (2, 5, 2) and (4, 3, 2).
+Exact operands of ``*`` and ``@`` stay on the dict path, and sum there on
+ints: ``*`` and ``Jet.dot`` share ``_exact_sum``, which keeps each product
+term and each partial sum as an unreduced triple (a, b, d), aligns two
+denominators through one gcd only when they differ, and reduces each output
+coefficient once.  A ``QC`` is still what a jet stores and ``coeff``
+returns.  The dense kernel does run on ``QC`` object arrays, but it forms
+every pair of the product table, most of them zero, and each pair is a
+Python-level ``QC`` product and sum: at the float threshold it made
+``validate --exact`` 1.3-2.8x slower on (n, N, degree) = (3, 2, 2),
+(2, 5, 2) and (4, 3, 2).
 
 Coefficient families of a ``JetMatrix`` go out and come back in one way each:
 ``coefficients`` / ``from_coefficients`` map every monomial to a rows x cols
@@ -434,6 +439,46 @@ def _pruned(items, exact):
     return {k: c for k, c in items if not abs(c) < PRUNE_EPS}
 
 
+def _exact_sum(start, products, n, order):
+    """``{code: QC}`` of the exact sum of the ``start`` terms and the
+    truncated products of each (left, right) pair of ``{code: QC}`` terms,
+    sorted by code and without zeros.
+
+    Each product term and each partial sum is an unreduced int triple
+    (a, b, d), the value (a + b i) / d: a product multiplies the ints, and a
+    sum aligns the two denominators through one gcd, only when they differ.
+    Each coefficient is reduced once, at the end (Knuth, TAOCP vol. 2,
+    4.5.1).  Equal rationals have equal reduced triples, so the result does
+    not depend on the order of summation.
+    """
+    shift = _degree_shift(n)
+    top = (order + 1) << shift
+    gcd = math.gcd
+    acc = {k: (c.a, c.b, c.d) for k, c in start.items()}
+    get = acc.get
+    for left, right in products:
+        right = [(k, c.a, c.b, c.d) for k, c in right.items()]
+        for k1, c1 in left.items():
+            a1, b1, d1 = c1.a, c1.b, c1.d
+            end = top - (k1 >> shift << shift)
+            for k2, a2, b2, d2 in right:
+                if k2 >= end:
+                    break
+                k = k1 + k2
+                a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                held = get(k)
+                if held is not None:
+                    ha, hb, hd = held
+                    if hd == d:
+                        a, b = ha + a, hb + b
+                    else:
+                        g = gcd(hd, d)
+                        u, v = d // g, hd // g
+                        a, b, d = ha * u + a * v, hb * u + b * v, hd * u
+                acc[k] = (a, b, d)
+    return {k: _reduced(a, b, d) for k, (a, b, d) in sorted(acc.items()) if a or b}
+
+
 def _check_operand(jet, shape):
     """Raise unless ``jet`` has the (n, order, exact) of ``shape``."""
     if (jet.n, jet.order, jet.exact) != shape:
@@ -467,7 +512,15 @@ class Jet:
         code_of = _index(n, order).code_of
         kept = []
         for key, c in terms.items():
-            if (not c) if exact else abs(c) < PRUNE_EPS:
+            if exact:
+                q = _coerce_qc(c)
+                if q is None:
+                    raise JetError(f"exact coefficient {c!r} of term {key!r} is not "
+                                   "an int, a Fraction, a decimal string or a QC")
+                c = q
+                if not c:
+                    continue
+            elif abs(c) < PRUNE_EPS:
                 continue
             code = code_of.get(key)
             if code is None:
@@ -584,22 +637,25 @@ class Jet:
         if not isinstance(other, Jet):
             return self._scale(other)
         _check_operand(other, (self.n, self.order, self.exact))
-        idx = _index(self.n, self.order)
+        n, order = self.n, self.order
         eff = min(self.effective_order, other.effective_order)
-        if not self.exact and len(self._terms) * len(other._terms) > idx.dense_min_pairs:
+        if self.exact:
+            return Jet._make(n, order, _exact_sum({}, [(self._terms, other._terms)], n, order),
+                             eff, True)
+        idx = _index(n, order)
+        if len(self._terms) * len(other._terms) > idx.dense_min_pairs:
             return Jet._from_dense(idx, idx.mul(self._dense(), other._dense()), eff)
         terms = self._dict_product(other)
-        return Jet._make(self.n, self.order, _pruned(sorted(terms.items()), self.exact),
-                         eff, self.exact)
+        return Jet._make(n, order, _pruned(sorted(terms.items()), False), eff, False)
 
     def _dict_product(self, other):
-        """Unpruned product as ``{code: coefficient}``.  The pairs are visited
-        left term by left term, each against the right terms in ascending
-        code order up to the first whose degree overflows the order."""
+        """Unpruned float product as ``{code: coefficient}``.  The pairs are
+        visited left term by left term, each against the right terms in
+        ascending code order up to the first whose degree overflows the
+        order."""
         shift = _degree_shift(self.n)
         top = (self.order + 1) << shift
         right = other._terms.items()
-        zero = QC(0) if self.exact else 0j
         terms = {}
         get = terms.get
         for k1, c1 in self._terms.items():
@@ -608,7 +664,7 @@ class Jet:
                 if k2 >= end:
                     break
                 k = k1 + k2
-                terms[k] = get(k, zero) + c1 * c2
+                terms[k] = get(k, 0j) + c1 * c2
         return terms
 
     def _scale(self, c):
@@ -671,12 +727,14 @@ class Jet:
         """Sum of the products ``a * b`` over ``pairs``, added to ``start``.
 
         Each pair is (jet, jet) or (jet, scalar).  The result equals the fold
-        ``acc = start`` (default ``Jet.zero``), ``acc = acc + a * b`` bit for
-        bit, without building a product or a partial-sum jet: each product is
-        pruned as its own jet would be, its terms are added in fold order to
-        one code-keyed dict (a new key starts at the ``0`` of ``__add__``),
-        every touched sum below PRUNE_EPS (exact: zero) is dropped at once,
-        and the effective order is the least over ``start`` and the products.
+        ``acc = start`` (default ``Jet.zero``), ``acc = acc + a * b``, and
+        the effective order is the least over ``start`` and the products.
+        No product or partial-sum jet is built.  Float: bit for bit, each
+        product is pruned as its own jet would be, its terms are added in
+        fold order to one code-keyed dict (a new key starts at the ``0`` of
+        ``__add__``), and every touched sum below PRUNE_EPS is dropped at
+        once.  Exact: the products are summed by ``_exact_sum``, which
+        reduces each coefficient once.
         """
         idx = _index(n, order)
         shape = (n, order, exact)
@@ -686,7 +744,7 @@ class Jet:
             _check_operand(start, shape)
             eff = start.effective_order
             acc = dict(start._terms)
-        zero = QC(0) if exact else 0
+        products = []        # exact: the (left, right) terms of each product
         get = acc.get
         for a, b in pairs:
             _check_operand(a, shape)
@@ -698,34 +756,34 @@ class Jet:
                     eff = b.effective_order
                 if not (a._terms and b._terms):
                     continue
-                if not exact and len(a._terms) * len(b._terms) > idx.dense_min_pairs:
+                if exact:
+                    products.append((a._terms, b._terms))
+                    continue
+                if len(a._terms) * len(b._terms) > idx.dense_min_pairs:
                     vec = idx.mul(a._dense(), b._dense())
                     slots = np.flatnonzero(~(np.abs(vec) < PRUNE_EPS))
                     items = zip(idx.codes[slots].tolist(), vec[slots].tolist())
                 else:
                     items = a._dict_product(b).items()
+            elif exact:
+                # a scalar is the constant term, code 0
+                products.append((a._terms, {0: _as_qc(b)}))
+                continue
             else:
-                scalar = _as_qc(b) if exact else complex(b)
+                scalar = complex(b)
                 items = [(k, v * scalar) for k, v in a._terms.items()]
-            # a key absent from acc gets 0 + c, which is nonzero (exact) or
-            # of modulus |c| (float), so only held keys are ever dropped
-            if exact:
-                for k, c in items:
-                    if c:
-                        c = get(k, zero) + c
-                        if c:
-                            acc[k] = c
-                        else:
-                            del acc[k]
-            else:
-                for k, c in items:
+            # a key absent from acc gets 0 + c, which is of modulus |c|, so
+            # only held keys are ever dropped
+            for k, c in items:
+                if not abs(c) < PRUNE_EPS:
+                    c = get(k, 0) + c
                     if not abs(c) < PRUNE_EPS:
-                        c = get(k, zero) + c
-                        if not abs(c) < PRUNE_EPS:
-                            acc[k] = c
-                        else:
-                            del acc[k]
-        return cls._make(n, order, dict(sorted(acc.items())), eff, exact)
+                        acc[k] = c
+                    else:
+                        del acc[k]
+        if exact:
+            return cls._make(n, order, _exact_sum(acc, products, n, order), eff, True)
+        return cls._make(n, order, dict(sorted(acc.items())), eff, False)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):

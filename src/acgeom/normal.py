@@ -8,8 +8,9 @@ jet in normal coordinates, and invariance under top-degree holomorphic
 changes.
 
 The closed formula is exact only and is evaluated from one table per B
-family (``ClosedFormA``), built forward by chain length: its conj(B) B
-factor products and its chain sums serve every target coefficient.
+family (``ClosedFormA``), built forward by chain length on Gaussian-integer
+numerators over one denominator: its conj(B) B factor products and its chain
+sums serve every target coefficient.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .jets import (Jet, JetError, JetMatrix, QC, Substitution, _exponent_vectors,
-                   multi_index, nan_max, zero_coefficients)
+                   _reduced, multi_index, nan_max, zero_coefficients)
 from .structure import AlmostComplexStructure, transform_structure
 
 
@@ -74,22 +75,30 @@ class ClosedFormA:
     pair: factors of one exponent are not summed before the chain products,
     so the table shares no step with the solver's recursion on R.  Every
     factor has degree >= 2, so there are at most ``max_degree // 2``
-    lengths.
+    lengths.  The table runs on Gaussian integers over the lcm
+    ``denominator`` D of the family: each matrix is a (2, n, n) object array
+    of real and imaginary numerators, and a chain of k factors sits over
+    D^(2k).
     """
 
     def __init__(self, bfam, n, max_degree):
         self.n, self.max_degree = n, max_degree
         keys = [k for k in bfam if sum(k[0]) >= 1]
-        mats = [np.asarray(bfam[k], dtype=object) for k in keys]
+        entries = [np.asarray(bfam[k], dtype=object) for k in keys]
+        self.denominator = d = math.lcm(1, *(c.d for mat in entries for c in mat.flat))
+        # each matrix as its real and imaginary numerators over D
+        mats = [np.array([[[c.a * (d // c.d) for c in row] for row in mat],
+                          [[c.b * (d // c.d) for c in row] for row in mat]], dtype=object)
+                for mat in entries]
         factors = []
         for lam_mu, left in zip(keys, mats):
-            conj = left.conjugate()
+            conj = np.stack((left[0], -left[1]))
             for rho_gam, right in zip(keys, mats):
                 degree = sum(map(sum, lam_mu + rho_gam))
                 if degree <= max_degree:
                     # z-exponent rho + mu, zbar-exponent lam + gam
                     key = (_add(rho_gam[0], lam_mu[1]), _add(lam_mu[0], rho_gam[1]))
-                    factors.append((degree, key, conj @ right))
+                    factors.append((degree, key, _gaussian_matmul(conj, right)))
         # within[d]: the factors of degree <= d, as (exponent pair, matrix)
         within = [[(key, mat) for degree, key, mat in factors if degree <= d]
                   for d in range(max_degree + 1)]
@@ -98,24 +107,37 @@ class ClosedFormA:
         while chains:
             self.chains.append(chains)
             chains = _sum_per_exponent(
-                ((_add(ze, a), _add(zbe, b)), mat @ rest)
+                ((_add(ze, a), _add(zbe, b)), _gaussian_matmul(mat, rest))
                 for (a, b), rest in chains.items()
                 for (ze, zbe), mat in within[max_degree - sum(a) - sum(b)])
 
     def __call__(self, alpha, beta):
-        """n x n coefficient matrix A^{alpha,beta} (the i/2-scaled part)."""
+        """n x n coefficient matrix A^{alpha,beta} (the i/2-scaled part) of
+        ``QC`` entries."""
         alpha, beta = tuple(alpha), tuple(beta)
         total = sum(alpha) + sum(beta)
         if total > self.max_degree:
             raise JetError(f"target degree {total} exceeds the table's "
                            f"max_degree {self.max_degree}")
-        out = zero_coefficients((self.n, self.n), True)
-        for k, chains in enumerate(self.chains, start=1):
-            chain = chains.get((alpha, beta))
-            if chain is not None:
-                catalan = math.comb(2 * (k - 1), k - 1) // k
-                out = out + QC(Fraction(catalan, (-4) ** (k - 1))) * chain
-        return out
+        key = (alpha, beta)
+        found = [(k, chains[key]) for k, chains in enumerate(self.chains, 1) if key in chains]
+        if not found:
+            return zero_coefficients((self.n, self.n), True)
+        # a chain of k factors sits over D^(2k) and weighs C_{k-1} / (-4)^(k-1);
+        # with q = 4 D^2, every chain up to the longest, of `top` factors, sits
+        # over q^top / 4 once its numerators are scaled by C_{k-1} (-1)^(k-1) q^(top-k)
+        top, q = found[-1][0], 4 * self.denominator ** 2
+        out = sum(math.comb(2 * (k - 1), k - 1) // k * (-1) ** (k - 1) * q ** (top - k) * chain
+                  for k, chain in found)
+        d = q ** top // 4
+        return np.array([[_reduced(a, b, d) for a, b in zip(re, im)] for re, im in zip(*out)],
+                        dtype=object)
+
+
+def _gaussian_matmul(x, y):
+    """Product of two Gaussian-integer matrices held as (real, imaginary)
+    stacks: four integer matmuls."""
+    return np.stack((x[0] @ y[0] - x[1] @ y[1], x[0] @ y[1] + x[1] @ y[0]))
 
 
 def a_from_b_closed_form(bfam, alpha, beta, n):
@@ -131,10 +153,23 @@ def a_from_b_closed_form(bfam, alpha, beta, n):
                     dtype=complex)
 
 
-def _sweep_input(s: JetMatrix):
-    """All a sweep reads of S: each entry's effective order and terms, the
-    signed zeros of float terms told apart."""
-    return [(e.effective_order, repr(e.terms)) for row in s.entries for e in row]
+def _same_sweep(s: JetMatrix, t: JetMatrix):
+    """Whether two sweeps' S are the same bit for bit: each entry's
+    effective order and terms.  Float terms that compare equal are told
+    apart by the signs of their zero parts, as ``repr`` tells 0.0 from
+    -0.0, and a NaN term is never the same."""
+    for row_s, row_t in zip(s.entries, t.entries):
+        for e, f in zip(row_s, row_t):
+            if e.effective_order != f.effective_order or e._terms != f._terms:
+                return False
+            if not e.exact and any(c != d or _zero_signs(c) != _zero_signs(d)
+                                   for c, d in zip(e._terms.values(), f._terms.values())):
+                return False
+    return True
+
+
+def _zero_signs(c):
+    return math.copysign(1.0, c.real), math.copysign(1.0, c.imag)
 
 
 def solve_a_degree_by_degree(b: JetMatrix) -> JetMatrix:
@@ -143,22 +178,19 @@ def solve_a_degree_by_degree(b: JetMatrix) -> JetMatrix:
     It runs the recursion S = (i/2)(R + S^2), R = conj(B) B.  R and S have
     no terms below degree 2, so sweep j settles every degree up to 2j + 1;
     it runs at most ``order`` sweeps and stops at the first that returns
-    its input bit for bit, since every later sweep would return it too.
-    In float it builds A for ``structure_from_b_family``; in rational mode
-    it is the exact oracle that ``validate --exact`` checks against the
-    closed formula.
+    its input bit for bit (``_same_sweep``), since every later sweep would
+    return it too.  In float it builds A for ``structure_from_b_family``;
+    in rational mode it is the exact oracle that ``validate --exact``
+    checks against the closed formula.
     """
     n, order, exact = b.rows, b.order, b.exact
     r = b.conj() @ b
     half_i = QC(0, Fraction(1, 2)) if exact else 0.5j
     s = JetMatrix.zeros(n, n, b.n, order, exact=exact)
-    seen = _sweep_input(s)
     for _ in range(order):
-        s = (r + s @ s) * half_i
-        now = _sweep_input(s)
-        if now == seen:
+        s, previous = (r + s @ s) * half_i, s
+        if _same_sweep(s, previous):
             break
-        seen = now
     ident = JetMatrix.identity(n, b.n, order, exact=exact)
     i_unit = QC(0, 1) if exact else 1j
     return ident * i_unit + s

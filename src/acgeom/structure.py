@@ -42,9 +42,10 @@ def _sorted_sign(seq):
 
 @lru_cache(maxsize=None)
 def _signed_permutations(deg):
-    """(perm, float sign) over the permutations of range(deg), in
-    ``itertools.permutations`` order."""
-    return tuple((perm, float(_sorted_sign(perm)[0]))
+    """(perm, sign) over the permutations of range(deg), in
+    ``itertools.permutations`` order; the int sign scales float and exact
+    jets alike."""
+    return tuple((perm, _sorted_sign(perm)[0])
                  for perm in permutations(range(deg)))
 
 
@@ -58,15 +59,17 @@ def word_value(comps, slots, n, order) -> Jet:
     the value trusts no degree beyond the least effective order of its
     entries.  A slot that is empty in every field makes every product
     vanish, so the value is then the empty jet at once.  The empty word is
-    the constant 1.
+    the constant 1.  The value has the mode of the components; with no
+    fields it is a float jet.
     """
+    exact = bool(comps) and comps[0][0].exact
     if not slots:
-        return Jet.one(n, order)
+        return Jet.one(n, order, exact)
     # a product that stops early, or vanishes, drops factors whose orders
     # still bound the value
     floor = min(row[s].effective_order for row in comps for s in slots)
     if not all(any(row[s] for row in comps) for s in slots):
-        return Jet._make(n, order, {}, floor, False)
+        return Jet._make(n, order, {}, floor, exact)
     terms = []
     for perm, sign in _signed_permutations(len(slots)):
         prod = None
@@ -77,7 +80,7 @@ def word_value(comps, slots, n, order) -> Jet:
                 break
         if prod:
             terms.append((prod, sign))
-    value = Jet.dot(terms, n, order)
+    value = Jet.dot(terms, n, order, exact)
     return value if value.effective_order <= floor else value.trusted(floor)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from acgeom import normal
 from acgeom.jets import Jet, QC
 from acgeom.structure import AlmostComplexStructure
 from acgeom.cli import (COMMANDS, Options, Report, ReportRow, SpecError,
-                        build_metric, build_structure, emit_report, main,
+                        _family_from_entries, build_metric, build_structure, emit_report, main,
                         parse_manifold_spec, run_command, serialize_manifold_spec)
 
 from germs import bench_b_normal_spec
@@ -164,6 +165,20 @@ class TestOrderSix:
         report, _ = run_command("validate", ms, Options(exact=True))
         assert report.passed
         assert [r.check for r in report.rows][-1] == "closed-form A vs exact solver"
+
+
+class TestExactSpecValues:
+    # an exact value is the rational that the float's shortest repr spells,
+    # not the float's binary value: on those the closed form and the solver
+    # would still agree, so only a pin sees the difference
+    @pytest.mark.parametrize("value, want", [
+        (0.3, Fraction(3, 10)), (0.1, Fraction(1, 10)), (1e-05, Fraction(1, 100000)),
+        (-0.0, Fraction(0)), (1.5e+300, Fraction(15 * 10 ** 299)), (-2.5, Fraction(-5, 2))])
+    def test_decimal_reprs(self, value, want):
+        entry = {"alpha": [1, 0], "beta": [0, 0], "k": 2, "l": 1, "re": value, "im": -value}
+        mat = _family_from_entries([entry], 2, exact=True)[((1, 0), (0, 0))]
+        assert (mat[1, 0].re, mat[1, 0].im) == (want, -want)
+        assert all(not mat[k, l] for k, l in [(0, 0), (0, 1), (1, 1)])
 
 
 class TestExactCrosscheck:

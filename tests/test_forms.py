@@ -11,7 +11,7 @@ from acgeom.forms import (FUNDAMENTAL_IDENTITIES, OPERATOR_KINDS, CoordForm,
                           apply_operator, normalize_factors, canonical_p0_connection,
                           exterior_derivative_check, fundamental_identities_check,
                           to_coordinate_form)
-from acgeom.jets import Jet, JetError, _index
+from acgeom.jets import QC, Jet, JetError, _index
 from acgeom.structure import (VectorField, _signed_permutations, torsion_tensor,
                               word_value)
 
@@ -444,6 +444,38 @@ class TestDeterminant:
         assert form.evaluate([x, x]).max_abs() == 0
         want = x.components[0] * y.components[3] - y.components[0] * x.components[3]
         assert form.evaluate([x, y]) == want
+
+    def test_exact_fields_give_exact_values(self):
+        # the value takes the mode of the components: the determinant, the
+        # empty word and an unreached slot on exact fields are exact jets
+        n, order = 2, 3
+        zero = Jet.zero(n, order, exact=True)
+        third_z1 = Jet(n, order, {((1, 0), (0, 0)): QC("1/3")}, exact=True)
+        comps = [[Jet.constant(n, order, QC("1/2"), exact=True), third_z1, zero, zero],
+                 [Jet.constant(n, order, QC(0, "2/7"), exact=True),
+                  Jet.constant(n, order, 3, exact=True), zero, zero]]
+        # (1/2) 3 - (2i/7)(z1/3)
+        want = Jet(n, order, {((0, 0), (0, 0)): QC("3/2"),
+                              ((1, 0), (0, 0)): QC(0, "-2/21")}, exact=True)
+        for value, expected in [(word_value(comps, (0, 1), n, order), want),
+                                (word_value(comps, (), n, order), Jet.one(n, order, exact=True)),
+                                (word_value(comps, (0, 2), n, order), zero)]:
+            assert value.exact and value == expected
+
+    def test_exact_coord_form_evaluates(self):
+        n, order = 2, 3
+        one, zero = Jet.one(n, order, exact=True), Jet.zero(n, order, exact=True)
+        z1 = Jet(n, order, {((1, 0), (0, 0)): 1}, exact=True)
+        x = VectorField([one, z1, zero, zero])
+        y = VectorField([z1, Jet.constant(n, order, QC("1/2"), exact=True), zero, one])
+        got = CoordForm(n, order, 1, {(0,): one}).evaluate([x])
+        assert got.exact and got == one
+        # i (x_0 y_1 - y_0 x_1) + (x_0 y_3 - y_0 x_3) = i/2 - i z1^2 + 1
+        form = CoordForm(n, order, 2, {(0, 1): Jet.constant(n, order, QC(0, 1), exact=True),
+                                       (0, 3): one})
+        got = form.evaluate([x, y])
+        assert got.exact and got == Jet(n, order, {((0, 0), (0, 0)): QC(1, "1/2"),
+                                                   ((2, 0), (0, 0)): QC(0, -1)}, exact=True)
 
     def test_field_count_checked(self):
         d0, d1 = (VectorField.coordinate(2, 3, a) for a in range(2))

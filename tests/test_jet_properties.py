@@ -349,3 +349,77 @@ def test_dot_equals_fold(size, exact):
         assert_same_bits(Jet.dot(pairs, N_VARS, ORDER, exact, start),
                          fold(pairs, N_VARS, ORDER, exact, start))
     check()
+
+
+# Exact coefficients over denominators 1, 2^k, 3, 7, 10 and 3^20, negative
+# ones included; half of them pure imaginary.
+fractions = st.builds(Fraction, st.integers(-12, 12),
+                      st.sampled_from([1, 2, 8, 1024, 3, 7, 10, 3 ** 20]))
+exact_values = st.builds(lambda re, im, imaginary: QC(0 if imaginary else re, im),
+                         fractions, fractions, st.booleans()).filter(bool)
+
+
+def qc_fold(pairs, n, order, start=None):
+    """Reference for exact sums: ``start`` plus every truncated product of
+    terms, folded with ``QC`` arithmetic over the ``terms`` dicts, with the
+    zero sums left out."""
+    acc = {} if start is None else start.terms
+    one = ((0,) * n, (0,) * n)
+    for a, b in pairs:
+        right = b.terms if isinstance(b, Jet) else {one: QC(0) + b}
+        for (a1, b1), c1 in a.terms.items():
+            for (a2, b2), c2 in right.items():
+                key = (tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2)))
+                if sum(key[0]) + sum(key[1]) <= order:
+                    acc[key] = acc.get(key, QC(0)) + c1 * c2
+    return {key: c for key, c in acc.items() if c}
+
+
+@st.composite
+def exact_sums(draw):
+    """(n, order, pairs, start): exact jets at small (n, order), with pairs
+    whose products cancel, (f + g, f - g) (the cross terms of its product
+    cancel) and (a, b) next to (a, -b)."""
+    n, order = draw(st.sampled_from([(1, 4), (2, 2), (2, 3)]))
+    monos = _index(n, order).monos
+    jet = st.tuples(st.dictionaries(st.sampled_from(monos), exact_values, min_size=1,
+                                    max_size=5),
+                    st.integers(0, order)).map(
+        lambda t: Jet(n, order, t[0], exact=True).trusted(t[1]))
+    scalar = exact_values | st.integers(-3, 3) | fractions
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(["jets", "scalar", "cancel", "conjugate"]),
+                              max_size=5)):
+        a, b = draw(jet), draw(jet)
+        if kind == "scalar":
+            pairs.append((a, draw(scalar)))
+        elif kind == "cancel":
+            pairs += [(a, b), (a, -b)]
+        elif kind == "conjugate":
+            pairs.append((a + b, a - b))
+        else:
+            pairs.append((a, b))
+    return n, order, pairs, draw(st.none() | jet)
+
+
+def assert_exact_terms(got, want, eff):
+    assert got.exact and all(type(c) is QC for c in got.terms.values())
+    assert set(got.terms) == set(want)
+    assert {key: (c.a, c.b, c.d) for key, c in got.terms.items()} == \
+        {key: (c.a, c.b, c.d) for key, c in want.items()}
+    assert got.effective_order == eff
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(exact_sums())
+def test_exact_sums_equal_the_qc_fold(operands):
+    n, order, pairs, start = operands
+    for left, right in (pair for pair in pairs if isinstance(pair[1], Jet)):
+        assert_exact_terms(left * right, qc_fold([(left, right)], n, order),
+                           min(left.effective_order, right.effective_order))
+    effs = [order] + [x.effective_order for pair in pairs for x in pair if isinstance(x, Jet)]
+    assert_exact_terms(Jet.dot(pairs, n, order, True), qc_fold(pairs, n, order), min(effs))
+    if start is not None:
+        assert_exact_terms(Jet.dot(pairs, n, order, True, start),
+                           qc_fold(pairs, n, order, start), min(effs + [start.effective_order]))

@@ -854,3 +854,44 @@ class TestQC:
             QC(1) / 0.5
         with pytest.raises(TypeError):
             QC(1) + 0.5
+
+
+class TestExactJetHoldsQC:
+    # the exact kernels read the ints of each coefficient, so an exact jet
+    # stores QC only, whatever exact value it was given
+    ONE = ((0, 0), (0, 0))
+    Z1 = ((1, 0), (0, 0))
+
+    @pytest.mark.parametrize("value, want", [
+        (2, (2, 0, 1)), (Fraction(1, 3), (1, 0, 3)), (Fraction(-6, 4), (-3, 0, 2)),
+        ("0.1", (1, 0, 10)), ("-1/7", (-1, 0, 7)), (QC("1/2", 3), (1, 6, 2))],
+        ids=["int", "Fraction", "Fraction-unreduced", "decimal", "fraction-str", "QC"])
+    def test_exact_values_become_qc(self, value, want):
+        jet = Jet(2, 2, {self.Z1: value}, exact=True)
+        (c,) = jet._terms.values()
+        assert type(c) is QC and triple(c) == want
+        const = Jet.constant(2, 2, value, exact=True)
+        assert type(const.constant_term) is QC and triple(const.constant_term) == want
+        m = JetMatrix.from_constant([[value, 0]], 2, 2, exact=True)
+        assert type(m[0, 0].constant_term) is QC and triple(m[0, 0].constant_term) == want
+        assert not m[0, 1]
+
+    def test_exact_zeros_are_dropped(self):
+        assert not Jet(2, 2, {self.Z1: 0, self.ONE: Fraction(0)}, exact=True)
+        assert not Jet(2, 2, {self.Z1: "0", self.ONE: QC(0, 0)}, exact=True)
+
+    @pytest.mark.parametrize("value", [0.5, 0.0, 1 + 2j, complex(0), np.float64(0.25)],
+                             ids=["float", "float-zero", "complex", "complex-zero", "numpy"])
+    def test_float_and_complex_values_are_refused(self, value):
+        with pytest.raises(JetError, match=r"\(\(1, 0\), \(0, 0\)\)"):
+            Jet(2, 2, {self.Z1: value}, exact=True)
+        with pytest.raises(JetError):
+            Jet.constant(2, 2, value, exact=True)
+
+    def test_arithmetic_with_plain_exact_values(self):
+        half = Jet(2, 2, {self.ONE: Fraction(1, 2), self.Z1: 1}, exact=True)
+        assert triple((half * half).coeff((0, 0), (0, 0))) == (1, 0, 4)
+        assert triple((half * half).coeff((1, 0), (0, 0))) == (1, 0, 1)
+        assert triple((Jet.one(2, 2, exact=True) + Fraction(1, 2)).constant_term) == (3, 0, 2)
+        with pytest.raises(JetError):
+            Jet.one(2, 2, exact=True) + 0.5

@@ -7,8 +7,8 @@ import pytest
 
 from acgeom.cli import parse_manifold_spec
 from acgeom.jets import Jet, JetError, JetMatrix, QC
-from acgeom.normal import (ClosedFormA, a_from_b_closed_form, a_from_b_family,
-                           lmax, normalize_to_order, pattern_violation,
+from acgeom.normal import (ClosedFormA, _same_sweep, a_from_b_closed_form,
+                           a_from_b_family, lmax, normalize_to_order, pattern_violation,
                            solve_a_degree_by_degree,
                            torsion_jet_equivalence, torsion_jet_normal,
                            verify_holomorphic_invariance)
@@ -46,15 +46,15 @@ def exponent_pairs(n, max_degree):
     return [(a, b) for a in monos for b in monos if sum(a) + sum(b) <= max_degree]
 
 
-def dense_exact_family(n, max_degree, seed=0):
+def dense_exact_family(n, max_degree, seed=0, denominator=1024):
     """Rational B family with a nonzero entry in every slot the normal
     pattern allows (row k, column l < lmax(alpha)), degrees 1..max_degree;
-    values k / 1024 with k odd, 9 <= |k| <= 15."""
+    values k / denominator with k odd, 9 <= |k| <= 15."""
     rng = np.random.default_rng(seed)
 
     def value():
         sign = 1 if rng.random() < 0.5 else -1
-        return Fraction(sign * (9 + 2 * int(rng.integers(0, 4))), 1024)
+        return Fraction(sign * (9 + 2 * int(rng.integers(0, 4))), denominator)
 
     fam = {}
     for alpha, beta in exponent_pairs(n, max_degree):
@@ -71,6 +71,12 @@ def dense_exact_family(n, max_degree, seed=0):
 def exact_b_matrix(fam, n, order):
     return JetMatrix([[Jet(n, order, {key: mat[k, l] for key, mat in fam.items()},
                            exact=True) for l in range(n)] for k in range(n)])
+
+
+# Values over 3 * 5 * 7 * 1024: k / LCM_DENOMINATOR reduces to denominators
+# that differ from entry to entry, so ``ClosedFormA`` puts the family over
+# their lcm.
+LCM_DENOMINATOR = 3 * 5 * 7 * 1024
 
 
 # C_{k-1} (-4)^{-(k-1)} for chains of k = 1, 2, 3 factors
@@ -153,7 +159,8 @@ class TestFormA:
         # coefficient for coefficient, with zero discrepancy; order 6 is the
         # first order with chains of three factors (Catalan weight 2)
         cases = [(2, 4, exact_b_family(2)), (2, 6, exact_b_family(2)),
-                 (3, 3, dense_exact_family(3, 3))]
+                 (3, 3, dense_exact_family(3, 3)),
+                 (2, 5, dense_exact_family(2, 3, seed=4, denominator=LCM_DENOMINATOR))]
         half_i = QC(0, "1/2")
         for n, order, fam in cases:
             a = solve_a_degree_by_degree(exact_b_matrix(fam, n, order))
@@ -174,10 +181,11 @@ class TestClosedFormTable:
     # three factors (Catalan weight 2) occur, at n = 3 and order 4 chains of
     # two
     CELLS = [(2, 6, dense_exact_family(2, 3, seed=1)),
-             (3, 4, dense_exact_family(3, 3, seed=2))]
+             (3, 4, dense_exact_family(3, 3, seed=2)),
+             (2, 5, dense_exact_family(2, 3, seed=3, denominator=LCM_DENOMINATOR))]
 
     # the ids keep the names the exact cases had beside their float twins
-    IDS = ["2-6-fam0-True", "3-4-fam1-True"]
+    IDS = ["2-6-fam0-True", "3-4-fam1-True", "2-5-lcm"]
 
     @pytest.mark.parametrize("n, order, fam", CELLS, ids=IDS)
     def test_shared_table_equals_one_target_evaluation(self, n, order, fam):
@@ -283,6 +291,34 @@ def matrix_bits(m: JetMatrix):
 def bench_cell_b(n, order, degree):
     text = bench_b_normal_spec(n, order, degree, seed=1)
     return parse_manifold_spec(text, name="bnormal.json").structure.B
+
+
+class TestSameSweep:
+    # the solver's stop test: a sweep that returns its input bit for bit
+    KEY = ((1, 0), (0, 0))
+
+    def matrix(self, c, exact=False):
+        return JetMatrix([[Jet(2, 2, {self.KEY: c}, exact=exact), Jet.zero(2, 2, exact)]])
+
+    def test_signed_zero_tells_float_sweeps_apart(self):
+        plus, minus = self.matrix(complex(0.5, 0.0)), self.matrix(complex(0.5, -0.0))
+        assert plus[0, 0] == minus[0, 0]
+        assert _same_sweep(plus, self.matrix(complex(0.5, 0.0)))
+        assert not _same_sweep(plus, minus)
+        assert not _same_sweep(self.matrix(complex(-0.0, 1.0)), self.matrix(1j))
+
+    def test_nan_term_is_never_the_same(self):
+        m = self.matrix(complex("nan"))
+        assert not _same_sweep(m, m)
+        assert not _same_sweep(m, self.matrix(complex("nan")))
+
+    def test_exact_sweeps(self):
+        assert _same_sweep(self.matrix(QC("1/3", -2), True), self.matrix(QC("2/6", -2), True))
+        assert not _same_sweep(self.matrix(QC("1/3"), True), self.matrix(QC("1/3", 1), True))
+
+    def test_effective_order_counts(self):
+        m = self.matrix(QC(1), True)
+        assert not _same_sweep(m, m.map(lambda e: e.trusted(1)))
 
 
 class TestSolverFixedPoint:
