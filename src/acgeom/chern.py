@@ -18,7 +18,7 @@ from .forms import (FrameCalculus, PQForm, apply_operator, exterior_derivative,
                     to_coordinate_form)
 from .jets import Jet, JetError, JetMatrix, SingularMatrixError, Substitution, nan_max
 from .normal import normalize_to_order, require_normal_form
-from .structure import (AlmostComplexStructure, ChartChange, VectorField,
+from .structure import (AlmostComplexStructure, ChartChange, VectorField, _sorted_sign,
                         transform_structure)
 
 
@@ -402,13 +402,16 @@ class LeviCivita:
         self.calc = calc
         derivs = [[[_coordinate_derivative(self.g[a, b], c, n)
                     for c in range(dim)] for b in range(dim)] for a in range(dim)]
+        # the first-kind sums d_b g_{da} + d_a g_{db} - d_d g_{ab} over d,
+        # formed once for every output index c
+        first = {(a, b): [derivs[b][d][a] + derivs[a][d][b] - derivs[a][b][d]
+                          for d in range(dim)]
+                 for a in range(dim) for b in range(a, dim)}
         self.gamma = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
         for c in range(dim):
             for a in range(dim):
                 for b in range(a, dim):
-                    acc = Jet.dot([(self.ginv[c, d],
-                                    derivs[b][d][a] + derivs[a][d][b] - derivs[a][b][d])
-                                   for d in range(dim)], n, order) * 0.5
+                    acc = Jet.dot(zip(self.ginv.entries[c], first[a, b]), n, order) * 0.5
                     self.gamma[c][a][b] = acc
                     self.gamma[c][b][a] = acc
 
@@ -433,20 +436,36 @@ def _coordinate_derivative(jet, a, n):
 # -- Chern vs Levi-Civita -----------------------------------------------------
 
 class ChernLeviCivita:
-    """Tensors relating the hermitian and riemannian connections."""
+    """Tensors relating the hermitian and riemannian connections.
+
+    gamma is solved from d omega on triples of frame fields f = (zeta_0..,
+    zetabar_0..).  A frame field pairs with the dual frame to a unit jet,
+    zeta*_k(zeta_l) = delta_kl, so d omega(f_i, f_j, f_m) is read from the
+    coefficients of its parts instead of being evaluated on the fields: the
+    sign of sorting (i, j, m) times the coefficient of the sorted word.
+    """
 
     def __init__(self, calc: FrameCalculus, hd: HermitianData):
         self.calc = calc
         self.hd = hd
         self.conn = chern_connection(calc, hd)
         self.lc = LeviCivita(calc, hd)
-        n, order = calc.n, calc.order
+        n = calc.n
         self.n = n
         self._h_t_inv = hd.H.T.inverse()
         self._h_inv = hd.H.inverse()
         self._domega_parts = metric_exterior_derivative(calc, hd)
-        self._fields = [calc.frame.zeta(k) for k in range(n)] + \
-            [calc.frame.zeta_bar(k) for k in range(n)]
+        # Jet.dot's rule: the pairing of frame field f_i with the dual
+        # covector s trusts the degrees that row s of Ginv and column i of G
+        # (the field's components) both trust
+        frame = calc.frame
+        rows = [min(e.effective_order for e in row) for row in frame.Ginv.entries]
+        self._field_trust = [min(row[i].effective_order for row in frame.G.entries)
+                             for i in range(2 * n)]
+        self._part_trust = [min(part.effective_order,
+                                min(rows[s] for k, l in part.coeffs
+                                    for s in k + tuple(n + i for i in l)))
+                            for part in self._domega_parts]
         self._points = sample_points(n)
         self._tables = {}
 
@@ -457,9 +476,28 @@ class ChernLeviCivita:
             val = self._tables[key] = compute()
         return val
 
-    def domega_value(self, x, y, z) -> Jet:
-        return sum((part.evaluate([x, y, z]) for part in self._domega_parts),
-                   Jet.zero(self.n, self.calc.order))
+    def _domega_frame(self, i, j, m) -> Jet:
+        """d omega(f_i, f_j, f_m), memoized per sorted word and sign, built
+        as ``PQForm.evaluate`` on the fields would build it: summed over the
+        parts from ``Jet.zero``, ``Jet.dot`` of the part's coefficient on the
+        word against the +-1 that ``word_value`` gives the word (nothing on
+        a repeated field), trusted to the least degree of the part's
+        coefficients and of the pairings its words read."""
+        sign = _sorted_sign((i, j, m))[0]
+        fields = tuple(sorted({i, j, m}))
+
+        def compute():
+            n, order = self.n, self.calc.order
+            key = (tuple(s for s in fields if s < n), tuple(s - n for s in fields if s >= n))
+            unit = Jet.constant(n, order, sign)
+            trust = min(self._field_trust[f] for f in fields)
+            total = Jet.zero(n, order)
+            for part, part_trust in zip(self._domega_parts, self._part_trust):
+                c = part.coeffs.get(key) if sign else None
+                value = Jet.dot([(c, unit)] if c else [], n, order)
+                total = total + value.trusted(min(part_trust, trust))
+            return total
+        return self._memo(("domega", fields, sign), compute)
 
     def _solve_omega_pairing(self, rhs10, rhs01) -> VectorField:
         """Vector V with omega(V, zetabar_m) = rhs10[m], omega(V, zeta_m) = rhs01[m]."""
@@ -470,17 +508,17 @@ class ChernLeviCivita:
         w = [Jet.dot(zip(self._h_inv.entries[k], rhs01), n, order) for k in range(n)]
         return self.calc.frame.from_frame_components(v + w)
 
-    def gamma(self, x: VectorField, y: VectorField) -> VectorField:
-        """Solve omega(gamma(x,y), .) = d omega(x, y, .) over the frame."""
-        rhs10 = [self.domega_value(x, y, self._fields[self.n + m])
-                 for m in range(self.n)]
-        rhs01 = [self.domega_value(x, y, self._fields[m]) for m in range(self.n)]
+    def gamma(self, i, j) -> VectorField:
+        """gamma(f_i, f_j) on frame fields: solve omega(gamma, .) =
+        d omega(f_i, f_j, .) over the frame."""
+        n = self.n
+        rhs10 = [self._domega_frame(i, j, n + m) for m in range(n)]
+        rhs01 = [self._domega_frame(i, j, m) for m in range(n)]
         return self._solve_omega_pairing(rhs10, rhs01)
 
     def frame_gamma(self, i, j) -> VectorField:
         """gamma(f_i, f_j) on frame fields f = (zeta_0.., zetabar_0..), memoized."""
-        f = self._fields
-        return self._memo(("gamma", i, j), lambda: self.gamma(f[i], f[j]))
+        return self._memo(("gamma", i, j), lambda: self.gamma(i, j))
 
     def gamma_20_plus_02(self, a, b) -> VectorField:
         """[gamma^{2,0} + gamma^{0,2}](e_a, e_b) on real frame fields."""

@@ -30,16 +30,17 @@ _Operator = namedtuple("_Operator", "shift sign derive pieces")
 # A piece puts sign * (-1)^j * entry * (tags[0])*_r ^ (tags[1])*_t in place of
 # the factor at one-based word position j, so (-1)^(p+j) for the j-th
 # zetabar*; entry is table^i[r, t] (conjugated if conj, read at [t, r] if
-# transposed), over r < t only if upper.
+# transposed), over r < t only if upper.  Every sign here and in the wedge
+# rules is an int, which scales float and exact jets alike.
 _Piece = namedtuple("_Piece", "table conj tags upper transposed sign")
 _OPERATORS = {
-    "del": _Operator((1, 0), 1.0, 0, (_Piece("M", True, (0, 0), True, False, 1),
+    "del": _Operator((1, 0), 1, 0, (_Piece("M", True, (0, 0), True, False, 1),
                                       _Piece("U", True, (0, 1), False, True, -1))),
-    "delbar": _Operator((0, 1), 1.0, 1, (_Piece("U", False, (0, 1), False, False, 1),
+    "delbar": _Operator((0, 1), 1, 1, (_Piece("U", False, (0, 1), False, False, 1),
                                          _Piece("M", False, (1, 1), True, False, 1))),
-    "theta": _Operator((2, -1), -1.0, None,
+    "theta": _Operator((2, -1), -1, None,
                        (None, _Piece("N", True, (0, 0), True, False, -1))),
-    "thetabar": _Operator((-1, 2), -1.0, None,
+    "thetabar": _Operator((-1, 2), -1, None,
                           (_Piece("N", False, (1, 1), True, False, -1), None)),
 }
 OPERATOR_KINDS = tuple(_OPERATORS)
@@ -163,7 +164,7 @@ class PQForm:
                 sign, kk, ll = normalize_factors(word)
                 if sign == 0:
                     continue
-                terms.setdefault((kk, ll), []).append((c1 * c2, float(sign)))
+                terms.setdefault((kk, ll), []).append((c1 * c2, sign))
         return PQForm(self.calc, p, q, _sum_terms(terms, self.calc.n, self.calc.order))
 
     def evaluate(self, fields) -> Jet:
@@ -171,9 +172,10 @@ class PQForm:
         ``word_value`` on the fields' frame components."""
         _check_field_count(self.p + self.q, fields)
         n, order = self.calc.n, self.calc.order
+        exact = _mode(self.coeffs)
         comps = [self.calc.frame.to_frame_components(x) for x in fields]
-        return Jet.dot([(c, word_value(comps, k + tuple(n + i for i in l), n, order))
-                        for (k, l), c in self.coeffs.items()], n, order, _mode(self.coeffs))
+        return Jet.dot([(c, _word(comps, k + tuple(n + i for i in l), n, order, exact))
+                        for (k, l), c in self.coeffs.items()], n, order, exact)
 
     def __repr__(self):
         return f"PQForm(({self.p},{self.q}), {len(self.coeffs)} terms)"
@@ -184,6 +186,13 @@ def _mode(coeffs):
     exact; an empty form is float."""
     first = next(iter(coeffs.values()), None)
     return first is not None and first.exact
+
+
+def _word(comps, slots, n, order, exact):
+    """``word_value`` of the word ``slots`` on the fields of ``comps``; on no
+    fields (a 0-form) the empty word's value is the one of mode ``exact``,
+    that of the form's coefficients."""
+    return word_value(comps, slots, n, order) if comps else Jet.one(n, order, exact)
 
 
 def _check_field_count(deg, fields):
@@ -199,7 +208,7 @@ def _sum_terms(terms, n, order):
     out = {}
     for key, ((jet, c), *rest) in terms.items():
         first = jet * c
-        out[key] = Jet.dot(rest, n, order, start=first) if rest else first
+        out[key] = Jet.dot(rest, n, order, first.exact, start=first) if rest else first
     return out
 
 
@@ -219,7 +228,7 @@ def _plan(kind, n, kk, ll):
 
     def live(factors):
         sign, k, l = normalize_factors(factors)
-        return (float(sign), (k, l)) if sign else None
+        return (sign, (k, l)) if sign else None
 
     derive = ()
     if op.derive is not None:
@@ -237,7 +246,7 @@ def _plan(kind, n, kk, ll):
                         if (out := live([(a, r), (b, t)] + hat)))
         if entries:
             pieces.append((pc.table, pc.conj, i,
-                           float(pc.sign * (-1) ** (pos + 1)), entries))
+                           pc.sign * (-1) ** (pos + 1), entries))
     return derive, tuple(pieces)
 
 
@@ -282,7 +291,7 @@ def canonical_p0_connection(u: PQForm) -> PQForm:
     """Canonical (0,1)-connection on (p,0)-forms: (-1)^p times delbar."""
     if u.q != 0:
         raise JetError("canonical connection acts on (p,0)-forms")
-    return apply_operator("delbar", u) * float((-1) ** u.p)
+    return apply_operator("delbar", u) * (-1) ** u.p
 
 
 def exterior_derivative(u: PQForm):
@@ -347,7 +356,7 @@ class CoordForm:
                 merged = sorted(key + (a,))
                 pos = merged.index(a)
                 sign = (-1) ** (len(key) - pos)  # moved left past trailing factors
-                acc.setdefault(tuple(merged), []).append((c * jet, float(sign)))
+                acc.setdefault(tuple(merged), []).append((c * jet, sign))
         return CoordForm(self.n, self.order, self.degree + 1,
                          _sum_terms(acc, self.n, self.order))
 
@@ -362,7 +371,7 @@ class CoordForm:
                 merged = sorted(key + (a,))
                 pos = merged.index(a)
                 sign = (-1) ** pos   # dx_a moved from the front past pos factors
-                acc.setdefault(tuple(merged), []).append((dc, float(sign)))
+                acc.setdefault(tuple(merged), []).append((dc, sign))
         return CoordForm(self.n, self.order, self.degree + 1,
                          _sum_terms(acc, self.n, self.order))
 
@@ -379,10 +388,10 @@ class CoordForm:
         """Sum of c_key times the word's ``word_value`` on the fields'
         coordinate components."""
         _check_field_count(self.degree, fields)
+        exact = _mode(self.coeffs)
         comps = [x.components for x in fields]
-        return Jet.dot([(c, word_value(comps, key, self.n, self.order))
-                        for key, c in self.coeffs.items()], self.n, self.order,
-                       _mode(self.coeffs))
+        return Jet.dot([(c, _word(comps, key, self.n, self.order, exact))
+                        for key, c in self.coeffs.items()], self.n, self.order, exact)
 
 
 def to_coordinate_form(u: PQForm) -> CoordForm:

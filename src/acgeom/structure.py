@@ -310,25 +310,33 @@ class BracketCoefficients:
         return got
 
 
+def _zeta_brackets(frame: Frame, n, order):
+    """The tables mbar, nbar over k of the n(n-1)/2 brackets of (1,0)-frame
+    fields, [zeta_j, zeta_r] = sum_k mbar^k_{j,r} zeta_k + nbar^k_{j,r}
+    zetabar_k, each bracket formed once for j < r and entered at both
+    (j, r) and (r, j)."""
+    mbar = [JetMatrix.zeros(n, n, n, order) for _ in range(n)]
+    nbar = [JetMatrix.zeros(n, n, n, order) for _ in range(n)]
+    for j in range(n):
+        for r in range(j + 1, n):
+            fc = frame.to_frame_components(frame.zeta(j).bracket(frame.zeta(r)))
+            for k in range(n):
+                mbar[k].entries[j][r] = fc[k]
+                mbar[k].entries[r][j] = -fc[k]
+                nbar[k].entries[j][r] = fc[n + k]
+                nbar[k].entries[r][j] = -fc[n + k]
+    return mbar, nbar
+
+
 def bracket_coefficients(s: AlmostComplexStructure, frame: Frame):
     """Coefficient tables of the frame-field Lie brackets."""
     n, order = s.n, s.order
-    mbar = [JetMatrix.zeros(n, n, n, order) for _ in range(n)]
-    nbar = [JetMatrix.zeros(n, n, n, order) for _ in range(n)]
+    mbar, nbar = _zeta_brackets(frame, n, order)
     u = [JetMatrix.zeros(n, n, n, order) for _ in range(n)]
     v = [JetMatrix.zeros(n, n, n, order) for _ in range(n)]
-    zetas = [frame.zeta(k) for k in range(n)]
-    zetabars = [frame.zeta_bar(k) for k in range(n)]
     for j in range(n):
         for r in range(n):
-            if r > j:
-                fc = frame.to_frame_components(zetas[j].bracket(zetas[r]))
-                for k in range(n):
-                    mbar[k].entries[j][r] = fc[k]
-                    mbar[k].entries[r][j] = -fc[k]
-                    nbar[k].entries[j][r] = fc[n + k]
-                    nbar[k].entries[r][j] = -fc[n + k]
-            fc = frame.to_frame_components(zetas[j].bracket(zetabars[r]))
+            fc = frame.to_frame_components(frame.zeta(j).bracket(frame.zeta_bar(r)))
             for k in range(n):
                 u[k].entries[j][r] = fc[k]
                 v[k].entries[j][r] = fc[n + k]
@@ -371,15 +379,19 @@ class TorsionTensor:
 
 def torsion_tensor(s: AlmostComplexStructure, frame: Frame | None = None,
                    bc: BracketCoefficients | None = None) -> TorsionTensor:
+    """The torsion tensor, read from the bracket tables ``bc`` when given;
+    without them only the n(n-1)/2 brackets [zeta_j, zeta_r] that its
+    coefficients come from are formed."""
     frame = frame_and_dual(s) if frame is None else frame
-    bc = bracket_coefficients(s, frame) if bc is None else bc
-    return TorsionTensor(bc.conj_table("N"), frame)
+    nbar = _zeta_brackets(frame, s.n, s.order)[1] if bc is None else bc.conj_table("N")
+    return TorsionTensor(nbar, frame)
 
 
 def nijenhuis_bracket_formula(s: AlmostComplexStructure, xi: VectorField,
-                              eta: VectorField) -> VectorField:
-    """4 N_J(xi, eta) = [xi,eta] + J[xi,J eta] + J[J xi,eta] - [J xi,J eta]."""
-    jxi, jeta = s.apply(xi), s.apply(eta)
+                              eta: VectorField, jxi: VectorField,
+                              jeta: VectorField) -> VectorField:
+    """4 N_J(xi, eta) = [xi,eta] + J[xi,J eta] + J[J xi,eta] - [J xi,J eta],
+    given jxi = J xi and jeta = J eta."""
     total = (xi.bracket(eta) + s.apply(xi.bracket(jeta))
              + s.apply(jxi.bracket(eta)) - jxi.bracket(jeta))
     return VectorField([0.25 * c for c in total.components])
@@ -389,15 +401,17 @@ def nijenhuis_check(s: AlmostComplexStructure, tors: TorsionTensor):
     """Max deviation between frame-bracket torsion and the 4N_J identity.
 
     Both paths are evaluated on all coordinate-field pairs and compared up to
-    the joint effective order.
+    the joint effective order; J is applied to each coordinate field once.
     """
     n, order = s.n, s.order
     coords = [VectorField.coordinate(n, order, a) for a in range(2 * n)]
+    j_coords = [s.apply(x) for x in coords]
     residuals = []
     for a, xi in enumerate(coords):
-        for eta in coords[a + 1:]:
+        for b in range(a + 1, 2 * n):
+            eta = coords[b]
             via_tensor = tors.nijenhuis(xi, eta)
-            via_brackets = nijenhuis_bracket_formula(s, xi, eta)
+            via_brackets = nijenhuis_bracket_formula(s, xi, eta, j_coords[a], j_coords[b])
             diff = via_tensor - via_brackets
             eff = min(via_tensor.effective_order, via_brackets.effective_order)
             residuals.append(diff.max_abs(eff))

@@ -1,8 +1,9 @@
 """Shared test germs: the flat structure, the minimal torsion fixture,
 deterministic random deformations, the flat metric, metrics built from
 coefficient families and the frame covectors as forms; plus point values of
-jet matrices and vector fields, rescaled frames, and the largest
-coefficients and trusted degree of bracket tables and form matrices."""
+jet matrices and vector fields, rescaled frames, the largest coefficients
+and trusted degree of bracket tables and form matrices, and the
+field-evaluation oracle of ``ChernLeviCivita.gamma``."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from acgeom.chern import HermitianData, MatrixForm
+from acgeom.chern import ChernLeviCivita, HermitianData, MatrixForm
 from acgeom.forms import FrameCalculus, PQForm
 from acgeom.jets import Jet, JetError, JetMatrix, nan_max
 from acgeom.normal import lmax, structure_from_b_family
@@ -197,3 +198,20 @@ def brackets_effective_order(bc: BracketCoefficients):
 def form_matrix_max_abs(m: MatrixForm, max_degree=None):
     """Largest coefficient over the entries of a form matrix."""
     return nan_max(e.max_abs(max_degree) for row in m.entries for e in row)
+
+
+def domega_value(dec: ChernLeviCivita, x, y, z) -> Jet:
+    """d omega(x, y, z) on any three fields: each part of d omega evaluated
+    by ``PQForm.evaluate``, summed from ``Jet.zero``."""
+    return sum((part.evaluate([x, y, z]) for part in dec._domega_parts),
+               Jet.zero(dec.n, dec.calc.order))
+
+
+def gamma_on_fields(dec: ChernLeviCivita, x, y) -> VectorField:
+    """gamma(x, y) solved from d omega(x, y, .) evaluated on the frame
+    fields: the oracle of ``ChernLeviCivita.gamma``, which reads d omega on
+    frame triples from its coefficients."""
+    n, frame = dec.n, dec.calc.frame
+    rhs10 = [domega_value(dec, x, y, frame.zeta_bar(m)) for m in range(n)]
+    rhs01 = [domega_value(dec, x, y, frame.zeta(m)) for m in range(n)]
+    return dec._solve_omega_pairing(rhs10, rhs01)

@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from acgeom import chern, jets, normal, structure
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from acgeom import chern, cli, jets, normal, structure
 from acgeom.chern import (ChernLeviCivita, HermitianData, LeviCivita,
                           antisymmetrize_metric_linear,
                           almost_holomorphic_identities,
@@ -23,8 +26,9 @@ from acgeom.structure import VectorField, torsion_tensor
 
 from conftest import random_jet
 from germs import (FIX_B_VALUE, fix_b, fix_b3, fix_j0, flat_entries,
-                   form_matrix_max_abs, identity_metric, jets_sha256, matrix_eval,
-                   metric_from_families, random_b_normal, random_deformation)
+                   form_matrix_max_abs, gamma_on_fields, identity_metric, jets_sha256,
+                   matrix_eval, metric_from_families, random_b_normal,
+                   random_deformation)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -391,7 +395,8 @@ def _same_field(got, want):
 
 class TestChernLeviCivitaTables:
     """The memoized gamma/delta/N_omega tables against values rebuilt from
-    gamma(x, y) on fresh copies of the frame fields."""
+    the field-evaluation oracle ``gamma_on_fields`` on fresh copies of the
+    frame fields."""
 
     @pytest.fixture(scope="class")
     def setup(self, calc_b):
@@ -402,7 +407,7 @@ class TestChernLeviCivitaTables:
         frame_fields = [fr.zeta(k) for k in range(n)] + [fr.zeta_bar(k) for k in range(n)]
         fresh = [VectorField(list(f.components)) for f in frame_fields]
         ref = ChernLeviCivita(calc_b, hd)
-        gam = {(i, j): ref.gamma(fresh[i], fresh[j])
+        gam = {(i, j): gamma_on_fields(ref, fresh[i], fresh[j])
                for i in range(2 * n) for j in range(2 * n)}
 
         def delta(a, b):
@@ -458,16 +463,130 @@ class TestChernLeviCivitaTables:
         calls = []
         gamma = dec.gamma
 
-        def counting(x, y):
-            calls.append((x, y))
-            return gamma(x, y)
+        def counting(i, j):
+            calls.append((i, j))
+            return gamma(i, j)
         dec.gamma = counting
         dec.delta_max()
         dec.n_omega_max()
         dec.gamma02_max()
         dec.decomposition_residual()
         dec.torsion_formula_residual()
-        assert len(calls) == (2 * calc_b.n) ** 2
+        assert sorted(calls) == [(i, j) for i in range(2 * calc_b.n)
+                                 for j in range(2 * calc_b.n)]
+
+
+def _random_metric(seed, n, order):
+    """I + (P + P^*) / 2 with P holding terms of degree 1 and 2 in every
+    entry: z-dependent and not diagonal."""
+    rng = np.random.default_rng(seed)
+    monos = [m for m in jets._index(n, order).monos if 1 <= sum(m[0]) + sum(m[1]) <= 2]
+    p = JetMatrix([[Jet(n, order, {monos[k]: 0.1 * complex(rng.normal(), rng.normal())
+                                   for k in rng.choice(len(monos), 3, replace=False)})
+                    for _ in range(n)] for _ in range(n)])
+    return HermitianData.from_matrix(JetMatrix.identity(n, n, order) + p)
+
+
+def _frame_pairings_are_units(calc):
+    """Whether every frame field pairs with the dual frame to a unit jet,
+    zeta*_k(f_i) = delta_ki with no rounding residue."""
+    fr, dim = calc.frame, 2 * calc.n
+    fields = [fr.zeta(k) for k in range(calc.n)] + [fr.zeta_bar(k) for k in range(calc.n)]
+    return all(fr.to_frame_components(f)[k]._terms == ({0: 1} if k == i else {})
+               for i, f in enumerate(fields) for k in range(dim))
+
+
+def _check_table_read(s, hd):
+    """gamma, delta and N_omega of ``ChernLeviCivita`` against the
+    field-evaluation oracle on fresh copies of the frame fields.  Unit
+    pairings: equal terms, reprs and effective orders.  A pairing residue:
+    the read takes the exact delta_kl, so equal effective orders and values
+    within 1e-12 of the largest |d omega| coefficient.  Returns which case
+    ran and the bidegrees of d omega's parts."""
+    calc = FrameCalculus(s)
+    n = calc.n
+    dec = ChernLeviCivita(calc, hd)
+    ref = ChernLeviCivita(calc, hd)
+    fr = calc.frame
+    fields = [fr.zeta(k) for k in range(n)] + [fr.zeta_bar(k) for k in range(n)]
+    fresh = [VectorField(list(f.components)) for f in fields]
+    gam = {(i, j): gamma_on_fields(ref, fresh[i], fresh[j])
+           for i in range(2 * n) for j in range(2 * n)}
+    case = "unit pairings" if _frame_pairings_are_units(calc) else "pairing residue"
+    tol = 1e-12 * max(part.max_abs() for part in dec._domega_parts)
+
+    def agree(got, want, exact=case == "unit pairings"):
+        assert [c.effective_order for c in got.components] \
+            == [c.effective_order for c in want.components], case
+        if exact:
+            assert got.components == want.components, case
+            assert [repr(c._terms) for c in got.components] \
+                == [repr(c._terms) for c in want.components], case
+            assert [repr(c) for c in got.components] \
+                == [repr(c) for c in want.components], case
+        else:
+            assert max((g - w).max_abs() for g, w in zip(got.components, want.components)) \
+                <= tol, case
+
+    for (i, j), want in gam.items():
+        agree(dec.frame_gamma(i, j), want)
+    for a in range(n):
+        for b in range(n):
+            mixed = -1j * gam[a, n + b] + 1j * gam[n + a, b]
+            total = gam[a, b] + gam[n + a, n + b] + calc.structure.apply(mixed)
+            agree(dec.delta(a, b), VectorField([0.5 * c for c in total.components]))
+            t = ref.tau_omega(a, b)
+            agree(dec.n_omega(a, b), t + t.conj(), exact=True)
+    return case, {(part.p, part.q) for part in dec._domega_parts}
+
+
+class TestDomegaTableRead:
+    """d omega on frame triples read from its coefficients, against
+    ``PQForm.evaluate`` on the fields (``germs.gamma_on_fields``)."""
+
+    @pytest.mark.parametrize("n, order", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_property(self, n, order):
+        @settings(derandomize=True, database=None, max_examples=6, deadline=None,
+                  phases=(Phase.explicit, Phase.generate))
+        @given(st.integers(0, 47), st.integers(0, 2 ** 16))
+        def check(germ_seed, metric_seed):
+            _check_table_read(random_deformation(germ_seed, n=n, order=order),
+                              _random_metric(metric_seed, n, order))
+        check()
+
+    @pytest.mark.parametrize("seed, n, order, case", [
+        (0, 2, 2, "unit pairings"),
+        (3, 3, 3, "unit pairings"),
+        # the computed zeta*_k(f_i) keep degree-3 terms of 1.0-1.1e-14 for
+        # k != i (seed 22) and a unit constant with a 2.4e-35 imaginary part
+        # (seed 31)
+        (22, 3, 3, "pairing residue"),
+        (31, 3, 3, "pairing residue"),
+    ])
+    def test_both_cases(self, seed, n, order, case):
+        hd = _random_metric(seed, n, order)
+        got, parts = _check_table_read(random_deformation(seed, n=n, order=order), hd)
+        assert got == case
+        # at n = 3 the theta parts reach the (3,0) and (0,3) words
+        assert {(3, 0), (0, 3)} <= parts if n == 3 else {(2, 1), (1, 2)} <= parts
+
+    def test_nan_metric_rows_fail(self, monkeypatch):
+        # a NaN z_1 coefficient in h_{1,2} and h_{2,1} reaches every
+        # coefficient d omega is read from
+        h = JetMatrix.identity(2, 2, 4)
+        nan = Jet(2, 4, {((1, 0), (0, 0)): complex(np.nan, 0)})
+        h.entries[0][1] = h[0, 1] + nan
+        h.entries[1][0] = h[1, 0] + nan.conj()
+        hd = HermitianData(h, check=False)
+        monkeypatch.setattr(cli, "build_metric", lambda ms: hd)
+        with open(os.path.join(MANIFESTS, "fix_b.json"), encoding="utf-8") as fh:
+            ms = parse_manifold_spec(fh.read(), name="fix_b.json")
+        report, _ = run_command("decompose", ms, Options())
+        rows = {r.check: r for r in report.rows}
+        for check in ("connection decomposition residual", "torsion formula residual",
+                      "delta = 0 iff d omega = 0", "N = 0 iff torsion = 0"):
+            assert np.isnan(rows[check].residual) and not rows[check].passed, check
+        assert not report.passed
 
 
 def test_decompose_builds_each_chern_derivative_once(monkeypatch):

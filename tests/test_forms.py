@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -483,6 +484,58 @@ class TestDeterminant:
             CoordForm(2, 3, 1, {(0,): Jet.one(2, 3)}).evaluate([d0, d1])
         with pytest.raises(JetError):
             CoordForm.function(Jet.one(2, 3)).evaluate([d0])
+
+
+def _exact_copy(jet):
+    """``jet`` (dyadic coefficients) as an exact jet of the same values."""
+    return Jet(jet.n, jet.order, {key: QC(Fraction(c.real), Fraction(c.imag))
+                                  for key, c in jet.terms.items()}, exact=True)
+
+
+def _same_values(exact, floating):
+    """An exact jet and a float jet with equal coefficients and orders."""
+    assert exact.exact and not floating.exact
+    assert {key: complex(c) for key, c in exact.terms.items()} == floating.terms
+    assert exact.effective_order == floating.effective_order
+
+
+class TestExactForms:
+    """Exact forms give the float forms' values: signs are ints, and a 0-form
+    evaluates to a jet of its coefficients' mode."""
+
+    def test_coord_form_d_and_wedge(self, rng):
+        n, order = 2, 3
+        jets = [random_jet(rng, n, order, nterms=4, dyadic=True) for _ in range(8)]
+        floating = CoordForm(n, order, 1, {(a,): jet for a, jet in enumerate(jets[:4])})
+        exact = CoordForm(n, order, 1, {(a,): _exact_copy(jet)
+                                        for a, jet in enumerate(jets[:4])})
+        pairs = [(exact.d(), floating.d()),
+                 (exact.wedge_covector([_exact_copy(j) for j in jets[4:]]),
+                  floating.wedge_covector(jets[4:])),
+                 (CoordForm.function(_exact_copy(jets[0])).d(),
+                  CoordForm.function(jets[0]).d())]
+        for got, want in pairs:
+            assert got.coeffs.keys() == want.coeffs.keys()
+            for key in want.coeffs:
+                _same_values(got.coeffs[key], want.coeffs[key])
+
+    def test_pq_form_wedge(self, calc_b, rng):
+        jets = [random_jet(rng, 2, 4, nterms=3, dyadic=True) for _ in range(2)]
+        u = PQForm(calc_b, 1, 0, {((0,), ()): jets[0]})
+        v = PQForm(calc_b, 0, 1, {((), (1,)): jets[1]})
+        got = PQForm(calc_b, 1, 0, {((0,), ()): _exact_copy(jets[0])}).wedge(
+            PQForm(calc_b, 0, 1, {((), (1,)): _exact_copy(jets[1])}))
+        want = v.wedge(u)       # -(u ^ v): the float side sorts with sign -1
+        _same_values(got.coeffs[((0,), (1,))], -want.coeffs[((0,), (1,))])
+
+    def test_zero_forms_evaluate_in_their_mode(self, calc_b, rng):
+        jet = random_jet(rng, 2, 4, nterms=5, dyadic=True)
+        for exact_form, float_form in [
+                (CoordForm.function(_exact_copy(jet)), CoordForm.function(jet)),
+                (calc_b.function(_exact_copy(jet)), calc_b.function(jet))]:
+            got = exact_form.evaluate([])
+            _same_values(got, float_form.evaluate([]))
+            assert got == _exact_copy(jet)
 
 
 def _word_value_expanded(comps, slots, n, order):

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from acgeom import structure as structure_module
+from acgeom.cli import parse_manifold_spec
+from acgeom.forms import FrameCalculus
 from acgeom.jets import QC, Jet, JetError, JetMatrix
 from acgeom.normal import normalize_to_order
 from acgeom.structure import (AlmostComplexStructure, ChartChange, VectorField, adapt_linear,
@@ -10,7 +14,8 @@ from acgeom.structure import (AlmostComplexStructure, ChartChange, VectorField, 
 
 from conftest import random_jet, random_point
 from germs import (FIX_B_VALUE, brackets_effective_order, brackets_max_abs,
-                   field_eval, fix_b, fix_j0, random_deformation, scaled_frame)
+                   field_eval, fix_b, fix_j0, flat_entries, random_deformation,
+                   scaled_frame)
 
 
 class TestValidate:
@@ -212,6 +217,22 @@ class TestBrackets:
                         assert abs(got_bar) < 1e-11
 
 
+MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
+MANIFEST_NAMES = sorted(p.name for p in MANIFESTS.glob("*.json"))
+
+
+def _assert_same_torsion(s):
+    """``torsion_tensor(s)`` equals the tensor read from a FrameCalculus's
+    bracket tables term for term, with equal effective orders."""
+    calc = FrameCalculus(s)
+    got = torsion_tensor(s)
+    want = torsion_tensor(s, calc.frame, calc.bc)
+    for g, w in zip(got.nbar, want.nbar):
+        for ge, we in zip(flat_entries(g), flat_entries(w)):
+            assert repr(ge._terms) == repr(we._terms)
+            assert ge.effective_order == we.effective_order
+
+
 class TestTorsion:
     def test_j0_integrable(self):
         tors = torsion_tensor(fix_j0())
@@ -240,6 +261,53 @@ class TestTorsion:
         monkeypatch.setattr(structure_module, "block2x2", counting)
         nijenhuis_check(s, torsion_tensor(s))
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("name", MANIFEST_NAMES)
+    def test_table_free_path_on_manifests(self, name):
+        with open(MANIFESTS / name, encoding="utf-8") as fh:
+            _assert_same_torsion(parse_manifold_spec(fh.read(), name=name).structure)
+
+    @pytest.mark.parametrize("n, order", [(2, 4), (3, 3), (4, 2)])
+    def test_table_free_path_on_random_germs(self, n, order):
+        for seed in range(3):
+            _assert_same_torsion(random_deformation(seed, n, order))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_table_free_path_forms_only_the_zeta_brackets(self, monkeypatch, n):
+        s = random_deformation(1, n, 2)
+        calls = []
+        bracket = VectorField.bracket
+
+        def counting(x, y):
+            calls.append((x, y))
+            return bracket(x, y)
+        monkeypatch.setattr(VectorField, "bracket", counting)
+        frame = torsion_tensor(s).frame
+        assert len(calls) == n * (n - 1) // 2
+        zetas = [frame.zeta(k) for k in range(n)]
+        assert [(zetas.index(x), zetas.index(y)) for x, y in calls] \
+            == [(j, r) for j in range(n) for r in range(j + 1, n)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cross_check_applies_j_once_per_coordinate_field(self, monkeypatch, n):
+        s = random_deformation(2, n, 2)
+        tors = torsion_tensor(s)
+        coords, applied = [], []
+        coordinate = VectorField.coordinate.__func__
+        apply = AlmostComplexStructure.apply
+
+        def make(cls, *args):
+            coords.append(coordinate(cls, *args))
+            return coords[-1]
+
+        def counting(self, x):
+            applied.extend(k for k, c in enumerate(coords) if c is x)
+            return apply(self, x)
+        monkeypatch.setattr(VectorField, "coordinate", classmethod(make))
+        monkeypatch.setattr(AlmostComplexStructure, "apply", counting)
+        nijenhuis_check(s, tors)
+        assert len(coords) == 2 * n
+        assert applied == list(range(2 * n))
 
     def test_antisymmetry(self):
         tors = torsion_tensor(fix_b())

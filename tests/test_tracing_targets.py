@@ -57,3 +57,26 @@ def test_traced_geodesic_emits_the_same_document():
         tracer.uninstall()
     assert traced == plain
     assert tracer.totals()["cli.run_command"][0] == 1
+
+
+def test_traced_decompose_solves_gamma_once_per_frame_pair():
+    """``decompose`` on ``fix_b`` with a non-closed metric calls
+    ``ChernLeviCivita.gamma`` once per ordered pair of the 2n frame fields,
+    so the ``chern.ChernLeviCivita.gamma`` span counts (2n)^2 calls."""
+    from acgeom import cli
+
+    doc = json.loads((TRACING.parents[1] / "manifests" / "fix_b.json")
+                     .read_text(encoding="utf-8"))
+    # h_{2,1} gains 0.2 z_1: d omega != 0
+    doc["metric"]["entries"] = [{"alpha": [1, 0], "beta": [0, 0], "k": 2, "l": 1,
+                                 "re": 0.2, "im": 0.0}]
+    spec = cli.parse_manifold_spec(json.dumps(doc), name="fix_b-nonclosed.json")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report, _ = cli.run_command("decompose", spec, cli.Options())
+    finally:
+        tracer.uninstall()
+    delta = next(r for r in report.rows if r.check == "delta = 0 iff d omega = 0")
+    assert report.passed and float(delta.value.split("=")[1]) > 1e-3
+    assert tracer.totals()["chern.ChernLeviCivita.gamma"][0] == (2 * spec.n) ** 2

@@ -6,8 +6,11 @@ with ``padded`` and random terms of degree N + 1 are added to its A and B
 blocks; ``transform_structure`` and ``normalize_to_order`` must give the same
 coefficients on every degree the unperturbed output trusts.  Terms of degree
 >= N + 2 in a coordinate change must not move ``transform_structure``'s output
-on degrees <= N either.  The oracle needs no formula from the paper, and it
-fails when a transport works at order N instead of N + 1.
+on degrees <= N either.  The torsion tensor takes one derivative of the
+frame, so its coefficients state N - 1 and must keep every degree up to what
+they state.  The oracle needs no formula from the paper, and it fails when a
+transport works at order N instead of N + 1 or an output states one degree
+more than it has.
 """
 
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from acgeom.jets import Jet, JetMatrix, _index
 from acgeom.normal import normalize_to_order
-from acgeom.structure import AlmostComplexStructure, transform_structure
+from acgeom.structure import AlmostComplexStructure, torsion_tensor, transform_structure
 
 from germs import flat_entries, random_deformation
 
@@ -127,4 +130,20 @@ def test_normalize_ignores_input_above_its_order(order):
         assert_same_through(blocks(got.structure), blocks(want.structure), order)
         # stage m reads B at degree m only, so phi matches through N + 1
         assert_same_through(got.phi, want.phi, order + 1)
+    check()
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_torsion_ignores_input_above_its_order(order):
+    @PROPERTY
+    @given(germs_and_tails(order))
+    def check(germ):
+        seed, tails = germ
+        s = random_deformation(seed, n=N_VARS, order=order)
+        want = [e for m in torsion_tensor(s).nbar for e in flat_entries(m)]
+        got = [e for m in torsion_tensor(perturbed(s, tails)).nbar for e in flat_entries(m)]
+        # the off-diagonal entries state N - 1; the diagonal ones are empty
+        assert [e.effective_order for e in want if e] == [order - 1] * len([e for e in want if e])
+        for g, w in zip(got, want):
+            assert_same_through([g], [w], w.effective_order)
     check()
