@@ -4,7 +4,8 @@ Covers the canonical (0,1)-connection, the hermitian connection it induces,
 curvature in all three bidegree blocks with an independent origin formula,
 the Levi-Civita connection, the decomposition relating the two connections,
 special frames, normal asymptotic expansions of the connection and metric,
-and the symplectic refinement of normal coordinates.
+and the symplectic refinement of normal coordinates.  The del and delbar of
+a matrix of functions apply ``forms.apply_operator`` to each entry.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def domega_max(calc, hd):
 
 
 class MatrixForm:
-    """Matrix with PQForm entries of one common bidegree."""
+    """Matrix with PQForm entries of one common bidegree; its products with
+    form and jet matrices share one fold, ``_product``."""
 
     def __init__(self, entries):
         self.entries = [list(row) for row in entries]
@@ -118,39 +120,29 @@ class MatrixForm:
         return MatrixForm([[a - b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
 
+    @staticmethod
+    def _product(rows, cols, inner, term):
+        """The rows x cols matrix of sum_s term(i, j, s): the terms for s > 0
+        are added in ascending order to the s = 0 term."""
+        return MatrixForm([[sum((term(i, j, s) for s in range(1, inner)), term(i, j, 0))
+                            for j in range(cols)] for i in range(rows)])
+
     def wedge(self, other):
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for s in range(self.cols):
-                    term = self.entries[i][s].wedge(other.entries[s][j])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return MatrixForm(out)
+        return self._product(self.rows, other.cols, self.cols,
+                             lambda i, j, s: self.entries[i][s].wedge(other.entries[s][j]))
 
     def transpose(self):
         return MatrixForm(list(zip(*self.entries)))
 
     def left_mul_jets(self, jm: JetMatrix):
-        """jm @ self, computed as (self^T @ jm^T)^T."""
-        return self.transpose().right_mul_jets(jm.T).transpose()
+        """jm @ self; entry (i, j) sums self[s, j] * jm[i, s] over s."""
+        return self._product(jm.rows, self.cols, self.rows,
+                             lambda i, j, s: self.entries[s][j] * jm[i, s])
 
     def right_mul_jets(self, jm: JetMatrix):
-        """self @ jm; each entry sums form * jet over the inner index in order."""
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(jm.cols):
-                acc = None
-                for s in range(self.cols):
-                    term = self.entries[i][s] * jm[s, j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return MatrixForm(out)
+        """self @ jm; entry (i, j) sums self[i, s] * jm[s, j] over s."""
+        return self._product(self.rows, jm.cols, self.cols,
+                             lambda i, j, s: self.entries[i][s] * jm[s, j])
 
     def conj_transpose(self):
         return self.transpose().map(lambda e: e.conj())
@@ -189,19 +181,11 @@ def canonical_delbar_connection(calc: FrameCalculus) -> MatrixForm:
 
 
 def derive_matrix(calc, jm: JetMatrix, kind) -> MatrixForm:
-    """Entrywise ``kind`` derivative of a matrix of jet functions: "del"
-    gives a (1,0)-form per entry, "delbar" a (0,1)-form."""
-    field, p, q = {"del": (calc.frame.zeta, 1, 0),
-                   "delbar": (calc.frame.zeta_bar, 0, 1)}[kind]
-
-    def entry(f):
-        coeffs = {}
-        for r in range(calc.n):
-            jet = field(r).derive(f)
-            if jet:
-                coeffs[((r,), ()) if p else ((), (r,))] = jet
-        return PQForm(calc, p, q, coeffs)
-    return MatrixForm([[entry(jm[i, j]) for j in range(jm.cols)] for i in range(jm.rows)])
+    """Entrywise ``kind`` derivative of a matrix of jet functions, by
+    ``apply_operator`` on each entry as a 0-form: "del" gives a (1,0)-form
+    per entry, "delbar" a (0,1)-form."""
+    return MatrixForm([[apply_operator(kind, calc.function(f)) for f in row]
+                       for row in jm.entries])
 
 
 def chern_connection(calc: FrameCalculus, hd: HermitianData) -> ConnectionForms:
@@ -393,7 +377,7 @@ class LeviCivita:
         self.g = _omega_matrix(calc, hd, order) @ calc.structure.matrix()
         g0 = np.asarray(self.g.constant())
         sym_err = np.abs(g0 - g0.T).max()
-        if sym_err > 1e-10:
+        if not sym_err <= 1e-10:   # a NaN defect fails too
             raise JetError(f"metric tensor is not symmetric ({sym_err:.2e})")
         try:
             self.ginv = self.g.inverse()
@@ -440,9 +424,9 @@ class ChernLeviCivita:
 
     gamma is solved from d omega on triples of frame fields f = (zeta_0..,
     zetabar_0..).  A frame field pairs with the dual frame to a unit jet,
-    zeta*_k(zeta_l) = delta_kl, so d omega(f_i, f_j, f_m) is read from the
-    coefficients of its parts instead of being evaluated on the fields: the
-    sign of sorting (i, j, m) times the coefficient of the sorted word.
+    zeta*_k(zeta_l) = delta_kl, so d omega(f_i, f_j, f_m) is read from one
+    map of its parts' coefficients instead of being evaluated on the fields:
+    the sign of sorting (i, j, m) times the coefficient of the sorted word.
     """
 
     def __init__(self, calc: FrameCalculus, hd: HermitianData):
@@ -455,17 +439,20 @@ class ChernLeviCivita:
         self._h_t_inv = hd.H.T.inverse()
         self._h_inv = hd.H.inverse()
         self._domega_parts = metric_exterior_derivative(calc, hd)
+        # the parts' bidegrees, hence their words, are distinct
+        self._domega = {key: c for part in self._domega_parts
+                        for key, c in part.coeffs.items()}
         # Jet.dot's rule: the pairing of frame field f_i with the dual
         # covector s trusts the degrees that row s of Ginv and column i of G
-        # (the field's components) both trust
+        # (the field's components) both trust; d omega's bound is the least
+        # trust of its coefficients and of the pairings their words read
         frame = calc.frame
         rows = [min(e.effective_order for e in row) for row in frame.Ginv.entries]
         self._field_trust = [min(row[i].effective_order for row in frame.G.entries)
                              for i in range(2 * n)]
-        self._part_trust = [min(part.effective_order,
-                                min(rows[s] for k, l in part.coeffs
-                                    for s in k + tuple(n + i for i in l)))
-                            for part in self._domega_parts]
+        self._domega_trust = min((min([c.effective_order]
+                                      + [rows[s] for s in k + tuple(n + i for i in l)])
+                                  for (k, l), c in self._domega.items()), default=calc.order)
         self._points = sample_points(n)
         self._tables = {}
 
@@ -477,26 +464,22 @@ class ChernLeviCivita:
         return val
 
     def _domega_frame(self, i, j, m) -> Jet:
-        """d omega(f_i, f_j, f_m), memoized per sorted word and sign, built
-        as ``PQForm.evaluate`` on the fields would build it: summed over the
-        parts from ``Jet.zero``, ``Jet.dot`` of the part's coefficient on the
-        word against the +-1 that ``word_value`` gives the word (nothing on
-        a repeated field), trusted to the least degree of the part's
-        coefficients and of the pairings its words read."""
+        """d omega(f_i, f_j, f_m), memoized per sorted word and sign: the
+        coefficient of the sorted word times the sign of the sort (nothing
+        on a repeated field), trusted to the least of the fields' trust and
+        the precomputed bound of d omega's coefficients.  A closed omega
+        gives ``Jet.zero`` trusted to the full order."""
         sign = _sorted_sign((i, j, m))[0]
         fields = tuple(sorted({i, j, m}))
 
         def compute():
             n, order = self.n, self.calc.order
+            if not self._domega:
+                return Jet.zero(n, order)
             key = (tuple(s for s in fields if s < n), tuple(s - n for s in fields if s >= n))
-            unit = Jet.constant(n, order, sign)
-            trust = min(self._field_trust[f] for f in fields)
-            total = Jet.zero(n, order)
-            for part, part_trust in zip(self._domega_parts, self._part_trust):
-                c = part.coeffs.get(key) if sign else None
-                value = Jet.dot([(c, unit)] if c else [], n, order)
-                total = total + value.trusted(min(part_trust, trust))
-            return total
+            c = self._domega.get(key) if sign else None
+            trust = min([self._domega_trust] + [self._field_trust[f] for f in fields])
+            return Jet.dot([(c, sign)] if c else [], n, order).trusted(trust)
         return self._memo(("domega", fields, sign), compute)
 
     def _solve_omega_pairing(self, rhs10, rhs01) -> VectorField:
@@ -959,7 +942,7 @@ def symplectic_normalize(calc: FrameCalculus, hd: HermitianData,
     n_order = calc.order if n_order is None else n_order
     lin = hd.H.family(1, 0)
     sym_err = np.abs(lin - lin.transpose(1, 0, 2)).max()
-    if sym_err > 1e-9:
+    if not sym_err <= 1e-9:   # a NaN defect fails too
         raise JetError(
             f"metric is not symplectic: linear-family symmetry defect "
             f"{sym_err:.2e} signals d omega != 0")

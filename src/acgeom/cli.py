@@ -416,9 +416,9 @@ def _cmd_curvature(ms, opts, payload):
                  chern.hermitian_curvature_symmetry(blocks), opts.tol)]
     try:
         c_direct = chern.curvature_origin_formula(hd, s)
-        diff = np.abs(blocks.c_tensor_at_origin() - c_direct).max()
-        rows.append(_row("operator curvature vs origin formula", diff, opts.tol))
         c = blocks.c_tensor_at_origin()
+        diff = np.abs(c - c_direct).max()
+        rows.append(_row("operator curvature vs origin formula", diff, opts.tol))
         idx = np.unravel_index(np.argmax(np.abs(c)), c.shape)
         cv = c[idx]
         rows.append(_row(

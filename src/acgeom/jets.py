@@ -67,14 +67,17 @@ Python-level ``QC`` product and sum: at the float threshold it made
 Coefficient families of a ``JetMatrix`` go out and come back in one way each:
 ``coefficients`` / ``from_coefficients`` map every monomial to a rows x cols
 array (complex, or ``QC`` when exact), and ``family`` / ``from_family`` hold
-one bidegree as a tensor over slot orderings, where a monomial reached by r
-orderings puts c / r in each and building back sums its r slots.
+one bidegree as a tensor over slot tuples, both read from one ``_slot_map``:
+a monomial reached by r tuples puts c / r in each, and building back adds
+its r slots from ``0`` in the map's lexicographic order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -263,19 +266,16 @@ def multi_index(n, *slots):
     return tuple(slots.count(i) for i in range(n))
 
 
-def _slot_orderings(exponents):
-    """Distinct orderings of the multiset in which slot i appears exponents[i]
-    times, in lexicographic order: each slot still left, in turn, followed by
-    the orderings of the rest."""
-    if not any(exponents):
-        return [()]
-    out = []
-    for i, e in enumerate(exponents):
-        if e:
-            rest = list(exponents)
-            rest[i] -= 1
-            out += [(i,) + tail for tail in _slot_orderings(rest)]
-    return out
+@functools.lru_cache(maxsize=None)
+def _slot_map(n, deg_z, deg_zbar):
+    """Every slot tuple of a (deg_z, deg_zbar) tensor in n variables, in
+    lexicographic order, as (slots, (alpha, beta), r): the first deg_z slots
+    index z variables and the rest zbar variables, (alpha, beta) is the
+    monomial they reach and r counts the tuples that reach it."""
+    slots = list(itertools.product(range(n), repeat=deg_z + deg_zbar))
+    keys = [(multi_index(n, *s[:deg_z]), multi_index(n, *s[deg_z:])) for s in slots]
+    count = Counter(keys)
+    return tuple((s, key, count[key]) for s, key in zip(slots, keys))
 
 
 def _bad_key_message(key, n, order):
@@ -1015,22 +1015,15 @@ class JetMatrix:
 
         ``tensor`` has the shape ``(n,) * (deg_z + deg_zbar) + (rows, cols)``.
         The coefficient of a monomial is the sum of the tensor over every slot
-        ordering that reaches it, added in ``_slot_orderings`` order, so a
+        tuple that reaches it, added from ``0`` in ``_slot_map`` order, so a
         tensor symmetric in its z slots and in its zbar slots, as ``family``
         returns, comes back to the coefficients it was split from.
         """
         tensor = np.asarray(tensor, dtype=complex)
         rows, cols = tensor.shape[-2:]
         fam = {}
-        for exps in _exponent_vectors(n, deg_z):
-            if sum(exps) != deg_z:
-                continue
-            for bexps in _exponent_vectors(n, deg_zbar):
-                if sum(bexps) != deg_zbar:
-                    continue
-                fam[(exps, bexps)] = sum(tensor[zs + zbs]
-                                         for zs in _slot_orderings(exps)
-                                         for zbs in _slot_orderings(bexps))
+        for slots, key, _ in _slot_map(n, deg_z, deg_zbar):
+            fam[key] = fam.get(key, 0) + tensor[slots]
         return cls.from_coefficients(fam, rows, cols, n, order)
 
     # -- structure ----------------------------------------------------------
@@ -1090,7 +1083,7 @@ class JetMatrix:
         The shape is ``(n,) * (deg_z + deg_zbar) + (rows, cols)``: the first
         deg_z slots index z variables, the next deg_zbar slots zbar
         variables.  The tensor is symmetric within its z slots and within its
-        zbar slots.  A monomial that r slot orderings reach puts c / r in
+        zbar slots.  A monomial that r slot tuples reach puts c / r in
         each of them, so contracting the tensor with deg_z copies of z and
         deg_zbar copies of zbar gives that bidegree's part of each entry.
         For example ``family(1, 0)[p]`` holds the z_p coefficients, while
@@ -1101,12 +1094,11 @@ class JetMatrix:
             raise JetError("coefficient families are defined for float jets only")
         out = np.zeros((self.n,) * (deg_z + deg_zbar) + (self.rows, self.cols),
                        dtype=complex)
-        for (alpha, beta), mat in self.coefficients().items():
-            if sum(alpha) == deg_z and sum(beta) == deg_zbar:
-                slots = [zs + zbs for zs in _slot_orderings(alpha)
-                         for zbs in _slot_orderings(beta)]
-                for slot in slots:
-                    out[slot] = mat / len(slots) if len(slots) > 1 else mat
+        fam = self.coefficients()
+        for slots, key, r in _slot_map(self.n, deg_z, deg_zbar):
+            mat = fam.get(key)
+            if mat is not None:
+                out[slots] = mat / r if r > 1 else mat
         return out
 
     def max_abs(self, max_degree=None):
@@ -1170,6 +1162,8 @@ class JetMatrix:
         if exact:
             m0_inv = _exact_inverse(m0, size)
         else:
+            if not np.isfinite(m0).all():
+                raise SingularMatrixError("constant term is not finite")
             cond = np.linalg.cond(m0)
             if not np.isfinite(cond) or cond > 1e12:
                 raise SingularMatrixError(

@@ -298,8 +298,9 @@ def _identity_plus(fam, n, order):
     """The coordinate change z_k + sum over ``fam`` of fam[key][0, k] z^alpha
     zbar^beta, as n jets; ``fam`` maps keys of degree >= 2 to 1 x n arrays."""
     zero = (0,) * n
-    ident = {(multi_index(n, k), zero): np.eye(1, n, k) for k in range(n)}
-    return JetMatrix.from_coefficients({**ident, **fam}, 1, n, n, order).entries[0]
+    return [Jet(n, order, {(multi_index(n, k), zero): 1.0,
+                           **{key: mat[0, k] for key, mat in fam.items()}})
+            for k in range(n)]
 
 
 def normalize_to_order(s: AlmostComplexStructure, n_order) -> NormalCoordinateResult:

@@ -496,7 +496,7 @@ def adapt_linear(s: AlmostComplexStructure):
     """
     n, order = s.n, s.order
     m0 = s.matrix().constant()
-    if np.abs(m0 @ m0 + np.eye(2 * n)).max() > 1e-8:
+    if not np.abs(m0 @ m0 + np.eye(2 * n)).max() <= 1e-8:   # a NaN fails too
         raise JetError("constant term does not square to -identity")
     w, vecs = np.linalg.eig(m0)
     plus = [vecs[:, i] for i in range(2 * n) if abs(w[i] - 1j) < 1e-6]

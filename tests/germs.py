@@ -2,7 +2,8 @@
 deterministic random deformations, the flat metric, metrics built from
 coefficient families and the frame covectors as forms; plus point values of
 jet matrices and vector fields, rescaled frames, the largest coefficients
-and trusted degree of bracket tables and form matrices, and the
+and trusted degree of bracket tables and form matrices, the bits of a form
+matrix, the per-field oracle of ``chern.derive_matrix`` and the
 field-evaluation oracle of ``ChernLeviCivita.gamma``."""
 
 from __future__ import annotations
@@ -198,6 +199,31 @@ def brackets_effective_order(bc: BracketCoefficients):
 def form_matrix_max_abs(m: MatrixForm, max_degree=None):
     """Largest coefficient over the entries of a form matrix."""
     return nan_max(e.max_abs(max_degree) for row in m.entries for e in row)
+
+
+def derive_matrix_per_field(calc: FrameCalculus, jm: JetMatrix, kind) -> MatrixForm:
+    """The oracle of ``chern.derive_matrix``: per entry f, a loop over the
+    frame fields puts zeta_r(f) on zeta*_r ("del") or zetabar_r(f) on
+    zetabar*_r ("delbar"), each derivative taken by ``VectorField.derive``."""
+    field, p, q = {"del": (calc.frame.zeta, 1, 0),
+                   "delbar": (calc.frame.zeta_bar, 0, 1)}[kind]
+
+    def entry(f):
+        coeffs = {}
+        for r in range(calc.n):
+            jet = field(r).derive(f)
+            if jet:
+                coeffs[((r,), ()) if p else ((), (r,))] = jet
+        return PQForm(calc, p, q, coeffs)
+    return MatrixForm([[entry(jm[i, j]) for j in range(jm.cols)] for i in range(jm.rows)])
+
+
+def form_matrix_bits(m: MatrixForm):
+    """Per entry: the bidegree, then each coefficient's key, ``repr`` of its
+    terms and effective order, in the entry's key order."""
+    return [[((e.p, e.q), [(key, repr(c._terms), c.effective_order)
+                           for key, c in e.coeffs.items()]) for e in row]
+            for row in m.entries]
 
 
 def domega_value(dec: ChernLeviCivita, x, y, z) -> Jet:

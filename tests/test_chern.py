@@ -20,15 +20,15 @@ from acgeom.chern import (ChernLeviCivita, HermitianData, LeviCivita,
                           metric_form, pointwise_curvature_residual, sample_points,
                           special_frame, symplectic_normalize)
 from acgeom.cli import Options, parse_manifold_spec, run_command
-from acgeom.forms import FrameCalculus
+from acgeom.forms import FrameCalculus, PQForm
 from acgeom.jets import Jet, JetError, JetMatrix
 from acgeom.structure import VectorField, torsion_tensor
 
 from conftest import random_jet
-from germs import (FIX_B_VALUE, fix_b, fix_b3, fix_j0, flat_entries,
-                   form_matrix_max_abs, gamma_on_fields, identity_metric, jets_sha256,
-                   matrix_eval, metric_from_families, random_b_normal,
-                   random_deformation)
+from germs import (FIX_B_VALUE, derive_matrix_per_field, fix_b, fix_b3, fix_j0,
+                   flat_entries, form_matrix_bits, form_matrix_max_abs, gamma_on_fields,
+                   identity_metric, jets_sha256, matrix_eval, metric_from_families,
+                   random_b_normal, random_deformation)
 
 MANIFESTS = os.path.join(os.path.dirname(__file__), "..", "manifests")
 
@@ -636,6 +636,66 @@ class TestMatrixFormJetProducts:
                         lambda i, j, s: form.entries[i][s] * jm[s, j])
         assert same(form.left_mul_jets(jm), type(form)(left))
         assert same(form.right_mul_jets(jm), type(form)(right))
+
+    def test_wedge_and_non_square_products_match_plain_loops(self, calc_b, rng):
+        # a 2 x 3 matrix of (1,0)-forms against 3 x 2 matrices of jets and of
+        # (0,1)-forms, and the square wedge of A' with A''
+        def forms(rows, cols, p, q):
+            keys = [((r,), ()) if p else ((), (r,)) for r in range(calc_b.n)]
+            return chern.MatrixForm([[PQForm(calc_b, p, q, {key: random_jet(rng, 2, 4, nterms=4)
+                                                            for key in keys})
+                                      for _ in range(cols)] for _ in range(rows)])
+
+        def jets_of(rows, cols):
+            return JetMatrix([[random_jet(rng, 2, 4, nterms=4) for _ in range(cols)]
+                              for _ in range(rows)])
+
+        def plain(rows, cols, inner, term):
+            out = []
+            for i in range(rows):
+                row = []
+                for j in range(cols):
+                    acc = None
+                    for s in range(inner):
+                        acc = term(i, j, s) if acc is None else acc + term(i, j, s)
+                    row.append(acc)
+                out.append(row)
+            return form_matrix_bits(chern.MatrixForm(out))
+
+        form, other = forms(2, 3, 1, 0), forms(3, 2, 0, 1)
+        jm_right, jm_left = jets_of(3, 2), jets_of(2, 2)
+        assert form_matrix_bits(form.wedge(other)) == plain(
+            2, 2, 3, lambda i, j, s: form[i, s].wedge(other[s, j]))
+        assert form_matrix_bits(form.right_mul_jets(jm_right)) == plain(
+            2, 2, 3, lambda i, j, s: form[i, s] * jm_right[s, j])
+        assert form_matrix_bits(form.left_mul_jets(jm_left)) == plain(
+            2, 3, 2, lambda i, j, s: form[s, j] * jm_left[i, s])
+        conn = chern_connection(calc_b, make_nonclosed_metric())
+        ap, asec = conn.aprime, conn.asecond
+        assert form_matrix_bits(ap.wedge(asec)) == plain(
+            2, 2, 2, lambda i, j, s: ap[i, s].wedge(asec[s, j]))
+
+
+class TestDeriveMatrix:
+    """``derive_matrix`` through the operator table against the per-field
+    loop (``germs.derive_matrix_per_field``) on z-dependent metrics and their
+    conjugates: equal keys, coefficient bits and effective orders.  Claimed
+    on finite input only: on an inf coefficient the operator's ``* 1`` can
+    turn x + inf i into NaN + inf i."""
+
+    @pytest.mark.parametrize("n, order", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+    def test_property(self, n, order):
+        @settings(derandomize=True, database=None, max_examples=4, deadline=None,
+                  phases=(Phase.explicit, Phase.generate))
+        @given(st.integers(0, 47), st.integers(0, 2 ** 16))
+        def check(germ_seed, metric_seed):
+            calc = FrameCalculus(random_deformation(germ_seed, n=n, order=order))
+            h = _random_metric(metric_seed, n, order).H
+            for jm in (h, h.conj()):
+                for kind in ("del", "delbar"):
+                    assert form_matrix_bits(chern.derive_matrix(calc, jm, kind)) \
+                        == form_matrix_bits(derive_matrix_per_field(calc, jm, kind)), kind
+        check()
 
 
 class TestSpecialFrame:

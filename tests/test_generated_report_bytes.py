@@ -1,5 +1,6 @@
 """Byte-stability guard for generated germs: the sha256 of every seed-1
-report of the benchmark's ``frame-calculus`` and ``normalize-dense`` tasks.
+report of the benchmark's ``frame-calculus`` and ``normalize-dense`` tasks,
+and of every seed-7 ``frame-calculus`` report.
 
 ``test_report_bytes.py`` pins the reports on the shipped manifests, which are
 small and sparse.  The benchmark's full-support germs drive the dense kernel,
@@ -8,8 +9,8 @@ their reports are pinned here as well.  The task lists come from
 ``perfbench/workloads.py``, loaded read-only; each document is serialized as
 ``cli.emit_report`` does, with the task's payload under ``data``.  When a
 change to these reports is intended, ``python tests/test_generated_report_bytes.py``
-(with ``src`` on ``PYTHONPATH``) prints the table for the current tree, every
-task of each pinned workload in build order.
+(with ``src`` on ``PYTHONPATH``) prints the tables for the current tree, every
+task of each pinned workload and seed in build order.
 """
 
 import hashlib
@@ -35,8 +36,8 @@ def _load_workloads():
 
 workloads = _load_workloads()
 
-# (workload, task id) -> sha256 of the task's report document, seed 1
-DIGESTS = {
+# seed -> (workload, task id) -> sha256 of the task's report document
+DIGESTS = {1: {
     ("frame-calculus", "torsion:full-n2N2"):
         "4e99856b4bd2e6a3a0c1ee3a1b874123c87177a4424bcd0f4390ad259b54fbcb",
     ("frame-calculus", "decompose:full-n2N2"):
@@ -55,7 +56,23 @@ DIGESTS = {
         "0e39ba8def82bab3251041102ea14f64428146b0a93dd24dfa08b28b0eada743",
     ("normalize-dense", "normalize:deform-n2N3"):
         "d4e156378ad368afb6bd2911ba7b0fff51c55330f29d5b6709f6178961dff8a0",
-}
+}, 7: {
+    ("frame-calculus", "torsion:full-n2N2"):
+        "22cb3b910ac6f8e81826419fe78bbda04e576f0f3fb016134197fd461f9a123e",
+    ("frame-calculus", "decompose:full-n2N2"):
+        "afabb9990a8c468ac28b810fcc0a263d7238d29ba9149054399d36cf27cd61dd",
+    ("frame-calculus", "identities:full-n2N2"):
+        "70fee068b2f41e46165c545d1dca76764d77e68b4ab6bc7b03b22951cedf7f94",
+    ("frame-calculus", "torsion:sparse-n3N2"):
+        "c0f621fb970f853ad2927bfe00b0b0a96544b05c0c09ec82d1d089f8683399d7",
+    ("frame-calculus", "decompose:sparse-n3N2"):
+        "423b27cd03b4623fefd9b7af42ed0ed4bfe1fbe60c6e7d90fd2a2b522db09cc3",
+    ("frame-calculus", "identities:sparse-n3N2"):
+        "c4b661fc4e1afd01eed307410ee083d600f377c481706ed36b2bce0809ad7575",
+}}
+# (seed, workload) for every pinned table; seed-1 cases keep the bare
+# workload as their id
+CASES = [(seed, w) for seed, table in DIGESTS.items() for w in sorted({w for w, _ in table})]
 
 
 def _document(report, payload):
@@ -65,20 +82,24 @@ def _document(report, payload):
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("workload", sorted({w for w, _ in DIGESTS}))
-def test_generated_report_bytes(workload):
-    tasks = workloads.build(workload, 1, False, ROOT)
-    assert sorted(t.id for t in tasks) == sorted(i for w, i in DIGESTS if w == workload)
+@pytest.mark.parametrize("seed, workload", CASES,
+                         ids=[w if seed == 1 else f"{w}-seed{seed}" for seed, w in CASES])
+def test_generated_report_bytes(seed, workload):
+    table = DIGESTS[seed]
+    tasks = workloads.build(workload, seed, False, ROOT)
+    assert sorted(t.id for t in tasks) == sorted(i for w, i in table if w == workload)
     for task in tasks:
         text = _document(*task.run())
-        assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(workload, task.id)], \
+        assert hashlib.sha256(text.encode()).hexdigest() == table[(workload, task.id)], \
             task.id
 
 
 if __name__ == "__main__":
-    print("DIGESTS = {")
-    for workload in sorted({w for w, _ in DIGESTS}):
-        for task in workloads.build(workload, 1, False, ROOT):
-            print(f"    ({workload!r}, {task.id!r}):".replace("'", '"'))
-            print(f'        "{hashlib.sha256(_document(*task.run()).encode()).hexdigest()}",')
-    print("}")
+    print("DIGESTS = {", end="")
+    for n, seed in enumerate(DIGESTS):
+        print(f"{'}, ' if n else ''}{seed}: {{")
+        for workload in sorted({w for w, _ in DIGESTS[seed]}):
+            for task in workloads.build(workload, seed, False, ROOT):
+                print(f"    ({workload!r}, {task.id!r}):".replace("'", '"'))
+                print(f'        "{hashlib.sha256(_document(*task.run()).encode()).hexdigest()}",')
+    print("}}")

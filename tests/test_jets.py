@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fractions import Fraction
 
 from acgeom.jets import (Jet, JetError, JetMatrix, QC, SingularMatrixError,
-                         Substitution, _Index, _conj_code, _index, _slot_orderings,
+                         Substitution, _Index, _conj_code, _exponent_vectors, _index, _slot_map,
                          block2x2, multi_index, series_inverse)
 
 from conftest import random_jet, random_point
@@ -190,6 +190,49 @@ class TestMaxAbs:
         assert np.isnan(m.max_abs())
 
 
+def _orderings(exponents):
+    """Distinct orderings of the multiset in which slot i appears exponents[i]
+    times, in lexicographic order: each slot still left, in turn, followed by
+    the orderings of the rest."""
+    if not any(exponents):
+        return [()]
+    out = []
+    for i, e in enumerate(exponents):
+        if e:
+            rest = list(exponents)
+            rest[i] -= 1
+            out += [(i,) + tail for tail in _orderings(rest)]
+    return out
+
+
+def _family_by_orderings(m, deg_z, deg_zbar):
+    """The oracle of ``JetMatrix.family``: each present monomial of the
+    bidegree puts c / r on its r slot orderings."""
+    out = np.zeros((m.n,) * (deg_z + deg_zbar) + (m.rows, m.cols), dtype=complex)
+    for (alpha, beta), mat in m.coefficients().items():
+        if sum(alpha) == deg_z and sum(beta) == deg_zbar:
+            slots = [zs + zbs for zs in _orderings(alpha) for zbs in _orderings(beta)]
+            for slot in slots:
+                out[slot] = mat / len(slots) if len(slots) > 1 else mat
+    return out
+
+
+def _from_family_by_orderings(tensor, deg_z, deg_zbar, n, order):
+    """The oracle of ``JetMatrix.from_family``: a double loop over exponent
+    vectors, each monomial the ``sum`` of its slot orderings."""
+    rows, cols = tensor.shape[-2:]
+    fam = {}
+    for exps in _exponent_vectors(n, deg_z):
+        if sum(exps) != deg_z:
+            continue
+        for bexps in _exponent_vectors(n, deg_zbar):
+            if sum(bexps) != deg_zbar:
+                continue
+            fam[(exps, bexps)] = sum(tensor[zs + zbs] for zs in _orderings(exps)
+                                     for zbs in _orderings(bexps))
+    return JetMatrix.from_coefficients(fam, rows, cols, n, order)
+
+
 class TestFamily:
     N_VARS, ORDER = 3, 4
 
@@ -237,11 +280,44 @@ class TestFamily:
             assert cubic[slot] == 2.0
         assert np.count_nonzero(cubic) == 3
 
-    def test_slot_orderings_are_sorted_distinct_permutations(self):
-        # from_family adds a coefficient's orderings in this order
-        for exps in itertools.product(range(3), repeat=4):
-            slots = [i for i, e in enumerate(exps) for _ in range(e)]
-            assert _slot_orderings(exps) == sorted(set(itertools.permutations(slots)))
+    def test_slot_map_is_lexicographic_with_counts(self):
+        # from_family adds a monomial's slot tuples in this order
+        for n, deg_z, deg_zbar in itertools.product(range(1, 4), range(3), range(3)):
+            entries = _slot_map(n, deg_z, deg_zbar)
+            slots = [s for s, _, _ in entries]
+            assert slots == sorted(itertools.product(range(n), repeat=deg_z + deg_zbar))
+            reach = {}
+            for s, (alpha, beta), _ in entries:
+                assert alpha == multi_index(n, *s[:deg_z])
+                assert beta == multi_index(n, *s[deg_z:])
+                reach[alpha, beta] = reach.get((alpha, beta), 0) + 1
+            assert all(r == reach[key] for _, key, r in entries)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_slot_map_matches_the_ordering_loops(self, n):
+        # bit for bit on finite input: the same tensor bytes, and the same
+        # terms and effective orders built back from a tensor that is not
+        # symmetric, so every sum's order shows
+        @settings(derandomize=True, database=None, max_examples=8, deadline=None,
+                  phases=(Phase.explicit, Phase.generate))
+        @given(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda d: sum(d) <= 4),
+               st.integers(0, 2 ** 16))
+        def check(degrees, seed):
+            deg_z, deg_zbar = degrees
+            rng = np.random.default_rng(seed)
+            monos = _index(n, 4).monos
+            m = JetMatrix([[Jet(n, 4, {mono: complex(rng.normal(), rng.normal())
+                                       for mono in monos if rng.random() < 0.7})
+                            for _ in range(3)] for _ in range(2)])
+            assert m.family(deg_z, deg_zbar).tobytes() \
+                == _family_by_orderings(m, deg_z, deg_zbar).tobytes()
+            shape = (n,) * (deg_z + deg_zbar) + (2, 3)
+            tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got = JetMatrix.from_family(tensor, deg_z, deg_zbar, n, 4)
+            want = _from_family_by_orderings(tensor, deg_z, deg_zbar, n, 4)
+            assert [(repr(e._terms), e.effective_order) for row in got.entries for e in row] \
+                == [(repr(e._terms), e.effective_order) for row in want.entries for e in row]
+        check()
 
     def test_coefficients_match_terms(self, rng):
         m = JetMatrix([[random_jet(rng, 2, 3, nterms=6) for _ in range(3)]

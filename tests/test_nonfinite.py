@@ -18,10 +18,11 @@ import pytest
 from acgeom import chern
 from acgeom.cli import Options, SpecError, parse_manifold_spec, run_command
 from acgeom.forms import FrameCalculus, PQForm, fundamental_identities_check
-from acgeom.jets import Jet, JetError, JetMatrix, Substitution, series_inverse
+from acgeom.jets import (Jet, JetError, JetMatrix, SingularMatrixError, Substitution,
+                         series_inverse)
 from acgeom.normal import pattern_violation, torsion_jet_normal
-from acgeom.structure import (AlmostComplexStructure, ValidationReport, nijenhuis_check,
-                              torsion_tensor)
+from acgeom.structure import (AlmostComplexStructure, ValidationReport, adapt_linear,
+                              nijenhuis_check, torsion_tensor)
 
 from germs import fix_b
 
@@ -197,3 +198,38 @@ def test_pointwise_curvature_gate_passes_nan_on():
     conn = dataclasses.replace(chern.chern_connection(calc, hd), asecond=asecond)
     blocks = chern.curvature(calc, conn)
     assert math.isnan(chern.pointwise_curvature_residual(calc, hd, conn, blocks))
+
+
+def _nan_constant(jet):
+    """``jet`` plus a NaN constant term."""
+    return _nan_coefficient(jet, (0,) * jet.n, (0,) * jet.n)
+
+
+class TestGuardsRefuseNan:
+    """A guard written ``x > tol`` lets a NaN through; each guard below must
+    refuse it with a ``JetError`` naming its own check."""
+
+    def test_inverse_of_nan_constant_term(self):
+        m = JetMatrix.identity(2, 2, 3)
+        m.entries[0][1] = _nan_constant(m[0, 1])
+        with pytest.raises(SingularMatrixError, match="not finite"):
+            m.inverse()
+
+    def test_adapt_linear_on_nan_constant_term(self):
+        s = fix_b(order=3)
+        b = JetMatrix([row[:] for row in s.B.entries])
+        b.entries[0][1] = _nan_constant(b[0, 1])
+        with pytest.raises(JetError, match="square to -identity"):
+            adapt_linear(AlmostComplexStructure(s.A, b))
+
+    def test_levi_civita_on_nan_metric_constant(self):
+        h = JetMatrix.identity(2, 2, 3)
+        h.entries[0][1] = _nan_constant(h[0, 1])
+        calc = FrameCalculus(fix_b(order=3))
+        with pytest.raises(JetError, match="not symmetric"):
+            chern.LeviCivita(calc, chern.HermitianData(h, check=False))
+
+    def test_symplectic_normalize_on_nan_linear_family(self):
+        calc = FrameCalculus(fix_b(order=3))
+        with pytest.raises(JetError, match="not symplectic"):
+            chern.symplectic_normalize(calc, _nan_metric(2, 3))
