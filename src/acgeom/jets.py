@@ -1066,16 +1066,24 @@ class JetMatrix:
 
     def coefficients(self):
         """Every stored coefficient as ``{(alpha, beta): rows x cols array}``:
-        complex arrays, or object arrays of ``QC`` for an exact matrix."""
-        fam = {}
-        for k, row in enumerate(self.entries):
-            for l, e in enumerate(row):
-                for key, c in e.terms.items():
-                    mat = fam.get(key)
-                    if mat is None:
-                        mat = fam[key] = zero_coefficients((self.rows, self.cols), self.exact)
-                    mat[k, l] = c
-        return fam
+        complex arrays, or object arrays of ``QC`` for an exact matrix.
+        Keys come in the order the entries, row by row, first reach them;
+        the arrays are disjoint blocks of one buffer, filled in one pass."""
+        slot_of = {}            # code -> its block, in first-reached order
+        blocks, cells, values = [], [], []
+        at = 0
+        for row in self.entries:
+            for e in row:
+                for code, c in e._terms.items():
+                    blocks.append(slot_of.setdefault(code, len(slot_of)))
+                    cells.append(at)
+                    values.append(c)
+                at += 1
+        out = zero_coefficients((len(slot_of), self.rows * self.cols), self.exact)
+        out[blocks, cells] = np.array(values, dtype=out.dtype)
+        key_of = _index(self.n, self.order).key_of
+        return dict(zip(map(key_of.__getitem__, slot_of),
+                        out.reshape(len(slot_of), self.rows, self.cols)))
 
     def family(self, deg_z, deg_zbar):
         """Coefficients of bidegree (deg_z, deg_zbar) as one float tensor.
@@ -1221,8 +1229,11 @@ def series_inverse(phi: Sequence[Jet]):
     """Compositional inverse of a coordinate-change germ.
 
     ``phi`` lists the images of z_1..z_n (conjugates implicit); the linear
-    part must be invertible.  Returns psi with phi(psi(Z)) = Z up to the
-    order of ``phi[0]``.
+    part must be finite and invertible.  Returns psi with phi(psi(Z)) = Z up
+    to the order of ``phi[0]``.  Newton steps sharpen psi from the inverse of
+    the linear part.  When that part is exactly the identity, as for every
+    normalization stage, the start is psi = z, where phi o psi is phi
+    itself: the first error is taken as phi - z, with no compose.
     """
     n = len(phi)
     order = phi[0].order
@@ -1236,7 +1247,9 @@ def series_inverse(phi: Sequence[Jet]):
             lin[k, n + l] = complex(phi[k].coeff(zz, ek))
             lin[n + k, l] = lin[k, n + l].conjugate()
             lin[n + k, n + l] = lin[k, l].conjugate()
-    if abs(np.linalg.det(lin)) < 1e-12:
+    if not np.isfinite(lin).all():
+        raise SingularMatrixError("linear part is not finite")
+    if not abs(np.linalg.det(lin)) >= 1e-12:
         raise SingularMatrixError("coordinate change has a singular linear part")
     lin_inv = np.linalg.inv(lin)
     ident = [Jet.variable(n, order, k) for k in range(n)]
@@ -1249,11 +1262,16 @@ def series_inverse(phi: Sequence[Jet]):
 
     # start from the inverse of the linear part, then sharpen degree by degree
     psi = linear_inverse(ident)
+    # the compose through psi = z would add only zeros, whose signs
+    # linear_inverse's products discard
+    err = [p - z for p, z in zip(phi, ident)] if np.array_equal(lin, np.eye(2 * n)) else None
     for _ in range(order):
-        sub = Substitution(psi)
-        err = [phi[k].compose(sub) - ident[k] for k in range(n)]
+        if err is None:
+            sub = Substitution(psi)
+            err = [phi[k].compose(sub) - ident[k] for k in range(n)]
         if nan_max(e.max_abs() for e in err) < PRUNE_EPS:
             break
         psi = [p - c for p, c in zip(psi, linear_inverse(err))]
+        err = None
     # the inverse germ is polynomial-exact through the truncation order
     return [p.trusted(order) for p in psi]

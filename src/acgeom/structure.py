@@ -419,16 +419,15 @@ def nijenhuis_check(s: AlmostComplexStructure, tors: TorsionTensor):
 
 
 def _jacobian(phi, order):
-    """Complexified 2n x 2n Jacobian of a polynomial coordinate change."""
+    """Complexified 2n x 2n Jacobian of a polynomial coordinate change.
+
+    Row k holds the gradient of phi_k, one ``gradient()`` per jet; row n + k
+    is the conjugate of that row with its z and zbar halves swapped.
+    """
     n = len(phi)
-    rows = []
-    for k in range(n):
-        rows.append([phi[k].dz(s).trusted(order) for s in range(n)]
-                    + [phi[k].dzbar(s).trusted(order) for s in range(n)])
-    for k in range(n):
-        rows.append([phi[k].dzbar(s).conj().trusted(order) for s in range(n)]
-                    + [phi[k].dz(s).conj().trusted(order) for s in range(n)])
-    return JetMatrix(rows)
+    top = [[t.trusted(order) for t in p.gradient()] for p in phi]
+    bottom = [[t.conj() for t in g[n:] + g[:n]] for g in top]
+    return JetMatrix(top + bottom)
 
 
 class ChartChange:
@@ -443,6 +442,8 @@ class ChartChange:
     truncated when longer), and the change holds both Jacobians ``dphi`` and
     ``dpsi`` and one ``Substitution`` of psi = ``series_inverse(phi)``, whose
     image memo the composes of the structure and of the metric share.
+    ``dpsi`` stays full 2n x 2n: ``transform_structure`` reads only its first
+    n columns, but ``chern.transform_metric`` reads all of them.
     """
 
     __slots__ = ("order", "working_order", "dphi", "dpsi", "sub")
@@ -474,13 +475,17 @@ def transform_structure(s: AlmostComplexStructure, change) -> AlmostComplexStruc
     the new coordinates (polynomial germs), which are wrapped in one.  The
     matrix transforms by conjugation with the Jacobian and composition with
     the inverse germ, at the change's working order ``s.order + 1``, which
-    keeps every degree <= ``s.order`` trustworthy.
+    keeps every degree <= ``s.order`` trustworthy.  Only the first n columns
+    of the new matrix, [A; B], are kept, so the product is formed as
+    ``(dphi o psi @ M o psi) @ dpsi[:, :n]``; each kept entry sums the same
+    pairs as in the full product.
     """
     change = ChartChange.at(change, s.order)
+    n = s.n
     m_of_psi = s.matrix().with_order(change.working_order).compose(change.sub)
     dphi_of_psi = change.dphi.compose(change.sub)
-    m_new = dphi_of_psi @ m_of_psi @ change.dpsi
-    n = s.n
+    dpsi_kept = JetMatrix([row[:n] for row in change.dpsi.entries])
+    m_new = dphi_of_psi @ m_of_psi @ dpsi_kept
     a_new = JetMatrix([[m_new[i, j].truncated(s.order) for j in range(n)]
                        for i in range(n)])
     b_new = JetMatrix([[m_new[n + i, j].truncated(s.order) for j in range(n)]

@@ -3,8 +3,10 @@ deterministic random deformations, the flat metric, metrics built from
 coefficient families and the frame covectors as forms; plus point values of
 jet matrices and vector fields, rescaled frames, the largest coefficients
 and trusted degree of bracket tables and form matrices, the bits of a form
-matrix, the per-field oracle of ``chern.derive_matrix`` and the
-field-evaluation oracle of ``ChernLeviCivita.gamma``."""
+matrix, the per-field oracle of ``chern.derive_matrix``, the
+field-evaluation oracle of ``ChernLeviCivita.gamma``, and the plain-loop
+oracles of a coordinate change (``series_inverse``, the Jacobian,
+``transform_structure``) and of ``JetMatrix.coefficients``."""
 
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ import numpy as np
 
 from acgeom.chern import ChernLeviCivita, HermitianData, MatrixForm
 from acgeom.forms import FrameCalculus, PQForm
-from acgeom.jets import Jet, JetError, JetMatrix, nan_max
+from acgeom.jets import (PRUNE_EPS, Jet, JetError, JetMatrix, SingularMatrixError,
+                         Substitution, multi_index, nan_max, zero_coefficients)
 from acgeom.normal import lmax, structure_from_b_family
 from acgeom.structure import (AlmostComplexStructure, BracketCoefficients,
-                              Frame, VectorField,
+                              ChartChange, Frame, VectorField,
                               structure_from_deformation)
 
 FIX_B_VALUE = 0.3 + 0.1j
@@ -241,3 +244,93 @@ def gamma_on_fields(dec: ChernLeviCivita, x, y) -> VectorField:
     rhs10 = [domega_value(dec, x, y, frame.zeta_bar(m)) for m in range(n)]
     rhs01 = [domega_value(dec, x, y, frame.zeta(m)) for m in range(n)]
     return dec._solve_omega_pairing(rhs10, rhs01)
+
+
+def coefficients_per_entry(m: JetMatrix):
+    """The oracle of ``JetMatrix.coefficients``: each entry's ``terms``
+    decoded and written into its key's array one coefficient at a time."""
+    fam = {}
+    for k, row in enumerate(m.entries):
+        for l, e in enumerate(row):
+            for key, c in e.terms.items():
+                mat = fam.get(key)
+                if mat is None:
+                    mat = fam[key] = zero_coefficients((m.rows, m.cols), m.exact)
+                mat[k, l] = c
+    return fam
+
+
+def series_inverse_composing(phi):
+    """The oracle of ``jets.series_inverse``: every Newton step composes
+    phi through psi, the first one through the inverse of the linear part
+    even when that is the identity."""
+    n = len(phi)
+    order = phi[0].order
+    phi = [p.with_order(order) for p in phi]
+    lin = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            ek, zz = multi_index(n, l), (0,) * n
+            lin[k, l] = complex(phi[k].coeff(ek, zz))
+            lin[k, n + l] = complex(phi[k].coeff(zz, ek))
+            lin[n + k, l] = lin[k, n + l].conjugate()
+            lin[n + k, n + l] = lin[k, l].conjugate()
+    if abs(np.linalg.det(lin)) < 1e-12:
+        raise SingularMatrixError("coordinate change has a singular linear part")
+    lin_inv = np.linalg.inv(lin)
+    ident = [Jet.variable(n, order, k) for k in range(n)]
+
+    def linear_inverse(jets):
+        both = [p for l, j in enumerate(jets) for p in ((j, l), (j.conj(), n + l))]
+        return [Jet.dot([(j, lin_inv[k, col]) for j, col in both], n, order)
+                for k in range(n)]
+
+    psi = linear_inverse(ident)
+    for _ in range(order):
+        sub = Substitution(psi)
+        err = [phi[k].compose(sub) - ident[k] for k in range(n)]
+        if nan_max(e.max_abs() for e in err) < PRUNE_EPS:
+            break
+        psi = [p - c for p, c in zip(psi, linear_inverse(err))]
+    return [p.trusted(order) for p in psi]
+
+
+def jacobian_per_partial(phi, order) -> JetMatrix:
+    """The oracle of ``structure._jacobian``: every partial taken on its own,
+    and again for the conjugate bottom rows."""
+    n = len(phi)
+    rows = []
+    for k in range(n):
+        rows.append([phi[k].dz(s).trusted(order) for s in range(n)]
+                    + [phi[k].dzbar(s).trusted(order) for s in range(n)])
+    for k in range(n):
+        rows.append([phi[k].dzbar(s).conj().trusted(order) for s in range(n)]
+                    + [phi[k].dz(s).conj().trusted(order) for s in range(n)])
+    return JetMatrix(rows)
+
+
+def chart_change_by_oracles(phi, order) -> ChartChange:
+    """A ``ChartChange`` for ``order`` whose inverse germ and Jacobians come
+    from ``series_inverse_composing`` and ``jacobian_per_partial``."""
+    change = ChartChange.__new__(ChartChange)
+    w = change.working_order = order + 1
+    phi_w = [p.padded(w) for p in phi]
+    psi = series_inverse_composing(phi_w)
+    change.order = order
+    change.dphi, change.dpsi = (jacobian_per_partial(jets, w) for jets in (phi_w, psi))
+    change.sub = Substitution(psi)
+    return change
+
+
+def transform_structure_full_product(s: AlmostComplexStructure, change: ChartChange):
+    """The oracle of ``structure.transform_structure``: the full 2n x 2n
+    product dphi o psi @ M o psi @ dpsi, then its first n columns."""
+    m_of_psi = s.matrix().with_order(change.working_order).compose(change.sub)
+    dphi_of_psi = change.dphi.compose(change.sub)
+    m_new = dphi_of_psi @ m_of_psi @ change.dpsi
+    n = s.n
+    a_new = JetMatrix([[m_new[i, j].truncated(s.order) for j in range(n)]
+                       for i in range(n)])
+    b_new = JetMatrix([[m_new[n + i, j].truncated(s.order) for j in range(n)]
+                       for i in range(n)])
+    return AlmostComplexStructure(a_new, b_new)

@@ -1,6 +1,6 @@
 """Byte-stability guard for generated germs: the sha256 of every seed-1
-report of the benchmark's ``frame-calculus`` and ``normalize-dense`` tasks,
-and of every seed-7 ``frame-calculus`` report.
+and seed-7 report of the benchmark's ``frame-calculus`` and
+``normalize-dense`` tasks.
 
 ``test_report_bytes.py`` pins the reports on the shipped manifests, which are
 small and sparse.  The benchmark's full-support germs drive the dense kernel,
@@ -69,6 +69,12 @@ DIGESTS = {1: {
         "423b27cd03b4623fefd9b7af42ed0ed4bfe1fbe60c6e7d90fd2a2b522db09cc3",
     ("frame-calculus", "identities:sparse-n3N2"):
         "c4b661fc4e1afd01eed307410ee083d600f377c481706ed36b2bce0809ad7575",
+    ("normalize-dense", "normalize:deform-n1N6"):
+        "4e9f08d43946c18bd62ec8383cbe9eba92abc922ea02cab89adf77900959b088",
+    ("normalize-dense", "normalize:deform-n2N2"):
+        "10045bd28dfea0bb442bd465b64b04cc5602aacf19e9067b827d0fa8d3cbe78c",
+    ("normalize-dense", "normalize:deform-n2N3"):
+        "e0c737173c9a847ba83dbb03fc820d30d097871a14087f44994a89f52507726e",
 }}
 # (seed, workload) for every pinned table; seed-1 cases keep the bare
 # workload as their id

@@ -20,9 +20,9 @@ from acgeom.cli import Options, SpecError, parse_manifold_spec, run_command
 from acgeom.forms import FrameCalculus, PQForm, fundamental_identities_check
 from acgeom.jets import (Jet, JetError, JetMatrix, SingularMatrixError, Substitution,
                          series_inverse)
-from acgeom.normal import pattern_violation, torsion_jet_normal
+from acgeom.normal import normalize_to_order, pattern_violation, torsion_jet_normal
 from acgeom.structure import (AlmostComplexStructure, ValidationReport, adapt_linear,
-                              nijenhuis_check, torsion_tensor)
+                              nijenhuis_check, torsion_tensor, transform_structure)
 
 from germs import fix_b
 
@@ -147,6 +147,36 @@ def test_series_inverse_refuses_nan():
     z1, z2 = Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)
     with pytest.raises(JetError, match="constant term"):
         series_inverse([z1, _nan_coefficient(z2, (2, 0), (0, 0))])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("component, alpha, beta", [
+    (0, (1, 0), (0, 0)),        # the diagonal z slot
+    (0, (0, 1), (0, 0)),        # an off-diagonal z slot
+    (1, (0, 0), (0, 1)),        # the diagonal zbar slot
+    (1, (0, 0), (1, 0)),        # an off-diagonal zbar slot
+], ids=["z-diagonal", "z-off-diagonal", "zbar-diagonal", "zbar-off-diagonal"])
+def test_series_inverse_names_a_non_finite_linear_part(component, alpha, beta, value):
+    # a NaN on the diagonal is not "singular", and a NaN or inf elsewhere
+    # must not surface as a non-finite constant term of a substitution
+    z = [Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)]
+    z[component] = z[component] + Jet(2, 3, {(alpha, beta): complex(value, 0)})
+    with pytest.raises(SingularMatrixError, match="linear part is not finite"):
+        series_inverse(z)
+
+
+def test_nan_germ_is_refused_through_its_chart_changes():
+    # a NaN degree-1 coefficient of B reaches the first stage's change; the
+    # identity start takes phi - z without a compose, and the Newton steps
+    # after it still refuse the NaN
+    s = fix_b(order=3)
+    b = JetMatrix([row[:] for row in s.B.entries])
+    b.entries[0][0] = _nan_coefficient(b[0, 0], (1, 0), (0, 0))
+    with pytest.raises(JetError, match="non-finite constant term"):
+        normalize_to_order(AlmostComplexStructure(s.A, b), 3)
+    z1, z2 = Jet.variable(2, 4, 0), Jet.variable(2, 4, 1)
+    with pytest.raises(JetError, match="non-finite constant term"):
+        transform_structure(s, [z1, _nan_coefficient(z2, (1, 0), (1, 0))])
 
 
 @pytest.mark.parametrize("c, named", [(math.nan, "non-finite"), (math.inf, "non-finite"),
