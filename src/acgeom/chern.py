@@ -88,8 +88,13 @@ def metric_exterior_derivative(calc, hd):
 def domega_max(calc, hd):
     """Largest coefficient of d(omega) over its parts, up to the order every
     part trusts."""
-    parts = metric_exterior_derivative(calc, hd)
-    eff = min((part.effective_order for part in parts), default=calc.order)
+    return _parts_max(metric_exterior_derivative(calc, hd), calc.order)
+
+
+def _parts_max(parts, order):
+    """Largest coefficient over the forms ``parts``, up to the order every
+    part trusts (``order`` when there are none)."""
+    eff = min((part.effective_order for part in parts), default=order)
     return nan_max(part.max_abs(eff) for part in parts)
 
 
@@ -203,9 +208,12 @@ def chern_connection(calc: FrameCalculus, hd: HermitianData) -> ConnectionForms:
 
 def hermitian_compat_residual(calc, hd, conn: ConnectionForms):
     """Largest deviation in xi.h(s,t) = h(D_xi s, t) + h(s, D_conj(xi) t)
-    over frame sections and frame directions."""
+    over frame sections and frame directions.  Each metric entry's gradient
+    is taken once and shared by its derivatives along every zeta_p and
+    zetabar_p."""
     n = calc.n
     h = hd.H
+    grads = [[h[l, m].gradient() for m in range(n)] for l in range(n)]
     residuals = []
     ap = [[[conn.aprime[s, l].coefficient((p,), ()) for p in range(n)]
            for l in range(n)] for s in range(n)]
@@ -214,13 +222,13 @@ def hermitian_compat_residual(calc, hd, conn: ConnectionForms):
     for p in range(n):
         for l in range(n):
             for m in range(n):
-                lhs = calc.frame.zeta(p).derive(h[l, m])
+                lhs = calc.frame.zeta(p).derive(h[l, m], grads[l][m])
                 rhs = Jet.dot([t for s in range(n)
                                for t in ((ap[s][l][p], h[s, m]),
                                          (asec[s][m][p].conj(), h[l, s]))], n, calc.order)
                 eff = min(lhs.effective_order, rhs.effective_order)
                 residuals.append((lhs - rhs).max_abs(eff))
-                lhs2 = calc.frame.zeta_bar(p).derive(h[l, m])
+                lhs2 = calc.frame.zeta_bar(p).derive(h[l, m], grads[l][m])
                 rhs2 = Jet.dot([t for s in range(n)
                                 for t in ((asec[s][l][p], h[s, m]),
                                           (ap[s][m][p].conj(), h[l, s]))], n, calc.order)
@@ -398,15 +406,30 @@ class LeviCivita:
                     acc = Jet.dot(zip(self.ginv.entries[c], first[a, b]), n, order) * 0.5
                     self.gamma[c][a][b] = acc
                     self.gamma[c][b][a] = acc
+        self._xi_products = (None, {})
 
     def derivative(self, xi: VectorField, eta: VectorField) -> VectorField:
+        """LC_xi eta = xi(eta^c) + sum over a, b of Gamma^c_ab xi^a eta^b.
+
+        The products Gamma^c_ab xi^a are kept, keyed by (c, a, b), for the
+        last ``xi`` derived along, so the calls along one xi (one per eta in
+        ``decomposition_residual``) form each of them once."""
         n = self.calc.n
-        dim = 2 * n
+        if self._xi_products[0] is not xi:
+            self._xi_products = (xi, {})
+        products = self._xi_products[1]
         live = [(a, b, xa, eb) for a, xa in enumerate(xi.components) if xa
                 for b, eb in enumerate(eta.components) if eb]
-        return VectorField([Jet.dot([(self.gamma[c][a][b] * xa, eb) for a, b, xa, eb in live],
-                                    n, self.calc.order, start=xi.derive(eta.components[c]))
-                            for c in range(dim)])
+        out = []
+        for c, f in enumerate(eta.components):
+            pairs = []
+            for a, b, xa, eb in live:
+                p = products.get((c, a, b))
+                if p is None:
+                    p = products[c, a, b] = self.gamma[c][a][b] * xa
+                pairs.append((p, eb))
+            out.append(Jet.dot(pairs, n, self.calc.order, start=xi.derive(f)))
+        return VectorField(out)
 
     def torsion_free_residual(self, xi, eta):
         lhs = self.derivative(xi, eta) - self.derivative(eta, xi) - xi.bracket(eta)
@@ -455,6 +478,11 @@ class ChernLeviCivita:
                                   for (k, l), c in self._domega.items()), default=calc.order)
         self._points = sample_points(n)
         self._tables = {}
+
+    def domega_max(self):
+        """``domega_max`` of this object's metric, read from the d(omega)
+        parts it holds."""
+        return _parts_max(self._domega_parts, self.calc.order)
 
     def _memo(self, key, compute):
         """Value of ``compute()`` under ``key``, computed once per object."""

@@ -456,7 +456,7 @@ def _cmd_decompose(ms, opts, payload):
         _row("torsion formula residual", dec.torsion_formula_residual(),
              opts.tol),
     ]
-    domega = chern.domega_max(calc, hd)
+    domega = dec.domega_max()
     delta = dec.delta_max()
     nmax = dec.n_omega_max()
     tmax = torsion_tensor(ms.structure, calc.frame, calc.bc).max_abs()

@@ -28,6 +28,10 @@ jets are immutable.
 
 Which path runs:
 
+- ``Jet.__add__`` and ``Jet.__sub__``: one fold over the right operand's
+  terms into a copy of the left's, held +/- c or 0 +/- c per key, so a
+  difference builds no negated copy.  Only the touched keys are pruned,
+  and the terms are sorted again only when a new key arrived.
 - ``Jet.__mul__``: the dense kernel when both jets are float and the product
   of their term counts exceeds the index's ``dense_min_pairs``
   (``_DENSE_MUL_MIN_PAIRS`` plus a share of the product table's size);
@@ -50,6 +54,11 @@ Which path runs:
 - ``JetMatrix.__matmul__``: per output entry, the dense kernel summed over the
   inner index when the entry's pair count exceeds ``dense_min_pairs`` (float
   only); otherwise ``Jet.dot`` over the inner index.
+- ``JetMatrix.inverse``: the Neumann series of X = M0^-1 (M - M0), whose
+  first power is -X itself.  A constant term that is exactly I (the frame
+  matrix of an adapted structure, a metric orthonormal at the origin)
+  starts from X = M - I and needs no product by M0^-1 at either end: N - 1
+  products at order N where the general start takes N + 1.
 
 Results are built by ``Jet._make`` on terms pruned and sorted already.
 
@@ -609,15 +618,7 @@ class Jet:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Jet):
-            other = Jet.constant(self.n, self.order, other, exact=self.exact)
-        _check_operand(other, (self.n, self.order, self.exact))
-        terms = dict(self._terms)
-        zero = QC(0) if self.exact else 0
-        for k, c in other._terms.items():
-            terms[k] = terms.get(k, zero) + c
-        return Jet._make(self.n, self.order, _pruned(sorted(terms.items()), self.exact),
-                         min(self.effective_order, other.effective_order), self.exact)
+        return self._fold(other, False)
 
     __radd__ = __add__
 
@@ -626,9 +627,36 @@ class Jet:
                          self.effective_order, self.exact)
 
     def __sub__(self, other):
+        return self._fold(other, True)
+
+    def _fold(self, other, subtract):
+        """``self + other``, or ``self - other`` when ``subtract``, in one pass
+        over the terms of ``other``: a held key gets held +/- c and a new one
+        0 +/- c (the ``0`` of the mode); held - c equals held + (-c) bit for
+        bit.  Only the touched keys are pruned, and the terms are sorted only
+        when a new key arrives."""
+        exact = self.exact
         if not isinstance(other, Jet):
-            other = Jet.constant(self.n, self.order, other, exact=self.exact)
-        return self + (-other)
+            other = Jet.constant(self.n, self.order, other, exact=exact)
+        _check_operand(other, (self.n, self.order, exact))
+        terms = dict(self._terms)
+        get = terms.get
+        zero = QC(0) if exact else 0
+        new = False
+        for k, c in other._terms.items():
+            held = get(k)
+            if held is None:
+                held, new = zero, True
+            c = held - c if subtract else held + c
+            # the pruning of _pruned: exact zeros, float moduli below PRUNE_EPS
+            if (c if exact else not abs(c) < PRUNE_EPS):
+                terms[k] = c
+            else:
+                terms.pop(k, None)
+        if new:
+            terms = dict(sorted(terms.items()))
+        return Jet._make(self.n, self.order, terms,
+                         min(self.effective_order, other.effective_order), exact)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -738,6 +766,7 @@ class Jet:
         """
         idx = _index(n, order)
         shape = (n, order, exact)
+        dense_min_pairs = idx.dense_min_pairs
         eff = order
         acc = {}
         if start is not None:
@@ -747,11 +776,14 @@ class Jet:
         products = []        # exact: the (left, right) terms of each product
         get = acc.get
         for a, b in pairs:
-            _check_operand(a, shape)
+            # _check_operand runs on a mismatch only, to word the error
+            if a.n != n or a.order != order or a.exact != exact:
+                _check_operand(a, shape)
             if a.effective_order < eff:
                 eff = a.effective_order
             if isinstance(b, Jet):
-                _check_operand(b, shape)
+                if b.n != n or b.order != order or b.exact != exact:
+                    _check_operand(b, shape)
                 if b.effective_order < eff:
                     eff = b.effective_order
                 if not (a._terms and b._terms):
@@ -759,7 +791,7 @@ class Jet:
                 if exact:
                     products.append((a._terms, b._terms))
                     continue
-                if len(a._terms) * len(b._terms) > idx.dense_min_pairs:
+                if len(a._terms) * len(b._terms) > dense_min_pairs:
                     vec = idx.mul(a._dense(), b._dense())
                     slots = np.flatnonzero(~(np.abs(vec) < PRUNE_EPS))
                     items = zip(idx.codes[slots].tolist(), vec[slots].tolist())
@@ -770,8 +802,18 @@ class Jet:
                 products.append((a._terms, {0: _as_qc(b)}))
                 continue
             else:
+                # a scalar's products go into acc as they are formed, by the
+                # rule of the loop below
                 scalar = complex(b)
-                items = [(k, v * scalar) for k, v in a._terms.items()]
+                for k, v in a._terms.items():
+                    c = v * scalar
+                    if not abs(c) < PRUNE_EPS:
+                        c = get(k, 0) + c
+                        if not abs(c) < PRUNE_EPS:
+                            acc[k] = c
+                        else:
+                            del acc[k]
+                continue
             # a key absent from acc gets 0 + c, which is of modulus |c|, so
             # only held keys are ever dropped
             for k, c in items:
@@ -1162,32 +1204,47 @@ class JetMatrix:
             raise JetError("jet matrix shape mismatch")
 
     def inverse(self):
-        """Neumann-series inverse; requires an invertible constant term."""
+        """Neumann-series inverse; requires an invertible constant term.
+
+        M = M0 (I + X) with X = M0^-1 (M - M0), nilpotent mod the order, so
+        M^-1 = (sum_k (-X)^k) M0^-1, whose first power is -X itself.  When
+        M0 is exactly I (the frame matrix of an adapted structure, a metric
+        orthonormal at the origin), X = M - I and the sum is returned with
+        no product by M0^-1.  Every term of the result has then still
+        passed the ``0 + c`` of an add or ``Jet.dot`` fold, so its bits are
+        those of the products through I.
+        """
         if self.rows != self.cols:
             raise JetError("only square jet matrices can be inverted")
         size, n, order, exact = self.rows, self.n, self.order, self.exact
         m0 = self.constant()
-        if exact:
-            m0_inv = _exact_inverse(m0, size)
+        ident = JetMatrix.identity(size, n, order, exact=exact)
+        if all(m0[i, j] == int(i == j) for i in range(size) for j in range(size)):
+            m0_inv_mat = None
+            x = self - ident
         else:
-            if not np.isfinite(m0).all():
-                raise SingularMatrixError("constant term is not finite")
-            cond = np.linalg.cond(m0)
-            if not np.isfinite(cond) or cond > 1e12:
-                raise SingularMatrixError(
-                    f"constant term is numerically singular (cond={cond:.3e})", cond)
-            m0_inv = np.linalg.inv(m0)
-        m0_inv_mat = JetMatrix.from_constant(m0_inv, n, order, exact=exact)
-        # M = M0 (I + M0^-1 (M - M0));  (I + X)^-1 = sum (-X)^k, X nilpotent mod order.
-        x = m0_inv_mat @ (self - JetMatrix.from_constant(m0, n, order, exact=exact))
-        acc = power = JetMatrix.identity(size, n, order, exact=exact)
+            if exact:
+                m0_inv = _exact_inverse(m0, size)
+            else:
+                if not np.isfinite(m0).all():
+                    raise SingularMatrixError("constant term is not finite")
+                cond = np.linalg.cond(m0)
+                if not np.isfinite(cond) or cond > 1e12:
+                    raise SingularMatrixError(
+                        f"constant term is numerically singular (cond={cond:.3e})", cond)
+                m0_inv = np.linalg.inv(m0)
+            m0_inv_mat = JetMatrix.from_constant(m0_inv, n, order, exact=exact)
+            x = m0_inv_mat @ (self - JetMatrix.from_constant(m0, n, order, exact=exact))
+        acc = power = ident
         for _ in range(order):
-            power = -(power @ x)
+            power = -(x if power is ident else power @ x)
             if power.max_abs() == 0:
                 break
             acc = acc + power
+        if m0_inv_mat is not None:
+            acc = acc @ m0_inv_mat
         eff = self.effective_order
-        return (acc @ m0_inv_mat).map(lambda e: e.trusted(eff))
+        return acc.map(lambda e: e.trusted(eff))
 
     def __repr__(self):
         return f"JetMatrix({self.rows}x{self.cols}, n={self.n}, N={self.order})"

@@ -87,15 +87,19 @@ def word_value(comps, slots, n, order) -> Jet:
 class VectorField:
     """Complexified vector field: 2n jet components on (d/dz_k, d/dzbar_k).
 
-    ``Frame.to_frame_components`` keeps the field's pairings with the dual
-    frame on the field, as (frame, components), since fields are never
-    changed after construction."""
+    Fields are never changed after construction, so two memos live on the
+    field itself: ``Frame.to_frame_components`` keeps the field's pairings
+    with the dual frame, as (frame, components), and ``bracket`` keeps each
+    partial of a component it has taken, in ``_partials``, keyed by
+    (component, variable), so a field bracketed with many others takes each
+    partial once."""
 
-    __slots__ = ("n", "order", "components", "_frame_comps")
+    __slots__ = ("n", "order", "components", "_frame_comps", "_partials")
 
     def __init__(self, components):
         self.components = list(components)
         self._frame_comps = None
+        self._partials = {}
         self.n = len(self.components) // 2
         self.order = self.components[0].order
         if len(self.components) != 2 * self.n:
@@ -141,9 +145,26 @@ class VectorField:
         return Jet.dot(pairs, f.n, f.order, f.exact)
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [X, Y] = X . grad Y - Y . grad X, componentwise."""
-        return VectorField([self.derive(c) for c in other.components]) - \
-            VectorField([other.derive(c) for c in self.components])
+        """Lie bracket [X, Y] = X . grad Y - Y . grad X, componentwise; the
+        partials of each field's components come from its ``_partials``."""
+        return VectorField(self._along(other)) - VectorField(other._along(self))
+
+    def _along(self, other):
+        """X . grad Y for X = self and Y = other: ``self.derive`` of each
+        component of ``other``, reading its partials from other's memo."""
+        n = self.n
+        live = [(a, comp) for a, comp in enumerate(self.components) if comp]
+        memo = other._partials
+        out = []
+        for i, f in enumerate(other.components):
+            pairs = []
+            for a, comp in live:
+                d = memo.get((i, a))
+                if d is None:
+                    d = memo[i, a] = f.dz(a) if a < n else f.dzbar(a - n)
+                pairs.append((comp, d))
+            out.append(Jet.dot(pairs, f.n, f.order, f.exact))
+        return out
 
     def max_abs(self, max_degree=None):
         return nan_max(c.max_abs(max_degree) for c in self.components)

@@ -6,7 +6,10 @@ and trusted degree of bracket tables and form matrices, the bits of a form
 matrix, the per-field oracle of ``chern.derive_matrix``, the
 field-evaluation oracle of ``ChernLeviCivita.gamma``, and the plain-loop
 oracles of a coordinate change (``series_inverse``, the Jacobian,
-``transform_structure``) and of ``JetMatrix.coefficients``."""
+``transform_structure``) and of ``JetMatrix.coefficients``, and the
+repeat-work oracles of the frame layer (``Jet`` sums and differences,
+``Jet.dot``, ``JetMatrix.inverse``, ``VectorField.bracket`` and
+``LeviCivita.derivative``)."""
 
 from __future__ import annotations
 
@@ -18,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from acgeom.chern import ChernLeviCivita, HermitianData, MatrixForm
+from acgeom.chern import ChernLeviCivita, HermitianData, LeviCivita, MatrixForm
 from acgeom.forms import FrameCalculus, PQForm
-from acgeom.jets import (PRUNE_EPS, Jet, JetError, JetMatrix, SingularMatrixError,
-                         Substitution, multi_index, nan_max, zero_coefficients)
+from acgeom.jets import (PRUNE_EPS, QC, Jet, JetError, JetMatrix, SingularMatrixError,
+                         Substitution, _as_qc, _check_operand, _exact_inverse, _exact_sum, _index,
+                         multi_index, nan_max, zero_coefficients)
 from acgeom.normal import lmax, structure_from_b_family
 from acgeom.structure import (AlmostComplexStructure, BracketCoefficients,
                               ChartChange, Frame, VectorField,
@@ -31,10 +35,8 @@ FIX_B_VALUE = 0.3 + 0.1j
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def bench_b_normal_spec(n, order, max_degree, seed):
-    """JSON text of the benchmark's dense dyadic B-normal spec for the cell
-    (n, N, degree) and ``seed``, as ``perfbench/workloads.py`` (loaded
-    read-only) draws it for its ``exact-oracle`` tasks."""
+def _bench_workloads():
+    """``perfbench/workloads.py``, loaded read-only once per process."""
     name = "perfbench_workloads"
     module = sys.modules.get(name)
     if module is None:
@@ -42,8 +44,24 @@ def bench_b_normal_spec(n, order, max_degree, seed):
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module     # dataclasses look their module up here
         spec.loader.exec_module(module)
+    return module
+
+
+def bench_b_normal_spec(n, order, max_degree, seed):
+    """JSON text of the benchmark's dense dyadic B-normal spec for the cell
+    (n, N, degree) and ``seed``, as ``perfbench/workloads.py`` (loaded
+    read-only) draws it for its ``exact-oracle`` tasks."""
     rng = np.random.default_rng([seed, n, order, max_degree])
-    return json.dumps(module.b_normal_document(n, order, max_degree, rng))
+    return json.dumps(_bench_workloads().b_normal_document(n, order, max_degree, rng))
+
+
+def bench_frame_structure(index, seed) -> AlmostComplexStructure:
+    """The structure of germ ``index`` of the benchmark's ``frame-calculus``
+    tasks for ``seed`` (0: the full-support (2, 2) germ, 1: the sparse
+    (3, 2) one), as ``perfbench/workloads.py`` draws it."""
+    module = _bench_workloads()
+    _, n, order, p_slots, _ = module.FRAME_GERMS[index]
+    return module.deformation_germ(n, order, p_slots, np.random.default_rng([seed, index]))
 
 
 def b_normal(fam, n, order) -> AlmostComplexStructure:
@@ -334,3 +352,118 @@ def transform_structure_full_product(s: AlmostComplexStructure, change: ChartCha
     b_new = JetMatrix([[m_new[n + i, j].truncated(s.order) for j in range(n)]
                        for i in range(n)])
     return AlmostComplexStructure(a_new, b_new)
+
+
+def jet_sum_pruning_every_key(a: Jet, b: Jet) -> Jet:
+    """The oracle of ``Jet.__add__``: every key of ``b`` added into a copy of
+    a's terms (a new key from the ``0`` of the mode), then every term pruned
+    and all of them sorted."""
+    terms = dict(a._terms)
+    zero = QC(0) if a.exact else 0
+    for k, c in b._terms.items():
+        terms[k] = terms.get(k, zero) + c
+    if a.exact:
+        kept = {k: c for k, c in sorted(terms.items()) if c}
+    else:
+        kept = {k: c for k, c in sorted(terms.items()) if not abs(c) < PRUNE_EPS}
+    return Jet._make(a.n, a.order, kept, min(a.effective_order, b.effective_order), a.exact)
+
+
+def jet_difference_by_negation(a: Jet, b: Jet) -> Jet:
+    """The oracle of ``Jet.__sub__``: a + (-b), through
+    ``jet_sum_pruning_every_key``."""
+    return jet_sum_pruning_every_key(a, -b)
+
+
+def dot_by_parts(pairs, n, order, exact=False, start=None) -> Jet:
+    """The oracle of ``Jet.dot``: every operand checked by
+    ``_check_operand``, and the products of a (jet, scalar) pair gathered
+    in a list before they are folded into the accumulator."""
+    idx = _index(n, order)
+    shape = (n, order, exact)
+    eff = order
+    acc = {}
+    if start is not None:
+        _check_operand(start, shape)
+        eff = start.effective_order
+        acc = dict(start._terms)
+    products = []
+    for a, b in pairs:
+        _check_operand(a, shape)
+        eff = min(eff, a.effective_order)
+        if isinstance(b, Jet):
+            _check_operand(b, shape)
+            eff = min(eff, b.effective_order)
+            if not (a._terms and b._terms):
+                continue
+            if exact:
+                products.append((a._terms, b._terms))
+                continue
+            if len(a._terms) * len(b._terms) > idx.dense_min_pairs:
+                vec = idx.mul(a._dense(), b._dense())
+                slots = np.flatnonzero(~(np.abs(vec) < PRUNE_EPS))
+                items = zip(idx.codes[slots].tolist(), vec[slots].tolist())
+            else:
+                items = a._dict_product(b).items()
+        elif exact:
+            products.append((a._terms, {0: _as_qc(b)}))
+            continue
+        else:
+            scalar = complex(b)
+            items = [(k, v * scalar) for k, v in a._terms.items()]
+        for k, c in items:
+            if not abs(c) < PRUNE_EPS:
+                c = acc.get(k, 0) + c
+                if not abs(c) < PRUNE_EPS:
+                    acc[k] = c
+                else:
+                    del acc[k]
+    if exact:
+        return Jet._make(n, order, _exact_sum(acc, products, n, order), eff, True)
+    return Jet._make(n, order, dict(sorted(acc.items())), eff, False)
+
+
+def inverse_through_identity(m: JetMatrix) -> JetMatrix:
+    """The oracle of ``JetMatrix.inverse``: the Neumann series of
+    X = M0^-1 (M - M0) from the power I, every power a product with X, and
+    the sum multiplied by M0^-1 even when M0 is the identity."""
+    size, n, order, exact = m.rows, m.n, m.order, m.exact
+    m0 = m.constant()
+    if exact:
+        m0_inv = _exact_inverse(m0, size)
+    else:
+        if not np.isfinite(m0).all():
+            raise SingularMatrixError("constant term is not finite")
+        cond = np.linalg.cond(m0)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularMatrixError(f"constant term is numerically singular "
+                                      f"(cond={cond:.3e})", cond)
+        m0_inv = np.linalg.inv(m0)
+    m0_inv_mat = JetMatrix.from_constant(m0_inv, n, order, exact=exact)
+    x = m0_inv_mat @ (m - JetMatrix.from_constant(m0, n, order, exact=exact))
+    acc = power = JetMatrix.identity(size, n, order, exact=exact)
+    for _ in range(order):
+        power = -(power @ x)
+        if power.max_abs() == 0:
+            break
+        acc = acc + power
+    eff = m.effective_order
+    return (acc @ m0_inv_mat).map(lambda e: e.trusted(eff))
+
+
+def bracket_without_memo(x: VectorField, y: VectorField) -> VectorField:
+    """The oracle of ``VectorField.bracket``: X . grad Y - Y . grad X, each
+    derivative by ``VectorField.derive``, which takes its own partials."""
+    return VectorField([x.derive(c) for c in y.components]) - \
+        VectorField([y.derive(c) for c in x.components])
+
+
+def lc_derivative_without_memo(lc: LeviCivita, xi: VectorField, eta: VectorField):
+    """The oracle of ``LeviCivita.derivative``: every product
+    Gamma^c_ab xi^a formed again for each output index c."""
+    n = lc.calc.n
+    live = [(a, b, xa, eb) for a, xa in enumerate(xi.components) if xa
+            for b, eb in enumerate(eta.components) if eb]
+    return VectorField([Jet.dot([(lc.gamma[c][a][b] * xa, eb) for a, b, xa, eb in live],
+                                n, lc.calc.order, start=xi.derive(eta.components[c]))
+                        for c in range(2 * n)])
