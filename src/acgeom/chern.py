@@ -185,12 +185,18 @@ def canonical_delbar_connection(calc: FrameCalculus) -> MatrixForm:
     return MatrixForm(entries)
 
 
+def function_matrix(calc, jm: JetMatrix) -> MatrixForm:
+    """A matrix of jet functions as 0-forms.  Each entry keeps its gradient
+    (``PQForm.gradient``), so del and delbar of one such matrix take it
+    once."""
+    return MatrixForm([[calc.function(f) for f in row] for row in jm.entries])
+
+
 def derive_matrix(calc, jm: JetMatrix, kind) -> MatrixForm:
     """Entrywise ``kind`` derivative of a matrix of jet functions, by
     ``apply_operator`` on each entry as a 0-form: "del" gives a (1,0)-form
     per entry, "delbar" a (0,1)-form."""
-    return MatrixForm([[apply_operator(kind, calc.function(f)) for f in row]
-                       for row in jm.entries])
+    return function_matrix(calc, jm).apply(kind)
 
 
 def chern_connection(calc: FrameCalculus, hd: HermitianData) -> ConnectionForms:
@@ -340,9 +346,8 @@ def pointwise_curvature_residual(calc, hd, conn, blocks):
                     for k in range(n) for l in range(n) for r in range(n))
     if asec0 > 1e-10:
         raise JetError("pointwise formula needs a delbar-flat frame at 0")
-    hbar = hd.H.conj()
-    d_h = derive_matrix(calc, hbar, "del")
-    db_h = derive_matrix(calc, hbar, "delbar")
+    hbar = function_matrix(calc, hd.H.conj())
+    d_h, db_h = hbar.apply("del"), hbar.apply("delbar")
     expr = d_h.apply("delbar") - db_h.wedge(d_h) + conn.asecond.apply("del") \
         - conn.asecond.conj_transpose().apply("delbar")
     diff = expr - blocks.theta11
@@ -354,15 +359,18 @@ def pointwise_curvature_residual(calc, hd, conn, blocks):
 
 def chern_derivative(calc, conn: ConnectionForms, xi: VectorField,
                      eta: VectorField) -> VectorField:
-    """D_xi eta through the frame-block connection diag(A, conj(A))."""
+    """D_xi eta through the frame-block connection diag(A, conj(A)); the
+    partials of eta's frame components come from eta's memo."""
     n = calc.n
-    comps = calc.frame.to_frame_components(eta)
+    frame = calc.frame
+    comps = frame.to_frame_components(eta)
     a_of_xi = conn.pair_with(xi)
+    start = [xi.derive(c, frame.frame_partials(eta, k)) for k, c in enumerate(comps)]
     out = [Jet.dot([(a_of_xi[k, l], comps[l]) for l in range(n)], n, calc.order,
-                   start=xi.derive(comps[k])) for k in range(n)]
+                   start=start[k]) for k in range(n)]
     out += [Jet.dot([(a_of_xi[k, l].conj(), comps[n + l]) for l in range(n)], n, calc.order,
-                    start=xi.derive(comps[n + k])) for k in range(n)]
-    return calc.frame.from_frame_components(out)
+                    start=start[n + k]) for k in range(n)]
+    return frame.from_frame_components(out)
 
 
 def _omega_matrix(calc, hd, order) -> JetMatrix:
@@ -413,7 +421,9 @@ class LeviCivita:
 
         The products Gamma^c_ab xi^a are kept, keyed by (c, a, b), for the
         last ``xi`` derived along, so the calls along one xi (one per eta in
-        ``decomposition_residual``) form each of them once."""
+        ``decomposition_residual``) form each of them once; the partials of
+        eta's components come from eta's memo, so the calls on one eta (one
+        per xi) take each of them once."""
         n = self.calc.n
         if self._xi_products[0] is not xi:
             self._xi_products = (xi, {})
@@ -428,7 +438,8 @@ class LeviCivita:
                 if p is None:
                     p = products[c, a, b] = self.gamma[c][a][b] * xa
                 pairs.append((p, eb))
-            out.append(Jet.dot(pairs, n, self.calc.order, start=xi.derive(f)))
+            out.append(Jet.dot(pairs, n, self.calc.order,
+                               start=xi.derive(f, eta.partials(c))))
         return VectorField(out)
 
     def torsion_free_residual(self, xi, eta):
@@ -637,8 +648,9 @@ class ChernLeviCivita:
 def _transform_connection(calc, conn: ConnectionForms, g: JetMatrix):
     """Connection forms after the frame change sigma = e . g."""
     ginv = g.inverse()
-    ap = derive_matrix(calc, g, "del") + conn.aprime.right_mul_jets(g)
-    asec = derive_matrix(calc, g, "delbar") + conn.asecond.right_mul_jets(g)
+    gf = function_matrix(calc, g)
+    ap = gf.apply("del") + conn.aprime.right_mul_jets(g)
+    asec = gf.apply("delbar") + conn.asecond.right_mul_jets(g)
     return ConnectionForms(ap.left_mul_jets(ginv), asec.left_mul_jets(ginv))
 
 

@@ -87,15 +87,20 @@ class FrameCalculus:
 
 
 class PQForm:
-    """Form of fixed bidegree: coefficients u_{K,L} on zeta*_K wedge zetabar*_L."""
+    """Form of fixed bidegree: coefficients u_{K,L} on zeta*_K wedge zetabar*_L.
 
-    __slots__ = ("calc", "p", "q", "coeffs")
+    Forms are never changed after construction, so the gradient of each
+    coefficient is kept on the form once taken (``gradient``): the operators
+    applied to one form, del and delbar, share it."""
+
+    __slots__ = ("calc", "p", "q", "coeffs", "_grads")
 
     def __init__(self, calc: FrameCalculus, p, q, coeffs):
         self.calc = calc
         self.p = p
         self.q = q
         self.coeffs = {}
+        self._grads = {}
         if (p < 0 or q < 0) and coeffs:
             raise JetError("negative bidegree forms must be empty")
         for (k, l), jet in coeffs.items():
@@ -151,6 +156,13 @@ class PQForm:
     def coefficient(self, k, l) -> Jet:
         return self.coeffs.get((tuple(k), tuple(l)),
                                Jet.zero(self.calc.n, self.calc.order))
+
+    def gradient(self, key):
+        """The 2n partials of the coefficient ``key``, taken on first use."""
+        grad = self._grads.get(key)
+        if grad is None:
+            grad = self._grads[key] = self.coeffs[key].gradient()
+        return grad
 
     def wedge(self, other: "PQForm") -> "PQForm":
         if self.calc is not other.calc:
@@ -272,7 +284,7 @@ def apply_operator(kind: str, u: PQForm) -> PQForm:
     for (kk, ll), c in u.coeffs.items():
         derive, pieces = _plan(kind, n, kk, ll)
         if derive:
-            grad = c.gradient()
+            grad = u.gradient((kk, ll))
             field = (calc.frame.zeta, calc.frame.zeta_bar)[op.derive]
             for r, sign, key in derive:
                 if jet := field(r).derive(c, grad):

@@ -14,7 +14,9 @@ makes the two runs one after the other when a state leaves the radius there.
 Each later doubling re-runs only the scales whose endpoint has not settled.
 The connection is evaluated on the packed state from tables precomputed once
 per germ (``PackedConnection``), the same ones for the RK4 rate, the
-acceleration and the reality check of its conjugate block.
+acceleration and the reality check of its conjugate block: each term of
+-(A_z(v) v) is one chain of factors of the state, so a rate is one gather,
+one product along the chains and one matmul.
 """
 
 from __future__ import annotations
@@ -43,66 +45,66 @@ class TrustRadiusExit(JetError):
 class PackedConnection:
     """Coordinate connection matrix flattened for fast pointwise evaluation.
 
-    Every monomial of every entry A_z[a][i, j] is one term.  The tables are
-    built once: per term, the flat positions of its factors in a power table
-    of u = (gamma, gdot, conj gamma, conj gdot), stored as pairs (z_k,
-    zbar_k) of the exponents over the 2n variables followed by the pair of
-    velocity components (a, j) at power one, and a dense row-scatter matrix
-    carrying the minus sign.  The action -(A_z(v) v) on a batch of states is
-    then one power table, one gather, one product per pair and one matmul.
+    Every monomial c z^alpha zbar^beta of every entry A_z[a][i, j] is one
+    term of -(A_z(v) v), and a term is one chain of factors: its positions
+    in u = (gamma, gdot, conj gamma, conj gdot, 1), z_k repeated alpha_k
+    times for each k, then zbar_k repeated beta_k times, then the velocity
+    components v_a and v_j.  Each chain is left-padded with the position of
+    the constant 1 up to one common width, at least 1 so that a flat
+    connection (no terms) builds too.  With the chains, the coefficients and
+    a dense row-scatter matrix carrying the minus sign, built once, the
+    action on a batch of states is one gather, one product along the chains
+    and one matmul.
     """
 
     def __init__(self, calc: FrameCalculus, conn: ConnectionForms):
         a_z = connection_matrix_coordinate(calc, conn)
         n = self.n = calc.n
+        var = [*range(n), *range(2 * n, 3 * n)]    # z_k, zbar_k in u
+        vel = [p + n for p in var]                  # v = (gdot, conj gdot)
         terms = []
         for a, mat in enumerate(a_z):
             for i in range(2 * n):
                 for j in range(2 * n):
                     for (alpha, beta), c in mat[i, j].terms.items():
-                        terms.append((i, j, a, alpha + beta, c))
+                        chain = [p for p, e in zip(var, alpha + beta)
+                                 for _ in range(e)] + [vel[a], vel[j]]
+                        terms.append((i, chain, c))
         terms.sort(key=lambda t: t[0])          # stable: first block first
+        width = max((len(t[1]) for t in terms), default=1)
+        one = 4 * n                             # the constant 1 in u
+        gather = np.array([[one] * (width - len(chain)) + chain
+                           for _, chain, _ in terms], dtype=np.intp)
+        gather = gather.reshape(len(terms), width).T    # (width, terms)
         rows = np.array([t[0] for t in terms], dtype=np.intp)
-        exps = np.array([t[3] for t in terms], dtype=np.intp).reshape(-1, 2 * n)
-        self.degrees = np.arange(max(exps.max(initial=0), 1) + 1)
-        width = len(self.degrees)
-        # position in u of each variable (z, zbar) and each velocity component
-        var_pos = np.concatenate([np.arange(n), 2 * n + np.arange(n)])
-        vel_pos = var_pos + n
-        comps = np.array([t[2] for t in terms], dtype=np.intp)
-        cols = np.array([t[1] for t in terms], dtype=np.intp)
-        var_at = (var_pos * width + exps).reshape(-1, 2, n).transpose(0, 2, 1)
-        vel_at = np.stack([vel_pos[comps], vel_pos[cols]], axis=-1) * width + 1
-        gather = np.concatenate([var_at, vel_at[:, None]], axis=1) \
-            .transpose(1, 2, 0)                 # (n + 1 pairs, 2, terms)
-        coeffs = np.array([t[4] for t in terms], dtype=complex)
+        coeffs = np.array([t[2] for t in terms], dtype=complex)
         scatter = np.zeros((len(terms), 2 * n), dtype=complex)
         scatter[np.arange(len(terms)), rows] = -1.0
         first = int(np.count_nonzero(rows < n))
         self.flat = not terms
         self.tables = {
-            n: (coeffs[:first], np.ascontiguousarray(gather[..., :first]),
+            n: (coeffs[:first], np.ascontiguousarray(gather[:, :first]),
                 np.ascontiguousarray(scatter[:first, :n])),
             2 * n: (coeffs, np.ascontiguousarray(gather), scatter),
         }
 
     def _evaluate(self, y, nrows):
         """The first ``nrows`` rows of -(A_z(v) v) at the states y = (gamma,
-        gdot), (2n,) or (S, 2n).  One multiply per pair k builds both
-        z^alpha and zbar^beta, each as ((f_0 f_1) f_2) ..., and a term is
-        ((coeff (z^alpha zbar^beta)) v_a) v_j."""
-        n = self.n
+        gdot), (2n,) or (S, 2n).  A term is the product of its chain from
+        the left with the coefficient multiplied into the first factor,
+        (((c 1) ... f_0) f_1) ... v_a) v_j, and the scatter sums the terms.
+
+        The coefficient comes first, where it scales every partial product:
+        multiplied in last, a state whose terms overflow (|v| near 1e62 on
+        fix_b) reaches inf before a zero velocity factor and ends in NaN
+        instead of its trust-radius exit.  It stays out of the scatter,
+        whose entries of +-1 and 0 keep every product of the matmul exact,
+        whatever kernel BLAS picks for the batch's shape."""
         coeffs, gather, scatter = self.tables[nrows]
-        u = np.concatenate([y, y.conj()], axis=-1)
-        powers = (u[..., None] ** self.degrees).reshape(
-            u.shape[:-1] + (u.shape[-1] * len(self.degrees),))
-        f = powers.take(gather, axis=-1)        # (..., n + 1, 2, terms)
-        mono = f[..., 0, :, :]
-        for k in range(1, n):
-            mono = mono * f[..., k, :, :]
-        vals = coeffs * (mono[..., 0, :] * mono[..., 1, :]) \
-            * f[..., n, 0, :] * f[..., n, 1, :]
-        return vals @ scatter
+        u = np.concatenate([y, y.conj(), np.ones_like(y[..., :1])], axis=-1)
+        f = u.take(gather, axis=-1)             # (..., width, terms)
+        f[..., 0, :] *= coeffs
+        return np.multiply.reduce(f, axis=-2) @ scatter
 
     def rate(self, y):
         """(gamma-dot, gamma-ddot) at the states y = (gamma, gamma-dot)."""

@@ -8,8 +8,10 @@ field-evaluation oracle of ``ChernLeviCivita.gamma``, and the plain-loop
 oracles of a coordinate change (``series_inverse``, the Jacobian,
 ``transform_structure``) and of ``JetMatrix.coefficients``, and the
 repeat-work oracles of the frame layer (``Jet`` sums and differences,
-``Jet.dot``, ``JetMatrix.inverse``, ``VectorField.bracket`` and
-``LeviCivita.derivative``)."""
+``Jet.dot``, ``JetMatrix.inverse``, ``VectorField.bracket``,
+``LeviCivita.derivative`` and ``chern.chern_derivative``), and a
+power-table evaluator of the geodesic connection, the oracle of
+``geodesic.PackedConnection``."""
 
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from acgeom.chern import ChernLeviCivita, HermitianData, LeviCivita, MatrixForm
+from acgeom.chern import (ChernLeviCivita, ConnectionForms, HermitianData, LeviCivita,
+                          MatrixForm)
 from acgeom.forms import FrameCalculus, PQForm
 from acgeom.jets import (PRUNE_EPS, QC, Jet, JetError, JetMatrix, SingularMatrixError,
                          Substitution, _as_qc, _check_operand, _exact_inverse, _exact_sum, _index,
@@ -55,13 +58,20 @@ def bench_b_normal_spec(n, order, max_degree, seed):
     return json.dumps(_bench_workloads().b_normal_document(n, order, max_degree, rng))
 
 
-def bench_frame_structure(index, seed) -> AlmostComplexStructure:
-    """The structure of germ ``index`` of the benchmark's ``frame-calculus``
-    tasks for ``seed`` (0: the full-support (2, 2) germ, 1: the sparse
-    (3, 2) one), as ``perfbench/workloads.py`` draws it."""
+def bench_frame_germ(index, seed):
+    """The structure and metric of germ ``index`` of the benchmark's
+    ``frame-calculus`` tasks for ``seed`` (0: the full-support (2, 2) germ,
+    1: the sparse (3, 2) one), as ``perfbench/workloads.py`` draws them."""
     module = _bench_workloads()
-    _, n, order, p_slots, _ = module.FRAME_GERMS[index]
-    return module.deformation_germ(n, order, p_slots, np.random.default_rng([seed, index]))
+    _, n, order, p_slots, h_slots = module.FRAME_GERMS[index]
+    rng = np.random.default_rng([seed, index])
+    s = module.deformation_germ(n, order, p_slots, rng)
+    return s, module.metric_germ(n, order, h_slots, rng)
+
+
+def bench_frame_structure(index, seed) -> AlmostComplexStructure:
+    """The structure of ``bench_frame_germ(index, seed)``."""
+    return bench_frame_germ(index, seed)[0]
 
 
 def b_normal(fam, n, order) -> AlmostComplexStructure:
@@ -232,7 +242,7 @@ def derive_matrix_per_field(calc: FrameCalculus, jm: JetMatrix, kind) -> MatrixF
     def entry(f):
         coeffs = {}
         for r in range(calc.n):
-            jet = field(r).derive(f)
+            jet = field(r).derive(f, f.gradient())
             if jet:
                 coeffs[((r,), ()) if p else ((), (r,))] = jet
         return PQForm(calc, p, q, coeffs)
@@ -453,17 +463,99 @@ def inverse_through_identity(m: JetMatrix) -> JetMatrix:
 
 def bracket_without_memo(x: VectorField, y: VectorField) -> VectorField:
     """The oracle of ``VectorField.bracket``: X . grad Y - Y . grad X, each
-    derivative by ``VectorField.derive``, which takes its own partials."""
-    return VectorField([x.derive(c) for c in y.components]) - \
-        VectorField([y.derive(c) for c in x.components])
+    derivative by ``VectorField.derive`` on a gradient of its own."""
+    return VectorField([x.derive(c, c.gradient()) for c in y.components]) - \
+        VectorField([y.derive(c, c.gradient()) for c in x.components])
 
 
 def lc_derivative_without_memo(lc: LeviCivita, xi: VectorField, eta: VectorField):
     """The oracle of ``LeviCivita.derivative``: every product
-    Gamma^c_ab xi^a formed again for each output index c."""
+    Gamma^c_ab xi^a formed again for each output index c, and the gradient
+    of each component of eta taken again."""
     n = lc.calc.n
     live = [(a, b, xa, eb) for a, xa in enumerate(xi.components) if xa
             for b, eb in enumerate(eta.components) if eb]
     return VectorField([Jet.dot([(lc.gamma[c][a][b] * xa, eb) for a, b, xa, eb in live],
-                                n, lc.calc.order, start=xi.derive(eta.components[c]))
-                        for c in range(2 * n)])
+                                n, lc.calc.order, start=xi.derive(f, f.gradient()))
+                        for c, f in enumerate(eta.components)])
+
+
+def chern_derivative_without_memo(calc: FrameCalculus, conn: ConnectionForms,
+                                  xi: VectorField, eta: VectorField) -> VectorField:
+    """The oracle of ``chern.chern_derivative``: the gradient of each frame
+    component of eta taken again."""
+    n = calc.n
+    comps = calc.frame.to_frame_components(eta)
+    start = [xi.derive(c, c.gradient()) for c in comps]
+    a_of_xi = conn.pair_with(xi)
+    out = [Jet.dot([(a_of_xi[k, l], comps[l]) for l in range(n)], n, calc.order,
+                   start=start[k]) for k in range(n)]
+    out += [Jet.dot([(a_of_xi[k, l].conj(), comps[n + l]) for l in range(n)], n, calc.order,
+                    start=start[n + k]) for k in range(n)]
+    return calc.frame.from_frame_components(out)
+
+
+class PowerTableConnection:
+    """The oracle of ``geodesic.PackedConnection``, built from the coordinate
+    connection matrices ``a_z`` (2n matrices 2n x 2n): per term, the flat
+    positions of its factors in a power table of u = (gamma, gdot,
+    conj gamma, conj gdot), as pairs (z_k, zbar_k) of exponents followed by
+    the pair of velocity components (a, j) at power one.  A term is
+    ((c (z^alpha zbar^beta)) v_a) v_j, with z^alpha and zbar^beta each
+    ((f_0 f_1) f_2) ... over the powers ``u ** degrees``.  It has the
+    attributes and methods the RK4 loop reads (``n``, ``flat``, ``rate``)."""
+
+    def __init__(self, n, a_z):
+        self.n = n
+        terms = []
+        for a, mat in enumerate(a_z):
+            for i in range(2 * n):
+                for j in range(2 * n):
+                    for (alpha, beta), c in mat[i, j].terms.items():
+                        terms.append((i, j, a, alpha + beta, c))
+        terms.sort(key=lambda t: t[0])
+        rows = np.array([t[0] for t in terms], dtype=np.intp)
+        exps = np.array([t[3] for t in terms], dtype=np.intp).reshape(-1, 2 * n)
+        self.degrees = np.arange(max(exps.max(initial=0), 1) + 1)
+        width = len(self.degrees)
+        var_pos = np.concatenate([np.arange(n), 2 * n + np.arange(n)])
+        vel_pos = var_pos + n
+        comps = np.array([t[2] for t in terms], dtype=np.intp)
+        cols = np.array([t[1] for t in terms], dtype=np.intp)
+        var_at = (var_pos * width + exps).reshape(-1, 2, n).transpose(0, 2, 1)
+        vel_at = np.stack([vel_pos[comps], vel_pos[cols]], axis=-1) * width + 1
+        gather = np.concatenate([var_at, vel_at[:, None]], axis=1).transpose(1, 2, 0)
+        coeffs = np.array([t[4] for t in terms], dtype=complex)
+        scatter = np.zeros((len(terms), 2 * n), dtype=complex)
+        scatter[np.arange(len(terms)), rows] = -1.0
+        first = int(np.count_nonzero(rows < n))
+        self.flat = not terms
+        self.tables = {
+            n: (coeffs[:first], np.ascontiguousarray(gather[..., :first]),
+                np.ascontiguousarray(scatter[:first, :n])),
+            2 * n: (coeffs, np.ascontiguousarray(gather), scatter),
+        }
+
+    def terms(self, y, nrows):
+        """The terms of the first ``nrows`` rows at the states y, (..., terms),
+        and the scatter (terms, nrows) that sums them with the minus sign."""
+        n = self.n
+        coeffs, gather, scatter = self.tables[nrows]
+        u = np.concatenate([y, y.conj()], axis=-1)
+        powers = (u[..., None] ** self.degrees).reshape(
+            u.shape[:-1] + (u.shape[-1] * len(self.degrees),))
+        f = powers.take(gather, axis=-1)
+        mono = f[..., 0, :, :]
+        for k in range(1, n):
+            mono = mono * f[..., k, :, :]
+        vals = coeffs * (mono[..., 0, :] * mono[..., 1, :]) \
+            * f[..., n, 0, :] * f[..., n, 1, :]
+        return vals, scatter
+
+    def rate(self, y):
+        vals, scatter = self.terms(y, self.n)
+        return np.concatenate([y[..., self.n:], vals @ scatter], axis=-1)
+
+    def action(self, gamma, gdot):
+        vals, scatter = self.terms(np.concatenate([gamma, gdot], axis=-1), 2 * self.n)
+        return vals @ scatter

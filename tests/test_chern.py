@@ -303,7 +303,7 @@ class TestLeviCivita:
                 eta = VectorField.coordinate(n, 4, b)
                 for c in range(2 * n):
                     mu = VectorField.coordinate(n, 4, c)
-                    lhs = xi.derive(lc.g[b, c])
+                    lhs = xi.derive(lc.g[b, c], lc.g[b, c].gradient())
                     de = lc.derivative(xi, eta)
                     dm = lc.derivative(xi, mu)
                     rhs = Jet.zero(n, 4)

@@ -4,10 +4,13 @@ code: ``Jet.__sub__`` folds held - c with no negated copy, and it and
 by attribute and folds a scalar pair straight into its sum;
 ``JetMatrix.inverse`` starts an identity constant term from X = M - I;
 ``VectorField.bracket`` reads each field's partials from that field's memo;
-``LeviCivita.derivative`` keeps the products Gamma^c_ab xi^a of its last xi.
-Each is compared with its oracle in ``germs.py`` on ``repr`` of ``_terms``
-(zero signs included) and effective orders, and count pins show the work
-each one no longer repeats."""
+``LeviCivita.derivative`` keeps the products Gamma^c_ab xi^a of its last xi
+and, like ``chern.chern_derivative``, reads the partials of eta's
+components from eta's memo (coordinate and frame components apart); a
+0-form keeps its gradient for del and delbar.  Each is compared with its
+oracle in ``germs.py`` on ``repr`` of ``_terms`` (zero signs included) and
+effective orders, and count pins show the work each one no longer
+repeats."""
 
 import math
 
@@ -16,16 +19,19 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from acgeom.chern import LeviCivita, chern_connection, hermitian_compat_residual
+from acgeom.chern import (ChernLeviCivita, LeviCivita, chern_connection, chern_derivative,
+                          curvature, function_matrix, hermitian_compat_residual,
+                          pointwise_curvature_residual)
 from acgeom.forms import FrameCalculus
 from acgeom.jets import QC, Jet, JetMatrix, SingularMatrixError
 from acgeom.structure import (VectorField, bracket_coefficients, frame_and_dual,
                               nijenhuis_check, torsion_tensor)
 
-from germs import (bench_frame_structure, bracket_without_memo, dot_by_parts,
-                   inverse_through_identity, jet_difference_by_negation,
-                   jet_sum_pruning_every_key, lc_derivative_without_memo,
-                   metric_from_families, random_deformation)
+from germs import (bench_frame_germ, bench_frame_structure, bracket_without_memo,
+                   chern_derivative_without_memo, dot_by_parts, inverse_through_identity,
+                   jet_difference_by_negation, jet_sum_pruning_every_key,
+                   lc_derivative_without_memo, metric_from_families, random_b_normal,
+                   random_deformation)
 
 CELLS = [(1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)]
 MODES = ("complex", "real", "exact")
@@ -192,11 +198,16 @@ def test_brackets_match_the_memo_free_bracket(n, order):
     check()
 
 
-def _levi_civita(seed, n, order):
+def _germ(seed, n, order):
+    """A random deformation and a z-dependent metric."""
     s = random_deformation(seed % 8, n=n, order=order)
     rng = np.random.default_rng(seed)
     lin = 0.1 * (rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n)))
-    return LeviCivita(FrameCalculus(s), metric_from_families(n, order, lin=lin))
+    return FrameCalculus(s), metric_from_families(n, order, lin=lin)
+
+
+def _levi_civita(seed, n, order):
+    return LeviCivita(*_germ(seed, n, order))
 
 
 @pytest.mark.parametrize("n, order", CELLS)
@@ -215,6 +226,28 @@ def test_levi_civita_derivative_matches_the_memo_free_sum(n, order):
                      (frame.real_frame_field(0), e2), (frame.real_frame_field(0), xi)):
             assert _bits(lc.derivative(u, v).components) == \
                 _bits(lc_derivative_without_memo(lc, u, v).components)
+    check()
+
+
+@pytest.mark.parametrize("n, order", CELLS)
+def test_chern_derivative_matches_the_memo_free_sum(n, order):
+    @settings(derandomize=True, database=None, max_examples=4, deadline=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(st.integers(0, 2 ** 16), st.sampled_from(MODES[:2]))
+    def check(seed, mode):
+        calc, hd = _germ(seed, n, order)
+        other, other_hd = _germ(seed + 1, n, order)
+        conns = {calc: chern_connection(calc, hd), other: chern_connection(other, other_hd)}
+        rng = np.random.default_rng(seed + 1)
+        xi, zeta, e1, e2 = (_field(rng, n, order, mode) for _ in range(4))
+        # each eta along several fields, and in a second frame in between, so
+        # that its frame memo is replaced and built again
+        for c, u, v in ((calc, xi, e1), (calc, zeta, e1), (calc, xi, e2),
+                        (other, xi, e1), (calc, zeta, e1),
+                        (calc, calc.frame.real_frame_field(0), e2),
+                        (calc, calc.frame.real_frame_field(1 % n), e2)):
+            assert _bits(chern_derivative(c, conns[c], u, v).components) == \
+                _bits(chern_derivative_without_memo(c, conns[c], u, v).components)
     check()
 
 
@@ -306,3 +339,37 @@ class TestEachOperationOnce:
         calls = self._count_partials(monkeypatch)
         hermitian_compat_residual(calc, hd, conn)
         assert len(calls) == 54
+
+    # the seed-1 frame-calculus germs: each real frame field takes the
+    # partials of its coordinate and frame components once over all xi
+    # (128 and 288 when every derivative took its own)
+    @pytest.mark.parametrize("index, partials", [(0, 64), (1, 216)])
+    def test_decomposition_partials(self, monkeypatch, index, partials):
+        s, hd = bench_frame_germ(index, 1)
+        dec = ChernLeviCivita(FrameCalculus(s), hd)
+        calls = self._count_partials(monkeypatch)
+        dec.decomposition_residual()
+        assert len(calls) == partials
+
+    def test_del_and_delbar_share_each_gradient(self, monkeypatch):
+        # (3, 3): 9 entries of conj(H), 6 partials each (108 when del and
+        # delbar took their own)
+        calc, hd = _germ(1, 3, 3)
+        hbar = function_matrix(calc, hd.H.conj())
+        calls = self._count_partials(monkeypatch)
+        hbar.apply("del"), hbar.apply("delbar")
+        assert len(calls) == 54
+
+    def test_pointwise_curvature_partials(self, monkeypatch):
+        # a (3, 3) normal-form germ (A''(0) = 0) and a z-dependent metric:
+        # 342 before forms kept their gradients, when del and delbar of
+        # conj(H) and of A'' (after ``curvature``) each took their own
+        s = random_b_normal(0, n=3, order=3)
+        rng = np.random.default_rng(5)
+        lin = 0.1 * (rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
+        calc, hd = FrameCalculus(s), metric_from_families(3, 3, lin=lin)
+        conn = chern_connection(calc, hd)
+        blocks = curvature(calc, conn)
+        calls = self._count_partials(monkeypatch)
+        assert pointwise_curvature_residual(calc, hd, conn, blocks) < 1e-10
+        assert len(calls) == 252
