@@ -161,11 +161,22 @@ class ConnectionForms:
     aprime: MatrixForm        # (1,0)-form entries
     asecond: MatrixForm       # (0,1)-form entries
 
+    def __post_init__(self):
+        self._pairing = (None, None)
+
     def pair_with(self, x: VectorField):
-        """Matrix of jets A_{k,l}(x) = A'_{k,l}(x) + A''_{k,l}(x)."""
-        n = self.aprime.rows
-        return JetMatrix([[self.aprime[k, l].evaluate([x]) + self.asecond[k, l].evaluate([x])
-                           for l in range(n)] for k in range(n)])
+        """Matrix of jets A_{k,l}(x) = A'_{k,l}(x) + A''_{k,l}(x).
+
+        Forms and fields are never changed after construction, so the
+        matrix of the last field paired is kept, as ``LeviCivita`` keeps its
+        last xi's products: the derivatives along one field (one per eta in
+        ``ChernLeviCivita``) pair it once."""
+        if self._pairing[0] is not x:
+            n = self.aprime.rows
+            self._pairing = (x, JetMatrix([[self.aprime[k, l].evaluate([x])
+                                            + self.asecond[k, l].evaluate([x])
+                                            for l in range(n)] for k in range(n)]))
+        return self._pairing[1]
 
 
 def canonical_delbar_connection(calc: FrameCalculus) -> MatrixForm:

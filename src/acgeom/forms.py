@@ -154,8 +154,10 @@ class PQForm:
         return min(j.effective_order for j in self.coeffs.values())
 
     def coefficient(self, k, l) -> Jet:
+        """u_{K,L}, or the zero of the form's mode for a word it does not
+        hold."""
         return self.coeffs.get((tuple(k), tuple(l)),
-                               Jet.zero(self.calc.n, self.calc.order))
+                               Jet.zero(self.calc.n, self.calc.order, _mode(self.coeffs)))
 
     def gradient(self, key):
         """The 2n partials of the coefficient ``key``, taken on first use."""
@@ -273,7 +275,10 @@ def apply_operator(kind: str, u: PQForm) -> PQForm:
     repeats a factor costs no product, gradient or derivative, and a piece
     whose table entry is empty costs no product.  Every other term is
     formed and summed in the row's term order, so the skipped terms, which
-    add nothing, leave the bits as they are.
+    add nothing, leave the bits as they are.  A piece term is the one
+    product c * entry, entered with one sign, that of its output word times
+    that of its piece: the values are those of scaling by each sign in turn,
+    and only the sign of a zero part can differ.
     """
     calc = u.calc
     op = _OPERATORS.get(kind)
@@ -293,8 +298,8 @@ def apply_operator(kind: str, u: PQForm) -> PQForm:
             fam = (bc.conj_table(table) if conj else getattr(bc, table))[i]
             for row, col, sign, key in entries:
                 entry = fam[row, col]
-                if entry and (jet := (c * entry) * piece_sign):
-                    acc.setdefault(key, []).append((jet, sign))
+                if entry and (jet := c * entry):
+                    acc.setdefault(key, []).append((jet, sign * piece_sign))
     return PQForm(calc, u.p + op.shift[0], u.q + op.shift[1],
                   _sum_terms(acc, n, calc.order))
 

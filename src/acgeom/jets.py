@@ -41,7 +41,9 @@ Which path runs:
   (jet, scalar) pairs.  Each product runs on the path ``*`` would take, but
   no product or partial-sum jet is built: the products' terms go into one
   code-keyed dict (float: with the fold's pruning, equal bit for bit to the
-  fold; exact: as int triples), and one jet is built at the end.
+  fold; exact: as int triples), and one jet is built at the end.  A dense
+  product hands over its nonzero slots, which the merge loop prunes, and an
+  empty sum takes the next product's kept items in one comprehension.
 - ``Jet.compose``: one path for both modes.  The substituted monomials are
   built on coefficient vectors, each one from a monomial of one degree less,
   and summed in one vector-matrix product.  The images live in a
@@ -743,7 +745,7 @@ class Jet:
         order already, so the terms need no sort.
         """
         keep = vec.astype(bool) if exact else ~(np.abs(vec) < PRUNE_EPS)
-        slots = np.flatnonzero(keep)
+        slots = keep.nonzero()[0]
         terms = dict(zip(idx.codes[slots].tolist(), vec[slots].tolist()))
         if not exact:
             vec = np.where(keep, vec, 0)
@@ -761,8 +763,12 @@ class Jet:
         product is pruned as its own jet would be, its terms are added in
         fold order to one code-keyed dict (a new key starts at the ``0`` of
         ``__add__``), and every touched sum below PRUNE_EPS is dropped at
-        once.  Exact: the products are summed by ``_exact_sum``, which
-        reduces each coefficient once.
+        once.  A dense product gives its nonzero slots, pruned by the same
+        loop.  An empty dict, before the first product or after one that
+        cancels every held key, is seeded with the next jet product's kept
+        items at once, each 0 + c: its keys are distinct, so each is new.
+        Exact: the products are summed by ``_exact_sum``, which reduces each
+        coefficient once.
         """
         idx = _index(n, order)
         shape = (n, order, exact)
@@ -792,8 +798,9 @@ class Jet:
                     products.append((a._terms, b._terms))
                     continue
                 if len(a._terms) * len(b._terms) > dense_min_pairs:
+                    # the nonzero slots; the loop below prunes them
                     vec = idx.mul(a._dense(), b._dense())
-                    slots = np.flatnonzero(~(np.abs(vec) < PRUNE_EPS))
+                    slots = vec.nonzero()[0]
                     items = zip(idx.codes[slots].tolist(), vec[slots].tolist())
                 else:
                     items = a._dict_product(b).items()
@@ -815,7 +822,12 @@ class Jet:
                             del acc[k]
                 continue
             # a key absent from acc gets 0 + c, which is of modulus |c|, so
-            # only held keys are ever dropped
+            # only held keys are ever dropped, and an empty acc takes the
+            # kept items of one product, whose keys are distinct, at once
+            if not acc:
+                acc = {k: 0 + c for k, c in items if not abs(c) < PRUNE_EPS}
+                get = acc.get
+                continue
             for k, c in items:
                 if not abs(c) < PRUNE_EPS:
                     c = get(k, 0) + c

@@ -151,7 +151,16 @@ class VectorField:
         ``grad[a]`` is f's partial along coordinate field a: ``grad`` holds
         f's 2n partials (``f.gradient()``), or reads them from a field's memo
         (``partials``, ``Frame.frame_partials``), which takes each on first
-        use."""
+        use.  A constant f (no term above degree 0) has no partial to read:
+        its derivative is the empty jet at once, trusted as ``Jet.dot`` over
+        the pairs would trust it, to the least of f's order and, over the
+        nonzero components, their trust and f's less one."""
+        if f._terms.keys() <= {0}:
+            eff = f.order
+            for comp in self.components:
+                if comp:
+                    eff = min(eff, comp.effective_order, f.effective_order - 1)
+            return Jet._make(f.n, f.order, {}, eff, f.exact)
         pairs = [(comp, grad[a]) for a, comp in enumerate(self.components) if comp]
         return Jet.dot(pairs, f.n, f.order, f.exact)
 

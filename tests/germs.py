@@ -9,9 +9,12 @@ oracles of a coordinate change (``series_inverse``, the Jacobian,
 ``transform_structure``) and of ``JetMatrix.coefficients``, and the
 repeat-work oracles of the frame layer (``Jet`` sums and differences,
 ``Jet.dot``, ``JetMatrix.inverse``, ``VectorField.bracket``,
-``LeviCivita.derivative`` and ``chern.chern_derivative``), and a
-power-table evaluator of the geodesic connection, the oracle of
-``geodesic.PackedConnection``."""
+``LeviCivita.derivative``, ``chern.chern_derivative`` and
+``ConnectionForms.pair_with``), the oracles of the frame layer's shortcuts
+(``Jet.dot`` as its fold, ``VectorField.derive`` over all its pairs,
+``forms.apply_operator`` with a scaling per sign), exact copies of a frame
+calculus, and a power-table evaluator of the geodesic connection, the
+oracle of ``geodesic.PackedConnection``."""
 
 from __future__ import annotations
 
@@ -19,13 +22,15 @@ import hashlib
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from acgeom.chern import (ChernLeviCivita, ConnectionForms, HermitianData, LeviCivita,
                           MatrixForm)
-from acgeom.forms import FrameCalculus, PQForm
+from acgeom.forms import _OPERATORS, FrameCalculus, PQForm, _plan, _sum_terms
 from acgeom.jets import (PRUNE_EPS, QC, Jet, JetError, JetMatrix, SingularMatrixError,
                          Substitution, _as_qc, _check_operand, _exact_inverse, _exact_sum, _index,
                          multi_index, nan_max, zero_coefficients)
@@ -433,6 +438,62 @@ def dot_by_parts(pairs, n, order, exact=False, start=None) -> Jet:
     return Jet._make(n, order, dict(sorted(acc.items())), eff, False)
 
 
+def dot_by_fold(pairs, n, order, exact=False, start=None) -> Jet:
+    """The definition of ``Jet.dot``: acc = start (``Jet.zero`` without
+    one), then acc = acc + a * b over the pairs, each product a jet."""
+    acc = Jet.zero(n, order, exact) if start is None else start
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def apply_operator_scaling_each_sign(kind, u: PQForm) -> PQForm:
+    """The oracle of ``forms.apply_operator``: each piece term scaled by its
+    piece's sign as a jet, (c * entry) * piece sign, before the sign of its
+    word scales it again, and each derivative term formed by
+    ``derive_over_pairs``, a constant coefficient's too."""
+    calc = u.calc
+    op = _OPERATORS[kind]
+    n, bc = calc.n, calc.bc
+    acc = {}
+    for (kk, ll), c in u.coeffs.items():
+        derive, pieces = _plan(kind, n, kk, ll)
+        for r, sign, key in derive:
+            field = (calc.frame.zeta, calc.frame.zeta_bar)[op.derive](r)
+            if jet := derive_over_pairs(field, c):
+                acc.setdefault(key, []).append((jet, sign))
+        for table, conj, i, piece_sign, entries in pieces:
+            fam = (bc.conj_table(table) if conj else getattr(bc, table))[i]
+            for row, col, sign, key in entries:
+                entry = fam[row, col]
+                if entry and (jet := (c * entry) * piece_sign):
+                    acc.setdefault(key, []).append((jet, sign))
+    return PQForm(calc, u.p + op.shift[0], u.q + op.shift[1],
+                  _sum_terms(acc, n, calc.order))
+
+
+def exact_jet(jet: Jet) -> Jet:
+    """An exact jet of the values of a finite float jet, each part read as
+    the rational its binary float is, with the same trusted degrees."""
+    terms = {key: QC(Fraction(c.real), Fraction(c.imag)) for key, c in jet.terms.items()}
+    return Jet(jet.n, jet.order, terms, exact=True).trusted(jet.effective_order)
+
+
+def exact_frame_calculus(calc: FrameCalculus):
+    """The frame and bracket tables of ``calc`` as exact jets of their float
+    values, with the attributes ``forms.apply_operator`` reads (``n``,
+    ``order``, ``frame``, ``bc``); forms on it hold exact coefficients."""
+    def exact(m):
+        return m.map(exact_jet)
+
+    bc = calc.bc
+    return SimpleNamespace(
+        n=calc.n, order=calc.order,
+        frame=Frame(exact(calc.frame.G), exact(calc.frame.Ginv)),
+        bc=BracketCoefficients(*([exact(m) for m in getattr(bc, name)]
+                                 for name in "MNUV")))
+
+
 def inverse_through_identity(m: JetMatrix) -> JetMatrix:
     """The oracle of ``JetMatrix.inverse``: the Neumann series of
     X = M0^-1 (M - M0) from the power I, every power a product with X, and
@@ -480,14 +541,30 @@ def lc_derivative_without_memo(lc: LeviCivita, xi: VectorField, eta: VectorField
                         for c, f in enumerate(eta.components)])
 
 
+def pairing_without_memo(conn: ConnectionForms, x: VectorField) -> JetMatrix:
+    """The oracle of ``ConnectionForms.pair_with``: every entry of A' and
+    A'' evaluated on x again."""
+    n = conn.aprime.rows
+    return JetMatrix([[conn.aprime[k, l].evaluate([x]) + conn.asecond[k, l].evaluate([x])
+                       for l in range(n)] for k in range(n)])
+
+
+def derive_over_pairs(x: VectorField, f: Jet) -> Jet:
+    """The oracle of ``VectorField.derive``: ``Jet.dot`` over the pairs of
+    each nonzero component of x with f's partial, a constant f too."""
+    return Jet.dot([(comp, g) for comp, g in zip(x.components, f.gradient()) if comp],
+                   f.n, f.order, f.exact)
+
+
 def chern_derivative_without_memo(calc: FrameCalculus, conn: ConnectionForms,
                                   xi: VectorField, eta: VectorField) -> VectorField:
     """The oracle of ``chern.chern_derivative``: the gradient of each frame
-    component of eta taken again."""
+    component of eta taken again, every derivative over all its pairs, and
+    xi paired with the connection again."""
     n = calc.n
     comps = calc.frame.to_frame_components(eta)
-    start = [xi.derive(c, c.gradient()) for c in comps]
-    a_of_xi = conn.pair_with(xi)
+    start = [derive_over_pairs(xi, c) for c in comps]
+    a_of_xi = pairing_without_memo(conn, xi)
     out = [Jet.dot([(a_of_xi[k, l], comps[l]) for l in range(n)], n, calc.order,
                    start=start[k]) for k in range(n)]
     out += [Jet.dot([(a_of_xi[k, l].conj(), comps[n + l]) for l in range(n)], n, calc.order,
