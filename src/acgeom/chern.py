@@ -196,18 +196,12 @@ def canonical_delbar_connection(calc: FrameCalculus) -> MatrixForm:
     return MatrixForm(entries)
 
 
-def function_matrix(calc, jm: JetMatrix) -> MatrixForm:
-    """A matrix of jet functions as 0-forms.  Each entry keeps its gradient
-    (``PQForm.gradient``), so del and delbar of one such matrix take it
-    once."""
-    return MatrixForm([[calc.function(f) for f in row] for row in jm.entries])
-
-
 def derive_matrix(calc, jm: JetMatrix, kind) -> MatrixForm:
     """Entrywise ``kind`` derivative of a matrix of jet functions, by
     ``apply_operator`` on each entry as a 0-form: "del" gives a (1,0)-form
     per entry, "delbar" a (0,1)-form."""
-    return function_matrix(calc, jm).apply(kind)
+    return MatrixForm([[apply_operator(kind, calc.function(f)) for f in row]
+                       for row in jm.entries])
 
 
 def chern_connection(calc: FrameCalculus, hd: HermitianData) -> ConnectionForms:
@@ -225,12 +219,9 @@ def chern_connection(calc: FrameCalculus, hd: HermitianData) -> ConnectionForms:
 
 def hermitian_compat_residual(calc, hd, conn: ConnectionForms):
     """Largest deviation in xi.h(s,t) = h(D_xi s, t) + h(s, D_conj(xi) t)
-    over frame sections and frame directions.  Each metric entry's gradient
-    is taken once and shared by its derivatives along every zeta_p and
-    zetabar_p."""
+    over frame sections and frame directions."""
     n = calc.n
     h = hd.H
-    grads = [[h[l, m].gradient() for m in range(n)] for l in range(n)]
     residuals = []
     ap = [[[conn.aprime[s, l].coefficient((p,), ()) for p in range(n)]
            for l in range(n)] for s in range(n)]
@@ -239,13 +230,13 @@ def hermitian_compat_residual(calc, hd, conn: ConnectionForms):
     for p in range(n):
         for l in range(n):
             for m in range(n):
-                lhs = calc.frame.zeta(p).derive(h[l, m], grads[l][m])
+                lhs = calc.frame.zeta(p).derive(h[l, m])
                 rhs = Jet.dot([t for s in range(n)
                                for t in ((ap[s][l][p], h[s, m]),
                                          (asec[s][m][p].conj(), h[l, s]))], n, calc.order)
                 eff = min(lhs.effective_order, rhs.effective_order)
                 residuals.append((lhs - rhs).max_abs(eff))
-                lhs2 = calc.frame.zeta_bar(p).derive(h[l, m], grads[l][m])
+                lhs2 = calc.frame.zeta_bar(p).derive(h[l, m])
                 rhs2 = Jet.dot([t for s in range(n)
                                 for t in ((asec[s][l][p], h[s, m]),
                                           (ap[s][m][p].conj(), h[l, s]))], n, calc.order)
@@ -357,8 +348,8 @@ def pointwise_curvature_residual(calc, hd, conn, blocks):
                     for k in range(n) for l in range(n) for r in range(n))
     if asec0 > 1e-10:
         raise JetError("pointwise formula needs a delbar-flat frame at 0")
-    hbar = function_matrix(calc, hd.H.conj())
-    d_h, db_h = hbar.apply("del"), hbar.apply("delbar")
+    hbar = hd.H.conj()
+    d_h, db_h = derive_matrix(calc, hbar, "del"), derive_matrix(calc, hbar, "delbar")
     expr = d_h.apply("delbar") - db_h.wedge(d_h) + conn.asecond.apply("del") \
         - conn.asecond.conj_transpose().apply("delbar")
     diff = expr - blocks.theta11
@@ -370,13 +361,12 @@ def pointwise_curvature_residual(calc, hd, conn, blocks):
 
 def chern_derivative(calc, conn: ConnectionForms, xi: VectorField,
                      eta: VectorField) -> VectorField:
-    """D_xi eta through the frame-block connection diag(A, conj(A)); the
-    partials of eta's frame components come from eta's memo."""
+    """D_xi eta through the frame-block connection diag(A, conj(A))."""
     n = calc.n
     frame = calc.frame
     comps = frame.to_frame_components(eta)
     a_of_xi = conn.pair_with(xi)
-    start = [xi.derive(c, frame.frame_partials(eta, k)) for k, c in enumerate(comps)]
+    start = [xi.derive(c) for c in comps]
     out = [Jet.dot([(a_of_xi[k, l], comps[l]) for l in range(n)], n, calc.order,
                    start=start[k]) for k in range(n)]
     out += [Jet.dot([(a_of_xi[k, l].conj(), comps[n + l]) for l in range(n)], n, calc.order,
@@ -411,8 +401,7 @@ class LeviCivita:
         except SingularMatrixError as exc:
             raise JetError("degenerate riemannian metric at the origin") from exc
         self.calc = calc
-        derivs = [[[_coordinate_derivative(self.g[a, b], c, n)
-                    for c in range(dim)] for b in range(dim)] for a in range(dim)]
+        derivs = [[self.g[a, b].gradient() for b in range(dim)] for a in range(dim)]
         # the first-kind sums d_b g_{da} + d_a g_{db} - d_d g_{ab} over d,
         # formed once for every output index c
         first = {(a, b): [derivs[b][d][a] + derivs[a][d][b] - derivs[a][b][d]
@@ -432,9 +421,7 @@ class LeviCivita:
 
         The products Gamma^c_ab xi^a are kept, keyed by (c, a, b), for the
         last ``xi`` derived along, so the calls along one xi (one per eta in
-        ``decomposition_residual``) form each of them once; the partials of
-        eta's components come from eta's memo, so the calls on one eta (one
-        per xi) take each of them once."""
+        ``decomposition_residual``) form each of them once."""
         n = self.calc.n
         if self._xi_products[0] is not xi:
             self._xi_products = (xi, {})
@@ -450,16 +437,12 @@ class LeviCivita:
                     p = products[c, a, b] = self.gamma[c][a][b] * xa
                 pairs.append((p, eb))
             out.append(Jet.dot(pairs, n, self.calc.order,
-                               start=xi.derive(f, eta.partials(c))))
+                               start=xi.derive(f)))
         return VectorField(out)
 
     def torsion_free_residual(self, xi, eta):
         lhs = self.derivative(xi, eta) - self.derivative(eta, xi) - xi.bracket(eta)
         return lhs.max_abs(lhs.effective_order)
-
-
-def _coordinate_derivative(jet, a, n):
-    return jet.dz(a) if a < n else jet.dzbar(a - n)
 
 
 # -- Chern vs Levi-Civita -----------------------------------------------------
@@ -659,9 +642,8 @@ class ChernLeviCivita:
 def _transform_connection(calc, conn: ConnectionForms, g: JetMatrix):
     """Connection forms after the frame change sigma = e . g."""
     ginv = g.inverse()
-    gf = function_matrix(calc, g)
-    ap = gf.apply("del") + conn.aprime.right_mul_jets(g)
-    asec = gf.apply("delbar") + conn.asecond.right_mul_jets(g)
+    ap = derive_matrix(calc, g, "del") + conn.aprime.right_mul_jets(g)
+    asec = derive_matrix(calc, g, "delbar") + conn.asecond.right_mul_jets(g)
     return ConnectionForms(ap.left_mul_jets(ginv), asec.left_mul_jets(ginv))
 
 
@@ -791,7 +773,7 @@ def connection_matrix_coordinate(calc, conn: ConnectionForms):
                     (a + n) % dim].conj()
     out = []
     for a in range(dim):
-        dg = g.map(lambda e, a=a: _coordinate_derivative(e, a, n))
+        dg = g.map(lambda e, a=a: e.partial(a))
         out.append(g_inv @ (dg + a_coord[a] @ g))
     return out
 

@@ -508,7 +508,9 @@ def _cmd_geodesic(ms, opts, payload):
         scales = tuple(_parse_floats(opts.scales, "--scales"))
         if not all(s > 0 for s in scales):
             raise SpecError("--scales", "scales must be positive")
-        if len(set(scales)) < 2:
+        if len(set(scales)) < len(scales):
+            raise SpecError("--scales", "scales must be distinct")
+        if len(scales) < 2:
             raise SpecError("--scales", "need at least two distinct scales")
     z = _parse_vector(opts.z, ms.n, "--z") if opts.z else np.zeros(ms.n, complex)
     v = _parse_vector(opts.v, ms.n, "--v") if opts.v else \
@@ -640,7 +642,7 @@ def main(argv=None):
     opts_dict = {f.name: getattr(args, f.name) for f in fields(Options)}
     tasks = [(args.command, p, opts_dict) for p in paths]
     if len(tasks) > 1 and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_run_file, tasks))
     else:
         results = [_run_file(t) for t in tasks]

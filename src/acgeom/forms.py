@@ -89,18 +89,16 @@ class FrameCalculus:
 class PQForm:
     """Form of fixed bidegree: coefficients u_{K,L} on zeta*_K wedge zetabar*_L.
 
-    Forms are never changed after construction, so the gradient of each
-    coefficient is kept on the form once taken (``gradient``): the operators
-    applied to one form, del and delbar, share it."""
+    Each coefficient jet keeps its partials once taken (``Jet.partial``),
+    so the operators applied to one form, del and delbar, share them."""
 
-    __slots__ = ("calc", "p", "q", "coeffs", "_grads")
+    __slots__ = ("calc", "p", "q", "coeffs")
 
     def __init__(self, calc: FrameCalculus, p, q, coeffs):
         self.calc = calc
         self.p = p
         self.q = q
         self.coeffs = {}
-        self._grads = {}
         if (p < 0 or q < 0) and coeffs:
             raise JetError("negative bidegree forms must be empty")
         for (k, l), jet in coeffs.items():
@@ -158,13 +156,6 @@ class PQForm:
         hold."""
         return self.coeffs.get((tuple(k), tuple(l)),
                                Jet.zero(self.calc.n, self.calc.order, _mode(self.coeffs)))
-
-    def gradient(self, key):
-        """The 2n partials of the coefficient ``key``, taken on first use."""
-        grad = self._grads.get(key)
-        if grad is None:
-            grad = self._grads[key] = self.coeffs[key].gradient()
-        return grad
 
     def wedge(self, other: "PQForm") -> "PQForm":
         if self.calc is not other.calc:
@@ -272,7 +263,7 @@ def apply_operator(kind: str, u: PQForm) -> PQForm:
     zero yields the empty form.  Each u_{K,L} gives its derivative terms,
     then one piece per factor of its word in word order, over r, then t.
     The terms run from the word's ``_plan``, so a term whose output word
-    repeats a factor costs no product, gradient or derivative, and a piece
+    repeats a factor costs no product, partial or derivative, and a piece
     whose table entry is empty costs no product.  Every other term is
     formed and summed in the row's term order, so the skipped terms, which
     add nothing, leave the bits as they are.  A piece term is the one
@@ -289,10 +280,9 @@ def apply_operator(kind: str, u: PQForm) -> PQForm:
     for (kk, ll), c in u.coeffs.items():
         derive, pieces = _plan(kind, n, kk, ll)
         if derive:
-            grad = u.gradient((kk, ll))
             field = (calc.frame.zeta, calc.frame.zeta_bar)[op.derive]
             for r, sign, key in derive:
-                if jet := field(r).derive(c, grad):
+                if jet := field(r).derive(c):
                     acc.setdefault(key, []).append((jet, sign))
         for table, conj, i, piece_sign, entries in pieces:
             fam = (bc.conj_table(table) if conj else getattr(bc, table))[i]
@@ -382,7 +372,7 @@ class CoordForm:
         acc = {}
         for key, c in self.coeffs.items():
             for a in range(2 * self.n):
-                dc = c.dz(a) if a < self.n else c.dzbar(a - self.n)
+                dc = c.partial(a)
                 if not dc or a in key:
                     continue
                 merged = sorted(key + (a,))

@@ -24,7 +24,9 @@ its ``searchsorted`` position, and every product pair (I, J) of degree
 <= order, sorted by the slot of I + J, so one product is a gather, a
 multiply and one ``np.add.reduceat``.  A jet computes its vector (complex,
 or an object array of ``QC`` when exact) on first use and keeps it, since
-jets are immutable.
+jets are immutable, and by the same rule each partial once taken
+(``Jet.partial``).  A copy (``trusted``, ``with_order``, ``conj``, ...)
+starts with none: its partials trust one degree less than it does.
 
 Which path runs:
 
@@ -510,13 +512,13 @@ class Jet:
     jet trusts every degree, and ``trusted`` restates it.
     """
 
-    __slots__ = ("n", "order", "effective_order", "exact", "_terms", "_pack")
+    __slots__ = ("n", "order", "effective_order", "exact", "_terms", "_pack", "_grad")
 
     def __init__(self, n, order, terms, exact=False):
         _check_layout(n, order)
         self.n, self.order, self.exact = n, order, exact
         self.effective_order = order
-        self._pack = None
+        self._pack = self._grad = None
         if not terms:
             self._terms = {}
             return
@@ -733,6 +735,7 @@ class Jet:
         jet.effective_order = effective_order if effective_order < order else order
         jet._terms = terms
         jet._pack = pack
+        jet._grad = None
         return jet
 
     @classmethod
@@ -864,10 +867,22 @@ class Jet:
         """Formal partial derivative with respect to zbar_k."""
         return self._partial(k, conjugate=True)
 
+    def partial(self, a):
+        """Partial along coordinate field a: ``dz(a)`` for a < n, else
+        ``dzbar(a - n)``; taken on first use and kept on the jet."""
+        n = self.n
+        if not 0 <= a < 2 * n:
+            raise JetError(f"partial index {a} out of range for n={n}")
+        if self._grad is None:
+            self._grad = [None] * (2 * n)
+        d = self._grad[a]
+        if d is None:
+            d = self._grad[a] = self.dz(a) if a < n else self.dzbar(a - n)
+        return d
+
     def gradient(self):
         """The 2n partials: d/dz_1..d/dz_n, then d/dzbar_1..d/dzbar_n."""
-        return ([self._partial(k, False) for k in range(self.n)]
-                + [self._partial(k, True) for k in range(self.n)])
+        return [self.partial(a) for a in range(2 * self.n)]
 
     def _partial(self, k, conjugate):
         if not 0 <= k < self.n:

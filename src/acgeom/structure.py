@@ -84,40 +84,21 @@ def word_value(comps, slots, n, order) -> Jet:
     return value if value.effective_order <= floor else value.trusted(floor)
 
 
-class _Partials:
-    """The partials of one jet, each taken on first use and kept in a memo
-    under (index, variable); ``VectorField.derive`` reads it as a gradient."""
-
-    __slots__ = ("jet", "memo", "index")
-
-    def __init__(self, jet, memo, index):
-        self.jet, self.memo, self.index = jet, memo, index
-
-    def __getitem__(self, a):
-        d = self.memo.get((self.index, a))
-        if d is None:
-            f, n = self.jet, self.jet.n
-            d = self.memo[self.index, a] = f.dz(a) if a < n else f.dzbar(a - n)
-        return d
-
-
 class VectorField:
     """Complexified vector field: 2n jet components on (d/dz_k, d/dzbar_k).
 
-    Fields are never changed after construction, so three memos live on the
-    field itself: ``Frame.to_frame_components`` keeps the field's pairings
-    with the dual frame, as (frame, components, partials), and ``partials``
-    keeps each partial of a coordinate component once taken, in
-    ``_partials``, keyed by (component, variable); ``Frame.frame_partials``
-    keeps those of the frame components beside them.  So a field bracketed
-    with, or derived along, many others takes each partial once."""
+    Fields are never changed after construction, so
+    ``Frame.to_frame_components`` keeps the field's pairings with the dual
+    frame on the field, as (frame, components).  The partials of its
+    components, coordinate and frame alike, are kept by those jets
+    (``Jet.partial``), so a field bracketed with, or derived along, many
+    others takes each partial once."""
 
-    __slots__ = ("n", "order", "components", "_frame_comps", "_partials")
+    __slots__ = ("n", "order", "components", "_frame_comps")
 
     def __init__(self, components):
         self.components = list(components)
         self._frame_comps = None
-        self._partials = {}
         self.n = len(self.components) // 2
         self.order = self.components[0].order
         if len(self.components) != 2 * self.n:
@@ -145,38 +126,27 @@ class VectorField:
         comps = [c.conj() for c in self.components]
         return VectorField(comps[self.n:] + comps[: self.n])
 
-    def derive(self, f: Jet, grad) -> Jet:
-        """Directional derivative of a jet function along this field.
-
-        ``grad[a]`` is f's partial along coordinate field a: ``grad`` holds
-        f's 2n partials (``f.gradient()``), or reads them from a field's memo
-        (``partials``, ``Frame.frame_partials``), which takes each on first
-        use.  A constant f (no term above degree 0) has no partial to read:
-        its derivative is the empty jet at once, trusted as ``Jet.dot`` over
-        the pairs would trust it, to the least of f's order and, over the
-        nonzero components, their trust and f's less one."""
+    def derive(self, f: Jet) -> Jet:
+        """Directional derivative of a jet function along this field:
+        ``Jet.dot`` over each nonzero component with f's partial along its
+        coordinate field (``f.partial``, kept on f).  A constant f (no term
+        above degree 0) has no partial to take: its derivative is the empty
+        jet at once, trusted as ``Jet.dot`` over the pairs would trust it,
+        to the least of f's order and, over the nonzero components, their
+        trust and f's less one."""
         if f._terms.keys() <= {0}:
             eff = f.order
             for comp in self.components:
                 if comp:
                     eff = min(eff, comp.effective_order, f.effective_order - 1)
             return Jet._make(f.n, f.order, {}, eff, f.exact)
-        pairs = [(comp, grad[a]) for a, comp in enumerate(self.components) if comp]
+        pairs = [(comp, f.partial(a)) for a, comp in enumerate(self.components) if comp]
         return Jet.dot(pairs, f.n, f.order, f.exact)
 
-    def partials(self, i):
-        """The partials of component i, from this field's memo, as a
-        gradient for ``derive``."""
-        return _Partials(self.components[i], self._partials, i)
-
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [X, Y] = X . grad Y - Y . grad X, componentwise; the
-        partials of each field's components come from its memo."""
-        return VectorField(self._along(other)) - VectorField(other._along(self))
-
-    def _along(self, other):
-        """X . grad Y for X = self and Y = other."""
-        return [self.derive(f, other.partials(i)) for i, f in enumerate(other.components)]
+        """Lie bracket [X, Y] = X . grad Y - Y . grad X, componentwise."""
+        return (VectorField([self.derive(f) for f in other.components])
+                - VectorField([other.derive(f) for f in self.components]))
 
     def max_abs(self, max_degree=None):
         return nan_max(c.max_abs(max_degree) for c in self.components)
@@ -289,20 +259,11 @@ class Frame:
 
     def to_frame_components(self, x: VectorField):
         """The 2n pairings of x with the dual frame, as a tuple, kept on x."""
-        return self._frame_memo(x)[1]
-
-    def frame_partials(self, x: VectorField, k):
-        """The partials of x's frame component k, kept on x beside the
-        components, as a gradient for ``VectorField.derive``."""
-        _, comps, memo = self._frame_memo(x)
-        return _Partials(comps[k], memo, k)
-
-    def _frame_memo(self, x):
         memo = x._frame_comps
         if memo is None or memo[0] is not self:
             memo = x._frame_comps = (
-                self, tuple(self.dual_pair(k, x) for k in range(2 * self.n)), {})
-        return memo
+                self, tuple(self.dual_pair(k, x) for k in range(2 * self.n)))
+        return memo[1]
 
     def from_frame_components(self, comps) -> VectorField:
         return VectorField([Jet.dot(zip(row, comps), self.n, self.order)

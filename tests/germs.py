@@ -14,7 +14,9 @@ repeat-work oracles of the frame layer (``Jet`` sums and differences,
 (``Jet.dot`` as its fold, ``VectorField.derive`` over all its pairs,
 ``forms.apply_operator`` with a scaling per sign), exact copies of a frame
 calculus, and a power-table evaluator of the geodesic connection, the
-oracle of ``geodesic.PackedConnection``."""
+oracle of ``geodesic.PackedConnection``.  The oracles take every partial
+afresh by ``dz`` and ``dzbar`` (``partials_without_memo``), never from the
+memo of ``Jet.partial``."""
 
 from __future__ import annotations
 
@@ -240,14 +242,14 @@ def form_matrix_max_abs(m: MatrixForm, max_degree=None):
 def derive_matrix_per_field(calc: FrameCalculus, jm: JetMatrix, kind) -> MatrixForm:
     """The oracle of ``chern.derive_matrix``: per entry f, a loop over the
     frame fields puts zeta_r(f) on zeta*_r ("del") or zetabar_r(f) on
-    zetabar*_r ("delbar"), each derivative taken by ``VectorField.derive``."""
+    zetabar*_r ("delbar"), each derivative by ``derive_over_pairs``."""
     field, p, q = {"del": (calc.frame.zeta, 1, 0),
                    "delbar": (calc.frame.zeta_bar, 0, 1)}[kind]
 
     def entry(f):
         coeffs = {}
         for r in range(calc.n):
-            jet = field(r).derive(f, f.gradient())
+            jet = derive_over_pairs(field(r), f)
             if jet:
                 coeffs[((r,), ()) if p else ((), (r,))] = jet
         return PQForm(calc, p, q, coeffs)
@@ -524,20 +526,20 @@ def inverse_through_identity(m: JetMatrix) -> JetMatrix:
 
 def bracket_without_memo(x: VectorField, y: VectorField) -> VectorField:
     """The oracle of ``VectorField.bracket``: X . grad Y - Y . grad X, each
-    derivative by ``VectorField.derive`` on a gradient of its own."""
-    return VectorField([x.derive(c, c.gradient()) for c in y.components]) - \
-        VectorField([y.derive(c, c.gradient()) for c in x.components])
+    derivative by ``derive_over_pairs``."""
+    return VectorField([derive_over_pairs(x, c) for c in y.components]) - \
+        VectorField([derive_over_pairs(y, c) for c in x.components])
 
 
 def lc_derivative_without_memo(lc: LeviCivita, xi: VectorField, eta: VectorField):
     """The oracle of ``LeviCivita.derivative``: every product
-    Gamma^c_ab xi^a formed again for each output index c, and the gradient
+    Gamma^c_ab xi^a formed again for each output index c, and the partials
     of each component of eta taken again."""
     n = lc.calc.n
     live = [(a, b, xa, eb) for a, xa in enumerate(xi.components) if xa
             for b, eb in enumerate(eta.components) if eb]
     return VectorField([Jet.dot([(lc.gamma[c][a][b] * xa, eb) for a, b, xa, eb in live],
-                                n, lc.calc.order, start=xi.derive(f, f.gradient()))
+                                n, lc.calc.order, start=derive_over_pairs(xi, f))
                         for c, f in enumerate(eta.components)])
 
 
@@ -549,16 +551,22 @@ def pairing_without_memo(conn: ConnectionForms, x: VectorField) -> JetMatrix:
                        for l in range(n)] for k in range(n)])
 
 
+def partials_without_memo(f: Jet):
+    """f's 2n partials, taken again by ``dz`` and ``dzbar``, which keep
+    nothing: no oracle reads the memo of ``Jet.partial``."""
+    return [f.dz(k) for k in range(f.n)] + [f.dzbar(k) for k in range(f.n)]
+
+
 def derive_over_pairs(x: VectorField, f: Jet) -> Jet:
     """The oracle of ``VectorField.derive``: ``Jet.dot`` over the pairs of
     each nonzero component of x with f's partial, a constant f too."""
-    return Jet.dot([(comp, g) for comp, g in zip(x.components, f.gradient()) if comp],
-                   f.n, f.order, f.exact)
+    return Jet.dot([(comp, g) for comp, g in zip(x.components, partials_without_memo(f))
+                    if comp], f.n, f.order, f.exact)
 
 
 def chern_derivative_without_memo(calc: FrameCalculus, conn: ConnectionForms,
                                   xi: VectorField, eta: VectorField) -> VectorField:
-    """The oracle of ``chern.chern_derivative``: the gradient of each frame
+    """The oracle of ``chern.chern_derivative``: the partials of each frame
     component of eta taken again, every derivative over all its pairs, and
     xi paired with the connection again."""
     n = calc.n

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from acgeom import normal
+from acgeom import cli, normal
 from acgeom.jets import Jet, QC
 from acgeom.structure import AlmostComplexStructure
 from acgeom.cli import (COMMANDS, Options, Report, ReportRow, SpecError,
@@ -479,6 +479,30 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("[PASS]") == 2
+
+    def test_jobs_capped_at_the_file_count(self, tmp_path, capsys, monkeypatch):
+        # the pool forks every worker it is asked for, so two files get two
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        for name in ("fix_j0.json", "fix_b.json"):
+            src = os.path.join(MANIFESTS, name)
+            (tmp_path / name).write_text(open(src, encoding="utf-8").read())
+        rc = main(["validate", str(tmp_path), "--jobs", "64"])
+        assert rc == 0 and capsys.readouterr().out.count("[PASS]") == 2
+        assert asked == [2]
 
     def test_bad_shape_fails_its_file_only(self, tmp_path, capsys):
         (tmp_path / "a_bad.json").write_text('{"n": 2, "order": 4, "structure": []}')

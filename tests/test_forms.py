@@ -153,10 +153,9 @@ def _apply_operator_term_by_term(kind, u):
     for (kk, ll), c in u.coeffs.items():
         word = [(0, i) for i in kk] + [(1, i) for i in ll]
         if op.derive is not None:
-            grad = c.gradient()
             field = (calc.frame.zeta, calc.frame.zeta_bar)[op.derive]
             for r in range(n):
-                accumulate([(op.derive, r)] + word, field(r).derive(c, grad))
+                accumulate([(op.derive, r)] + word, field(r).derive(c))
         for pos, (tag, i) in enumerate(word):
             pc = op.pieces[tag]
             if pc is None:

@@ -3,11 +3,10 @@ code: ``Jet.__sub__`` folds held - c with no negated copy, and it and
 ``__add__`` prune only the keys they touch; ``Jet.dot`` checks its operands
 by attribute and folds a scalar pair straight into its sum;
 ``JetMatrix.inverse`` starts an identity constant term from X = M - I;
-``VectorField.bracket`` reads each field's partials from that field's memo;
-``LeviCivita.derivative`` keeps the products Gamma^c_ab xi^a of its last xi
-and, like ``chern.chern_derivative``, reads the partials of eta's
-components from eta's memo (coordinate and frame components apart); a
-0-form keeps its gradient for del and delbar.  Each is compared with its
+``LeviCivita.derivative`` keeps the products Gamma^c_ab xi^a of its last xi;
+a jet keeps its partials once taken, so ``VectorField.bracket``,
+``LeviCivita.derivative``, ``chern.chern_derivative`` and del and delbar of
+one matrix of functions take each partial once.  Each is compared with its
 oracle in ``germs.py`` on ``repr`` of ``_terms`` (zero signs included) and
 effective orders, and count pins show the work each one no longer
 repeats."""
@@ -20,7 +19,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from acgeom.chern import (ChernLeviCivita, LeviCivita, chern_connection, chern_derivative,
-                          curvature, function_matrix, hermitian_compat_residual,
+                          curvature, derive_matrix, hermitian_compat_residual,
                           pointwise_curvature_residual)
 from acgeom.forms import FrameCalculus
 from acgeom.jets import QC, Jet, JetMatrix, SingularMatrixError
@@ -358,15 +357,16 @@ class TestEachOperationOnce:
         # (3, 3): 9 entries of conj(H), 6 partials each (108 when del and
         # delbar took their own)
         calc, hd = _germ(1, 3, 3)
-        hbar = function_matrix(calc, hd.H.conj())
+        hbar = hd.H.conj()
         calls = self._count_partials(monkeypatch)
-        hbar.apply("del"), hbar.apply("delbar")
+        derive_matrix(calc, hbar, "del"), derive_matrix(calc, hbar, "delbar")
         assert len(calls) == 54
 
     def test_pointwise_curvature_partials(self, monkeypatch):
         # a (3, 3) normal-form germ (A''(0) = 0) and a z-dependent metric:
         # 342 before forms kept their gradients, when del and delbar of
-        # conj(H) and of A'' (after ``curvature``) each took their own
+        # conj(H) and of A'' (after ``curvature``) each took their own; 252
+        # when a form kept them, and A'' took again those ``curvature`` took
         s = random_b_normal(0, n=3, order=3)
         rng = np.random.default_rng(5)
         lin = 0.1 * (rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
@@ -375,4 +375,4 @@ class TestEachOperationOnce:
         blocks = curvature(calc, conn)
         calls = self._count_partials(monkeypatch)
         assert pointwise_curvature_residual(calc, hd, conn, blocks) < 1e-10
-        assert len(calls) == 252
+        assert len(calls) == 174

@@ -562,7 +562,7 @@ class TestGeodesicCommandInputs:
         assert self.fail_row(spec, steps=steps).startswith("error: --steps: ")
 
     @pytest.mark.parametrize("scales", ["1,0", "1,-0.5", "1,nan", "1,x",
-                                        "1", "1,1"])
+                                        "1", "1,1", "1,1,0.5", "1,0.5,1"])
     def test_bad_scales(self, spec, scales):
         check = self.fail_row(spec, scales=scales)
         assert check.startswith("error: --scales: ")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from acgeom.jets import QC, Jet, JetMatrix, _index, series_inverse
+from acgeom.jets import QC, Jet, JetError, JetMatrix, _index, series_inverse
 
 N_VARS, ORDER = 2, 3
 MONOS = _index(N_VARS, ORDER).monos
@@ -423,3 +423,82 @@ def test_exact_sums_equal_the_qc_fold(operands):
     if start is not None:
         assert_exact_terms(Jet.dot(pairs, n, order, True, start),
                            qc_fold(pairs, n, order, start), min(effs + [start.effective_order]))
+
+
+# -- a jet keeps its partials ---------------------------------------------------
+# ``Jet.partial`` keeps each partial on the jet; ``dz`` and ``dzbar`` keep
+# nothing, so they are the oracle.  A copy starts with no partials: its own
+# effective order decides theirs.
+
+def memo_jets(exact):
+    """Jets of every size, float or exact, trusted to a degree drawn from
+    0..ORDER."""
+    return st.tuples(jets((0, len(MONOS))), st.integers(0, ORDER)).map(
+        lambda t: (exact_copy(t[0]) if exact else t[0]).trusted(t[1]))
+
+
+def fresh_partial(jet, a):
+    return jet.dz(a) if a < jet.n else jet.dzbar(a - jet.n)
+
+
+def partial_bits(jet):
+    return repr(jet._terms), jet.effective_order, jet.exact
+
+
+COPIES = {
+    "trusted": lambda f: f.trusted(ORDER - f.effective_order),
+    "with_order": lambda f: f.with_order(ORDER + 1),
+    "padded": lambda f: f.padded(ORDER + 1),
+    "truncated": lambda f: f.truncated(ORDER - 1),
+    "conj": lambda f: f.conj(),
+}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_partial_is_dz_or_dzbar(exact):
+    @PROPERTY
+    @given(memo_jets(exact))
+    def check(f):
+        for a in range(2 * N_VARS):
+            assert partial_bits(f.partial(a)) == partial_bits(fresh_partial(f, a))
+        assert f.gradient() == [f.partial(a) for a in range(2 * N_VARS)]
+    check()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("copy", sorted(COPIES))
+def test_a_copy_takes_partials_of_its_own(copy, exact):
+    @PROPERTY
+    @given(memo_jets(exact))
+    def check(f):
+        f.gradient()
+        g = COPIES[copy](f)
+        for a in range(2 * N_VARS):
+            got = g.partial(a)
+            assert got.effective_order == g.effective_order - 1
+            assert partial_bits(got) == partial_bits(fresh_partial(g, a))
+    check()
+
+
+@pytest.mark.parametrize("a", [-1, 2 * N_VARS])
+def test_partial_index_out_of_range(a):
+    with pytest.raises(JetError, match="out of range"):
+        Jet.one(N_VARS, ORDER).partial(a)
+
+
+def test_a_partial_is_taken_once(monkeypatch):
+    partial, calls = Jet._partial, []
+
+    def counting(jet, k, conjugate):
+        calls.append((k, conjugate))
+        return partial(jet, k, conjugate)
+    monkeypatch.setattr(Jet, "_partial", counting)
+
+    @PROPERTY
+    @given(memo_jets(False) | memo_jets(True))
+    def check(f):
+        first = [f.partial(a) for a in range(2 * N_VARS)]
+        calls.clear()
+        assert all(f.partial(a) is d for a, d in enumerate(first))
+        assert all(g is d for g, d in zip(f.gradient(), first)) and calls == []
+    check()

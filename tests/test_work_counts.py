@@ -45,31 +45,31 @@ COUNTS = {
     ("normalize", "fix_b2.json"): (0, 0, 16, 0, 0, 0),
     ("normalize", "fix_j0.json"): (0, 0, 16, 0, 0, 0),
     ("normalize", "j0_symplectic.json"): (0, 0, 16, 0, 0, 0),
-    ("identities", "deformation_n2.json"): (200, 95, 193, 48, 0, 1),
-    ("identities", "fix_b.json"): (182, 87, 181, 2, 0, 1),
-    ("identities", "fix_b2.json"): (170, 76, 146, 0, 0, 1),
-    ("identities", "fix_j0.json"): (128, 48, 79, 0, 0, 1),
-    ("identities", "j0_symplectic.json"): (128, 48, 79, 0, 0, 1),
-    ("curvature", "deformation_n2.json"): (88, 76, 133, 20, 0, 2),
-    ("curvature", "fix_b.json"): (70, 44, 118, 0, 0, 2),
-    ("curvature", "fix_b2.json"): (58, 24, 88, 0, 0, 2),
-    ("curvature", "fix_j0.json"): (32, 16, 36, 0, 0, 2),
-    ("curvature", "j0_symplectic.json"): (40, 21, 61, 3, 0, 2),
-    ("decompose", "deformation_n2.json"): (116, 218, 494, 44, 0, 5),
-    ("decompose", "fix_b.json"): (102, 211, 507, 6, 0, 5),
-    ("decompose", "fix_b2.json"): (102, 210, 471, 0, 0, 5),
-    ("decompose", "fix_j0.json"): (80, 204, 372, 0, 0, 5),
-    ("decompose", "j0_symplectic.json"): (80, 205, 459, 12, 2, 5),
+    ("identities", "deformation_n2.json"): (145, 95, 193, 48, 0, 1),
+    ("identities", "fix_b.json"): (116, 87, 181, 2, 0, 1),
+    ("identities", "fix_b2.json"): (109, 76, 146, 0, 0, 1),
+    ("identities", "fix_j0.json"): (56, 48, 79, 0, 0, 1),
+    ("identities", "j0_symplectic.json"): (56, 48, 79, 0, 0, 1),
+    ("curvature", "deformation_n2.json"): (51, 76, 133, 20, 0, 2),
+    ("curvature", "fix_b.json"): (34, 44, 118, 0, 0, 2),
+    ("curvature", "fix_b2.json"): (23, 24, 88, 0, 0, 2),
+    ("curvature", "fix_j0.json"): (0, 16, 36, 0, 0, 2),
+    ("curvature", "j0_symplectic.json"): (13, 21, 61, 3, 0, 2),
+    ("decompose", "deformation_n2.json"): (100, 218, 494, 44, 0, 5),
+    ("decompose", "fix_b.json"): (86, 211, 507, 6, 0, 5),
+    ("decompose", "fix_b2.json"): (86, 210, 471, 0, 0, 5),
+    ("decompose", "fix_j0.json"): (64, 204, 372, 0, 0, 5),
+    ("decompose", "j0_symplectic.json"): (68, 205, 459, 12, 2, 5),
     ("asymptotics", "deformation_n2.json"): (20, 16, 67, 0, 0, 1),
-    ("asymptotics", "fix_b.json"): (86, 32, 227, 0, 0, 2),
-    ("asymptotics", "fix_b2.json"): (86, 31, 211, 0, 0, 2),
-    ("asymptotics", "fix_j0.json"): (72, 29, 168, 0, 0, 2),
-    ("asymptotics", "j0_symplectic.json"): (72, 30, 178, 2, 4, 2),
-    ("geodesic", "deformation_n2.json"): (92, 19, 195, 2, 16, 2),
-    ("geodesic", "fix_b.json"): (86, 18, 222, 0, 0, 2),
-    ("geodesic", "fix_b2.json"): (86, 17, 206, 0, 0, 2),
-    ("geodesic", "fix_j0.json"): (72, 16, 164, 0, 0, 2),
-    ("geodesic", "j0_symplectic.json"): (72, 17, 174, 2, 4, 2),
+    ("asymptotics", "fix_b.json"): (78, 32, 227, 0, 0, 2),
+    ("asymptotics", "fix_b2.json"): (78, 31, 211, 0, 0, 2),
+    ("asymptotics", "fix_j0.json"): (64, 29, 168, 0, 0, 2),
+    ("asymptotics", "j0_symplectic.json"): (66, 30, 178, 2, 4, 2),
+    ("geodesic", "deformation_n2.json"): (84, 19, 195, 2, 16, 2),
+    ("geodesic", "fix_b.json"): (78, 18, 222, 0, 0, 2),
+    ("geodesic", "fix_b2.json"): (78, 17, 206, 0, 0, 2),
+    ("geodesic", "fix_j0.json"): (64, 16, 164, 0, 0, 2),
+    ("geodesic", "j0_symplectic.json"): (66, 17, 174, 2, 4, 2),
 }
 
 
