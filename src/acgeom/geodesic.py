@@ -13,10 +13,13 @@ doubling makes its first s steps in the same batch as the undoubled run, and
 makes the two runs one after the other when a state leaves the radius there.
 Each later doubling re-runs only the scales whose endpoint has not settled.
 The connection is evaluated on the packed state from tables precomputed once
-per germ (``PackedConnection``), the same ones for the RK4 rate, the
+per germ (``PackedConnection``), by one kernel for the RK4 rate, the
 acceleration and the reality check of its conjugate block: each term of
--(A_z(v) v) is one chain of factors of the state, so a rate is one gather,
-one product along the chains and one matmul.
+-(A_z(v) v) is one chain of factors of the state, so an evaluation is one
+gather, one product along the chains and one matmul.  A run of RK4 steps
+builds its buffers once, the four stage states and rates, their
+conjugates and the step's temporaries, and writes every update into them,
+so a step allocates only the kernel's arrays.
 """
 
 from __future__ import annotations
@@ -47,20 +50,22 @@ class PackedConnection:
 
     Every monomial c z^alpha zbar^beta of every entry A_z[a][i, j] is one
     term of -(A_z(v) v), and a term is one chain of factors: its positions
-    in u = (gamma, gdot, conj gamma, conj gdot, 1), z_k repeated alpha_k
+    in u = (1, conj gamma, conj gdot, gamma, gdot), z_k repeated alpha_k
     times for each k, then zbar_k repeated beta_k times, then the velocity
-    components v_a and v_j.  Each chain is left-padded with the position of
-    the constant 1 up to one common width, at least 1 so that a flat
+    components v_a and v_j.  Each chain is left-padded with the position 0
+    of the constant 1 up to one common width, at least 1 so that a flat
     connection (no terms) builds too.  With the chains, the coefficients and
     a dense row-scatter matrix carrying the minus sign, built once, the
     action on a batch of states is one gather, one product along the chains
-    and one matmul.
+    and one matmul (``evaluate``).  The state y = (gamma, gdot) comes last
+    in u, so that the RK4 loop keeps u, y and the rate (gdot, acceleration)
+    each as one block of rows.
     """
 
     def __init__(self, calc: FrameCalculus, conn: ConnectionForms):
         a_z = connection_matrix_coordinate(calc, conn)
         n = self.n = calc.n
-        var = [*range(n), *range(2 * n, 3 * n)]    # z_k, zbar_k in u
+        var = [*range(2 * n + 1, 3 * n + 1), *range(1, n + 1)]   # z_k, zbar_k in u
         vel = [p + n for p in var]                  # v = (gdot, conj gdot)
         terms = []
         for a, mat in enumerate(a_z):
@@ -72,8 +77,7 @@ class PackedConnection:
                         terms.append((i, chain, c))
         terms.sort(key=lambda t: t[0])          # stable: first block first
         width = max((len(t[1]) for t in terms), default=1)
-        one = 4 * n                             # the constant 1 in u
-        gather = np.array([[one] * (width - len(chain)) + chain
+        gather = np.array([[0] * (width - len(chain)) + chain
                            for _, chain, _ in terms], dtype=np.intp)
         gather = gather.reshape(len(terms), width).T    # (width, terms)
         rows = np.array([t[0] for t in terms], dtype=np.intp)
@@ -88,35 +92,32 @@ class PackedConnection:
             2 * n: (coeffs, np.ascontiguousarray(gather), scatter),
         }
 
-    def _evaluate(self, y, nrows):
-        """The first ``nrows`` rows of -(A_z(v) v) at the states y = (gamma,
-        gdot), (2n,) or (S, 2n).  A term is the product of its chain from
-        the left with the coefficient multiplied into the first factor,
-        (((c 1) ... f_0) f_1) ... v_a) v_j, and the scatter sums the terms.
+    def evaluate(self, u, nrows):
+        """The first ``nrows`` rows of -(A_z(v) v) at the packed states u =
+        (1, conj gamma, conj gdot, gamma, gdot), (4n+1,) or (S, 4n+1).  A
+        term is the product of its chain from the left with the coefficient
+        multiplied into the first factor, (((c 1) ... f_0) f_1) ... v_a) v_j,
+        and the scatter sums the terms.
 
         The coefficient comes first, where it scales every partial product:
         multiplied in last, a state whose terms overflow (|v| near 1e62 on
         fix_b) reaches inf before a zero velocity factor and ends in NaN
         instead of its trust-radius exit.  It stays out of the scatter,
         whose entries of +-1 and 0 keep every product of the matmul exact,
-        whatever kernel BLAS picks for the batch's shape."""
+        whatever kernel BLAS picks for the batch's shape.  The chain array
+        is local, so a large connection holds one at a time."""
         coeffs, gather, scatter = self.tables[nrows]
-        u = np.concatenate([y, y.conj(), np.ones_like(y[..., :1])], axis=-1)
         f = u.take(gather, axis=-1)             # (..., width, terms)
         f[..., 0, :] *= coeffs
         return np.multiply.reduce(f, axis=-2) @ scatter
-
-    def rate(self, y):
-        """(gamma-dot, gamma-ddot) at the states y = (gamma, gamma-dot)."""
-        return np.concatenate([y[..., self.n:], self._evaluate(y, self.n)],
-                              axis=-1)
 
     def action(self, gamma, gdot, nrows=None):
         """-(A_z(v) v) at z = gamma, v = (gdot, conj gdot): the first block
         for ``nrows`` = n, all 2n rows by default; gamma and gdot are (n,)
         or (S, n)."""
-        return self._evaluate(np.concatenate([gamma, gdot], axis=-1),
-                              nrows or 2 * self.n)
+        y = np.concatenate([gamma, gdot], axis=-1)
+        u = np.concatenate([np.ones_like(y[..., :1]), y.conj(), y], axis=-1)
+        return self.evaluate(u, nrows or 2 * self.n)
 
     def acceleration(self, gamma, gdot):
         """Second derivative of the curve: -(A_z(gdot) gdot) on the first
@@ -152,23 +153,64 @@ def _rk4_sweep(packed: PackedConnection, y, steps):
 
 
 def _rk4_steps(packed, y, h, steps, dt):
-    """The RK4 steps numbered ``steps`` on the states y with step size h, a
-    scalar or one per state (S, 1); returns the states after them.  Before
-    each step it raises ``TrustRadiusExit`` at time step * dt if any state
-    is outside the radius; a non-finite state is never outside and hides no
-    other state's exit."""
-    n = packed.n
+    """The RK4 steps numbered ``steps`` on the states y (S, 2n) with step
+    size h, a scalar or one per state (S, 1); returns the states after them.
+    Before each step it raises ``TrustRadiusExit`` at time step * dt if any
+    state is outside the radius; a non-finite state is never outside and
+    hides no other state's exit.
+
+    The buffers are built once per call.  Stage s of a step is one block of
+    rows (1, conj y_s, y_s, acc_s) with one column per state: its first
+    4n + 1 rows are the u of ``packed.evaluate``, copied to the contiguous
+    (S, 4n+1) the kernel gathers from, and y_s and the rate k_s = (gdot_s,
+    acc_s) are each one contiguous block of it.  The state y is stage 0's
+    y_s, updated in place.  Each stage state y + c k_{s-1} and the sum
+    y + sixth (k1 + 2 k2 + 2 k3 + k4) are formed operation by operation
+    from the left with ``out=`` into the buffers, so a step allocates only
+    the kernel's arrays.  These operations are elementwise and round each
+    entry alike in rows or in columns; the chain product, where the layout
+    decides the rounding, keeps the kernel's (S, width, terms).  So the
+    bits are those of a loop that makes a new array per rate and stage
+    (``tests/germs.py::rk4_steps_reference``).  One step of 8 states on
+    fix_b takes about 57 us, 40 of them in the four kernel calls.
+    """
+    n, count = packed.n, len(y)
     half, sixth = 0.5 * h, h / 6
+    if np.ndim(h):          # one step size per column, cast to complex once
+        h, half, sixth = (np.asarray(c, dtype=complex).T for c in (h, half, sixth))
+    blocks = np.empty((4, 5 * n + 1, count), dtype=complex)
+    blocks[:, 0] = 1.0
+    packs = list(blocks[:, :4 * n + 1].transpose(0, 2, 1))
+    conjs = list(blocks[:, 1:2 * n + 1])
+    states = list(blocks[:, 2 * n + 1:4 * n + 1])
+    rates = list(blocks[:, 3 * n + 1:])
+    accs = list(blocks[:, 4 * n + 1:])
+    u = np.empty((count, 4 * n + 1), dtype=complex)
+    t, t2 = np.empty((2, 2 * n, count), dtype=complex)
+    modulus = np.empty((n, count))
+    states[0][...] = y.T
+    y = states[0]
+    k1, k2, k3, k4 = rates
     for step in steps:
-        if not np.abs(y[:, :n]).max(initial=0.0) <= TRUST_RADIUS \
-                and (np.abs(y[:, :n]) > TRUST_RADIUS).any():
+        np.abs(y[:n], out=modulus)
+        if not modulus.max(initial=0.0) <= TRUST_RADIUS \
+                and (modulus > TRUST_RADIUS).any():
             raise TrustRadiusExit(step * dt)
-        k1 = packed.rate(y)
-        k2 = packed.rate(y + half * k1)
-        k3 = packed.rate(y + half * k2)
-        k4 = packed.rate(y + h * k3)
-        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+        for s, c in enumerate((None, half, half, h)):
+            if s:
+                np.multiply(c, rates[s - 1], out=t)
+                np.add(y, t, out=states[s])
+            np.conjugate(states[s], out=conjs[s])
+            np.copyto(u, packs[s])
+            np.copyto(accs[s], packed.evaluate(u, n).T)
+        np.multiply(2, k2, out=t)
+        np.add(k1, t, out=t)
+        np.multiply(2, k3, out=t2)
+        np.add(t, t2, out=t)
+        np.add(t, k4, out=t)
+        np.multiply(sixth, t, out=t2)
+        np.add(y, t2, out=y)
+    return y.T.copy()
 
 
 def _first_exit(z, v, steps):
@@ -374,7 +416,8 @@ def integrator_convergence_ratio(lab: GeodesicLab, z, v, coarse=4,
 
 def conjugate_block_residual(packed: PackedConnection, z, v):
     """Reality of the connection action: the conjugate block of the assembled
-    acceleration must mirror the first block."""
+    acceleration must mirror the first block, at one state (n,) or each of
+    a batch (S, n)."""
     n = packed.n
     full = packed.action(z, v)
-    return float(np.abs(full[n:] - np.conj(full[:n])).max())
+    return float(np.abs(full[..., n:] - np.conj(full[..., :n])).max())

@@ -33,6 +33,7 @@ import numpy as np
 from acgeom.chern import (ChernLeviCivita, ConnectionForms, HermitianData, LeviCivita,
                           MatrixForm)
 from acgeom.forms import _OPERATORS, FrameCalculus, PQForm, _plan, _sum_terms
+from acgeom.geodesic import TRUST_RADIUS, TrustRadiusExit
 from acgeom.jets import (PRUNE_EPS, QC, Jet, JetError, JetMatrix, SingularMatrixError,
                          Substitution, _as_qc, _check_operand, _exact_inverse, _exact_sum, _index,
                          multi_index, nan_max, zero_coefficients)
@@ -583,12 +584,13 @@ def chern_derivative_without_memo(calc: FrameCalculus, conn: ConnectionForms,
 class PowerTableConnection:
     """The oracle of ``geodesic.PackedConnection``, built from the coordinate
     connection matrices ``a_z`` (2n matrices 2n x 2n): per term, the flat
-    positions of its factors in a power table of u = (gamma, gdot,
-    conj gamma, conj gdot), as pairs (z_k, zbar_k) of exponents followed by
+    positions of its factors in a power table of u = (1, conj gamma,
+    conj gdot, gamma, gdot), as pairs (z_k, zbar_k) of exponents followed by
     the pair of velocity components (a, j) at power one.  A term is
     ((c (z^alpha zbar^beta)) v_a) v_j, with z^alpha and zbar^beta each
     ((f_0 f_1) f_2) ... over the powers ``u ** degrees``.  It has the
-    attributes and methods the RK4 loop reads (``n``, ``flat``, ``rate``)."""
+    attributes and methods the RK4 loop reads (``n``, ``flat``,
+    ``evaluate``)."""
 
     def __init__(self, n, a_z):
         self.n = n
@@ -603,7 +605,7 @@ class PowerTableConnection:
         exps = np.array([t[3] for t in terms], dtype=np.intp).reshape(-1, 2 * n)
         self.degrees = np.arange(max(exps.max(initial=0), 1) + 1)
         width = len(self.degrees)
-        var_pos = np.concatenate([np.arange(n), 2 * n + np.arange(n)])
+        var_pos = np.concatenate([2 * n + 1 + np.arange(n), 1 + np.arange(n)])
         vel_pos = var_pos + n
         comps = np.array([t[2] for t in terms], dtype=np.intp)
         cols = np.array([t[1] for t in terms], dtype=np.intp)
@@ -621,12 +623,12 @@ class PowerTableConnection:
             2 * n: (coeffs, np.ascontiguousarray(gather), scatter),
         }
 
-    def terms(self, y, nrows):
-        """The terms of the first ``nrows`` rows at the states y, (..., terms),
-        and the scatter (terms, nrows) that sums them with the minus sign."""
+    def terms(self, u, nrows):
+        """The terms of the first ``nrows`` rows at the packed states u =
+        (1, conj gamma, conj gdot, gamma, gdot), (..., terms), and the
+        scatter (terms, nrows) that sums them with the minus sign."""
         n = self.n
         coeffs, gather, scatter = self.tables[nrows]
-        u = np.concatenate([y, y.conj()], axis=-1)
         powers = (u[..., None] ** self.degrees).reshape(
             u.shape[:-1] + (u.shape[-1] * len(self.degrees),))
         f = powers.take(gather, axis=-1)
@@ -637,10 +639,39 @@ class PowerTableConnection:
             * f[..., n, 0, :] * f[..., n, 1, :]
         return vals, scatter
 
-    def rate(self, y):
-        vals, scatter = self.terms(y, self.n)
-        return np.concatenate([y[..., self.n:], vals @ scatter], axis=-1)
-
-    def action(self, gamma, gdot):
-        vals, scatter = self.terms(np.concatenate([gamma, gdot], axis=-1), 2 * self.n)
+    def evaluate(self, u, nrows):
+        vals, scatter = self.terms(u, nrows)
         return vals @ scatter
+
+
+def packed_states(y):
+    """u = (1, conj gamma, conj gdot, gamma, gdot) at the states y = (gamma,
+    gdot), the input of ``PackedConnection.evaluate``."""
+    return np.concatenate([np.ones_like(y[..., :1]), y.conj(), y], axis=-1)
+
+
+def rk4_steps_reference(packed, y, h, steps, dt):
+    """The bit-level reference of ``geodesic._rk4_steps``: the RK4 loop with
+    one rate per stage on the states in rows (S, 2n), each rate, stage state
+    and sum a new array, the rate read from the chain tables of a
+    ``PackedConnection`` as its kernel reads them."""
+    n = packed.n
+    coeffs, gather, scatter = packed.tables[n]
+
+    def rate(y):
+        f = packed_states(y).take(gather, axis=-1)
+        f[..., 0, :] *= coeffs
+        return np.concatenate([y[..., n:], np.multiply.reduce(f, axis=-2) @ scatter],
+                              axis=-1)
+
+    half, sixth = 0.5 * h, h / 6
+    for step in steps:
+        if not np.abs(y[:, :n]).max(initial=0.0) <= TRUST_RADIUS \
+                and (np.abs(y[:, :n]) > TRUST_RADIUS).any():
+            raise TrustRadiusExit(step * dt)
+        k1 = rate(y)
+        k2 = rate(y + half * k1)
+        k3 = rate(y + half * k2)
+        k4 = rate(y + h * k3)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y

@@ -101,6 +101,18 @@ MUTANTS = (
            ("tests/test_chern.py::TestLeviCivita::test_torsion_free",
             "tests/test_frame_jets.py::"
             "test_levi_civita_derivative_matches_the_memo_free_sum[2-2]")),
+    Mutant("the chain coefficient multiplied after the product",
+           "acgeom/geodesic.py",
+           "        f[..., 0, :] *= coeffs\n"
+           "        return np.multiply.reduce(f, axis=-2) @ scatter\n",
+           "        return (np.multiply.reduce(f, axis=-2) * coeffs) @ scatter\n",
+           ("tests/test_packed_connection.py::test_overflowing_velocity_ends_as_the_oracle_does",)),
+    Mutant("the fourth RK4 stage steps by half",
+           "acgeom/geodesic.py",
+           "        for s, c in enumerate((None, half, half, h)):\n",
+           "        for s, c in enumerate((None, half, half, half)):\n",
+           ("tests/test_packed_connection.py::test_rk4_steps_have_the_reference_bits",
+            "tests/test_report_bytes.py::test_json_report_bytes[geodesic-fix_b.json-flags16]")),
 )
 
 

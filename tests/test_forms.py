@@ -194,7 +194,7 @@ class TestOperatorPlans:
         n = calc_b.n
         u = PQForm(calc_b, 0, n, {((), tuple(range(n))): random_jet(rng, n, calc_b.order)})
         calls = []
-        for owner, name in ((Jet, "__mul__"), (Jet, "gradient"), (VectorField, "derive")):
+        for owner, name in ((Jet, "__mul__"), (Jet, "partial"), (VectorField, "derive")):
             def counting(*args, _name=name, _orig=getattr(owner, name), **kwargs):
                 calls.append(_name)
                 return _orig(*args, **kwargs)

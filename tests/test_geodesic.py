@@ -6,7 +6,7 @@ import pytest
 from acgeom.chern import antisymmetrize_metric_linear
 from acgeom import geodesic
 from acgeom.forms import FrameCalculus
-from acgeom.cli import Options, parse_manifold_spec, run_command
+from acgeom.cli import Options, build_metric, parse_manifold_spec, run_command
 from acgeom.geodesic import (MAX_DOUBLINGS, NOISE_FLOOR, SCALE_LADDER,
                              SETTLE_TOL, GeodesicLab, TrustRadiusExit,
                              _rk4_sweep,
@@ -67,7 +67,7 @@ class TestFlatCase:
         def evaluated(*args):
             raise AssertionError("flat connection evaluated")
 
-        monkeypatch.setattr(lab_flat.packed, "rate", evaluated)
+        monkeypatch.setattr(lab_flat.packed, "evaluate", evaluated)
         monkeypatch.setattr(lab_flat.packed, "acceleration", evaluated)
         z = np.array([0.03 + 0.01j, -0.02j])
         v = np.array([0.05 - 0.01j, 0.04j])
@@ -131,6 +131,17 @@ class TestExpAsymptotic:
         z = np.array([0.02 + 0.01j, -0.015j])
         v = np.array([0.03, 0.02 + 0.01j])
         assert conjugate_block_residual(lab_b.packed, z, v) < 1e-15
+
+    @pytest.mark.parametrize("name", ["fix_b.json", "j0_symplectic.json"])
+    def test_conjugate_block_reality_on_a_batch(self, name):
+        # each state of a batch is checked on its own two blocks
+        from acgeom.geodesic import conjugate_block_residual
+        with open(os.path.join(MANIFESTS, name), encoding="utf-8") as fh:
+            spec = parse_manifold_spec(fh.read(), name=name)
+        lab = GeodesicLab(FrameCalculus(spec.structure), build_metric(spec))
+        scales = np.array([[1.0], [0.5], [0.25]])
+        zs, vs = scales * np.array([0.05, 0.02j]), scales * np.array([0.01, 0.03])
+        assert conjugate_block_residual(lab.packed, zs, vs) < 1e-15
 
 
 LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625)
